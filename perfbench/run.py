@@ -27,7 +27,8 @@ MANIFEST = os.path.join(ROOT, "perfbench", "Cargo.toml")
 WORKLOADS = ("repro-quick", "build-grid", "rank-corpus")
 # Variables that would change what the program does or where it writes.
 SCRUBBED = ("KHAOS_STORE", "KHAOS_TRACE", "KHAOS_METRICS", "KHAOS_SHARD",
-            "KHAOS_COORD_ABORT_ON", "KHAOS_LEASE_MS", "KHAOS_AUDIT")
+            "KHAOS_COORD_ABORT_ON", "KHAOS_LEASE_MS", "KHAOS_AUDIT",
+            "KHAOS_THREADS")
 RUN_TIMEOUT_S = 170
 
 
@@ -42,8 +43,9 @@ def main():
     env = {k: v for k, v in os.environ.items() if k not in SCRUBBED}
     target = os.path.join(ROOT, env.get("CARGO_TARGET_DIR") or ".bench_build")
     env["CARGO_TARGET_DIR"] = target
-    # One process, at most one worker per available core.
-    env.setdefault("KHAOS_THREADS", str(len(os.sched_getaffinity(0))))
+    # One process, one worker thread: on a few shared cores a second
+    # worker measures the scheduler and the other tenants, not the code.
+    env["KHAOS_THREADS"] = "1"
 
     build = subprocess.run(
         ["cargo", "build", "--release", "--offline", "--quiet",
@@ -57,9 +59,15 @@ def main():
     cmd = [os.path.join(target, "release", "perfbench"), "run",
            "--workload", a.workload, "--seed", str(a.seed),
            "--seconds", str(a.seconds), "--trace", str(a.trace)]
+    # One CPU for the run and its children: the work does not move
+    # between cores of different speed, and the host-speed sampler
+    # measures the core the work runs on. The last allowed CPU, since
+    # device interrupts land on the first.
+    cpu = max(os.sched_getaffinity(0))
     # Its own process group, so a timeout stops the repro-quick child too.
     run = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                           start_new_session=True)
+                           start_new_session=True,
+                           preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     try:
         stdout, _ = run.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

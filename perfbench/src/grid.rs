@@ -9,22 +9,23 @@
 //! **Set-up** (`setup_s`, median of [`SETUP_REPS`]): generate T-I ∪
 //! T-II (`workloads.generate_s`), run every unoptimized source once in
 //! the VM — the differential reference (`vm.reference_s`) — and draw
-//! the passes.
+//! the programs.
 //!
 //! **What the seed selects.** The programs are sorted by the reference
 //! run's interpreter steps (the VM dominates a build's time) and cut
-//! into strata of [`STRATUM`] neighbours; the seed shuffles each
-//! stratum, and pass `k` takes the `k`-th program of every stratum. So
-//! passes are disjoint (no program is built twice in a run) and every
-//! pass has nearly the same cost mix, whatever the seed.
+//! into pairs of neighbours; the seed picks one program of each pair.
+//! So the draw is half of the pool with nearly the same cost whatever
+//! the seed, which keeps the seed's share of the run-to-run spread
+//! small.
 //!
-//! **Timed phase.** Passes run back to back, one client, closed loop,
-//! until `--seconds` have elapsed (at most [`STRATUM`] passes). For
-//! each program of a pass, ten *measured builds* — `O2+lto` on the
-//! source, and each Fig. 7 config on that baseline — each being
-//! `Pipeline::run` under `VerifyPolicy::AuditAfterEach` (as `run_spec`
-//! does), `lower_module`, and a VM run whose output and exit code must
-//! equal the reference's.
+//! **Timed phase.** One pass over the draw, one client, closed loop:
+//! about 20 s on one core of a 2-core x86-64 host, so it is sized to
+//! `run_seconds` rather than bounded by `--seconds` (a second pass
+//! would have to rebuild a program or change the cost mix). For each
+//! program, ten *measured builds* — `O2+lto` on the source, and each
+//! Fig. 7 config on that baseline — each being `Pipeline::run` under
+//! `VerifyPolicy::AuditAfterEach` (as `run_spec` does), `lower_module`,
+//! and a VM run whose output and exit code must equal the reference's.
 //!
 //! **Layer metric → end-to-end metric it should move**
 //! - `pass.opt_s`, `pass.khaos_s`, `pass.ollvm_s`, `ir.verify_audit_s`
@@ -46,11 +47,6 @@ use khaos_pass::{PassCtx, Pipeline, PipelineReport, VerifyPolicy};
 use khaos_vm::{run_with_config, RunConfig, RunResult};
 use std::collections::HashSet;
 use std::time::Instant;
-
-/// Neighbouring programs per stratum (= the most passes one run makes).
-/// Narrow strata keep every pass's cost mix close to every other's: a
-/// pass is 38 programs, about ten seconds on a 2-core x86-64 host.
-pub const STRATUM: usize = 4;
 
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUP_REPS: usize = 2;
@@ -131,40 +127,28 @@ fn generate(size: Size) -> Vec<Module> {
     }
 }
 
-/// The disjoint passes: pool indices per pass (see the module docs).
-/// `cost[i]` orders the programs — the reference run's interpreter
-/// steps, since the VM dominates a build's time.
-pub fn draw_passes(pool: &[Module], cost: &[u64], stratum: usize, seed: u64) -> Vec<Vec<usize>> {
+/// The drawn programs as pool indices (see the module docs). `cost[i]`
+/// orders the programs — the reference run's interpreter steps, since
+/// the VM dominates a build's time.
+pub fn draw(pool: &[Module], cost: &[u64], seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..pool.len()).collect();
-    // Costliest first, so the programs a partial last stratum drops
-    // are the cheapest; name breaks ties so the order is total.
+    // Costliest first, so the program an odd pool drops is the
+    // cheapest; name breaks ties so the order is total.
     order.sort_by(|&a, &b| {
         cost[b]
             .cmp(&cost[a])
             .then_with(|| pool[a].name.cmp(&pool[b].name))
     });
     let mut rng = SplitMix::new(seed);
-    let strata: Vec<Vec<usize>> = order
-        .chunks_exact(stratum)
-        .map(|c| {
-            let mut c = c.to_vec();
-            rng.shuffle(&mut c);
-            c
-        })
-        .collect();
-    (0..stratum)
-        .map(|k| strata.iter().map(|s| s[k]).collect())
+    order
+        .chunks_exact(2)
+        .map(|pair| pair[rng.below(2)])
         .collect()
 }
 
 /// Runs the workload into `report`.
 pub fn run(args: &RunArgs, report: &mut Report) {
     args.install_trace("build-grid");
-    let stratum = match args.size {
-        Size::Full => STRATUM,
-        Size::Tiny => 2,
-    };
-
     let (mut setups, mut gens, mut refs) = (Vec::new(), Vec::new(), Vec::new());
     let mut drawn = None;
     for _ in 0..SETUP_REPS {
@@ -176,25 +160,25 @@ pub fn run(args: &RunArgs, report: &mut Report) {
             .map(|src| layers.time("vm.reference_s", || run_vm(src)))
             .collect();
         let cost: Vec<u64> = reference.iter().map(|r| r.steps).collect();
-        let passes = draw_passes(&pool, &cost, stratum, args.seed);
+        let programs = draw(&pool, &cost, args.seed);
         setups.push(secs(start));
         gens.push(layers.get("workloads.generate_s"));
         refs.push(layers.get("vm.reference_s"));
-        drawn = Some((pool, reference, passes));
+        drawn = Some((pool, reference, programs));
     }
-    let (pool, mut reference, passes) = drawn.expect("at least one set-up");
+    let (pool, mut reference, programs) = drawn.expect("at least one set-up");
     report.set("setup_s", median(&setups));
     report.set("workloads.generate_s", median(&gens));
     report.set("vm.reference_s", median(&refs));
     report.set(
         "workloads.functions",
-        passes[0]
+        programs
             .iter()
             .map(|&i| pool[i].functions.len() as f64)
             .sum(),
     );
     if args.fault == Fault::Reference {
-        reference[passes[0][0]].output.push(1);
+        reference[programs[0]].output.push(1);
     }
 
     let configs: Vec<(String, BuildConfig)> = match args.size {
@@ -205,58 +189,44 @@ pub fn run(args: &RunArgs, report: &mut Report) {
     let mut latencies_ms = Vec::new();
     let mut khaos_overheads = Vec::new();
     let mut distinct = HashSet::new();
-    let (mut walls, mut cpus, mut rates, mut p50s) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let started = Instant::now();
-    for (k, pass) in passes.iter().enumerate() {
-        if k > 0 && secs(started) >= args.seconds {
-            break;
-        }
-        let (wall0, cpu0, builds0) = (Instant::now(), cpu_seconds(), latencies_ms.len());
-        for &pi in pass {
-            let (src, reference) = (&pool[pi], &reference[pi]);
-            let mut measured = |input: &Module, spec: &str, label: &str| {
-                let t = Instant::now();
-                let (built, r) = build(input, spec);
-                charge_report(&mut layers, report, &r);
-                let bin = layers.time("binary.lower_s", || lower_module(&built));
-                let res = layers.time("vm.run_s", || run_vm(&built));
-                report.check(
-                    res.output == reference.output && res.exit_code == reference.exit_code,
-                    || {
-                        format!(
-                            "{} `{label}`: VM output/exit differ from the source run",
-                            src.name
-                        )
-                    },
-                );
-                latencies_ms.push(secs(t) * 1e3);
-                report.add("vm.steps", res.steps as f64);
-                if k == 0 {
-                    report.add("grid.code_size_insts", bin.inst_count() as f64);
-                }
-                distinct.insert((src.name.clone(), label.to_string()));
-                (built, res.cycles)
-            };
-            let (base, base_cycles) = measured(src, BASELINE, BASELINE);
-            for (name, cfg) in &configs {
-                let (_, cycles) = measured(&base, &cfg.spec(), name);
-                if matches!(cfg, BuildConfig::Khaos(_)) {
-                    khaos_overheads.push(overhead_pct(base_cycles, cycles));
-                }
+    let (started, cpu0) = (Instant::now(), cpu_seconds());
+    for &pi in &programs {
+        let (src, reference) = (&pool[pi], &reference[pi]);
+        let mut measured = |input: &Module, spec: &str, label: &str| {
+            let t = Instant::now();
+            let (built, r) = build(input, spec);
+            charge_report(&mut layers, report, &r);
+            let bin = layers.time("binary.lower_s", || lower_module(&built));
+            let res = layers.time("vm.run_s", || run_vm(&built));
+            report.check(
+                res.output == reference.output && res.exit_code == reference.exit_code,
+                || {
+                    format!(
+                        "{} `{label}`: VM output/exit differ from the source run",
+                        src.name
+                    )
+                },
+            );
+            latencies_ms.push(secs(t) * 1e3);
+            report.add("vm.steps", res.steps as f64);
+            report.add("grid.code_size_insts", bin.inst_count() as f64);
+            distinct.insert((src.name.clone(), label.to_string()));
+            (built, res.cycles)
+        };
+        let (base, base_cycles) = measured(src, BASELINE, BASELINE);
+        for (name, cfg) in &configs {
+            let (_, cycles) = measured(&base, &cfg.spec(), name);
+            if matches!(cfg, BuildConfig::Khaos(_)) {
+                khaos_overheads.push(overhead_pct(base_cycles, cycles));
             }
         }
-        let wall = secs(wall0);
-        walls.push(wall);
-        cpus.push(cpu_seconds() - cpu0);
-        rates.push((latencies_ms.len() - builds0) as f64 / wall);
-        p50s.push(median(&latencies_ms[builds0..]));
     }
+    let (wall, cpu) = (secs(started), cpu_seconds() - cpu0);
 
-    report.set("wall_s", median(&walls));
-    report.set("cpu_s", median(&cpus));
-    report.set("items_per_s", median(&rates));
-    report.set("item_p50_ms", median(&p50s));
+    report.set("wall_s", wall);
+    report.set("cpu_s", cpu);
+    report.set("items_per_s", latencies_ms.len() as f64 / wall);
+    report.set("item_p50_ms", median(&latencies_ms));
     report.set("peak_rss_mb", peak_rss_mb());
     report.set_item_tail(&latencies_ms);
     report.set("grid.obf_overhead_pct", geomean_ratio(&khaos_overheads));
@@ -273,19 +243,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn passes_are_disjoint_and_seeded() {
+    fn draws_take_one_of_each_pair_and_are_seeded() {
         let pool = generate(Size::Tiny);
         let cost = [5, 1, 4, 2];
-        let a = draw_passes(&pool, &cost, 2, 1);
-        assert_eq!(a, draw_passes(&pool, &cost, 2, 1));
-        // Strata {0, 2} and {3, 1}: each pass takes one of each.
-        for p in &a {
-            assert!(p.contains(&0) ^ p.contains(&2), "{a:?}");
+        let mut seen = HashSet::new();
+        for seed in 0..16 {
+            let d = draw(&pool, &cost, seed);
+            assert_eq!(d, draw(&pool, &cost, seed));
+            // Pairs {0, 2} and {3, 1}: one of each, costliest pair first.
+            assert!(
+                d.len() == 2 && [0, 2].contains(&d[0]) && [3, 1].contains(&d[1]),
+                "{d:?}"
+            );
+            seen.extend(d);
         }
-        assert_eq!(a.len(), 2);
-        let mut all: Vec<usize> = a.concat();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
+        assert_eq!(seen.len(), 4, "every program is drawn by some seed");
     }
 
     #[test]

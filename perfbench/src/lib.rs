@@ -18,7 +18,7 @@
 //! | name | why | what the seed selects |
 //! |------|-----|-----------------------|
 //! | [`repro`] `repro-quick` | the north-star command, `experiments --quick all`, exactly as users run it: a fresh child process per pass against a fresh empty store | nothing — the suites are fixed |
-//! | [`grid`] `build-grid` | every build is distinct, so `workloads`/`pass`/`ir`/`binary`/`vm` are timed with nothing to reuse | the disjoint stratified program draws from T-I ∪ T-II |
+//! | [`grid`] `build-grid` | every build is distinct, so `workloads`/`pass`/`ir`/`binary`/`vm` are timed with nothing to reuse | a cost-balanced half of T-I ∪ T-II: one program of each pair of neighbours by cost |
 //! | [`rank`] `rank-corpus` | no compilation in the timed phase, so `diff`/`index`/`store` do the work | the sample of corpus rows queried through the index |
 //!
 //! Each workload module documents its timed phase, its set-up, and
@@ -37,7 +37,9 @@ pub mod repro;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Whether a larger or a smaller value of a metric is better.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,15 +85,22 @@ use Better::{Higher, Lower};
 /// An *item* is the workload's unit of work: one experiments target on
 /// `repro-quick`, one measured build (build + lower + VM run + check)
 /// on `build-grid`, one (pair × tool) cell through embedding and
-/// ranking on `rank-corpus`. The timed phase runs in passes; the
-/// per-pass metrics report the median pass of the run.
+/// ranking on `rank-corpus`. The timed phase runs in passes, one
+/// thread (`KHAOS_THREADS=1`), and every metric is taken over the whole
+/// timed phase rather than over one pass.
+///
+/// The times are *at the reference host speed*: the measured time
+/// divided by the run's `host.slowdown` (see [`HostSpeed`]). On a
+/// shared host the same code runs up to 1.6 times slower from one
+/// minute to the next: on a 2-core x86-64 VM, ten runs of the same work
+/// spread (quartile distance over median) by 15–30% in wall time and by
+/// 5–16% at the reference speed.
 pub const END_TO_END: &[MetricDef] = &[
-    m("setup_s", "s", Lower, "median of several set-ups in one run: repro-quick child start-up to ready (fresh store, suites generated); build-grid suite generation + reference VM runs; rank-corpus fig10 grid + T-I/T-II baseline builds"),
-    m("wall_s", "s", Lower, "median wall time of one pass of the timed phase"),
-    m("cpu_s", "s", Lower, "median process CPU time (all threads) of one pass"),
+    m("setup_s", "s", Lower, "median of several set-ups in one run, at the reference host speed: repro-quick child start-up to ready (fresh store, suites generated); build-grid suite generation + reference VM runs; rank-corpus fig10 grid + T-I/T-II baseline builds"),
+    m("wall_s", "s", Lower, "wall time of the timed phase / passes in it, at the reference host speed"),
+    m("cpu_s", "s", Lower, "process CPU time (all threads) of the timed phase / passes in it, at the reference host speed"),
     m("peak_rss_mb", "MB", Lower, "peak resident set of the measured process (the child on repro-quick)"),
-    m("items_per_s", "1/s", Higher, "median items per second of a pass: targets (repro-quick), measured builds (build-grid), pair x tool cells through embed + rank (rank-corpus)"),
-    m("item_p50_ms", "ms", Lower, "median over passes of a pass's median item latency: per target, per measured build, per pair x tool ranking cell"),
+    m("items_per_s", "1/s", Higher, "items / wall time of the timed phase, at the reference host speed: targets (repro-quick), measured builds (build-grid), pair x tool cells through embed + rank (rank-corpus, over the time of those two steps)"),
 ];
 
 /// Per-layer metrics, printed on every traced run of every workload
@@ -99,7 +108,7 @@ pub const END_TO_END: &[MetricDef] = &[
 pub const PER_LAYER: &[MetricDef] = &[
     // Workload generation.
     m("workloads.generate_s", "s", Lower, "build-grid: suite generation -> setup_s"),
-    m("workloads.functions", "count", Lower, "build-grid: functions in one pass's drawn programs (input size, not a speed)"),
+    m("workloads.functions", "count", Lower, "build-grid: functions in the drawn programs (input size, not a speed)"),
     // Optimizer, obfuscation passes and the verify/audit wrapper.
     m("pass.opt_s", "s", Lower, "optimizer pass time -> build-grid items_per_s/item_p50_ms, repro-quick wall_s/cpu_s; rank-corpus setup_s only"),
     m("pass.khaos_s", "s", Lower, "Khaos pass time -> build-grid items_per_s/item_p50_ms, repro-quick wall_s/cpu_s; rank-corpus setup_s only"),
@@ -161,11 +170,13 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("trace.overhead_pct", "pct", Lower, "repro-quick: traced child wall against untraced child wall"),
     // Workload outputs that are not speeds.
     m("grid.obf_overhead_pct", "pct", Lower, "build-grid: geomean simulated-cycle overhead of the Khaos modes vs O2+lto (Fig. 6)"),
-    m("grid.code_size_insts", "count", Lower, "build-grid: lowered instructions of the first pass's builds"),
+    m("grid.code_size_insts", "count", Lower, "build-grid: lowered instructions of the run's builds"),
+    m("item_p50_ms", "ms", Lower, "median latency over every item of the timed phase: per measured build (build-grid), per pair x tool ranking cell (rank-corpus), per target (repro-quick: the 7th of 13 targets, so it jumps between targets from run to run)"),
     m("item_tail_ms", "ms", Lower, "highest percentile of item latency with >= 10 samples beyond it (see item_tail_pct)"),
     m("item_tail_pct", "pct", Higher, "the percentile item_tail_ms reports (0 when the run has < 11 items)"),
     m("item_samples", "count", Higher, "item latency samples in the run"),
     m("checks.fail_rate", "ratio", Lower, "failed checks / checks attempted"),
+    m("host.slowdown", "ratio", Lower, "how many times slower than the reference the host ran during the run (HostSpeed); the end-to-end times were divided by it, and the per-layer times are as measured"),
 ];
 
 /// The result of one benchmark run: checks plus named metric values.
@@ -301,6 +312,18 @@ impl Layers {
 
 /// Process CPU time (user + system, all threads) in seconds.
 pub fn cpu_seconds() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    clock_seconds(CLOCK_PROCESS_CPUTIME_ID)
+}
+
+/// CPU time of the calling thread in seconds.
+fn thread_cpu_seconds() -> f64 {
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    clock_seconds(CLOCK_THREAD_CPUTIME_ID)
+}
+
+/// The reading of POSIX clock `clock` in seconds.
+fn clock_seconds(clock: i32) -> f64 {
     #[repr(C)]
     struct Timespec {
         tv_sec: i64,
@@ -309,15 +332,109 @@ pub fn cpu_seconds() -> f64 {
     extern "C" {
         fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
     }
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     let mut ts = Timespec {
         tv_sec: 0,
         tv_nsec: 0,
     };
     // SAFETY: `ts` is a valid, writable timespec for the call.
-    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    let rc = unsafe { clock_gettime(clock, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime({clock}) failed");
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+/// The calibration kernel: xorshift-indexed loads and stores over a
+/// 64 KiB table with a data-dependent branch. It is the benchmark's own
+/// code, so a change to the program cannot speed it up.
+fn calibration_kernel(table: &mut [u32]) -> u32 {
+    let mask = table.len() - 1;
+    let (mut x, mut acc) = (0x9e37_79b9_u32, 0_u32);
+    for i in 0..1 << 17 {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        let j = x as usize & mask;
+        let v = table[j];
+        acc = if v & 1 == 0 {
+            acc.wrapping_add(v)
+        } else {
+            acc ^ v.rotate_left(7)
+        };
+        table[(j + i) & mask] = v.wrapping_mul(31).wrapping_add(acc);
+    }
+    std::hint::black_box(acc)
+}
+
+/// Thread-CPU seconds of one calibration kernel call at the reference
+/// speed: a 2-core x86-64 VM at the fast end of its range.
+pub const REFERENCE_KERNEL_S: f64 = 4.5e-4;
+
+/// Pause between two calibration samples (about 2% of one core).
+const SAMPLE_PERIOD: Duration = Duration::from_millis(20);
+
+/// The host's speed, sampled while a run goes on.
+///
+/// A background thread calls a fixed calibration kernel every
+/// [`SAMPLE_PERIOD`] and records the thread-CPU time each call took: a
+/// time the kernel spent waiting to be scheduled is not counted, a time
+/// it ran slower (other tenants on the same cores, frequency changes)
+/// is. Measured beside runs of the workloads, the kernel's mean time
+/// over a run follows most of the run's own slowdowns: dividing by it
+/// cut the run-to-run spread of the same work by up to three times.
+pub struct HostSpeed {
+    samples: Arc<Mutex<(f64, u64)>>,
+    stop: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl HostSpeed {
+    /// Starts sampling.
+    pub fn start() -> Self {
+        let samples = Arc::new(Mutex::new((0.0, 0)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (sink, stopped) = (Arc::clone(&samples), Arc::clone(&stop));
+        let thread = std::thread::spawn(move || {
+            let mut table: Vec<u32> = (0..1 << 14)
+                .map(|i: u32| i.wrapping_mul(2_654_435_761))
+                .collect();
+            while !stopped.load(Ordering::Relaxed) {
+                let start = thread_cpu_seconds();
+                calibration_kernel(&mut table);
+                let took = thread_cpu_seconds() - start;
+                let mut s = sink.lock().expect("speed samples");
+                s.0 += took;
+                s.1 += 1;
+                drop(s);
+                std::thread::sleep(SAMPLE_PERIOD);
+            }
+        });
+        HostSpeed {
+            samples,
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// How many times slower than the reference the host ran since
+    /// [`HostSpeed::start`]: the mean kernel time against
+    /// [`REFERENCE_KERNEL_S`]. Waits for the first sample.
+    pub fn slowdown(&self) -> f64 {
+        loop {
+            let (total, n) = *self.samples.lock().expect("speed samples");
+            if n > 0 {
+                return total / n as f64 / REFERENCE_KERNEL_S;
+            }
+            std::thread::sleep(SAMPLE_PERIOD / 4);
+        }
+    }
+}
+
+impl Drop for HostSpeed {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
 }
 
 /// Peak resident set of this process in MB (`VmHWM`), 0 when the

@@ -13,7 +13,7 @@
 //! working files live under `.bench_work/` in the current directory
 //! and are removed before it exits.
 
-use perfbench::{Fault, Report, RunArgs, Size, END_TO_END, PER_LAYER};
+use perfbench::{Fault, HostSpeed, Report, RunArgs, Size, END_TO_END, PER_LAYER};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -98,8 +98,21 @@ fn run(flags: &[(String, Option<String>)]) {
             .canonicalize()
             .expect("work dir"),
     };
+    let speed = HostSpeed::start();
     let mut report = Report::default();
     runner(&args, &mut report);
+    // The end-to-end times at the reference host speed.
+    let slowdown = speed.slowdown();
+    drop(speed);
+    for name in ["setup_s", "wall_s", "cpu_s"] {
+        if let Some(v) = report.get(name) {
+            report.set(name, v / slowdown);
+        }
+    }
+    if let Some(v) = report.get("items_per_s") {
+        report.set("items_per_s", v * slowdown);
+    }
+    report.set("host.slowdown", slowdown);
     let rate = report.failed as f64 / report.attempted.max(1) as f64;
     report.set("checks.fail_rate", rate);
     let _ = std::fs::remove_dir_all(&work);

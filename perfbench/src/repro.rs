@@ -9,13 +9,18 @@
 //!
 //! **Set-up** (`setup_s`, median of [`SETUP_REPS`]): a child start-up
 //! to ready — process spawn, a fresh store opened, and the four suites
-//! generated once.
+//! generated once. A start-up takes tens of milliseconds, so half of
+//! the set-ups run before the timed phase and half after it: the
+//! median then samples the host's speed over the whole run, not over
+//! one moment of it.
 //!
-//! **Timed phase.** Passes until `--seconds` have elapsed; each pass
-//! is one fresh child process ([`child`]) against a fresh, empty
-//! `KHAOS_STORE`. The child calls the `khaos_bench::experiments`
-//! drivers of every `--quick all` target in order, timing each call,
-//! so its stdout must be byte-identical to `experiments --quick all`:
+//! **Timed phase.** Passes until `--seconds` have elapsed (at least
+//! one; a pass takes about 20 s on one core of a 2-core x86-64 host, so
+//! at `run_seconds` = 20 that is one or two); each pass is one fresh
+//! child process ([`child`]) against a fresh, empty `KHAOS_STORE`. The
+//! child calls the `khaos_bench::experiments` drivers of every `--quick
+//! all` target in order, timing each call, so its stdout must be
+//! byte-identical to `experiments --quick all`:
 //! the parent checks its FNV-1a digest and length against the golden
 //! captured when the benchmark was defined (`golden.txt`). The child
 //! reads the registry, cache and store statistics itself, because the
@@ -40,8 +45,9 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 9;
+/// Set-ups per run (half before the timed phase, half after);
+/// `setup_s` is their median.
+pub const SETUP_REPS: usize = 20;
 
 /// The `experiments --quick all` targets in order, with their metrics.
 pub const TARGETS: [(&str, &str); 13] = [
@@ -281,14 +287,15 @@ pub fn run(args: &RunArgs, report: &mut Report) {
         want ^= 1;
     }
 
-    let setups: Vec<f64> = (0..SETUP_REPS)
-        .map(|_| {
+    let setup = |report: &mut Report, setups: &mut Vec<f64>| {
+        for _ in 0..SETUP_REPS / 2 {
             let c = spawn_child(args, &[], true, None);
             report.check(c.ok, || "repro child failed to start up".into());
-            c.wall
-        })
-        .collect();
-    report.set("setup_s", median(&setups));
+            setups.push(c.wall);
+        }
+    };
+    let mut setups = Vec::new();
+    setup(report, &mut setups);
 
     let check = |report: &mut Report, c: &ChildRun| {
         report.check(c.ok, || "repro child exited with failure".into());
@@ -310,25 +317,21 @@ pub fn run(args: &RunArgs, report: &mut Report) {
         check(report, &c);
         passes.push(c);
     }
+    setup(report, &mut setups);
+    report.set("setup_s", median(&setups));
     let stat = |c: &ChildRun, k: &str| c.stats.get(k).copied().unwrap_or(0.0);
-    let walls: Vec<f64> = passes.iter().map(|c| c.wall).collect();
     let target_ms: Vec<f64> = passes
         .iter()
         .flat_map(|c| c.targets.iter().map(|t| t.1 * 1e3))
         .collect();
-    let per_pass = |f: &dyn Fn(&ChildRun) -> f64| passes.iter().map(f).collect::<Vec<f64>>();
-    report.set("wall_s", median(&walls));
-    report.set("cpu_s", median(&per_pass(&|c| stat(c, "cpu_s"))));
-    report.set(
-        "peak_rss_mb",
-        median(&per_pass(&|c| stat(c, "peak_rss_mb"))),
-    );
-    report.set(
-        "items_per_s",
-        median(&per_pass(&|c| c.targets.len() as f64 / c.wall)),
-    );
-    let p50 = |c: &ChildRun| median(&c.targets.iter().map(|t| t.1 * 1e3).collect::<Vec<_>>());
-    report.set("item_p50_ms", median(&per_pass(&p50)));
+    let total = |f: &dyn Fn(&ChildRun) -> f64| passes.iter().map(f).sum::<f64>();
+    let wall = total(&|c| c.wall);
+    report.set("wall_s", wall / passes.len() as f64);
+    report.set("cpu_s", total(&|c| stat(c, "cpu_s")) / passes.len() as f64);
+    let rss: Vec<f64> = passes.iter().map(|c| stat(c, "peak_rss_mb")).collect();
+    report.set("peak_rss_mb", median(&rss));
+    report.set("items_per_s", target_ms.len() as f64 / wall);
+    report.set("item_p50_ms", median(&target_ms));
     report.set_item_tail(&target_ms);
 
     let first = &passes[0];
