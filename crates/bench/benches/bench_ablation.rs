@@ -3,7 +3,7 @@
 //! and deep fusion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use khaos_bench::{build_baseline, khaos_atom, measure_cycles, SEED};
+use khaos_bench::{build_baseline, khaos_atom, run_cycles, SEED};
 use khaos_core::{KhaosMode, KhaosOptions};
 use khaos_pass::{PassCtx, Pipeline};
 use khaos_workloads::spec2006;
@@ -68,7 +68,7 @@ fn bench_ablation(c: &mut Criterion) {
     for (name, mode, options) in variants {
         let obf = apply_with(&base, mode, options);
         group.bench_with_input(BenchmarkId::new("run", name), &obf, |b, m| {
-            b.iter(|| measure_cycles(m))
+            b.iter(|| run_cycles(m))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! data-flow differ's matching throughput against the paper tools.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use khaos_bench::{build_baseline, khaos_apply_nway, measure_cycles, SEED};
+use khaos_bench::{build_baseline, khaos_apply_nway, run_cycles, SEED};
 use khaos_binary::lower_module;
 use khaos_diff::{Asm2Vec, DataFlowDiff, Differ, Safe};
 use khaos_workloads::spec2006;
@@ -16,14 +16,14 @@ fn bench_nway_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("nway_overhead_mcf");
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("run", "baseline"), &base, |b, m| {
-        b.iter(|| measure_cycles(m))
+        b.iter(|| run_cycles(m))
     });
     for arity in 2..=4usize {
         let (obf, _) = khaos_apply_nway(&base, arity, SEED);
         group.bench_with_input(
             BenchmarkId::new("run", format!("arity{arity}")),
             &obf,
-            |b, m| b.iter(|| measure_cycles(m)),
+            |b, m| b.iter(|| run_cycles(m)),
         );
     }
     group.finish();

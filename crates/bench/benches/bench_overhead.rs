@@ -1,8 +1,10 @@
 //! Criterion bench behind Figures 6/7: obfuscation + simulated execution
-//! cost of each build configuration on a representative program.
+//! cost of each build configuration on a representative program. The
+//! timed calls bypass the harness memos (`run_cycles`, and `run_spec_in`
+//! with no store), so every iteration runs the VM or the pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use khaos_bench::{build_baseline, build_config, measure_cycles, BuildConfig, SEED};
+use khaos_bench::{build_baseline, build_config, run_cycles, run_spec_in, BuildConfig, SEED};
 use khaos_core::KhaosMode;
 use khaos_ollvm::OllvmMode;
 use khaos_workloads::spec2006;
@@ -13,7 +15,7 @@ fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("overhead_mcf");
     group.sample_size(10);
 
-    group.bench_function("baseline_run", |b| b.iter(|| measure_cycles(&base)));
+    group.bench_function("baseline_run", |b| b.iter(|| run_cycles(&base)));
     for cfg in [
         BuildConfig::Ollvm(OllvmMode::Sub(1.0)),
         BuildConfig::Ollvm(OllvmMode::Fla(0.1)),
@@ -23,14 +25,13 @@ fn bench_overhead(c: &mut Criterion) {
     ] {
         let obf = build_config(&base, cfg);
         group.bench_with_input(BenchmarkId::new("run", cfg.name()), &obf, |b, m| {
-            b.iter(|| measure_cycles(m))
+            b.iter(|| run_cycles(m))
         });
         group.bench_with_input(BenchmarkId::new("obfuscate", cfg.name()), &base, |b, m| {
-            b.iter(|| build_config(m, cfg))
+            b.iter(|| run_spec_in(None, m, &cfg.spec(), SEED).0)
         });
     }
     group.finish();
-    let _ = SEED;
 }
 
 criterion_group!(benches, bench_overhead);

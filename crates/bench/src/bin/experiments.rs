@@ -28,6 +28,9 @@
 //! (`KHAOS_LEASE_MS`, default 120s), and exits only when the whole
 //! grid's records exist — no up-front `i/n` arithmetic, and a killed
 //! worker costs one re-computed cell instead of a hole in the grid.
+//!
+//! `KHAOS_METRICS=stderr|path` dumps the metrics registry (memo hit
+//! rates, store and cache counters) when the run ends.
 
 use khaos_bench::experiments::{self, Scope};
 use khaos_bench::ShardSpec;
@@ -69,6 +72,12 @@ fn usage() -> ! {
          experiments [--quick] <fig7-merge|fig9-merge|fig10-merge|table2-merge> DIR..."
     );
     std::process::exit(2);
+}
+
+/// Dumps the metrics registry (per `KHAOS_METRICS`), then exits.
+fn exit(code: i32) -> ! {
+    khaos_obs::metrics::maybe_dump();
+    std::process::exit(code);
 }
 
 fn main() {
@@ -121,7 +130,7 @@ fn main() {
             dirs
         };
         let complete = report(scope, &dirs);
-        std::process::exit(if complete { 0 } else { 1 });
+        exit(if complete { 0 } else { 1 });
     }
 
     let targets: Vec<&str> = if positional.is_empty() || positional.contains(&"all") {
@@ -167,7 +176,7 @@ fn main() {
         if elastic {
             if let Some(&(_, run)) = ELASTIC_TARGETS.iter().find(|(n, _)| *n == t) {
                 if !run(scope) {
-                    std::process::exit(1);
+                    exit(1);
                 }
                 eprintln!("[{t} took {:.1?}]\n", start.elapsed());
                 continue;
@@ -199,4 +208,5 @@ fn main() {
         }
         eprintln!("[{t} took {:.1?}]\n", start.elapsed());
     }
+    khaos_obs::metrics::maybe_dump();
 }

@@ -8,7 +8,8 @@ use crate::coordinator::{run_elastic, run_elastic_with, ElasticSummary, WorkUnit
 use crate::harness::{
     active_shard, artifact_store, build_at, build_baseline, build_binary, build_config, geomean,
     geomean_ratio, khaos_apply, khaos_atom, measure_cycles, overhead_pct, par_fan_out,
-    persist_metrics_to, run_spec, BuildConfig, ShardSpec, SEED,
+    persist_metrics_to, run_spec, stats_counters, stats_from_counters, BuildConfig, ShardSpec,
+    SEED, STATS_COUNTERS,
 };
 use khaos_binary::{histogram_distance, lower_module, opcode_histogram};
 use khaos_bintuner::BinTuner;
@@ -46,6 +47,21 @@ fn t2_programs(scope: Scope) -> Vec<Module> {
     let mut v = coreutils();
     if scope == Scope::Quick {
         v.truncate(8);
+    }
+    v
+}
+
+/// Every program a `--quick` target builds, once each, in a fixed
+/// order: the trimmed T-I, T-II and T-III sets and the Figure-9
+/// programs (the Table-2 and ablation sets are prefixes of T-I).
+pub fn quick_programs() -> Vec<Module> {
+    let mut v = t1_programs(Scope::Quick);
+    v.extend(t2_programs(Scope::Quick));
+    v.extend(fig10_programs(Scope::Quick));
+    for m in fig9_programs(Scope::Quick) {
+        if !v.iter().any(|have| have.name == m.name) {
+            v.push(m);
+        }
     }
     v
 }
@@ -1492,27 +1508,6 @@ pub fn table2_subject(suite: &str, program: &str) -> String {
     format!("table2/{suite}/{program}")
 }
 
-/// The stored metric names of one Table-2 cell: the raw
-/// [`FissionStats`]/[`FusionStats`] counters, *not* the derived
-/// ratios — ratios don't merge, counters do (sum per suite), which is
-/// what keeps the merged table bit-identical to a single-process run.
-const TABLE2_METRICS: [&str; 14] = [
-    "fi/ori_funcs",
-    "fi/fissioned_funcs",
-    "fi/sep_funcs",
-    "fi/sep_blocks",
-    "fi/reduced_ratio_sum",
-    "fi/params_reduced",
-    "fu/eligible_funcs",
-    "fu/fused_funcs",
-    "fu/fus_funcs",
-    "fu/params_removed",
-    "fu/innocuous_blocks",
-    "fu/deep_fused_pairs",
-    "fu/trampolines",
-    "fu/indirect_sites_rewritten",
-];
-
 /// The fingerprint keying Table-2 cells (the fission build's pipeline;
 /// one cell covers both primitive builds).
 fn table2_pipeline() -> u64 {
@@ -1578,54 +1573,15 @@ pub fn table2_expected(scope: Scope) -> Vec<Table2CellKey> {
     out
 }
 
-/// The cell's stored metric pairs, in [`TABLE2_METRICS`] order.
-/// Counters round-trip exactly through `f64` (they are far below
-/// 2^53); `reduced_ratio_sum` is stored bit-for-bit.
+/// The cell's stored metric pairs: the raw counters in
+/// [`STATS_COUNTERS`] order, *not* the derived ratios — ratios don't
+/// merge, counters do (sum per suite), which is what keeps the merged
+/// table bit-identical to a single-process run.
 fn table2_metrics(cell: &Table2Cell) -> Vec<(&'static str, f64)> {
-    let fi = &cell.fission;
-    let fu = &cell.fusion;
-    let values = [
-        fi.ori_funcs as f64,
-        fi.fissioned_funcs as f64,
-        fi.sep_funcs as f64,
-        fi.sep_blocks as f64,
-        fi.reduced_ratio_sum,
-        fi.params_reduced as f64,
-        fu.eligible_funcs as f64,
-        fu.fused_funcs as f64,
-        fu.fus_funcs as f64,
-        fu.params_removed as f64,
-        fu.innocuous_blocks as f64,
-        fu.deep_fused_pairs as f64,
-        fu.trampolines as f64,
-        fu.indirect_sites_rewritten as f64,
-    ];
-    TABLE2_METRICS.iter().copied().zip(values).collect()
-}
-
-/// Inverse of [`table2_metrics`]: counters back out of a merged
-/// record's values (in [`TABLE2_METRICS`] order).
-fn table2_stats_from(v: &[f64]) -> (FissionStats, FusionStats) {
-    (
-        FissionStats {
-            ori_funcs: v[0] as usize,
-            fissioned_funcs: v[1] as usize,
-            sep_funcs: v[2] as usize,
-            sep_blocks: v[3] as usize,
-            reduced_ratio_sum: v[4],
-            params_reduced: v[5] as usize,
-        },
-        FusionStats {
-            eligible_funcs: v[6] as usize,
-            fused_funcs: v[7] as usize,
-            fus_funcs: v[8] as usize,
-            params_removed: v[9] as usize,
-            innocuous_blocks: v[10] as usize,
-            deep_fused_pairs: v[11] as usize,
-            trampolines: v[12] as usize,
-            indirect_sites_rewritten: v[13] as usize,
-        },
-    )
+    STATS_COUNTERS
+        .into_iter()
+        .zip(stats_counters(&cell.fission, &cell.fusion))
+        .collect()
 }
 
 /// Measures `shard`'s share of the Table-2 grid (one cell per
@@ -1739,12 +1695,12 @@ pub fn table2(scope: Scope) {
 pub fn table2_merge(scope: Scope, stores: &[&Store]) -> Result<Vec<Table2Cell>, Vec<String>> {
     let expected = table2_expected(scope);
     let pairs: Vec<(String, u64)> = expected.iter().map(|k| (k.subject(), k.pipeline)).collect();
-    let values = merge_grid(&TABLE2_METRICS, &pairs, stores)?;
+    let values = merge_grid(&STATS_COUNTERS, &pairs, stores)?;
     Ok(expected
         .into_iter()
         .zip(values)
         .map(|(k, v)| {
-            let (fission, fusion) = table2_stats_from(&v);
+            let (fission, fusion) = stats_from_counters(&v);
             Table2Cell {
                 suite: k.suite,
                 program: k.program,

@@ -23,6 +23,39 @@
 //! [`persist_metrics`]. Store writes are atomic renames, so concurrent
 //! [`par_fan_out`] workers share one store safely.
 //!
+//! ## Build and run memos
+//!
+//! The figures build the same programs under the same configurations
+//! again and again: in one `experiments --quick all` run, 402 of the
+//! 602 [`run_spec`] builds repeat a build already made, and 103 of the
+//! 212 [`measure_cycles`] runs repeat a VM run. Two memos remove that
+//! work. Both key on [`Module::content_fingerprint`] (FNV-1a over the
+//! printed text IR), never on a program's name.
+//!
+//! * **Build memo** (in the store). [`run_spec`] keys each build by
+//!   `(source content fingerprint, Pipeline::fingerprint(), seed,
+//!   BUILD_MEMO_VERSION)` and records it as a `bld/` store record: the
+//!   built module as text IR plus its [`FissionStats`]/[`FusionStats`]
+//!   counters. A hit parses the module back — the printer and parser
+//!   round-trip, so it equals the rebuild — and returns the same Table-2
+//!   counters; a hit writes no report, since the miss that recorded the
+//!   build wrote it. Every record was written by a build that passed
+//!   [`VerifyPolicy::AuditAfterEach`]; a damaged or unparsable record is
+//!   a miss and is rebuilt. Without `KHAOS_STORE` there is no build
+//!   memo: the store is where it lives. [`BUILD_MEMO_VERSION`] guards
+//!   against stale builds in warm stores (see its docs).
+//! * **Run memo** (in memory). [`measure_cycles`] keeps a process-wide
+//!   map from module content fingerprint to cycles, one `u64` pair per
+//!   distinct module.
+//!
+//! There is deliberately **no in-memory module tier**. Every repeat
+//! build crosses figure targets (all 126 of ext-dataflow's builds
+//! repeat earlier figures), so only an unbounded tier catches them, and
+//! one that kept all 200 built modules (21.5 MB of text) resident
+//! raised the peak RSS of `--quick all` from 105 to 127 MB, while the
+//! store tier plus the run memo gave the larger saving (wall time −30%
+//! against −20%) at an unchanged peak (2-core x86-64 host).
+//!
 //! ## Sharding: static and elastic
 //!
 //! `KHAOS_SHARD=i/n` ([`active_shard`]) statically partitions every
@@ -37,15 +70,17 @@
 //! stealers, and even double-computed cells merge bit-identically.
 
 use khaos_binary::{lower_module, Binary};
-use khaos_core::KhaosMode;
-use khaos_ir::Module;
+use khaos_core::{FissionStats, FusionStats, KhaosMode};
+use khaos_ir::{parser, printer, Module};
+use khaos_obs::Counter;
 use khaos_ollvm::OllvmMode;
 use khaos_opt::OptLevel;
 pub use khaos_par::ShardSpec;
 use khaos_pass::{PassCtx, Pipeline, PipelineReport, VerifyPolicy};
-use khaos_store::{Store, StoredReport};
+use khaos_store::{BuildKey, Store, StoredBuild, StoredReport};
 use khaos_vm::{run_with_config, RunConfig};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The obfuscation seed used across all experiments (determinism).
 pub const SEED: u64 = 0xC60_2023;
@@ -196,6 +231,121 @@ pub fn active_shard() -> ShardSpec {
     ShardSpec::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// Version of the build memo, mixed into every [`BuildKey`]. A memo
+/// hit skips the pass code, so a change that alters what a pipeline
+/// builds without changing any fingerprint must bump this constant —
+/// together with the build digests pinned in `tests/build_memo.rs`,
+/// which fail when pass output changes — or warm stores would serve
+/// stale builds. A change to the order or number of the counters a
+/// record carries ([`STATS_COUNTERS`]) bumps it too.
+pub const BUILD_MEMO_VERSION: u64 = 1;
+
+/// The names of a build's Table-2 counters, in the order
+/// [`stats_counters`] lists them: the raw [`FissionStats`] and
+/// [`FusionStats`] fields, not the derived ratios (counters sum across
+/// programs; ratios do not).
+pub(crate) const STATS_COUNTERS: [&str; 14] = [
+    "fi/ori_funcs",
+    "fi/fissioned_funcs",
+    "fi/sep_funcs",
+    "fi/sep_blocks",
+    "fi/reduced_ratio_sum",
+    "fi/params_reduced",
+    "fu/eligible_funcs",
+    "fu/fused_funcs",
+    "fu/fus_funcs",
+    "fu/params_removed",
+    "fu/innocuous_blocks",
+    "fu/deep_fused_pairs",
+    "fu/trampolines",
+    "fu/indirect_sites_rewritten",
+];
+
+/// The counters of `fi` and `fu` in [`STATS_COUNTERS`] order. Counts
+/// round-trip exactly through `f64` (they are far below 2^53), and
+/// `reduced_ratio_sum` is carried bit for bit.
+pub(crate) fn stats_counters(fi: &FissionStats, fu: &FusionStats) -> [f64; 14] {
+    [
+        fi.ori_funcs as f64,
+        fi.fissioned_funcs as f64,
+        fi.sep_funcs as f64,
+        fi.sep_blocks as f64,
+        fi.reduced_ratio_sum,
+        fi.params_reduced as f64,
+        fu.eligible_funcs as f64,
+        fu.fused_funcs as f64,
+        fu.fus_funcs as f64,
+        fu.params_removed as f64,
+        fu.innocuous_blocks as f64,
+        fu.deep_fused_pairs as f64,
+        fu.trampolines as f64,
+        fu.indirect_sites_rewritten as f64,
+    ]
+}
+
+/// Inverse of [`stats_counters`].
+///
+/// # Panics
+/// Panics when `v` holds fewer than 14 values.
+pub(crate) fn stats_from_counters(v: &[f64]) -> (FissionStats, FusionStats) {
+    (
+        FissionStats {
+            ori_funcs: v[0] as usize,
+            fissioned_funcs: v[1] as usize,
+            sep_funcs: v[2] as usize,
+            sep_blocks: v[3] as usize,
+            reduced_ratio_sum: v[4],
+            params_reduced: v[5] as usize,
+        },
+        FusionStats {
+            eligible_funcs: v[6] as usize,
+            fused_funcs: v[7] as usize,
+            fus_funcs: v[8] as usize,
+            params_removed: v[9] as usize,
+            innocuous_blocks: v[10] as usize,
+            deep_fused_pairs: v[11] as usize,
+            trampolines: v[12] as usize,
+            indirect_sites_rewritten: v[13] as usize,
+        },
+    )
+}
+
+/// Hit/miss counters of one memo tier in the global metrics registry.
+struct MemoObs {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+impl MemoObs {
+    fn new(prefix: &str) -> MemoObs {
+        let r = khaos_obs::Registry::global();
+        MemoObs {
+            hits: r.counter(&format!("{prefix}.memo.hits")),
+            misses: r.counter(&format!("{prefix}.memo.misses")),
+        }
+    }
+}
+
+fn build_memo_obs() -> &'static MemoObs {
+    static OBS: OnceLock<MemoObs> = OnceLock::new();
+    OBS.get_or_init(|| MemoObs::new("pass"))
+}
+
+/// The module and Table-2 counters of a memoized build, or `None` when
+/// the record is missing, damaged, or does not parse — every such case
+/// is a miss that rebuilds (and rewrites) the record.
+fn load_build(store: &Store, key: &BuildKey) -> Option<(Module, PassCtx)> {
+    let _span = khaos_obs::span("memo:build_load");
+    let build = store.get_build(key).ok()??;
+    if build.stats.len() != STATS_COUNTERS.len() {
+        return None;
+    }
+    let m = parser::parse_module(&build.module).ok()?;
+    let mut ctx = PassCtx::new(key.seed).with_verify(VerifyPolicy::AuditAfterEach);
+    (ctx.fission_stats, ctx.fusion_stats) = stats_from_counters(&build.stats);
+    Some((m, ctx))
+}
+
 /// Runs a pipeline spec over a clone of `src` with a fresh context
 /// seeded `seed`, verifying *and semantically auditing* after every
 /// pass ([`VerifyPolicy::AuditAfterEach`]) — stricter than the legacy
@@ -207,23 +357,69 @@ pub fn active_shard() -> ShardSpec {
 /// re-optimization could reshape the evidence. Returns the built
 /// module and the context (Table-2 statistics).
 ///
-/// With an [`artifact_store`] configured, the run's
-/// [`khaos_pass::PipelineReport`] is persisted keyed by
-/// `(pipeline fingerprint, seed, program name)` — every build any
-/// driver performs leaves a durable timing/IR-delta record.
+/// With an [`artifact_store`] configured, builds are memoized in it
+/// (see [`run_spec_in`]).
 ///
 /// # Panics
 /// Panics when the spec does not parse or the pipeline produces invalid
 /// IR — both are harness bugs, surfaced loudly.
 pub fn run_spec(src: &Module, spec: &str, seed: u64) -> (Module, PassCtx) {
+    run_spec_in(artifact_store().as_deref(), src, spec, seed)
+}
+
+/// [`run_spec`] against an explicit store (or none).
+///
+/// With a store, a non-empty pipeline's build is memoized under
+/// `(src content fingerprint, pipeline fingerprint, seed,
+/// BUILD_MEMO_VERSION)`: a hit returns the recorded module and Table-2
+/// counters without running a pass; a miss builds, then records the
+/// build and its [`khaos_pass::PipelineReport`] (keyed by
+/// `(pipeline fingerprint, seed, program name)`). A hit writes no
+/// report: the miss that recorded the build wrote it. A hit's context
+/// carries the recorded counters and an unspent RNG stream, so callers
+/// read only its statistics. Without a store every call builds.
+///
+/// # Panics
+/// As [`run_spec`].
+pub fn run_spec_in(
+    store: Option<&Store>,
+    src: &Module,
+    spec: &str,
+    seed: u64,
+) -> (Module, PassCtx) {
     let pipeline = Pipeline::parse(spec).unwrap_or_else(|e| panic!("spec `{spec}`: {e}"));
+    // The identity pipeline costs a clone: memoizing it would cost more.
+    let memo = store.filter(|_| !pipeline.is_empty()).map(|store| {
+        let key = BuildKey {
+            source: src.content_fingerprint(),
+            pipeline: pipeline.fingerprint(),
+            seed,
+            version: BUILD_MEMO_VERSION,
+        };
+        (store, key)
+    });
+    if let Some((store, key)) = &memo {
+        if let Some(hit) = load_build(store, key) {
+            build_memo_obs().hits.inc();
+            return hit;
+        }
+        build_memo_obs().misses.inc();
+    }
     let mut m = src.clone();
     let mut ctx = PassCtx::new(seed).with_verify(VerifyPolicy::AuditAfterEach);
     let report = pipeline
         .run(&mut m, &mut ctx)
         .unwrap_or_else(|e| panic!("pipeline `{spec}` on {}: {e}", src.name));
-    if let Some(store) = artifact_store() {
+    if let Some(store) = store {
         let _ = store.put_report(&stored_report(&src.name, &report));
+    }
+    if let Some((store, key)) = &memo {
+        let _span = khaos_obs::span("memo:build_store");
+        let build = StoredBuild {
+            module: printer::print_module(&m),
+            stats: stats_counters(&ctx.fission_stats, &ctx.fusion_stats).to_vec(),
+        };
+        let _ = store.put_build(key, &build);
     }
     (m, ctx)
 }
@@ -281,11 +477,36 @@ pub fn build_binary(baseline: &Module, config: BuildConfig) -> Binary {
     lower_module(&build_config(baseline, config)).with_build_provenance(config.fingerprint())
 }
 
-/// Simulated runtime of a module in cycles.
+/// Simulated runtime of a module in cycles, memoized for the life of
+/// the process by the module's content fingerprint: a module the
+/// drivers already ran is not run again. The memo holds one `u64` per
+/// distinct module.
 ///
 /// # Panics
 /// Panics when the program faults — obfuscated programs must run.
 pub fn measure_cycles(m: &Module) -> u64 {
+    static MEMO: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
+    static OBS: OnceLock<MemoObs> = OnceLock::new();
+    let memo = MEMO.get_or_init(Default::default);
+    let obs = OBS.get_or_init(|| MemoObs::new("vm"));
+    let key = m.content_fingerprint();
+    if let Some(&cycles) = memo.lock().expect("run memo").get(&key) {
+        obs.hits.inc();
+        return cycles;
+    }
+    obs.misses.inc();
+    let cycles = run_cycles(m);
+    memo.lock().expect("run memo").insert(key, cycles);
+    cycles
+}
+
+/// Simulated runtime of a module in cycles, always run on the VM (the
+/// computation [`measure_cycles`] memoizes).
+///
+/// # Panics
+/// As [`measure_cycles`].
+pub fn run_cycles(m: &Module) -> u64 {
+    let _span = khaos_obs::span("vm:run");
     let cfg = RunConfig {
         inputs: vec![3, 7, 11],
         ..RunConfig::default()
@@ -409,7 +630,8 @@ mod tests {
     fn pipeline_measures_deterministically() {
         let src = coreutils_program("cat", 6);
         let base = build_baseline(&src);
-        assert_eq!(measure_cycles(&base), measure_cycles(&base));
+        assert_eq!(run_cycles(&base), run_cycles(&base));
+        assert_eq!(measure_cycles(&base), run_cycles(&base));
         let (obf, _) = khaos_apply(&base, KhaosMode::FuFiOri, SEED);
         let _ = measure_cycles(&obf); // must not fault
     }

@@ -184,6 +184,19 @@ impl Module {
     pub fn inst_count(&self) -> usize {
         self.functions.iter().map(Function::inst_count).sum()
     }
+
+    /// A stable 64-bit fingerprint of the module's content: FNV-1a over
+    /// its [`crate::printer`] text. The text round-trips through
+    /// [`crate::parser`], so it captures everything a module holds —
+    /// equal fingerprints mean equal modules (up to 64-bit collision
+    /// odds) — and it is the key that build and run memos use.
+    pub fn content_fingerprint(&self) -> u64 {
+        crate::printer::print_module(self)
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
 }
 
 #[cfg(test)]
@@ -239,5 +252,17 @@ mod tests {
         };
         assert_eq!(g.size(), 16);
         assert_eq!(Global::zeroed("z", 64).size(), 64);
+    }
+
+    #[test]
+    fn content_fingerprint_tracks_content() {
+        let mut m = Module::new("m");
+        // FNV-1a of "module m\n": the fingerprint is the printed text's.
+        assert_eq!(m.content_fingerprint(), 0xace6_b9af_eaa9_b61c);
+        let empty = m.content_fingerprint();
+        assert_eq!(m.clone().content_fingerprint(), empty);
+        m.push_global(Global::zeroed("z", 8));
+        assert_ne!(m.content_fingerprint(), empty);
+        assert_ne!(Module::new("n").content_fingerprint(), empty);
     }
 }

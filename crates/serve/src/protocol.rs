@@ -9,7 +9,7 @@
 //! header    := magic version kind payload_len     ; 17 bytes
 //! magic     := "KHST"                             ; 4 bytes
 //! version   := u32 = 2                            ; store FORMAT_VERSION
-//! kind      := u8 in 16..=23                      ; wire kinds (disk kinds are 1..=5)
+//! kind      := u8 in 16..=23                      ; wire kinds (disk kinds are 1..=6)
 //! payload_len := u64 ≤ MAX_FRAME_PAYLOAD
 //! checksum  := u64 FNV-1a over header ‖ payload
 //! ```
@@ -43,7 +43,7 @@ pub const MAX_FRAME_PAYLOAD: u64 = 1 << 24;
 /// Hard cap on query dimensionality (far above any real embedding).
 pub const MAX_QUERY_DIM: u64 = 1 << 16;
 
-/// Wire frame kinds. Disk records use 1..=5; the wire starts at 16 so
+/// Wire frame kinds. Disk records use 1..=6; the wire starts at 16 so
 /// the two ranges can never be confused.
 pub const KIND_QUERY: u8 = 16;
 /// Ranked hits answering a query.

@@ -288,6 +288,7 @@ fn cmd_stats(store: &Store) -> std::io::Result<ExitCode> {
         ("reports", s.reports),
         ("quantized", s.quantized),
         ("indexes", s.indexes),
+        ("builds", s.builds),
     ] {
         println!("{:<12} {:>8} {:>12}", name, sec.records, human(sec.bytes));
     }

@@ -6,8 +6,8 @@
 //! [`crate::Store`] layer never touches raw bytes directly.
 
 use crate::{
-    FlatTable, IndexTable, QuantTable, QuantView, StoredPass, StoredReport, StoredRowMeta,
-    StoredShape, TableView,
+    FlatTable, IndexTable, QuantTable, QuantView, StoredBuild, StoredPass, StoredReport,
+    StoredRowMeta, StoredShape, TableView,
 };
 
 /// First four bytes of every record file.
@@ -29,7 +29,8 @@ pub const MAGIC: [u8; 4] = *b"KHST";
 /// record changes shape, and older readers degrade diagnosably on the
 /// new kind (`verify`/`cat` name the unknown kind; lookups miss). The
 /// ROADMAP records this as the deliberate format decision of the index
-/// tier.
+/// tier. Memoized builds (kind 6, the `bld/` section) were added the
+/// same additive way.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Record kind tag: a per-binary embedding table.
@@ -44,10 +45,14 @@ pub const KIND_QUANT: u8 = 4;
 /// Record kind tag: an IVF index segment over a corpus of embedding
 /// rows (format v2, additive).
 pub const KIND_INDEX: u8 = 5;
+/// Record kind tag: a memoized build — the module a pipeline built from
+/// a source, as text IR, plus its Table-2 counters (format v2,
+/// additive).
+pub const KIND_BUILD: u8 = 6;
 
 /// Every kind tag this build reads, in tag order (the diagnosable
 /// range named by unknown-kind decode errors).
-pub const KNOWN_KINDS: std::ops::RangeInclusive<u8> = KIND_EMBEDDINGS..=KIND_INDEX;
+pub const KNOWN_KINDS: std::ops::RangeInclusive<u8> = KIND_EMBEDDINGS..=KIND_BUILD;
 
 /// FNV-1a over a byte slice — the record checksum (and the hash behind
 /// content-addressed file names).
@@ -219,6 +224,17 @@ pub enum OwnedKey {
         /// Corpus fingerprint (FNV over the indexed rows' provenance).
         corpus: u64,
     },
+    /// Memoized-build key.
+    Build {
+        /// `Module::content_fingerprint` of the source module.
+        source: u64,
+        /// `Pipeline::fingerprint` of the build.
+        pipeline: u64,
+        /// Obfuscation seed of the build.
+        seed: u64,
+        /// The memo version the build was recorded under.
+        version: u64,
+    },
 }
 
 impl std::fmt::Display for OwnedKey {
@@ -253,6 +269,15 @@ impl std::fmt::Display for OwnedKey {
                 config,
                 corpus,
             } => write!(f, "idx {tool} cfg={config:016x} corpus={corpus:016x}"),
+            OwnedKey::Build {
+                source,
+                pipeline,
+                seed,
+                version,
+            } => write!(
+                f,
+                "bld src={source:016x} pipeline={pipeline:016x} seed={seed:#x} v{version}"
+            ),
         }
     }
 }
@@ -264,6 +289,7 @@ pub(crate) enum Payload {
     Report(StoredReport),
     Quant(QuantTable),
     Index(IndexTable),
+    Build(StoredBuild),
 }
 
 /// A fully decoded, checksum-verified record.
@@ -312,6 +338,16 @@ pub(crate) fn key_bytes_idx(tool: &str, config: u64, corpus: u64) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Encodes the key block of a memoized-build record.
+pub(crate) fn key_bytes_bld(source: u64, pipeline: u64, seed: u64, version: u64) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(source);
+    e.u64(pipeline);
+    e.u64(seed);
+    e.u64(version);
+    e.into_bytes()
+}
+
 fn payload_bytes_table(table: TableView<'_>) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(table.rows);
@@ -356,6 +392,17 @@ fn payload_bytes_report(r: &StoredReport) -> Vec<u8> {
     e.u32(r.metrics.len() as u32);
     for (name, value) in &r.metrics {
         e.str(name);
+        e.f64(*value);
+    }
+    e.into_bytes()
+}
+
+/// Build payload: the module's text IR, then the counters as f64 bits.
+fn payload_bytes_build(b: &StoredBuild) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.str(&b.module);
+    e.u32(b.stats.len() as u32);
+    for value in &b.stats {
         e.f64(*value);
     }
     e.into_bytes()
@@ -440,6 +487,21 @@ pub(crate) fn encode_index(tool: &str, config: u64, corpus: u64, t: &IndexTable)
         KIND_INDEX,
         &key_bytes_idx(tool, config, corpus),
         &payload_bytes_index(t),
+    )
+}
+
+/// Encodes a memoized-build record.
+pub(crate) fn encode_build(
+    source: u64,
+    pipeline: u64,
+    seed: u64,
+    version: u64,
+    b: &StoredBuild,
+) -> Vec<u8> {
+    encode_record(
+        KIND_BUILD,
+        &key_bytes_bld(source, pipeline, seed, version),
+        &payload_bytes_build(b),
     )
 }
 
@@ -581,6 +643,20 @@ fn decode_index(payload: &[u8]) -> Result<IndexTable, String> {
     })
 }
 
+fn decode_build(payload: &[u8]) -> Result<StoredBuild, String> {
+    let mut d = Dec::new(payload);
+    let module = d.str()?;
+    let n = d.u32()?;
+    let mut stats = Vec::with_capacity(n.min(1 << 16) as usize);
+    for _ in 0..n {
+        stats.push(d.f64()?);
+    }
+    if d.remaining() != 0 {
+        return Err(format!("{} trailing payload bytes", d.remaining()));
+    }
+    Ok(StoredBuild { module, stats })
+}
+
 fn decode_report(
     payload: &[u8],
     pipeline: u64,
@@ -698,6 +774,12 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Result<Record, String> {
             config: d.u64()?,
             corpus: d.u64()?,
         },
+        KIND_BUILD => OwnedKey::Build {
+            source: d.u64()?,
+            pipeline: d.u64()?,
+            seed: d.u64()?,
+            version: d.u64()?,
+        },
         _ => unreachable!("kind validated against KNOWN_KINDS above"),
     };
     let payload_len = d.u64()? as usize;
@@ -713,6 +795,7 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Result<Record, String> {
         OwnedKey::Emb { .. } | OwnedKey::Mat { .. } => Payload::Table(decode_table(payload)?),
         OwnedKey::Quant { .. } => Payload::Quant(decode_quant(payload)?),
         OwnedKey::Index { .. } => Payload::Index(decode_index(payload)?),
+        OwnedKey::Build { .. } => Payload::Build(decode_build(payload)?),
         OwnedKey::Rep {
             pipeline,
             seed,

@@ -27,6 +27,7 @@
 //! <root>/rep/<addr>.lease cell claim files (work-queue leases, see below)
 //! <root>/qnt/<addr>.khs   per-binary int8 quantized embedding tables
 //! <root>/idx/<addr>.khs   IVF index segments over embedding corpora
+//! <root>/bld/<addr>.khs   memoized builds (built module as text IR)
 //! ```
 //!
 //! `<addr>` is the content address: 16 hex digits of FNV-1a over the
@@ -41,7 +42,7 @@
 //! format version   u32       2
 //! kind             u8        1 = embeddings, 2 = matrix, 3 = report,
 //!                            4 = quantized embeddings, 5 = IVF index
-//!                            segment
+//!                            segment, 6 = memoized build
 //! key block        kind-specific, see below
 //! payload length   u64       bytes of payload that follow
 //! payload          kind-specific, see below
@@ -57,6 +58,9 @@
 //!   embedding key; the kind tag keeps the addresses disjoint)
 //! * index:      `tool: str`, `config: u64`, `corpus: u64` (FNV-1a
 //!   fingerprint over the indexed rows' provenance)
+//! * build:      `source: u64` (`Module::content_fingerprint` of the
+//!   source), `pipeline: u64`, `seed: u64`, `version: u64` (the
+//!   build memo's version, so a bump orphans every older record)
 //!
 //! Payloads:
 //!
@@ -75,7 +79,11 @@
 //!   assignments, then `rows` per-row provenance records
 //!   `{binary: u64, function: u32, name: str}`. The corpus' f64 and
 //!   int8 tables are separate `emb`/`qnt` records keyed by the corpus
-//!   fingerprint — one index segment is those three records together.
+//!   fingerprint — one index segment is those three records together;
+//! * build: `module: str` (the built module's text IR, which the KIR
+//!   parser reads back), then counter count (u32) and the counters as
+//!   f64 bits — the pass statistics of the build, in the order its
+//!   writer defines (the key's `version` covers that layout).
 //!
 //! **A format-version bump is a cache-invalidating event**: readers
 //! refuse both records and whole store directories of any other
@@ -85,7 +93,7 @@
 //! recompute from scratch under a fresh stamp. The index kind was
 //! added to version 2 **without** a bump — purely additive, and
 //! readers that predate it diagnose the unknown kind by name instead
-//! of refusing the store.
+//! of refusing the store. The build kind was added the same way.
 //!
 //! ## Concurrency
 //!
@@ -129,8 +137,8 @@
 mod format;
 
 pub use format::{
-    fnv1a, OwnedKey, FORMAT_VERSION, KIND_EMBEDDINGS, KIND_INDEX, KIND_MATRIX, KIND_QUANT,
-    KIND_REPORT, KNOWN_KINDS, MAGIC,
+    fnv1a, OwnedKey, FORMAT_VERSION, KIND_BUILD, KIND_EMBEDDINGS, KIND_INDEX, KIND_MATRIX,
+    KIND_QUANT, KIND_REPORT, KNOWN_KINDS, MAGIC,
 };
 
 /// The little-endian encoder/decoder pair behind the record format,
@@ -435,6 +443,19 @@ impl StoredReport {
     }
 }
 
+/// A memoized build: the module one pipeline run produced, as text IR,
+/// and the statistics counters the run collected. A build record holds
+/// everything a caller needs to skip the rebuild.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StoredBuild {
+    /// The built module, printed by `khaos_ir::printer`.
+    pub module: String,
+    /// Counters of the build, in the writer's order (f64 bits
+    /// round-trip exactly). The store does not name them: a layout
+    /// change is a new [`BuildKey::version`].
+    pub stats: Vec<f64>,
+}
+
 /// Lookup key of an embedding-table record — the same
 /// `(tool name, config fingerprint, binary fingerprint)` tuple the
 /// in-memory embedding cache keys on.
@@ -483,6 +504,20 @@ pub struct ReportKey<'a> {
     pub subject: &'a str,
 }
 
+/// Lookup key of a memoized-build record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct BuildKey {
+    /// `Module::content_fingerprint` of the source module.
+    pub source: u64,
+    /// `Pipeline::fingerprint()` of the build.
+    pub pipeline: u64,
+    /// Obfuscation seed of the build.
+    pub seed: u64,
+    /// The memo version the caller keys on; bumping it orphans every
+    /// record written under an older one.
+    pub version: u64,
+}
+
 /// Record counts and byte totals of one store section.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SectionStats {
@@ -492,7 +527,7 @@ pub struct SectionStats {
     pub bytes: u64,
 }
 
-/// Aggregate [`Store::stats`] over the five sections.
+/// Aggregate [`Store::stats`] over the six sections.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// The `emb/` section.
@@ -505,6 +540,8 @@ pub struct StoreStats {
     pub quantized: SectionStats,
     /// The `idx/` section (IVF index segments).
     pub indexes: SectionStats,
+    /// The `bld/` section (memoized builds).
+    pub builds: SectionStats,
 }
 
 impl StoreStats {
@@ -515,6 +552,7 @@ impl StoreStats {
             + self.reports.records
             + self.quantized.records
             + self.indexes.records
+            + self.builds.records
     }
 
     /// Total bytes across sections.
@@ -524,13 +562,14 @@ impl StoreStats {
             + self.reports.bytes
             + self.quantized.bytes
             + self.indexes.bytes
+            + self.builds.bytes
     }
 }
 
 /// One record as listed by [`Store::ls`].
 #[derive(Clone, Debug)]
 pub struct RecordInfo {
-    /// Section directory name (`emb`/`mat`/`rep`).
+    /// Section directory name (`emb`/`mat`/`rep`/`qnt`/`idx`/`bld`).
     pub section: &'static str,
     /// File name inside the section.
     pub file: String,
@@ -546,7 +585,7 @@ pub struct RecordInfo {
 /// single-record inspection the `khaos-store cat` subcommand prints.
 #[derive(Clone, Debug)]
 pub struct RecordDump {
-    /// Section directory name (`emb`/`mat`/`rep`).
+    /// Section directory name (`emb`/`mat`/`rep`/`qnt`/`idx`/`bld`).
     pub section: &'static str,
     /// File name inside the section.
     pub file: String,
@@ -567,6 +606,8 @@ pub enum PayloadDump {
     Quant(QuantTable),
     /// An IVF index segment.
     Index(IndexTable),
+    /// A memoized build.
+    Build(StoredBuild),
 }
 
 impl std::fmt::Display for RecordDump {
@@ -668,6 +709,18 @@ impl std::fmt::Display for RecordDump {
                     writeln!(f, "  … ({} more rows)", t.rows - 4)?;
                 }
             }
+            PayloadDump::Build(b) => {
+                writeln!(
+                    f,
+                    "payload: build, {} bytes of text IR in {} lines",
+                    b.module.len(),
+                    b.module.lines().count()
+                )?;
+                writeln!(f, "  stats {:?}", b.stats)?;
+                for line in b.module.lines().take(4) {
+                    writeln!(f, "  | {line}")?;
+                }
+            }
         }
         Ok(())
     }
@@ -711,13 +764,14 @@ const LEASE_EXT: &str = "lease";
 /// because cells are small units of work, not whole collections.
 const DEFAULT_LEASE: Duration = Duration::from_secs(120);
 
-/// The five record sections, in `(name, kind)` order.
-const SECTIONS: [(&str, u8); 5] = [
+/// The six record sections, in `(name, kind)` order.
+const SECTIONS: [(&str, u8); 6] = [
     ("emb", KIND_EMBEDDINGS),
     ("mat", KIND_MATRIX),
     ("rep", KIND_REPORT),
     ("qnt", KIND_QUANT),
     ("idx", KIND_INDEX),
+    ("bld", KIND_BUILD),
 ];
 
 /// A content-addressed artifact store rooted at one directory. Cheap to
@@ -1102,6 +1156,39 @@ impl Store {
         }
     }
 
+    /// Persists a memoized build, keyed by
+    /// `(source, pipeline, seed, version)`.
+    pub fn put_build(&self, key: &BuildKey, build: &StoredBuild) -> io::Result<()> {
+        let kb = format::key_bytes_bld(key.source, key.pipeline, key.seed, key.version);
+        let bytes = format::encode_build(key.source, key.pipeline, key.seed, key.version, build);
+        self.write_atomic(&self.record_path("bld", KIND_BUILD, &kb), &bytes)
+    }
+
+    /// Loads a memoized build (same miss semantics as
+    /// [`Store::get_embeddings`]: damage degrades to a miss; `verify`
+    /// names it).
+    pub fn get_build(&self, key: &BuildKey) -> io::Result<Option<StoredBuild>> {
+        let kb = format::key_bytes_bld(key.source, key.pipeline, key.seed, key.version);
+        let want = OwnedKey::Build {
+            source: key.source,
+            pipeline: key.pipeline,
+            seed: key.seed,
+            version: key.version,
+        };
+        let path = self.record_path("bld", KIND_BUILD, &kb);
+        let Some(bytes) = Self::read_record_bytes(&path)? else {
+            return Ok(None);
+        };
+        match format::decode_record(&bytes) {
+            Ok(Record {
+                key,
+                payload: Payload::Build(b),
+                ..
+            }) if key == want => Ok(Some(b)),
+            _ => Ok(None),
+        }
+    }
+
     /// Decodes every index segment in the store, sorted by
     /// `(tool, config, corpus)` for deterministic output — what a
     /// daemon enumerates at startup. Records that fail to decode are
@@ -1153,7 +1240,7 @@ impl Store {
 
     /// Decodes one record named by `needle` — a bare 16-hex-digit
     /// content address, an address with the `.khs` extension, or a
-    /// `section/file` path — searching all three sections. `Ok(None)`
+    /// `section/file` path — searching every section. `Ok(None)`
     /// when no such file exists; a file that exists but does not decode
     /// is an `InvalidData` error carrying the decoder's reason (unlike
     /// the `get_*` lookups, inspection must name damage, not mask it).
@@ -1167,7 +1254,9 @@ impl Store {
                     .ok_or_else(|| {
                         io::Error::new(
                             io::ErrorKind::InvalidInput,
-                            format!("unknown section `{section}` (want emb, mat, rep, qnt or idx)"),
+                            format!(
+                                "unknown section `{section}` (want emb, mat, rep, qnt, idx or bld)"
+                            ),
                         )
                     })?;
                 (vec![section], file)
@@ -1206,6 +1295,7 @@ impl Store {
                     Payload::Report(r) => PayloadDump::Report(r),
                     Payload::Quant(q) => PayloadDump::Quant(q),
                     Payload::Index(t) => PayloadDump::Index(t),
+                    Payload::Build(b) => PayloadDump::Build(b),
                 },
             }));
         }
@@ -1239,6 +1329,7 @@ impl Store {
                 "mat" => stats.matrices = s,
                 "qnt" => stats.quantized = s,
                 "idx" => stats.indexes = s,
+                "bld" => stats.builds = s,
                 _ => stats.reports = s,
             }
         }
@@ -1338,6 +1429,15 @@ impl Store {
                         config,
                         corpus,
                     } => format::address(kind, &format::key_bytes_idx(tool, *config, *corpus)),
+                    OwnedKey::Build {
+                        source,
+                        pipeline,
+                        seed,
+                        version,
+                    } => format::address(
+                        kind,
+                        &format::key_bytes_bld(*source, *pipeline, *seed, *version),
+                    ),
                 };
                 let stem = path
                     .file_stem()

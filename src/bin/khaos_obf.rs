@@ -26,6 +26,8 @@
 //! in their place. The obfuscated module is printed to stdout in the
 //! same textual format, so shell pipelines compose:
 //! `khaos-obf fufi-all a.kir > a_obf.kir`.
+//!
+//! `KHAOS_METRICS=stderr|path` dumps the metrics registry on exit.
 
 use khaos::par::ShardSpec;
 use khaos::pass::{PassCtx, Pipeline};
@@ -124,6 +126,12 @@ fn mode_spec(mode: &str, arity: usize) -> String {
 }
 
 fn main() -> ExitCode {
+    let code = run();
+    khaos_obs::metrics::maybe_dump();
+    code
+}
+
+fn run() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
