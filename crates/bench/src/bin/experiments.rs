@@ -81,6 +81,7 @@ fn exit(code: i32) -> ! {
 }
 
 fn main() {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scope = if quick { Scope::Quick } else { Scope::Full };

@@ -151,6 +151,7 @@ fn audit_run(suite: &str, m: &Module, spec: &str) -> bool {
 }
 
 fn main() -> ExitCode {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {

@@ -14,6 +14,13 @@
 //! fails, the change altered pass output: bump
 //! `khaos_bench::BUILD_MEMO_VERSION` and update the pins together (the
 //! failure prints the new table).
+//!
+//! The VM results are pinned the same way: every build's and every
+//! unoptimized source's `run_with_config` result (output, exit code,
+//! cycles, steps) under the harness's run configuration. The cycles are
+//! the paper's runtime, so a change to the interpreter that moves any of
+//! them changes the figures; such a pin failure is a VM change, not a
+//! pass change, and `BUILD_MEMO_VERSION` stays.
 
 use khaos_bench::experiments::quick_programs;
 use khaos_bench::{par_fan_out, run_cycles, run_spec_in, BuildConfig, BUILD_MEMO_VERSION, SEED};
@@ -23,6 +30,7 @@ use khaos_ir::{printer, Module};
 use khaos_ollvm::OllvmMode;
 use khaos_pass::Pipeline;
 use khaos_store::{BuildKey, Store, StoredBuild};
+use khaos_vm::{run_with_config, RunConfig};
 use std::fs;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
@@ -85,6 +93,26 @@ struct Built {
     module: Module,
     fission: FissionStats,
     fusion: FusionStats,
+}
+
+/// FNV-1a over a module's full VM result under the harness's run
+/// configuration (`run_cycles`): output length and values, exit code,
+/// cycles and steps, all little-endian.
+fn run_digest(m: &Module) -> u64 {
+    let config = RunConfig {
+        inputs: vec![3, 7, 11],
+        ..RunConfig::default()
+    };
+    let r = run_with_config(m, config).unwrap_or_else(|e| panic!("{} failed to run: {e}", m.name));
+    let mut bytes = Vec::with_capacity(8 * (r.output.len() + 4));
+    bytes.extend((r.output.len() as u64).to_le_bytes());
+    for v in &r.output {
+        bytes.extend(v.to_le_bytes());
+    }
+    bytes.extend(r.exit_code.to_le_bytes());
+    bytes.extend(r.cycles.to_le_bytes());
+    bytes.extend(r.steps.to_le_bytes());
+    khaos_store::fnv1a(&bytes)
 }
 
 /// Builds `src` under every spec through `store` (or none).
@@ -178,35 +206,59 @@ fn a_memo_hit_is_indistinguishable_from_a_rebuild() {
     }
 }
 
-/// Per spec, FNV-1a over the content fingerprints (little-endian) of
-/// its builds, in build order.
-fn spec_digests(builds: &[(String, u64)]) -> Vec<(String, u64)> {
-    specs()
-        .into_iter()
-        .map(|(spec, _)| {
-            let bytes: Vec<u8> = builds
+/// Per label, FNV-1a over the digests (little-endian) filed under it,
+/// in order.
+fn label_digests(labels: &[String], items: &[(String, u64)]) -> Vec<(String, u64)> {
+    labels
+        .iter()
+        .map(|label| {
+            let bytes: Vec<u8> = items
                 .iter()
-                .filter(|(s, _)| *s == spec)
-                .flat_map(|(_, fp)| fp.to_le_bytes())
+                .filter(|(l, _)| l == label)
+                .flat_map(|(_, d)| d.to_le_bytes())
                 .collect();
-            let digest = khaos_store::fnv1a(&bytes);
-            (spec, digest)
+            (label.clone(), khaos_store::fnv1a(&bytes))
         })
         .collect()
 }
 
+/// Per spec, FNV-1a over the content fingerprints (little-endian) of
+/// its builds, in build order.
+fn spec_digests(builds: &[(String, u64)]) -> Vec<(String, u64)> {
+    let labels: Vec<String> = specs().into_iter().map(|(spec, _)| spec).collect();
+    label_digests(&labels, builds)
+}
+
+/// The label the VM pins file the unoptimized sources' runs under.
+const SOURCE: &str = "source";
+
+/// The VM pin table: the sources' run digests, then each spec's builds'.
+fn run_digests(sources: &[u64], builds: &[(String, u64)]) -> Vec<(String, u64)> {
+    let mut items: Vec<(String, u64)> = sources.iter().map(|d| (SOURCE.to_string(), *d)).collect();
+    items.extend_from_slice(builds);
+    let mut labels = vec![SOURCE.to_string()];
+    labels.extend(specs().into_iter().map(|(spec, _)| spec));
+    label_digests(&labels, &items)
+}
+
 /// Fails with the table to paste when `have` differs from `pinned`.
-fn assert_pinned(have: &[(String, u64)], pinned: &[(&str, u64)]) {
+fn assert_pinned(have: &[(String, u64)], pinned: &[(&str, u64)], what: &str) {
     let want: Vec<(String, u64)> = pinned.iter().map(|(s, d)| (s.to_string(), *d)).collect();
     let table: String = have
         .iter()
         .map(|(s, d)| format!("    (\"{s}\", {d:#018x}),\n"))
         .collect();
-    assert_eq!(
-        have, want,
-        "pass output changed: bump BUILD_MEMO_VERSION (now {BUILD_MEMO_VERSION}) and pin\n{table}"
-    );
+    assert_eq!(have, want, "{what}; the new pins are\n{table}");
 }
+
+/// The failure text of the build pins.
+fn pass_changed() -> String {
+    format!("pass output changed: bump BUILD_MEMO_VERSION (now {BUILD_MEMO_VERSION}) and pin")
+}
+
+/// The failure text of the VM pins.
+const VM_CHANGED: &str = "VM results changed: output, exit code, cycles or steps of a run \
+                          differ (a pass change fails the build pins too)";
 
 /// The digests of the builds above, per spec, at [`BUILD_MEMO_VERSION`]
 /// 1. (`fufi_n` at arity 2 builds what `fufi_all` builds.)
@@ -240,7 +292,43 @@ fn build_digests_are_pinned() {
         .iter()
         .map(|b| (b.spec.clone(), b.module.content_fingerprint()))
         .collect();
-    assert_pinned(&spec_digests(&builds), &PINNED);
+    assert_pinned(&spec_digests(&builds), &PINNED, &pass_changed());
+}
+
+/// The VM results of the small programs' sources and builds above.
+const PINNED_RUNS: [(&str, u64); 21] = [
+    ("source", 0xa0cf9492dcfb4775),
+    ("O2+lto", 0xfff6070b299d1b1c),
+    ("O0", 0xa0cf9492dcfb4775),
+    ("O1", 0x616a0065282486f6),
+    ("O2", 0xcbf13a3facc95659),
+    ("O3", 0x1d7030d01f321211),
+    ("sub | O2+lto", 0xc68e3a35a0cf9421),
+    ("bog | O2+lto", 0xb5a6a953aa82b1fc),
+    ("fla(ratio=0.1) | O2+lto", 0x5ef96118f25f4d2f),
+    ("fission | O2+lto", 0x687060deb112da40),
+    ("fusion | O2+lto", 0x7baf5e3c9800719b),
+    ("fufi_sep | O2+lto", 0xb13179cc5a9a8b21),
+    ("fufi_ori | O2+lto", 0x6b3e3e574ce36f1e),
+    ("fufi_all | O2+lto", 0xac1a791e548380fe),
+    ("fla | O2+lto", 0x0623b3b92f86c9e7),
+    ("fusion_n(arity=2) | O2+lto", 0x7baf5e3c9800719b),
+    ("fufi_n(arity=2) | O2+lto", 0xac1a791e548380fe),
+    ("fusion_n(arity=3) | O2+lto", 0x942ead49ba64422a),
+    ("fufi_n(arity=3) | O2+lto", 0x1269a4f319cb8f8b),
+    ("fusion_n(arity=4) | O2+lto", 0xeafe9dfa70a80fc0),
+    ("fufi_n(arity=4) | O2+lto", 0x76e3f1d0efd2d77e),
+];
+
+#[test]
+fn vm_results_are_pinned() {
+    let (cold, _) = cold_and_warm();
+    let sources: Vec<u64> = programs().iter().map(run_digest).collect();
+    let builds: Vec<(String, u64)> = cold
+        .iter()
+        .map(|b| (b.spec.clone(), run_digest(&b.module)))
+        .collect();
+    assert_pinned(&run_digests(&sources, &builds), &PINNED_RUNS, VM_CHANGED);
 }
 
 /// The digests of every spec over every `--quick` program, at
@@ -268,26 +356,89 @@ const PINNED_QUICK: [(&str, u64); 20] = [
     ("fufi_n(arity=4) | O2+lto", 0xba648f711e8c66b2),
 ];
 
+/// The VM results of every `--quick` program's source and builds.
+const PINNED_QUICK_RUNS: [(&str, u64); 21] = [
+    ("source", 0x49d666bb46ad1af2),
+    ("O2+lto", 0xcabb5579f2b2c92c),
+    ("O0", 0x49d666bb46ad1af2),
+    ("O1", 0xe152f4d470ac6237),
+    ("O2", 0x5d12a1550a3b29f6),
+    ("O3", 0x19bffa88f6f1f5fa),
+    ("sub | O2+lto", 0x9b765ebc91b9c5ab),
+    ("bog | O2+lto", 0xa9166f26b6306012),
+    ("fla(ratio=0.1) | O2+lto", 0xfcfa112e71280c6e),
+    ("fission | O2+lto", 0xf599a4d77e6d85dd),
+    ("fusion | O2+lto", 0x439d0efe23164edd),
+    ("fufi_sep | O2+lto", 0x55ae1b5a8aab0b72),
+    ("fufi_ori | O2+lto", 0x4016e320c6419757),
+    ("fufi_all | O2+lto", 0x16412a4904096b5e),
+    ("fla | O2+lto", 0x2dd957a66e844b1c),
+    ("fusion_n(arity=2) | O2+lto", 0x439d0efe23164edd),
+    ("fufi_n(arity=2) | O2+lto", 0x16412a4904096b5e),
+    ("fusion_n(arity=3) | O2+lto", 0xf9e336247f724963),
+    ("fufi_n(arity=3) | O2+lto", 0xcbd8c8d1c7b7d7dc),
+    ("fusion_n(arity=4) | O2+lto", 0x58496042f0dc986a),
+    ("fufi_n(arity=4) | O2+lto", 0x308eb7c080be13cc),
+];
+
+/// The digests the wide pins check, computed once for both.
+struct QuickDigests {
+    /// Every `--quick` program's source run digest.
+    sources: Vec<u64>,
+    /// Per build: its spec, content fingerprint and run digest.
+    builds: Vec<(String, u64, u64)>,
+}
+
+fn quick_digests() -> &'static QuickDigests {
+    static DIGESTS: OnceLock<QuickDigests> = OnceLock::new();
+    DIGESTS.get_or_init(|| {
+        let programs = quick_programs();
+        let sources = par_fan_out(&programs, run_digest);
+        // One program's builds at a time per worker: only digests are
+        // kept.
+        let builds: Vec<(String, u64, u64)> = par_fan_out(&programs, |src| {
+            build_program(None, src)
+                .into_iter()
+                .map(|b| {
+                    let run = run_digest(&b.module);
+                    (b.spec, b.module.content_fingerprint(), run)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert_eq!(builds.len(), programs.len() * specs().len());
+        QuickDigests { sources, builds }
+    })
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "hundreds of audited builds: run with --release"
 )]
 fn quick_build_digests_are_pinned() {
-    let programs = quick_programs();
-    // One program's builds at a time per worker: only fingerprints are
-    // kept.
-    let builds: Vec<(String, u64)> = par_fan_out(&programs, |src| {
-        build_program(None, src)
-            .into_iter()
-            .map(|b| (b.spec, b.module.content_fingerprint()))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert_eq!(builds.len(), programs.len() * specs().len());
-    assert_pinned(&spec_digests(&builds), &PINNED_QUICK);
+    let fps: Vec<(String, u64)> = quick_digests()
+        .builds
+        .iter()
+        .map(|(spec, fp, _)| (spec.clone(), *fp))
+        .collect();
+    assert_pinned(&spec_digests(&fps), &PINNED_QUICK, &pass_changed());
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "hundreds of audited builds: run with --release"
+)]
+fn quick_vm_results_are_pinned() {
+    let QuickDigests { sources, builds } = quick_digests();
+    let runs: Vec<(String, u64)> = builds
+        .iter()
+        .map(|(spec, _, run)| (spec.clone(), *run))
+        .collect();
+    assert_pinned(&run_digests(sources, &runs), &PINNED_QUICK_RUNS, VM_CHANGED);
 }
 
 /// A damaged record and a well-formed record whose module does not

@@ -532,6 +532,7 @@ fn check_coverage(events: &[Event], selfs: &[f64], pct: f64) -> Result<String, S
 }
 
 fn main() -> ExitCode {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
     let mut do_validate = false;

@@ -7,7 +7,8 @@
 //! registry and one shared timeline instead of scattered ad-hoc
 //! structs.
 //!
-//! The crate has three parts:
+//! The crate has three parts (plus [`cli`], the process behaviour its
+//! command-line tools share):
 //!
 //! * [`metrics`] — a process-wide [`metrics::Registry`] of named
 //!   atomic [`metrics::Counter`]s, [`metrics::Gauge`]s, and
@@ -63,6 +64,7 @@
 //! `khaos-profile` bin, and wraps trivially into the JSON array form
 //! `chrome://tracing` loads.
 
+pub mod cli;
 pub mod metrics;
 pub mod timer;
 pub mod trace;

@@ -314,6 +314,7 @@ fn client(a: &Args) -> Result<Client, String> {
 }
 
 fn main() -> ExitCode {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -105,6 +105,7 @@ fn open_all(dirs: &[String]) -> std::io::Result<Vec<Store>> {
 }
 
 fn main() -> ExitCode {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -170,7 +170,11 @@ mod tests {
     #[test]
     fn calls_charged_by_machine_not_inst() {
         let cm = CostModel::default();
-        let call = Inst::Call { dst: None, callee: khaos_ir::Callee::Ext(khaos_ir::ExtId(0)), args: vec![] };
+        let call = Inst::Call {
+            dst: None,
+            callee: khaos_ir::Callee::Ext(khaos_ir::ExtId(0)),
+            args: vec![],
+        };
         assert_eq!(cm.inst_cost(&call), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! The synthetic libc: external functions resolved by name.
 //!
 //! Everything is deterministic: "files" have pseudo-random but seeded
-//! contents, `clock` returns the cycle counter, and all printing goes to
-//! the in-memory output vector used by the differential-testing oracle.
+//! contents, and all printing goes to the in-memory output vector used
+//! by the differential-testing oracle.
 
 use crate::machine::{Vm, VmError};
 use crate::value::Value;
@@ -43,7 +43,9 @@ fn fnv1a(bytes: &[u8]) -> i64 {
 }
 
 fn arg(args: &[Value], i: usize, name: &str) -> Result<Value, VmError> {
-    args.get(i).copied().ok_or_else(|| VmError::Trap(format!("`{name}` missing argument {i}")))
+    args.get(i)
+        .copied()
+        .ok_or_else(|| VmError::Trap(format!("`{name}` missing argument {i}")))
 }
 
 /// Dispatches an external call by name.
@@ -93,7 +95,10 @@ pub fn dispatch(vm: &mut Vm<'_>, name: &str, args: &[Value]) -> Result<ExtOutcom
         }
         "malloc" => {
             let n = arg(args, 0, name)?.as_int().max(0) as u64;
-            let p = vm.mem.heap_alloc(n.max(1)).map_err(|e| VmError::Trap(e.message))?;
+            let p = vm
+                .mem
+                .heap_alloc(n.max(1))
+                .map_err(|e| VmError::Trap(e.message))?;
             Ok(ExtOutcome::Ret(Some(Value::Int(p as i64))))
         }
         "free" => Ok(ExtOutcome::Ret(None)),
@@ -181,7 +186,9 @@ pub fn dispatch(vm: &mut Vm<'_>, name: &str, args: &[Value]) -> Result<ExtOutcom
             let v = arg(args, 0, name)?.as_float();
             Ok(ExtOutcome::Ret(Some(Value::Float(v.floor()))))
         }
-        other => Err(VmError::Trap(format!("unknown external function `{other}`"))),
+        other => Err(VmError::Trap(format!(
+            "unknown external function `{other}`"
+        ))),
     }
 }
 
@@ -193,7 +200,12 @@ mod tests {
     use khaos_ir::{ExtFunc, Module, Operand};
 
     fn ext(m: &mut Module, name: &str, params: Vec<Type>, ret: Type) -> khaos_ir::ExtId {
-        m.declare_external(ExtFunc { name: name.into(), params, ret_ty: ret, variadic: false })
+        m.declare_external(ExtFunc {
+            name: name.into(),
+            params,
+            ret_ty: ret,
+            variadic: false,
+        })
     }
 
     #[test]
@@ -222,7 +234,13 @@ mod tests {
         main.ret(Some(Operand::const_int(Type::I64, 0)));
         m.push_function(main.finish());
         let (id, _) = m.function_by_name("main").unwrap();
-        let mut vm = Vm::new(&m, RunConfig { inputs: vec![7, 8], ..RunConfig::default() });
+        let mut vm = Vm::new(
+            &m,
+            RunConfig {
+                inputs: vec![7, 8],
+                ..RunConfig::default()
+            },
+        );
         let r = vm.run(id, &[]).unwrap();
         assert_eq!(r.output, vec![7, 8, 7]);
     }
@@ -231,9 +249,16 @@ mod tests {
     fn malloc_and_memset() {
         let mut m = Module::new("t");
         let malloc = ext(&mut m, "malloc", vec![Type::I64], Type::Ptr);
-        let memset = ext(&mut m, "memset", vec![Type::Ptr, Type::I64, Type::I64], Type::Ptr);
+        let memset = ext(
+            &mut m,
+            "memset",
+            vec![Type::Ptr, Type::I64, Type::I64],
+            Type::Ptr,
+        );
         let mut main = FunctionBuilder::new("main", Type::I64);
-        let p = main.call_ext(malloc, Type::Ptr, vec![Operand::const_int(Type::I64, 16)]).unwrap();
+        let p = main
+            .call_ext(malloc, Type::Ptr, vec![Operand::const_int(Type::I64, 16)])
+            .unwrap();
         main.call_ext(
             memset,
             Type::Ptr,
@@ -244,7 +269,12 @@ mod tests {
             ],
         );
         let v = main.load(Type::I8, Operand::local(p));
-        let w = main.cast(khaos_ir::CastKind::SExt, Operand::local(v), Type::I8, Type::I64);
+        let w = main.cast(
+            khaos_ir::CastKind::SExt,
+            Operand::local(v),
+            Type::I8,
+            Type::I64,
+        );
         main.ret(Some(Operand::local(w)));
         m.push_function(main.finish());
         let r = run_function(&m, "main", &[]).unwrap();
@@ -255,15 +285,30 @@ mod tests {
     fn file_reads_are_deterministic_and_finite() {
         let mut m = Module::new("t");
         let open = ext(&mut m, "open", vec![Type::Ptr], Type::I32);
-        let read = ext(&mut m, "read_file", vec![Type::I32, Type::Ptr, Type::I64], Type::I32);
+        let read = ext(
+            &mut m,
+            "read_file",
+            vec![Type::I32, Type::Ptr, Type::I64],
+            Type::I32,
+        );
         let p = ext(&mut m, "print_i64", vec![Type::I64], Type::Void);
         let mut main = FunctionBuilder::new("main", Type::I64);
         // name buffer with "f\0"
         let nb = main.alloca(2);
-        main.store(Type::I8, Operand::const_int(Type::I8, b'f' as i64), Operand::local(nb));
+        main.store(
+            Type::I8,
+            Operand::const_int(Type::I8, b'f' as i64),
+            Operand::local(nb),
+        );
         let nb1 = main.ptradd(Operand::local(nb), Operand::const_int(Type::I64, 1));
-        main.store(Type::I8, Operand::const_int(Type::I8, 0), Operand::local(nb1));
-        let fd = main.call_ext(open, Type::I32, vec![Operand::local(nb)]).unwrap();
+        main.store(
+            Type::I8,
+            Operand::const_int(Type::I8, 0),
+            Operand::local(nb1),
+        );
+        let fd = main
+            .call_ext(open, Type::I32, vec![Operand::local(nb)])
+            .unwrap();
         let buf = main.alloca(512);
         // two reads: second sees advancing offset; a third after EOF gives 0.
         let h = main.new_block();
@@ -274,12 +319,26 @@ mod tests {
             .call_ext(
                 read,
                 Type::I32,
-                vec![Operand::local(fd), Operand::local(buf), Operand::const_int(Type::I64, 200)],
+                vec![
+                    Operand::local(fd),
+                    Operand::local(buf),
+                    Operand::const_int(Type::I64, 200),
+                ],
             )
             .unwrap();
-        let n64 = main.cast(khaos_ir::CastKind::SExt, Operand::local(n), Type::I32, Type::I64);
+        let n64 = main.cast(
+            khaos_ir::CastKind::SExt,
+            Operand::local(n),
+            Type::I32,
+            Type::I64,
+        );
         main.call_ext(p, Type::Void, vec![Operand::local(n64)]);
-        let c = main.cmp(khaos_ir::CmpPred::Sgt, Type::I32, Operand::local(n), Operand::const_int(Type::I32, 0));
+        let c = main.cmp(
+            khaos_ir::CmpPred::Sgt,
+            Type::I32,
+            Operand::local(n),
+            Operand::const_int(Type::I32, 0),
+        );
         main.branch(Operand::local(c), h, done);
         main.switch_to(done);
         main.ret(Some(Operand::const_int(Type::I64, 0)));
@@ -287,7 +346,11 @@ mod tests {
         let r1 = run_function(&m, "main", &[]).unwrap();
         let r2 = run_function(&m, "main", &[]).unwrap();
         assert_eq!(r1.output, r2.output);
-        assert_eq!(r1.output, vec![200, 56, 0], "256-byte file in two reads, then EOF");
+        assert_eq!(
+            r1.output,
+            vec![200, 56, 0],
+            "256-byte file in two reads, then EOF"
+        );
     }
 
     #[test]

@@ -89,7 +89,14 @@ impl Memory {
         let heap_sp = cursor.div_ceil(16) * 16;
         let stack_base = DATA_BASE + (data_size as u64) / 2;
         let stack_base = stack_base.max(heap_sp + 64);
-        Memory { bytes, global_addrs, heap_sp, stack_sp: stack_base, stack_base, limit }
+        Memory {
+            bytes,
+            global_addrs,
+            heap_sp,
+            stack_sp: stack_base,
+            stack_base,
+            limit,
+        }
     }
 
     /// Address of global `i`.
@@ -117,7 +124,10 @@ impl Memory {
         let at = self.stack_sp.div_ceil(align) * align;
         let end = at + size as u64;
         if end > self.limit {
-            return Err(MemError { addr: at, message: "stack overflow".into() });
+            return Err(MemError {
+                addr: at,
+                message: "stack overflow".into(),
+            });
         }
         self.stack_sp = end;
         Ok(at)
@@ -128,7 +138,10 @@ impl Memory {
         let at = self.heap_sp.div_ceil(16) * 16;
         let end = at + size;
         if end > self.stack_base {
-            return Err(MemError { addr: at, message: "out of heap memory".into() });
+            return Err(MemError {
+                addr: at,
+                message: "out of heap memory".into(),
+            });
         }
         self.heap_sp = end;
         Ok(at)
@@ -161,22 +174,27 @@ impl Memory {
         let v = match ty {
             Type::I1 => Value::Int((self.bytes[at] & 1) as i64),
             Type::I8 => Value::Int(self.bytes[at] as i8 as i64),
-            Type::I16 => {
-                Value::Int(i16::from_le_bytes(self.bytes[at..at + 2].try_into().expect("size")) as i64)
+            Type::I16 => Value::Int(i16::from_le_bytes(
+                self.bytes[at..at + 2].try_into().expect("size"),
+            ) as i64),
+            Type::I32 => Value::Int(i32::from_le_bytes(
+                self.bytes[at..at + 4].try_into().expect("size"),
+            ) as i64),
+            Type::I64 | Type::Ptr => Value::Int(i64::from_le_bytes(
+                self.bytes[at..at + 8].try_into().expect("size"),
+            )),
+            Type::F32 => Value::Float(f32::from_le_bytes(
+                self.bytes[at..at + 4].try_into().expect("size"),
+            ) as f64),
+            Type::F64 => Value::Float(f64::from_le_bytes(
+                self.bytes[at..at + 8].try_into().expect("size"),
+            )),
+            Type::Void => {
+                return Err(MemError {
+                    addr,
+                    message: "read of void".into(),
+                })
             }
-            Type::I32 => {
-                Value::Int(i32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("size")) as i64)
-            }
-            Type::I64 | Type::Ptr => {
-                Value::Int(i64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("size")))
-            }
-            Type::F32 => Value::Float(
-                f32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("size")) as f64,
-            ),
-            Type::F64 => {
-                Value::Float(f64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("size")))
-            }
-            Type::Void => return Err(MemError { addr, message: "read of void".into() }),
         };
         Ok(v)
     }
@@ -206,7 +224,12 @@ impl Memory {
             (Type::F64, Value::Float(x)) => {
                 self.bytes[at..at + 8].copy_from_slice(&x.to_le_bytes())
             }
-            (t, v) => return Err(MemError { addr, message: format!("type mismatch {t} vs {v:?}") }),
+            (t, v) => {
+                return Err(MemError {
+                    addr,
+                    message: format!("type mismatch {t} vs {v:?}"),
+                })
+            }
         }
         Ok(())
     }
@@ -218,7 +241,8 @@ impl Memory {
     pub fn copy(&mut self, dst: u64, src: u64, n: u64) -> Result<(), MemError> {
         self.check(dst, n)?;
         self.check(src, n)?;
-        self.bytes.copy_within(src as usize..(src + n) as usize, dst as usize);
+        self.bytes
+            .copy_within(src as usize..(src + n) as usize, dst as usize);
         Ok(())
     }
 
@@ -331,7 +355,16 @@ mod tests {
         let f = m.push_function(fb.finish());
         m.push_global(Global {
             name: "t".into(),
-            init: vec![GInit::Int { value: 0x1122, ty: Type::I32 }, GInit::FuncPtr { func: f, addend: 12 }],
+            init: vec![
+                GInit::Int {
+                    value: 0x1122,
+                    ty: Type::I32,
+                },
+                GInit::FuncPtr {
+                    func: f,
+                    addend: 12,
+                },
+            ],
             align: 8,
             exported: false,
         });
@@ -346,7 +379,11 @@ mod tests {
     fn func_addr_roundtrip() {
         let f = FuncId(3);
         assert_eq!(addr_to_func(func_addr(f), 10), Some(f));
-        assert_eq!(addr_to_func(func_addr(f) | 4, 10), None, "tagged pointer rejected");
+        assert_eq!(
+            addr_to_func(func_addr(f) | 4, 10),
+            None,
+            "tagged pointer rejected"
+        );
         assert_eq!(addr_to_func(func_addr(FuncId(10)), 10), None);
         assert_eq!(addr_to_func(0x100, 10), None);
     }
@@ -356,7 +393,8 @@ mod tests {
         let mut mem = empty_mem();
         let a = mem.stack_alloc(8, 1).unwrap();
         for (i, b) in b"hi\0".iter().enumerate() {
-            mem.write(a + i as u64, Type::I8, Value::Int(*b as i64)).unwrap();
+            mem.write(a + i as u64, Type::I8, Value::Int(*b as i64))
+                .unwrap();
         }
         assert_eq!(mem.read_cstr(a).unwrap(), b"hi".to_vec());
     }

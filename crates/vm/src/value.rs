@@ -99,6 +99,9 @@ mod tests {
     fn const_conversion() {
         assert_eq!(Value::from_const(&Const::int(Type::I8, 257)), Value::Int(1));
         assert_eq!(Value::from_const(&Const::Null), Value::Int(0));
-        assert_eq!(Value::from_const(&Const::float(Type::F64, 2.5)), Value::Float(2.5));
+        assert_eq!(
+            Value::from_const(&Const::float(Type::F64, 2.5)),
+            Value::Float(2.5)
+        );
     }
 }

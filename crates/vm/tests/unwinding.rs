@@ -44,7 +44,12 @@ fn exception_skips_plain_frames() {
     main.switch_to(normal);
     main.ret(Some(Operand::const_int(Type::I64, 0)));
     main.switch_to(pad);
-    let plus = main.bin(BinOp::Add, Type::I64, Operand::local(exc), Operand::const_int(Type::I64, 1));
+    let plus = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(exc),
+        Operand::const_int(Type::I64, 1),
+    );
     main.ret(Some(Operand::local(plus)));
     m.push_function(main.finish());
     khaos_ir::verify::assert_valid(&m);
@@ -71,7 +76,12 @@ fn nested_invokes_catch_innermost_and_rethrow() {
     inner.switch_to(normal);
     inner.ret(None);
     inner.switch_to(pad);
-    let bumped = inner.bin(BinOp::Add, Type::I64, Operand::local(exc), Operand::const_int(Type::I64, 100));
+    let bumped = inner.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(exc),
+        Operand::const_int(Type::I64, 100),
+    );
     inner.call_ext(te, Type::Void, vec![Operand::local(bumped)]);
     inner.ret(None);
     let inner = m.push_function(inner.finish());
@@ -115,14 +125,32 @@ fn longjmp_across_frames_releases_stack() {
     deep.store(Type::I64, Operand::local(n), Operand::local(big));
     let jump_bb = deep.new_block();
     let recurse_bb = deep.new_block();
-    let z = deep.cmp(CmpPred::Sle, Type::I64, Operand::local(n), Operand::const_int(Type::I64, 0));
+    let z = deep.cmp(
+        CmpPred::Sle,
+        Type::I64,
+        Operand::local(n),
+        Operand::const_int(Type::I64, 0),
+    );
     deep.branch(Operand::local(z), jump_bb, recurse_bb);
     deep.switch_to(jump_bb);
-    deep.call_ext(longjmp, Type::Void, vec![Operand::local(buf), Operand::const_int(Type::I32, 7)]);
+    deep.call_ext(
+        longjmp,
+        Type::Void,
+        vec![Operand::local(buf), Operand::const_int(Type::I32, 7)],
+    );
     deep.ret(None);
     deep.switch_to(recurse_bb);
-    let nm1 = deep.bin(BinOp::Sub, Type::I64, Operand::local(n), Operand::const_int(Type::I64, 1));
-    deep.call(khaos_ir::FuncId(0), Type::Void, vec![Operand::local(buf), Operand::local(nm1)]);
+    let nm1 = deep.bin(
+        BinOp::Sub,
+        Type::I64,
+        Operand::local(n),
+        Operand::const_int(Type::I64, 1),
+    );
+    deep.call(
+        khaos_ir::FuncId(0),
+        Type::Void,
+        vec![Operand::local(buf), Operand::local(nm1)],
+    );
     deep.ret(None);
     let deep_id = m.push_function(deep.finish());
     assert_eq!(deep_id, khaos_ir::FuncId(0));
@@ -139,21 +167,42 @@ fn longjmp_across_frames_releases_stack() {
     main.copy_to(count, Operand::const_int(Type::I64, 0));
     main.jump(head);
     main.switch_to(head);
-    let c = main.cmp(CmpPred::Slt, Type::I64, Operand::local(count), Operand::const_int(Type::I64, 2000));
+    let c = main.cmp(
+        CmpPred::Slt,
+        Type::I64,
+        Operand::local(count),
+        Operand::const_int(Type::I64, 2000),
+    );
     main.branch(Operand::local(c), body, done);
     main.switch_to(body);
-    let r = main.call_ext(setjmp, Type::I32, vec![Operand::local(jb)]).unwrap();
+    let r = main
+        .call_ext(setjmp, Type::I32, vec![Operand::local(jb)])
+        .unwrap();
     let came_back = main.new_block();
     let go_deep = main.new_block();
-    let rz = main.cmp(CmpPred::Eq, Type::I32, Operand::local(r), Operand::const_int(Type::I32, 0));
+    let rz = main.cmp(
+        CmpPred::Eq,
+        Type::I32,
+        Operand::local(r),
+        Operand::const_int(Type::I32, 0),
+    );
     main.branch(Operand::local(rz), go_deep, came_back);
     main.switch_to(go_deep);
-    main.call(deep_id, Type::Void, vec![Operand::local(jb), Operand::const_int(Type::I64, 20)]);
+    main.call(
+        deep_id,
+        Type::Void,
+        vec![Operand::local(jb), Operand::const_int(Type::I64, 20)],
+    );
     main.ret(Some(Operand::const_int(Type::I64, -1))); // unreachable: deep always longjmps
     main.switch_to(came_back);
     main.jump(after);
     main.switch_to(after);
-    let ni = main.bin(BinOp::Add, Type::I64, Operand::local(count), Operand::const_int(Type::I64, 1));
+    let ni = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(count),
+        Operand::const_int(Type::I64, 1),
+    );
     main.copy_to(count, Operand::local(ni));
     main.jump(head);
     main.switch_to(done);
@@ -161,7 +210,10 @@ fn longjmp_across_frames_releases_stack() {
     m.push_function(main.finish());
     khaos_ir::verify::assert_valid(&m);
     let r = run_function(&m, "main", &[]).unwrap();
-    assert_eq!(r.exit_code, 2000, "2000 longjmp cycles without leaking stack");
+    assert_eq!(
+        r.exit_code, 2000,
+        "2000 longjmp cycles without leaking stack"
+    );
 }
 
 /// Arguments of every numeric class round-trip through calls.
@@ -172,10 +224,25 @@ fn mixed_argument_classes() {
     let a = callee.add_param(Type::I32);
     let b = callee.add_param(Type::F64);
     let c = callee.add_param(Type::I64);
-    let aw = callee.cast(khaos_ir::CastKind::SExt, Operand::local(a), Type::I32, Type::I64);
+    let aw = callee.cast(
+        khaos_ir::CastKind::SExt,
+        Operand::local(a),
+        Type::I32,
+        Type::I64,
+    );
     let s = callee.bin(BinOp::Add, Type::I64, Operand::local(aw), Operand::local(c));
-    let sf = callee.cast(khaos_ir::CastKind::SiToFp, Operand::local(s), Type::I64, Type::F64);
-    let r = callee.bin(BinOp::FAdd, Type::F64, Operand::local(sf), Operand::local(b));
+    let sf = callee.cast(
+        khaos_ir::CastKind::SiToFp,
+        Operand::local(s),
+        Type::I64,
+        Type::F64,
+    );
+    let r = callee.bin(
+        BinOp::FAdd,
+        Type::F64,
+        Operand::local(sf),
+        Operand::local(b),
+    );
     callee.ret(Some(Operand::local(r)));
     let cid = m.push_function(callee.finish());
 
@@ -191,8 +258,18 @@ fn mixed_argument_classes() {
             ],
         )
         .unwrap();
-    let half = main.bin(BinOp::FMul, Type::F64, Operand::local(r), Operand::const_float(Type::F64, 2.0));
-    let i = main.cast(khaos_ir::CastKind::FpToSi, Operand::local(half), Type::F64, Type::I64);
+    let half = main.bin(
+        BinOp::FMul,
+        Type::F64,
+        Operand::local(r),
+        Operand::const_float(Type::F64, 2.0),
+    );
+    let i = main.cast(
+        khaos_ir::CastKind::FpToSi,
+        Operand::local(half),
+        Type::F64,
+        Type::I64,
+    );
     main.ret(Some(Operand::local(i)));
     m.push_function(main.finish());
     khaos_ir::verify::assert_valid(&m);

@@ -126,6 +126,7 @@ fn mode_spec(mode: &str, arity: usize) -> String {
 }
 
 fn main() -> ExitCode {
+    khaos_obs::cli::exit_quietly_on_closed_stdout();
     let code = run();
     khaos_obs::metrics::maybe_dump();
     code
