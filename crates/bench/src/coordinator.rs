@@ -1,17 +1,18 @@
-//! The elastic shard coordinator: the flattened experiment grid as a
-//! persistent work queue with cell-level leases in `khaos-store`.
+//! The elastic coordinator: an experiment grid as a persistent work
+//! queue with unit-level leases in `khaos-store`.
 //!
-//! Static sharding (`KHAOS_SHARD=i/n`) partitions a grid up front:
-//! fine for two machines, wasteful at fleet scale where build costs
-//! per cell vary 10× — the sweep finishes when the unluckiest shard
-//! does. The coordinator replaces the static partition with a work
-//! queue that lives *in the shared store itself*:
+//! Any number of workers, on any machines that share a store
+//! directory, run the same loop over the same grid; the queue lives
+//! *in the shared store itself*, so nothing partitions the grid up
+//! front and the sweep finishes when the last unit does, whoever
+//! computes it:
 //!
-//! - Every experiment grid flattens into [`WorkUnit`]s. A unit is
-//!   **done** when all of its output report records exist in the
-//!   store; the records are the ground truth, not any scheduler state.
-//! - A worker claims an open unit by creating the unit's **claim
-//!   file** (`rep/<addr>.lease`, atomic `O_EXCL` — see
+//! - Every grid flattens into [`WorkUnit`]s (see [`crate::grid`]: one
+//!   per program). A unit is **done** when all of its output report
+//!   records exist in the store; the records are the ground truth, not
+//!   any scheduler state.
+//! - A worker claims an open unit by creating the claim file of the
+//!   unit's first output (`rep/<addr>.lease`, atomic `O_EXCL` — see
 //!   [`Store::try_lease_report`]) next to where the unit's records
 //!   will land. Claim files are invisible to `stats`/`verify`/`gc`
 //!   and never travel through `merge`.
@@ -42,19 +43,16 @@ const POLL: Duration = Duration::from_millis(50);
 
 /// One claimable unit of grid work: the grain of the work queue.
 ///
-/// A unit usually covers one expensive build and every cheap cell
-/// computed from it (e.g. one Figure-10 `(config, program)` build
-/// shared by all three tool columns), so the lease is taken on a
-/// single anchor cell while doneness checks every output cell.
+/// A unit covers one program's baseline and every cell built from it,
+/// so the lease is taken on the first output cell while doneness
+/// checks every output cell.
 pub struct WorkUnit {
     /// Display name for steal/abort diagnostics, and the needle
     /// `KHAOS_COORD_ABORT_ON` is matched against.
     pub label: String,
-    /// `(subject, pipeline)` of the anchor cell whose claim file
-    /// leases the whole unit.
-    pub lease: (String, u64),
     /// `(subject, pipeline)` of every report record the unit
-    /// persists; the unit is done when all of them exist.
+    /// persists; the unit is done when all of them exist. The first
+    /// one's claim file leases the whole unit.
     pub outputs: Vec<(String, u64)>,
 }
 
@@ -88,24 +86,16 @@ fn unit_done(store: &Store, unit: &WorkUnit) -> bool {
     })
 }
 
-/// [`run_elastic_with`] at the process-wide lease horizon
-/// (`KHAOS_LEASE_MS`, default 120s — [`Store::lease_horizon`]).
-pub fn run_elastic<F>(store: &Store, what: &str, units: &[WorkUnit], compute: F) -> ElasticSummary
-where
-    F: Fn(usize) + Sync,
-{
-    run_elastic_with(store, what, units, Store::lease_horizon(), compute)
-}
-
 /// Runs one worker's share of an elastic sweep: claim open units,
 /// compute them (`compute(i)` must persist every `units[i].outputs`
 /// record into `store`), release, repeat until the whole grid's
 /// records exist. Blocks while other live workers hold the remaining
-/// units, re-stealing their claims if they go stale.
+/// units, re-stealing their claims once they are older than `horizon`
+/// (the experiments use [`Store::lease_horizon`], `KHAOS_LEASE_MS`).
 ///
-/// Claims are taken at most a batch at a time (the machine's
-/// parallelism), so concurrent workers interleave batches instead of
-/// one worker claiming the whole queue up front.
+/// Claims are taken at most a batch at a time, one per worker thread
+/// ([`khaos_par::max_threads`]): a claim nobody is computing yet would
+/// only keep a peer from taking it.
 ///
 /// ## Deterministic failure injection
 ///
@@ -120,7 +110,7 @@ where
 /// Panics when a computed unit's records are still absent on the
 /// post-batch check — the store is misconfigured (e.g. read-only) and
 /// looping would re-compute the unit forever.
-pub fn run_elastic_with<F>(
+pub fn run_elastic<F>(
     store: &Store,
     what: &str,
     units: &[WorkUnit],
@@ -130,9 +120,7 @@ pub fn run_elastic_with<F>(
 where
     F: Fn(usize) + Sync,
 {
-    let batch_cap = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let batch_cap = khaos_par::max_threads();
     let abort_on = std::env::var("KHAOS_COORD_ABORT_ON")
         .ok()
         .filter(|s| !s.is_empty());
@@ -163,10 +151,11 @@ where
                 break;
             }
             let unit = &units[i];
+            let (subject, pipeline) = &unit.outputs[0];
             let key = ReportKey {
-                pipeline: unit.lease.1,
+                pipeline: *pipeline,
                 seed: SEED,
-                subject: &unit.lease.0,
+                subject,
             };
             match store.try_lease_report(&key, horizon) {
                 Ok(Some(lease)) => {

@@ -2,14 +2,17 @@
 //!
 //! Every function prints the same rows or series the paper's artifact
 //! reports. See `EXPERIMENTS.md` at the repository root for paper-vs-
-//! measured notes.
+//! measured notes. Figure 7, Figure 9, Figure 10 and Table 2 are
+//! [`Grid`]s ([`Fig7`], [`Fig9`], [`Fig10`], [`Table2`]): besides the
+//! plain drivers here, [`grid::run`] runs them as elastic workers or
+//! decodes them from stores.
 
-use crate::coordinator::{run_elastic, run_elastic_with, ElasticSummary, WorkUnit};
+use crate::coordinator::WorkUnit;
+use crate::grid::{self, Grid, Mode};
 use crate::harness::{
-    active_shard, artifact_store, build_at, build_baseline, build_binary, build_config, geomean,
-    geomean_ratio, khaos_apply, khaos_atom, measure_cycles, overhead_pct, par_fan_out,
-    persist_metrics_to, run_spec, stats_counters, stats_from_counters, BuildConfig, ShardSpec,
-    SEED, STATS_COUNTERS,
+    build_at, build_baseline, build_binary, build_config, geomean, geomean_ratio, khaos_apply,
+    khaos_atom, measure_cycles, overhead_pct, par_fan_out, run_spec, stats_counters,
+    stats_from_counters, BuildConfig, SEED, STATS_COUNTERS,
 };
 use khaos_binary::{histogram_distance, lower_module, opcode_histogram};
 use khaos_bintuner::BinTuner;
@@ -21,7 +24,6 @@ use khaos_diff::{
 use khaos_ir::Module;
 use khaos_ollvm::OllvmMode;
 use khaos_opt::OptLevel;
-use khaos_store::{ReportKey, Store};
 use khaos_workloads::{coreutils, spec2006, spec2017, tiii, TIII_CVES};
 
 /// Scope knob: `--quick` trims the program sets so a laptop run finishes
@@ -66,24 +68,6 @@ pub fn quick_programs() -> Vec<Module> {
     v
 }
 
-/// Applies the active shard to a flattened work list, announcing the
-/// partial coverage; un-sharded runs pass through untouched. Sharded
-/// figure runs print their shard's rows only — aggregate rows
-/// (GEOMEAN/averages) then cover the shard, not the suite, which the
-/// note makes explicit.
-fn shard_select<T>(shard: ShardSpec, what: &str, items: Vec<T>) -> Vec<T> {
-    if shard.is_full() {
-        return items;
-    }
-    let total = items.len();
-    let owned = shard.select(items);
-    println!(
-        "# shard {shard}: measuring {} of {total} {what} (aggregates cover this shard only)",
-        owned.len()
-    );
-    owned
-}
-
 /// **Figure 6** — runtime overhead of the five Khaos modes on the SPEC
 /// CPU 2006/2017 stand-ins, per program plus geometric means.
 pub fn fig6(scope: Scope) {
@@ -93,7 +77,7 @@ pub fn fig6(scope: Scope) {
         "program", "Fission", "Fusion", "FuFi.sep", "FuFi.ori", "FuFi.all"
     );
     let mut per_mode: Vec<Vec<f64>> = vec![Vec::new(); KhaosMode::ALL.len()];
-    let programs = shard_select(active_shard(), "T-I programs", t1_programs(scope));
+    let programs = t1_programs(scope);
     // One worker per program: baseline + the five mode builds.
     let rows = par_fan_out(&programs, |src| {
         let base = build_baseline(src);
@@ -148,283 +132,123 @@ fn fig7_suites(scope: Scope) -> Vec<(&'static str, Vec<Module>)> {
     }
 }
 
-/// The `khaos-store` report subject of one Figure-7 cell.
-pub fn fig7_subject(suite: &str, program: &str, config: &str) -> String {
-    format!("fig7/{suite}/{program}/{config}")
+/// Flattens suites into `(suite, program)` pairs, in suite order.
+fn in_suites(suites: Vec<(&'static str, Vec<Module>)>) -> Vec<(&'static str, Module)> {
+    suites
+        .into_iter()
+        .flat_map(|(suite, programs)| programs.into_iter().map(move |m| (suite, m)))
+        .collect()
 }
 
-/// One measured Figure-7 cell: the runtime overhead of `program`
-/// (member of `suite`) built under `config`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig7Cell {
-    /// Suite the program belongs to (Figure-7 column group).
-    pub suite: &'static str,
-    /// Program name.
-    pub program: String,
-    /// Configuration display name (Figure-7 row).
-    pub config: String,
-    /// Configuration pipeline fingerprint (the report keyspace).
-    pub pipeline: u64,
-    /// Runtime overhead (%) against the `O2+LTO` baseline.
-    pub overhead: f64,
+/// First-seen-order dedup: the row/column orders of the printed tables.
+fn uniq<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut v = Vec::new();
+    for x in items {
+        if !v.contains(&x) {
+            v.push(x);
+        }
+    }
+    v
 }
 
-impl Fig7Cell {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        fig7_subject(self.suite, &self.program, &self.config)
+/// **Figure 7** as a [`Grid`]: one unit per program, one cell per
+/// configuration, holding the runtime overhead (%) of the program built
+/// under it against its `O2+LTO` baseline. Cells persist as
+/// `fig7/<suite>/<program>/<config>` under the configuration's
+/// pipeline fingerprint.
+pub struct Fig7 {
+    programs: Vec<(&'static str, Module)>,
+    configs: Vec<(String, BuildConfig)>,
+}
+
+impl Fig7 {
+    /// The Figure-7 grid at `scope`.
+    pub fn new(scope: Scope) -> Fig7 {
+        Fig7 {
+            programs: in_suites(fig7_suites(scope)),
+            configs: fig7_configs(),
+        }
     }
 }
 
-/// The identity of one expected Figure-7 cell (no measurement).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig7CellKey {
-    /// Suite the program belongs to.
-    pub suite: &'static str,
-    /// Program name.
-    pub program: String,
-    /// Configuration display name.
-    pub config: String,
-    /// Configuration pipeline fingerprint.
-    pub pipeline: u64,
-}
-
-impl Fig7CellKey {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        fig7_subject(self.suite, &self.program, &self.config)
+impl Grid for Fig7 {
+    fn name(&self) -> &'static str {
+        "Figure 7"
     }
-}
 
-/// Every cell of the Figure-7 grid in canonical order (configs outer,
-/// then suites, then programs) — the completeness contract
-/// [`fig7_merge`] enforces.
-pub fn fig7_expected(scope: Scope) -> Vec<Fig7CellKey> {
-    let configs = fig7_configs();
-    let suites = fig7_suites(scope);
-    let mut out = Vec::new();
-    for (config, cfg) in &configs {
-        for (suite, programs) in &suites {
-            for program in programs {
-                out.push(Fig7CellKey {
-                    suite,
-                    program: program.name.clone(),
-                    config: config.clone(),
-                    pipeline: cfg.fingerprint(),
-                });
+    fn title(&self) -> &'static str {
+        "# Figure 7: runtime overhead (%) — O-LLVM vs Khaos (GEOMEAN)"
+    }
+
+    fn metrics(&self) -> &'static [&'static str] {
+        &["overhead%"]
+    }
+
+    fn units(&self) -> Vec<WorkUnit> {
+        let configs: Vec<(&str, u64)> = self
+            .configs
+            .iter()
+            .map(|(name, cfg)| (name.as_str(), cfg.fingerprint()))
+            .collect();
+        self.programs
+            .iter()
+            .map(|(suite, src)| WorkUnit {
+                label: format!("fig7/{suite}/{}", src.name),
+                outputs: configs
+                    .iter()
+                    .map(|(config, fp)| (format!("fig7/{suite}/{}/{config}", src.name), *fp))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    fn compute(&self, unit: usize) -> Vec<Vec<f64>> {
+        let base = build_baseline(&self.programs[unit].1);
+        let base_cycles = measure_cycles(&base);
+        self.configs
+            .iter()
+            .map(|(_, cfg)| {
+                let obf = build_config(&base, *cfg);
+                vec![overhead_pct(base_cycles, measure_cycles(&obf))]
+            })
+            .collect()
+    }
+
+    /// Config rows, per-suite geometric means plus the overall GEOMEAN.
+    fn print(&self, cells: &[Vec<f64>]) {
+        let rows: Vec<(&str, &[Vec<f64>])> = self
+            .programs
+            .iter()
+            .map(|(suite, _)| *suite)
+            .zip(cells.chunks(self.configs.len()))
+            .collect();
+        let suites = uniq(rows.iter().map(|(suite, _)| *suite));
+        print!("{:<14}", "config");
+        for sname in &suites {
+            print!(" {sname:>15}");
+        }
+        println!(" {:>10}", "GEOMEAN");
+        for (ci, (config, _)) in self.configs.iter().enumerate() {
+            let mut all = Vec::new();
+            print!("{config:<14}");
+            for suite in &suites {
+                let ohs: Vec<f64> = rows
+                    .iter()
+                    .filter(|(s, _)| s == suite)
+                    .map(|(_, row)| row[ci][0])
+                    .collect();
+                all.extend_from_slice(&ohs);
+                print!(" {:>14.1}%", geomean_ratio(&ohs));
             }
+            println!(" {:>9.1}%", geomean_ratio(&all));
         }
-    }
-    out
-}
-
-/// Measures `shard`'s share of the Figure-7 grid, returning its cells
-/// in canonical grid order and persisting each into `store` (when
-/// given) under the cell's `ReportKey`. Like [`fig10_cells`], every
-/// cell is a deterministic function of `(program, config, seed)`, so
-/// shards computed by different processes merge bit-identically.
-pub fn fig7_cells(scope: Scope, shard: ShardSpec, store: Option<&Store>) -> Vec<Fig7Cell> {
-    let configs = fig7_configs();
-    let suites = fig7_suites(scope);
-    let mut grid: Vec<(usize, usize, usize)> = Vec::new();
-    for ci in 0..configs.len() {
-        for (si, (_, programs)) in suites.iter().enumerate() {
-            for pi in 0..programs.len() {
-                grid.push((ci, si, pi));
-            }
-        }
-    }
-    let grid = shard.select(grid);
-    // Baselines are shared by all nine configuration rows touching a
-    // program: build each distinct program of the owned cells once.
-    let needed: Vec<(usize, usize)> = {
-        let mut v: Vec<(usize, usize)> = grid.iter().map(|&(_, si, pi)| (si, pi)).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let prepared: Vec<(Module, u64)> = par_fan_out(&needed, |&(si, pi)| {
-        let base = build_baseline(&suites[si].1[pi]);
-        let cycles = measure_cycles(&base);
-        (base, cycles)
-    });
-    par_fan_out(&grid, |&(ci, si, pi)| {
-        let slot = needed
-            .binary_search(&(si, pi))
-            .expect("(si, pi) collected from grid");
-        let (base, base_cycles) = &prepared[slot];
-        let (cfg_name, cfg) = &configs[ci];
-        let obf = build_config(base, *cfg);
-        let cell = Fig7Cell {
-            suite: suites[si].0,
-            program: base.name.clone(),
-            config: cfg_name.clone(),
-            pipeline: cfg.fingerprint(),
-            overhead: overhead_pct(*base_cycles, measure_cycles(&obf)),
-        };
-        if let Some(store) = store {
-            persist_metrics_to(
-                store,
-                &cell.subject(),
-                cell.pipeline,
-                &[("overhead%", cell.overhead)],
-            );
-        }
-        cell
-    })
-}
-
-/// Prints the Figure-7 table (config rows, per-suite geometric means
-/// plus the overall GEOMEAN) from a complete cell grid.
-fn fig7_print_table(cells: &[Fig7Cell]) {
-    let suites = uniq(cells.iter().map(|c| c.suite));
-    let configs = uniq(cells.iter().map(|c| c.config.as_str()));
-    print!("{:<14}", "config");
-    for sname in &suites {
-        print!(" {sname:>15}");
-    }
-    println!(" {:>10}", "GEOMEAN");
-    for config in &configs {
-        let mut all = Vec::new();
-        print!("{config:<14}");
-        for suite in &suites {
-            let ohs: Vec<f64> = cells
-                .iter()
-                .filter(|c| c.config == *config && c.suite == *suite)
-                .map(|c| c.overhead)
-                .collect();
-            all.extend_from_slice(&ohs);
-            print!(" {:>14.1}%", geomean_ratio(&ohs));
-        }
-        println!(" {:>9.1}%", geomean_ratio(&all));
     }
 }
 
 /// **Figure 7** — overhead comparison against O-LLVM (Sub/Bog/Fla at
-/// 100%, Fla-10 at 10%) with geometric means per suite. Honours the
-/// active shard like [`fig10`]: a sharded run measures only its share
-/// of the `config × suite × program` grid, persists the cells into
-/// `KHAOS_STORE`, and prints them row-wise; `experiments fig7-merge
-/// <DIR...>` reassembles the full table.
+/// 100%, Fla-10 at 10%) with geometric means per suite.
 pub fn fig7(scope: Scope) {
-    println!("# Figure 7: runtime overhead (%) — O-LLVM vs Khaos (GEOMEAN)");
-    let shard = active_shard();
-    let store = artifact_store();
-    if !shard.is_full() && store.is_none() {
-        println!(
-            "# WARNING: sharded run without KHAOS_STORE — cells will be printed but \
-             not persisted, so fig7-merge cannot reassemble this shard"
-        );
-    }
-    let cells = fig7_cells(scope, shard, store.as_deref());
-    if shard.is_full() {
-        fig7_print_table(&cells);
-        return;
-    }
-    println!(
-        "# shard {shard}: {} of {} cells (merge with `experiments fig7-merge <store-dirs>`)",
-        cells.len(),
-        fig7_expected(scope).len()
-    );
-    println!(
-        "{:<14} {:<16} {:<10} {:>10}",
-        "suite", "program", "config", "overhead"
-    );
-    for c in &cells {
-        println!(
-            "{:<14} {:<16} {:<10} {:>9.1}%",
-            c.suite, c.program, c.config, c.overhead
-        );
-    }
-}
-
-/// Reassembles the complete Figure-7 grid from any union of shard
-/// stores, or lists every missing cell precisely.
-pub fn fig7_merge(scope: Scope, stores: &[&Store]) -> Result<Vec<Fig7Cell>, Vec<String>> {
-    let expected = fig7_expected(scope);
-    let pairs: Vec<(String, u64)> = expected.iter().map(|k| (k.subject(), k.pipeline)).collect();
-    let values = merge_grid(&["overhead%"], &pairs, stores)?;
-    Ok(expected
-        .into_iter()
-        .zip(values)
-        .map(|(k, v)| Fig7Cell {
-            suite: k.suite,
-            program: k.program,
-            config: k.config,
-            pipeline: k.pipeline,
-            overhead: v[0],
-        })
-        .collect())
-}
-
-/// `experiments fig7-merge DIR...` — reassembles and prints the full
-/// Figure-7 table from a union of shard stores, or lists every missing
-/// cell and fails. Returns whether the grid was complete.
-pub fn fig7_report(scope: Scope, store_dirs: &[String]) -> bool {
-    let expected = fig7_expected(scope);
-    merged_report(
-        "Figure 7",
-        scope,
-        expected.len(),
-        store_dirs,
-        fig7_merge,
-        fig7_print_table,
-    )
-}
-
-/// **Figure 7, elastic** — the grid as a leased work queue in the
-/// shared `KHAOS_STORE` (see [`crate::coordinator`]). Each unit is one
-/// cell and re-derives its baseline, so any worker can own any cell;
-/// the store's report and embedding tiers absorb most of the repeat
-/// cost. Returns `false` (without working) when no store is
-/// configured.
-pub fn fig7_elastic(scope: Scope) -> bool {
-    let Some(store) = artifact_store() else {
-        eprintln!("experiments: --elastic needs KHAOS_STORE (the shared store is the work queue)");
-        return false;
-    };
-    println!("# Figure 7: runtime overhead (%) — O-LLVM vs Khaos (GEOMEAN)");
-    println!("# elastic worker over {}", store.root().display());
-    let configs = fig7_configs();
-    let suites = fig7_suites(scope);
-    let mut grid: Vec<(usize, usize, usize)> = Vec::new();
-    for ci in 0..configs.len() {
-        for (si, (_, programs)) in suites.iter().enumerate() {
-            for pi in 0..programs.len() {
-                grid.push((ci, si, pi));
-            }
-        }
-    }
-    let units: Vec<WorkUnit> = grid
-        .iter()
-        .map(|&(ci, si, pi)| {
-            let (cfg_name, cfg) = &configs[ci];
-            let subject = fig7_subject(suites[si].0, &suites[si].1[pi].name, cfg_name);
-            WorkUnit {
-                label: subject.clone(),
-                lease: (subject.clone(), cfg.fingerprint()),
-                outputs: vec![(subject, cfg.fingerprint())],
-            }
-        })
-        .collect();
-    let summary = run_elastic(&store, "fig7", &units, |i| {
-        let (ci, si, pi) = grid[i];
-        let (cfg_name, cfg) = &configs[ci];
-        let src = &suites[si].1[pi];
-        let base = build_baseline(src);
-        let base_cycles = measure_cycles(&base);
-        let obf = build_config(&base, *cfg);
-        persist_metrics_to(
-            &store,
-            &fig7_subject(suites[si].0, &src.name, cfg_name),
-            cfg.fingerprint(),
-            &[("overhead%", overhead_pct(base_cycles, measure_cycles(&obf)))],
-        );
-    });
-    print_elastic_summary("fig7", &summary);
-    elastic_epilogue(fig7_merge(scope, &[&store]), |cells| {
-        fig7_print_table(cells)
-    })
+    grid::run(&Fig7::new(scope), scope, Mode::Plain);
 }
 
 /// **Figure 8** — Precision@1 of the five diffing tools against the eight
@@ -436,7 +260,6 @@ pub fn fig8(scope: Scope) {
     let configs = BuildConfig::figure8_set();
     let mut programs = t1_programs(scope);
     programs.extend(t2_programs(scope));
-    let programs = shard_select(active_shard(), "T-I + T-II programs", programs);
 
     print!("{:<10}", "config");
     for t in ["BinDiff", "VulSeeker", "Asm2Vec", "SAFE", "DeepBinDiff"] {
@@ -511,90 +334,64 @@ fn fig9_programs(scope: Scope) -> Vec<Module> {
     programs
 }
 
-/// The `khaos-store` report subject of one Figure-9 cell (one cell per
-/// program: the whole BinTuner-vs-Khaos row).
-pub fn fig9_subject(program: &str) -> String {
-    format!("fig9/{program}")
-}
-
-/// The stored metric names of one Figure-9 cell, in row order.
+/// The metric names of one Figure-9 cell, in row order.
 const FIG9_METRICS: [&str; 9] = [
     "bt/o0", "bt/o1", "bt/o2", "bt/o3", "kh/o0", "kh/o1", "kh/o2", "kh/o3", "bt-ovh%",
 ];
 
-/// The fingerprint keying Figure-9 cells: the Khaos side of the
-/// comparison (`FuFi.all | O2+lto`) — the BinTuner search has no
-/// pipeline spec of its own.
-fn fig9_pipeline() -> u64 {
-    BuildConfig::Khaos(KhaosMode::FuFiAll).fingerprint()
+/// **Figure 9** as a [`Grid`]: one unit and one cell per program,
+/// holding the BinDiff similarity of its BinTuner and Khaos
+/// (`FuFi.all`) builds against its `O0`–`O3` builds, plus BinTuner's
+/// runtime overhead against the `O2+LTO` baseline. Cells persist as
+/// `fig9/<program>` under the Khaos build's pipeline fingerprint (the
+/// BinTuner search has no pipeline spec of its own).
+pub struct Fig9 {
+    programs: Vec<Module>,
 }
 
-/// One measured Figure-9 cell: BinDiff similarity of the BinTuner and
-/// Khaos (`FuFi.all`) builds of `program` against its `O0`–`O3`
-/// reference builds, plus BinTuner's runtime overhead.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig9Cell {
-    /// Program name.
-    pub program: String,
-    /// Report keyspace fingerprint ([`Fig9CellKey::pipeline`]).
-    pub pipeline: u64,
-    /// BinTuner-build similarity vs `O0..O3`.
-    pub bt: [f64; 4],
-    /// Khaos-build similarity vs `O0..O3`.
-    pub kh: [f64; 4],
-    /// BinTuner runtime overhead (%) vs the `O2+LTO` baseline.
-    pub bt_overhead: f64,
-}
-
-impl Fig9Cell {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        fig9_subject(&self.program)
+impl Fig9 {
+    /// The Figure-9 grid at `scope`.
+    pub fn new(scope: Scope) -> Fig9 {
+        Fig9 {
+            programs: fig9_programs(scope),
+        }
     }
 }
 
-/// The identity of one expected Figure-9 cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig9CellKey {
-    /// Program name.
-    pub program: String,
-    /// Report keyspace fingerprint.
-    pub pipeline: u64,
-}
-
-impl Fig9CellKey {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        fig9_subject(&self.program)
+impl Grid for Fig9 {
+    fn name(&self) -> &'static str {
+        "Figure 9"
     }
-}
 
-/// Every cell of the Figure-9 grid in canonical (program) order.
-pub fn fig9_expected(scope: Scope) -> Vec<Fig9CellKey> {
-    fig9_programs(scope)
-        .iter()
-        .map(|m| Fig9CellKey {
-            program: m.name.clone(),
-            pipeline: fig9_pipeline(),
-        })
-        .collect()
-}
+    fn title(&self) -> &'static str {
+        "# Figure 9: BinDiff similarity — BinTuner vs Khaos (FuFi.all)"
+    }
 
-/// Measures `shard`'s share of the Figure-9 grid (one cell per
-/// program), persisting each cell into `store` when given. Cells are
-/// deterministic functions of `(program, seed)`, so shards merge
-/// bit-identically.
-pub fn fig9_cells(scope: Scope, shard: ShardSpec, store: Option<&Store>) -> Vec<Fig9Cell> {
-    let programs = shard.select(fig9_programs(scope));
-    let differ = BinDiff::default();
-    // Fan out per program: each worker runs the BinTuner search, the
-    // Khaos build, and the eight whole-binary comparisons.
-    par_fan_out(&programs, |src| {
+    fn metrics(&self) -> &'static [&'static str] {
+        &FIG9_METRICS
+    }
+
+    fn units(&self) -> Vec<WorkUnit> {
+        let pipeline = BuildConfig::Khaos(KhaosMode::FuFiAll).fingerprint();
+        self.programs
+            .iter()
+            .map(|m| {
+                let subject = format!("fig9/{}", m.name);
+                WorkUnit {
+                    label: subject.clone(),
+                    outputs: vec![(subject, pipeline)],
+                }
+            })
+            .collect()
+    }
+
+    fn compute(&self, unit: usize) -> Vec<Vec<f64>> {
+        let src = &self.programs[unit];
+        let differ = BinDiff::default();
         let refs: Vec<_> = OptLevel::ALL
             .iter()
             .map(|l| lower_module(&build_at(src, *l)))
             .collect();
-
         let tuned = BinTuner {
             budget: 16,
             seed: SEED,
@@ -603,230 +400,62 @@ pub fn fig9_cells(scope: Scope, shard: ShardSpec, store: Option<&Store>) -> Vec<
         let baseline = build_baseline(src);
         let base_cycles = measure_cycles(&baseline);
         let bt_overhead = overhead_pct(base_cycles, measure_cycles(&tuned.module));
-
         let (khaos, _) = khaos_apply(&baseline, KhaosMode::FuFiAll, SEED);
         let khaos_bin = lower_module(&khaos);
-
-        let bt: Vec<f64> = refs
+        let mut row: Vec<f64> = refs
             .iter()
             .map(|r| binary_similarity(&differ, r, &tuned.binary))
             .collect();
-        let kh: Vec<f64> = refs
-            .iter()
-            .map(|r| binary_similarity(&differ, r, &khaos_bin))
-            .collect();
-        let cell = Fig9Cell {
-            program: src.name.clone(),
-            pipeline: fig9_pipeline(),
-            bt: [bt[0], bt[1], bt[2], bt[3]],
-            kh: [kh[0], kh[1], kh[2], kh[3]],
-            bt_overhead,
+        row.extend(
+            refs.iter()
+                .map(|r| binary_similarity(&differ, r, &khaos_bin)),
+        );
+        row.push(bt_overhead);
+        vec![row]
+    }
+
+    /// Per-program rows plus the GEOMEAN row.
+    fn print(&self, cells: &[Vec<f64>]) {
+        println!(
+            "{:<18} {:>8} {:>8} {:>8} {:>8}   {:>8} {:>8} {:>8} {:>8} {:>10}",
+            "program",
+            "BT/O0",
+            "BT/O1",
+            "BT/O2",
+            "BT/O3",
+            "KH/O0",
+            "KH/O1",
+            "KH/O2",
+            "KH/O3",
+            "BT-ovh%"
+        );
+        let line = |label: &str, similarity: &[f64], overhead: f64| {
+            let mut row = format!("{label:<18}");
+            for (k, s) in similarity.iter().enumerate() {
+                if k == 4 {
+                    row.push_str("  ");
+                }
+                row.push_str(&format!(" {s:>8.3}"));
+            }
+            println!("{row} {overhead:>9.1}%");
         };
-        if let Some(store) = store {
-            persist_metrics_to(store, &cell.subject(), cell.pipeline, &fig9_metrics(&cell));
+        for (m, row) in self.programs.iter().zip(cells) {
+            line(&m.name, &row[..8], row[8]);
         }
-        cell
-    })
-}
-
-/// The cell's stored metric pairs, in [`FIG9_METRICS`] order.
-fn fig9_metrics(cell: &Fig9Cell) -> Vec<(&'static str, f64)> {
-    let values = [
-        cell.bt[0],
-        cell.bt[1],
-        cell.bt[2],
-        cell.bt[3],
-        cell.kh[0],
-        cell.kh[1],
-        cell.kh[2],
-        cell.kh[3],
-        cell.bt_overhead,
-    ];
-    FIG9_METRICS.iter().copied().zip(values).collect()
-}
-
-fn fig9_row(cell: &Fig9Cell) -> String {
-    let mut row = format!("{:<18}", cell.program);
-    for s in cell.bt {
-        row.push_str(&format!(" {s:>8.3}"));
+        let column = |k: usize| -> Vec<f64> { cells.iter().map(|row| row[k]).collect() };
+        let means: Vec<f64> = (0..8).map(|k| geomean(&column(k))).collect();
+        line("GEOMEAN", &means, geomean_ratio(&column(8)));
+        println!(
+            "# paper: Khaos scores well below BinTuner at every level; BinTuner overhead 30.35%"
+        );
     }
-    row.push_str("  ");
-    for s in cell.kh {
-        row.push_str(&format!(" {s:>8.3}"));
-    }
-    row.push_str(&format!(" {:>9.1}%", cell.bt_overhead));
-    row
-}
-
-fn fig9_print_header() {
-    println!(
-        "{:<18} {:>8} {:>8} {:>8} {:>8}   {:>8} {:>8} {:>8} {:>8} {:>10}",
-        "program",
-        "BT/O0",
-        "BT/O1",
-        "BT/O2",
-        "BT/O3",
-        "KH/O0",
-        "KH/O1",
-        "KH/O2",
-        "KH/O3",
-        "BT-ovh%"
-    );
-}
-
-/// Prints the Figure-9 table (per-program rows plus the GEOMEAN row)
-/// from a complete cell grid.
-fn fig9_print_table(cells: &[Fig9Cell]) {
-    fig9_print_header();
-    let mut bt_cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    let mut kh_cols: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    let mut bt_overheads = Vec::new();
-    for cell in cells {
-        bt_overheads.push(cell.bt_overhead);
-        for k in 0..4 {
-            bt_cols[k].push(cell.bt[k]);
-            kh_cols[k].push(cell.kh[k]);
-        }
-        println!("{}", fig9_row(cell));
-    }
-    let mut row = format!("{:<18}", "GEOMEAN");
-    for c in &bt_cols {
-        row.push_str(&format!(" {:>8.3}", geomean(c)));
-    }
-    row.push_str("  ");
-    for c in &kh_cols {
-        row.push_str(&format!(" {:>8.3}", geomean(c)));
-    }
-    row.push_str(&format!(" {:>9.1}%", geomean_ratio(&bt_overheads)));
-    println!("{row}");
-    println!("# paper: Khaos scores well below BinTuner at every level; BinTuner overhead 30.35%");
 }
 
 /// **Figure 9** — BinDiff similarity of BinTuner and Khaos builds against
 /// `O0`–`O3` reference builds, plus BinTuner's runtime overhead against
-/// the paper's `O2+LTO` Khaos baseline (paper reports 30.35%). Honours
-/// the active shard like [`fig10`]; `experiments fig9-merge <DIR...>`
-/// reassembles the full table from shard stores.
+/// the paper's `O2+LTO` Khaos baseline (paper reports 30.35%).
 pub fn fig9(scope: Scope) {
-    println!("# Figure 9: BinDiff similarity — BinTuner vs Khaos (FuFi.all)");
-    let shard = active_shard();
-    let store = artifact_store();
-    if !shard.is_full() && store.is_none() {
-        println!(
-            "# WARNING: sharded run without KHAOS_STORE — cells will be printed but \
-             not persisted, so fig9-merge cannot reassemble this shard"
-        );
-    }
-    let cells = fig9_cells(scope, shard, store.as_deref());
-    if shard.is_full() {
-        fig9_print_table(&cells);
-        return;
-    }
-    println!(
-        "# shard {shard}: {} of {} cells (merge with `experiments fig9-merge <store-dirs>`)",
-        cells.len(),
-        fig9_expected(scope).len()
-    );
-    fig9_print_header();
-    for cell in &cells {
-        println!("{}", fig9_row(cell));
-    }
-}
-
-/// Reassembles the complete Figure-9 grid from any union of shard
-/// stores, or lists every missing cell precisely.
-pub fn fig9_merge(scope: Scope, stores: &[&Store]) -> Result<Vec<Fig9Cell>, Vec<String>> {
-    let expected = fig9_expected(scope);
-    let pairs: Vec<(String, u64)> = expected.iter().map(|k| (k.subject(), k.pipeline)).collect();
-    let values = merge_grid(&FIG9_METRICS, &pairs, stores)?;
-    Ok(expected
-        .into_iter()
-        .zip(values)
-        .map(|(k, v)| Fig9Cell {
-            program: k.program,
-            pipeline: k.pipeline,
-            bt: [v[0], v[1], v[2], v[3]],
-            kh: [v[4], v[5], v[6], v[7]],
-            bt_overhead: v[8],
-        })
-        .collect())
-}
-
-/// `experiments fig9-merge DIR...` — reassembles and prints the full
-/// Figure-9 table from a union of shard stores, or lists every missing
-/// cell and fails. Returns whether the grid was complete.
-pub fn fig9_report(scope: Scope, store_dirs: &[String]) -> bool {
-    let expected = fig9_expected(scope);
-    merged_report(
-        "Figure 9",
-        scope,
-        expected.len(),
-        store_dirs,
-        fig9_merge,
-        fig9_print_table,
-    )
-}
-
-/// **Figure 9, elastic** — one work unit per program on the shared
-/// store's leased work queue (see [`crate::coordinator`]). Returns
-/// `false` (without working) when no store is configured.
-pub fn fig9_elastic(scope: Scope) -> bool {
-    let Some(store) = artifact_store() else {
-        eprintln!("experiments: --elastic needs KHAOS_STORE (the shared store is the work queue)");
-        return false;
-    };
-    println!("# Figure 9: BinDiff similarity — BinTuner vs Khaos (FuFi.all)");
-    println!("# elastic worker over {}", store.root().display());
-    let programs = fig9_programs(scope);
-    let units: Vec<WorkUnit> = programs
-        .iter()
-        .map(|m| {
-            let subject = fig9_subject(&m.name);
-            WorkUnit {
-                label: subject.clone(),
-                lease: (subject.clone(), fig9_pipeline()),
-                outputs: vec![(subject, fig9_pipeline())],
-            }
-        })
-        .collect();
-    let differ = BinDiff::default();
-    let summary = run_elastic(&store, "fig9", &units, |i| {
-        let src = &programs[i];
-        let refs: Vec<_> = OptLevel::ALL
-            .iter()
-            .map(|l| lower_module(&build_at(src, *l)))
-            .collect();
-        let tuned = BinTuner {
-            budget: 16,
-            seed: SEED,
-        }
-        .tune(src);
-        let baseline = build_baseline(src);
-        let base_cycles = measure_cycles(&baseline);
-        let bt_overhead = overhead_pct(base_cycles, measure_cycles(&tuned.module));
-        let (khaos, _) = khaos_apply(&baseline, KhaosMode::FuFiAll, SEED);
-        let khaos_bin = lower_module(&khaos);
-        let bt: Vec<f64> = refs
-            .iter()
-            .map(|r| binary_similarity(&differ, r, &tuned.binary))
-            .collect();
-        let kh: Vec<f64> = refs
-            .iter()
-            .map(|r| binary_similarity(&differ, r, &khaos_bin))
-            .collect();
-        let cell = Fig9Cell {
-            program: src.name.clone(),
-            pipeline: fig9_pipeline(),
-            bt: [bt[0], bt[1], bt[2], bt[3]],
-            kh: [kh[0], kh[1], kh[2], kh[3]],
-            bt_overhead,
-        };
-        persist_metrics_to(&store, &cell.subject(), cell.pipeline, &fig9_metrics(&cell));
-    });
-    print_elastic_summary("fig9", &summary);
-    elastic_epilogue(fig9_merge(scope, &[&store]), |cells| {
-        fig9_print_table(cells)
-    })
+    grid::run(&Fig9::new(scope), scope, Mode::Plain);
 }
 
 /// The escape thresholds of Figure 10 (the paper's `escape@{1,10,50}`).
@@ -855,7 +484,7 @@ fn fig10_tools() -> Vec<(&'static str, Box<dyn Differ + Sync>)> {
 }
 
 /// The T-III programs of Figure 10; `--quick` trims the suite so the
-/// sharding end-to-end tests stay cheap.
+/// grid end-to-end tests stay cheap.
 fn fig10_programs(scope: Scope) -> Vec<Module> {
     let mut v = tiii();
     if scope == Scope::Quick {
@@ -864,525 +493,120 @@ fn fig10_programs(scope: Scope) -> Vec<Module> {
     v
 }
 
-/// The `khaos-store` report subject of one Figure-10 cell — together
-/// with the config pipeline's fingerprint and [`SEED`] this is the
-/// cell's complete `ReportKey`, so any process that knows the grid can
-/// query (or check for) the cell without recomputing anything.
-pub fn fig10_subject(program: &str, config: &str, tool: &str) -> String {
-    format!("fig10/{program}/{config}/{tool}")
+/// **Figure 10** as a [`Grid`]: one unit per T-III program, one cell
+/// per `(config, tool)`, holding the tool's `escape@{1,10,50}`
+/// ([`FIG10_KS`]) on the program built under the configuration. The
+/// expensive part of a cell is the build, shared by the three tool
+/// cells of a configuration. Cells persist as
+/// `fig10/<program>/<config>/<tool>` under the configuration's
+/// pipeline fingerprint.
+pub struct Fig10 {
+    programs: Vec<Module>,
+    configs: Vec<(String, BuildConfig)>,
+    tools: Vec<(&'static str, Box<dyn Differ + Sync>)>,
 }
 
-/// One measured Figure-10 cell: the escape profile of `tool` on
-/// `program` built under `config`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig10Cell {
-    /// Program name (T-III member).
-    pub program: String,
-    /// Configuration display name (Figure-10 row).
-    pub config: String,
-    /// Differ name (Figure-10 column).
-    pub tool: &'static str,
-    /// `Pipeline::fingerprint()` of the configuration's build spec —
-    /// the report keyspace the cell persists under.
-    pub pipeline: u64,
-    /// `escape@{1,10,50}` ([`FIG10_KS`]).
-    pub escape: [f64; 3],
-}
-
-impl Fig10Cell {
-    /// The cell's store subject (same form as [`Fig10CellKey::subject`]).
-    pub fn subject(&self) -> String {
-        fig10_subject(&self.program, &self.config, self.tool)
-    }
-}
-
-/// The identity of one expected Figure-10 cell (no measurement) — what
-/// the merge layer checks a union of shard stores against.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig10CellKey {
-    /// Program name.
-    pub program: String,
-    /// Configuration display name.
-    pub config: String,
-    /// Differ name.
-    pub tool: &'static str,
-    /// Configuration pipeline fingerprint.
-    pub pipeline: u64,
-}
-
-impl Fig10CellKey {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        fig10_subject(&self.program, &self.config, self.tool)
-    }
-}
-
-/// Every cell of the Figure-10 grid in canonical order (the flattened
-/// `config × program` grid of [`fig10_cells`], tools innermost) —
-/// the completeness contract [`fig10_merge`] enforces.
-pub fn fig10_expected(scope: Scope) -> Vec<Fig10CellKey> {
-    let configs = fig10_configs();
-    let tools = fig10_tools();
-    let programs = fig10_programs(scope);
-    let mut out = Vec::new();
-    for (config, cfg) in &configs {
-        for program in &programs {
-            for (tool, _) in &tools {
-                out.push(Fig10CellKey {
-                    program: program.name.clone(),
-                    config: config.clone(),
-                    tool,
-                    pipeline: cfg.fingerprint(),
-                });
-            }
+impl Fig10 {
+    /// The Figure-10 grid at `scope`.
+    pub fn new(scope: Scope) -> Fig10 {
+        Fig10 {
+            programs: fig10_programs(scope),
+            configs: fig10_configs(),
+            tools: fig10_tools(),
         }
     }
-    out
 }
 
-/// Measures `shard`'s share of the Figure-10 grid, returning its cells
-/// in canonical grid order and persisting each into `store` (when
-/// given) under the cell's `ReportKey`.
-///
-/// The shard partitions the **flattened `config × program` grid** —
-/// the expensive unit is one obfuscated build, shared by all three
-/// tools, so tools stay inside the cell. Every cell is a deterministic
-/// function of `(program, config, seed)` alone: any shard of any
-/// process computes bit-identical values for the cells it owns, which
-/// is what lets [`fig10_merge`] reassemble a grid from machines that
-/// never shared memory (pinned by `tests/shard_e2e.rs`).
-pub fn fig10_cells(scope: Scope, shard: ShardSpec, store: Option<&Store>) -> Vec<Fig10Cell> {
-    let configs = fig10_configs();
-    let tools = fig10_tools();
-    let programs = fig10_programs(scope);
+impl Grid for Fig10 {
+    fn name(&self) -> &'static str {
+        "Figure 10"
+    }
 
-    // One flat (config × program) grid: a single fan-out level keeps
-    // concurrency at ~core count instead of multiplying config workers
-    // by program workers — and gives the shard its index space. The
-    // shard is applied *before* the baseline builds so a shard only
-    // pays for the programs its cells actually touch.
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|ci| (0..programs.len()).map(move |pi| (ci, pi)))
-        .collect();
-    let grid = shard.select(grid);
-    // Baselines are shared by every config row touching the program;
-    // build each distinct program of the owned cells exactly once.
-    // (Baselines are deterministic per program, so building a subset
-    // yields the same binaries the full run would — cell values stay
-    // shard-independent.)
-    let needed: Vec<usize> = {
-        let mut v: Vec<usize> = grid.iter().map(|&(_, pi)| pi).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let prepared: Vec<_> = par_fan_out(&needed, |&pi| {
-        let base = build_baseline(&programs[pi]);
-        (lower_module(&base), base)
-    });
-    let cells: Vec<Vec<Fig10Cell>> = par_fan_out(&grid, |&(ci, pi)| {
-        let slot = needed.binary_search(&pi).expect("pi collected from grid");
-        let (base_bin, base) = &prepared[slot];
-        let (cfg_name, cfg) = &configs[ci];
-        let obf_bin = build_binary(base, *cfg);
-        tools
+    fn title(&self) -> &'static str {
+        "# Figure 10: escape ratio of vulnerable functions (T-III)"
+    }
+
+    fn metrics(&self) -> &'static [&'static str] {
+        &["escape@1", "escape@10", "escape@50"]
+    }
+
+    fn units(&self) -> Vec<WorkUnit> {
+        let configs: Vec<(&str, u64)> = self
+            .configs
             .iter()
-            .map(|(tool_name, tool)| {
-                let profile = escape_profile(tool.as_ref(), base_bin, &obf_bin, &FIG10_KS);
-                let cell = Fig10Cell {
-                    program: base_bin.name.clone(),
-                    config: cfg_name.clone(),
-                    tool: tool_name,
-                    pipeline: cfg.fingerprint(),
-                    escape: [profile[0], profile[1], profile[2]],
-                };
-                // Durable per-cell result, keyed by the build pipeline's
-                // fingerprint (no-op without a store).
-                if let Some(store) = store {
-                    persist_metrics_to(
-                        store,
-                        &cell.subject(),
-                        cell.pipeline,
-                        &[
-                            ("escape@1", cell.escape[0]),
-                            ("escape@10", cell.escape[1]),
-                            ("escape@50", cell.escape[2]),
-                        ],
-                    );
-                }
-                cell
+            .map(|(name, cfg)| (name.as_str(), cfg.fingerprint()))
+            .collect();
+        self.programs
+            .iter()
+            .map(|m| WorkUnit {
+                label: format!("fig10/{}", m.name),
+                outputs: configs
+                    .iter()
+                    .flat_map(|(config, fp)| {
+                        self.tools.iter().map(move |(tool, _)| {
+                            (format!("fig10/{}/{config}/{tool}", m.name), *fp)
+                        })
+                    })
+                    .collect(),
             })
             .collect()
-    });
-    cells.into_iter().flatten().collect()
-}
-
-/// First-seen-order dedup — the row/column orders of the printed
-/// tables, derived from the cells themselves.
-fn uniq<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
-    let mut v = Vec::new();
-    for x in items {
-        if !v.contains(&x) {
-            v.push(x);
-        }
     }
-    v
-}
 
-/// Prints the Figure-10 tables (one per threshold, config rows × tool
-/// columns, averaged over programs) from a complete cell grid. The
-/// header names the grid's actual dimensions — a merge run at a
-/// different scope than the shards (e.g. `--quick fig10-merge` over
-/// full-scope stores) is then visibly a truncated grid, not silently a
-/// smaller Figure 10.
-fn fig10_print_tables(cells: &[Fig10Cell]) {
-    let programs = uniq(cells.iter().map(|c| c.program.as_str()));
-    println!(
-        "# grid: {} cells over {} program(s): {}",
-        cells.len(),
-        programs.len(),
-        programs.join(", ")
-    );
-    let configs = uniq(cells.iter().map(|c| c.config.as_str()));
-    let tools = uniq(cells.iter().map(|c| c.tool));
-    for (ki, k) in FIG10_KS.iter().enumerate() {
-        println!("\n## escape@{k}");
-        print!("{:<10}", "config");
-        for t in &tools {
-            print!(" {t:>10}");
+    fn compute(&self, unit: usize) -> Vec<Vec<f64>> {
+        let base = build_baseline(&self.programs[unit]);
+        let base_bin = lower_module(&base);
+        let mut rows = Vec::new();
+        for (_, cfg) in &self.configs {
+            let obf_bin = build_binary(&base, *cfg);
+            for (_, tool) in &self.tools {
+                rows.push(escape_profile(
+                    tool.as_ref(),
+                    &base_bin,
+                    &obf_bin,
+                    &FIG10_KS,
+                ));
+            }
         }
-        println!();
-        for config in &configs {
-            print!("{config:<10}");
-            for tool in &tools {
-                let scores: Vec<f64> = cells
-                    .iter()
-                    .filter(|c| c.config == *config && c.tool == *tool)
-                    .map(|c| c.escape[ki])
-                    .collect();
-                let avg = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
-                print!(" {avg:>10.2}");
+        rows
+    }
+
+    /// One table per threshold: config rows × tool columns, averaged
+    /// over programs. The header names the grid's programs, so a merge
+    /// at another scope than its workers' is visibly a different grid.
+    fn print(&self, cells: &[Vec<f64>]) {
+        let programs: Vec<&str> = self.programs.iter().map(|m| m.name.as_str()).collect();
+        println!(
+            "# grid: {} cells over {} program(s): {}",
+            cells.len(),
+            programs.len(),
+            programs.join(", ")
+        );
+        let tools = self.tools.len();
+        let units: Vec<&[Vec<f64>]> = cells.chunks(self.configs.len() * tools).collect();
+        for (ki, k) in FIG10_KS.iter().enumerate() {
+            println!("\n## escape@{k}");
+            print!("{:<10}", "config");
+            for (t, _) in &self.tools {
+                print!(" {t:>10}");
             }
             println!();
+            for (ci, (config, _)) in self.configs.iter().enumerate() {
+                print!("{config:<10}");
+                for ti in 0..tools {
+                    let scores: Vec<f64> = units.iter().map(|u| u[ci * tools + ti][ki]).collect();
+                    let avg = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
+                    print!(" {avg:>10.2}");
+                }
+                println!();
+            }
         }
     }
 }
 
 /// **Figure 10** — escape@1/10/50 of the T-III vulnerable functions under
-/// each obfuscation. Honours the active shard (`KHAOS_SHARD` /
-/// `--shard i/n`): a sharded run measures only its share of the
-/// `config × program` grid, persists the cells into `KHAOS_STORE`, and
-/// prints them row-wise; `experiments fig10-merge <DIR...>` reassembles
-/// the full tables from any union of shard stores.
+/// each obfuscation.
 pub fn fig10(scope: Scope) {
-    println!("# Figure 10: escape ratio of vulnerable functions (T-III)");
-    let shard = active_shard();
-    let store = artifact_store();
-    if !shard.is_full() && store.is_none() {
-        println!(
-            "# WARNING: sharded run without KHAOS_STORE — cells will be printed but \
-             not persisted, so fig10-merge cannot reassemble this shard"
-        );
-    }
-    let cells = fig10_cells(scope, shard, store.as_deref());
-    if shard.is_full() {
-        fig10_print_tables(&cells);
-        return;
-    }
-    println!(
-        "# shard {shard}: {} of {} cells (merge with `experiments fig10-merge <store-dirs>`)",
-        cells.len(),
-        fig10_expected(scope).len()
-    );
-    println!(
-        "{:<16} {:<10} {:<10} {:>9} {:>9} {:>9}",
-        "program", "config", "tool", "escape@1", "escape@10", "escape@50"
-    );
-    for c in &cells {
-        println!(
-            "{:<16} {:<10} {:<10} {:>9.2} {:>9.2} {:>9.2}",
-            c.program, c.config, c.tool, c.escape[0], c.escape[1], c.escape[2]
-        );
-    }
-}
-
-/// Reassembles the complete Figure-10 grid from any union of shard
-/// stores (earlier stores win on duplicate cells, though duplicates are
-/// bit-identical by determinism). Returns the cells in canonical grid
-/// order, or — when any expected cell is missing from every store — an
-/// `Err` listing each missing cell precisely (subject + pipeline
-/// fingerprint), so an operator can see exactly which shard never ran
-/// or never persisted.
-pub fn fig10_merge(scope: Scope, stores: &[&Store]) -> Result<Vec<Fig10Cell>, Vec<String>> {
-    fig10_merge_expected(&fig10_expected(scope), stores)
-}
-
-/// Looks up every expected `(subject, pipeline)` cell across a union
-/// of stores, returning each cell's metric values (in `metrics` order)
-/// in expected order — or, when any cell is missing from every store,
-/// an `Err` listing each missing cell precisely (subject + pipeline
-/// fingerprint), so an operator can see exactly which shard never ran
-/// or never persisted. Every `figN_merge`/`table2_merge` is this one
-/// contract over its own grid.
-fn merge_grid(
-    metrics: &[&str],
-    expected: &[(String, u64)],
-    stores: &[&Store],
-) -> Result<Vec<Vec<f64>>, Vec<String>> {
-    let mut cells = Vec::new();
-    let mut missing = Vec::new();
-    for (subject, pipeline) in expected {
-        let report_key = ReportKey {
-            pipeline: *pipeline,
-            seed: SEED,
-            subject,
-        };
-        // A store I/O failure is not "the shard never ran" — keep the
-        // distinction so the operator fixes the store instead of
-        // re-running an expensive shard sweep. (Corrupt records decode
-        // to `Ok(None)` by design; `khaos-store verify` names those.)
-        let mut found = None;
-        let mut read_errors = Vec::new();
-        for s in stores {
-            match s.get_report(&report_key) {
-                Ok(Some(r)) => {
-                    found = Some(r);
-                    break;
-                }
-                Ok(None) => {}
-                Err(e) => read_errors.push(format!("{}: {e}", s.root().display())),
-            }
-        }
-        let Some(report) = found else {
-            missing.push(if read_errors.is_empty() {
-                format!("{subject} (pipeline {pipeline:016x}, seed {:#x})", SEED)
-            } else {
-                // Name every failing store, not just the last — the
-                // operator should fix them all in one pass.
-                format!(
-                    "{subject} (store read error — cell may exist: {})",
-                    read_errors.join("; ")
-                )
-            });
-            continue;
-        };
-        let values: Option<Vec<f64>> = metrics
-            .iter()
-            .map(|name| {
-                report
-                    .metrics
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, v)| *v)
-            })
-            .collect();
-        match values {
-            Some(v) => cells.push(v),
-            None => missing.push(format!(
-                "{subject} (record present but missing {} metrics)",
-                metrics.join("/")
-            )),
-        }
-    }
-    if missing.is_empty() {
-        Ok(cells)
-    } else {
-        Err(missing)
-    }
-}
-
-/// [`fig10_merge`] against an already-computed expected grid (the
-/// merge CLI computes the grid once and reuses it for its header and
-/// missing-cell accounting — regenerating it re-synthesizes the whole
-/// T-III suite).
-fn fig10_merge_expected(
-    expected: &[Fig10CellKey],
-    stores: &[&Store],
-) -> Result<Vec<Fig10Cell>, Vec<String>> {
-    let pairs: Vec<(String, u64)> = expected.iter().map(|k| (k.subject(), k.pipeline)).collect();
-    let values = merge_grid(&["escape@1", "escape@10", "escape@50"], &pairs, stores)?;
-    Ok(expected
-        .iter()
-        .zip(values)
-        .map(|(k, v)| Fig10Cell {
-            program: k.program.clone(),
-            config: k.config.clone(),
-            tool: k.tool,
-            pipeline: k.pipeline,
-            escape: [v[0], v[1], v[2]],
-        })
-        .collect())
-}
-
-/// Shared driver of the `figN-merge`/`table2-merge` CLI targets: opens
-/// every store (a typo'd path must be an error, not an empty store
-/// whose every cell reads as missing), runs the figure's merge, and
-/// prints the merged table or the precise missing-cell listing.
-/// Returns whether the grid was complete.
-fn merged_report<T>(
-    what: &str,
-    scope: Scope,
-    expected_len: usize,
-    store_dirs: &[String],
-    merge: impl FnOnce(Scope, &[&Store]) -> Result<Vec<T>, Vec<String>>,
-    print: impl FnOnce(&[T]),
-) -> bool {
-    println!("# {what} (merged from {} store(s))", store_dirs.len());
-    println!(
-        "# scope: {scope:?} — expecting {expected_len} cells; match the shards' --quick \
-         flag, or a full-scope store merges into a silently smaller grid"
-    );
-    let mut stores = Vec::new();
-    for dir in store_dirs {
-        match Store::open_existing(dir) {
-            Ok(s) => stores.push(s),
-            Err(e) => {
-                println!("# cannot open store `{dir}`: {e}");
-                return false;
-            }
-        }
-    }
-    let refs: Vec<&Store> = stores.iter().collect();
-    match merge(scope, &refs) {
-        Ok(cells) => {
-            print(&cells);
-            true
-        }
-        Err(missing) => {
-            println!(
-                "# INCOMPLETE GRID: {} of {expected_len} cells missing:",
-                missing.len()
-            );
-            for m in &missing {
-                println!("#   missing {m}");
-            }
-            false
-        }
-    }
-}
-
-/// Prints one worker's elastic-loop accounting (stderr, like the
-/// steal lines — stdout stays the figure's table).
-fn print_elastic_summary(what: &str, s: &ElasticSummary) {
-    eprintln!(
-        "# elastic {what}: {} unit(s) — {} computed here, {} already done, \
-         {} stale lease(s) stolen, {} round(s)",
-        s.units, s.computed, s.already_done, s.stolen, s.rounds
-    );
-}
-
-/// After an elastic run every unit's records exist, so the merge can
-/// only fail on a scope mismatch (records persisted under a different
-/// `--quick` grid) — still reported precisely rather than silently.
-fn elastic_epilogue<T>(merge: Result<Vec<T>, Vec<String>>, print: impl FnOnce(&[T])) -> bool {
-    match merge {
-        Ok(cells) => {
-            print(&cells);
-            true
-        }
-        Err(missing) => {
-            println!("# INCOMPLETE GRID: {} cells missing:", missing.len());
-            for m in &missing {
-                println!("#   missing {m}");
-            }
-            false
-        }
-    }
-}
-
-/// `experiments fig10-merge DIR...` — reassembles and prints the full
-/// Figure-10 tables from a union of shard stores, or lists every
-/// missing cell and fails. Returns whether the grid was complete.
-pub fn fig10_report(scope: Scope, store_dirs: &[String]) -> bool {
-    // One grid generation serves the header, the merge and the
-    // missing-cell accounting.
-    let expected = fig10_expected(scope);
-    merged_report(
-        "Figure 10",
-        scope,
-        expected.len(),
-        store_dirs,
-        |_, refs| fig10_merge_expected(&expected, refs),
-        fig10_print_tables,
-    )
-}
-
-/// **Figure 10, elastic** — the `config × program` grid as a leased
-/// work queue in the shared `KHAOS_STORE` (see [`crate::coordinator`]).
-/// One work unit is one obfuscated build shared by all three tool
-/// columns — the same grain as the static path, so a redone unit
-/// recomputes exactly the records a dead worker owed. Any number of
-/// workers run this concurrently; each prints the complete merged
-/// tables once the grid's records all exist. Returns `false` (without
-/// working) when no store is configured.
-pub fn fig10_elastic(scope: Scope) -> bool {
-    let Some(store) = artifact_store() else {
-        eprintln!("experiments: --elastic needs KHAOS_STORE (the shared store is the work queue)");
-        return false;
-    };
-    println!("# Figure 10: escape ratio of vulnerable functions (T-III)");
-    println!("# elastic worker over {}", store.root().display());
-    let summary = fig10_elastic_sweep(scope, &store, Store::lease_horizon());
-    print_elastic_summary("fig10", &summary);
-    elastic_epilogue(fig10_merge(scope, &[&store]), |cells| {
-        fig10_print_tables(cells)
-    })
-}
-
-/// One worker's pass over the Figure-10 work queue at an explicit
-/// lease `horizon` (tests inject a tiny horizon to exercise stealing
-/// without touching the process-global `KHAOS_LEASE_MS`). Returns
-/// once every unit's records exist in `store`.
-pub fn fig10_elastic_sweep(
-    scope: Scope,
-    store: &Store,
-    horizon: std::time::Duration,
-) -> ElasticSummary {
-    let configs = fig10_configs();
-    let tools = fig10_tools();
-    let programs = fig10_programs(scope);
-    let grid: Vec<(usize, usize)> = (0..configs.len())
-        .flat_map(|ci| (0..programs.len()).map(move |pi| (ci, pi)))
-        .collect();
-    let units: Vec<WorkUnit> = grid
-        .iter()
-        .map(|&(ci, pi)| {
-            let (cfg_name, cfg) = &configs[ci];
-            let program = &programs[pi].name;
-            WorkUnit {
-                label: format!("fig10/{program}/{cfg_name}"),
-                lease: (
-                    fig10_subject(program, cfg_name, tools[0].0),
-                    cfg.fingerprint(),
-                ),
-                outputs: tools
-                    .iter()
-                    .map(|(t, _)| (fig10_subject(program, cfg_name, t), cfg.fingerprint()))
-                    .collect(),
-            }
-        })
-        .collect();
-    run_elastic_with(store, "fig10", &units, horizon, |i| {
-        let (ci, pi) = grid[i];
-        let (cfg_name, cfg) = &configs[ci];
-        let src = &programs[pi];
-        let base = build_baseline(src);
-        let base_bin = lower_module(&base);
-        let obf_bin = build_binary(&base, *cfg);
-        for (tool_name, tool) in &tools {
-            let profile = escape_profile(tool.as_ref(), &base_bin, &obf_bin, &FIG10_KS);
-            persist_metrics_to(
-                store,
-                &fig10_subject(&src.name, cfg_name, tool_name),
-                cfg.fingerprint(),
-                &[
-                    ("escape@1", profile[0]),
-                    ("escape@10", profile[1]),
-                    ("escape@50", profile[2]),
-                ],
-            );
-        }
-    })
+    grid::run(&Fig10::new(scope), scope, Mode::Plain);
 }
 
 /// **Figure 11** — normalized opcode-histogram distance of every
@@ -1403,7 +627,7 @@ pub fn fig11(scope: Scope) {
             .iter()
             .map(|m| (m.name().to_string(), Some(BuildConfig::Khaos(*m)))),
     );
-    let programs = shard_select(active_shard(), "T-I programs", t1_programs(scope));
+    let programs = t1_programs(scope);
 
     // Fan out per program; each worker builds every configuration.
     let rows = par_fan_out(&programs, |src| {
@@ -1502,284 +726,101 @@ fn table2_suites(scope: Scope) -> Vec<(&'static str, Vec<Module>)> {
     }
 }
 
-/// The `khaos-store` report subject of one Table-2 cell (one cell per
-/// program: its raw fission + fusion counters).
-pub fn table2_subject(suite: &str, program: &str) -> String {
-    format!("table2/{suite}/{program}")
+/// **Table 2** as a [`Grid`]: one unit and one cell per program,
+/// holding the fission counters of its pure-fission build and the
+/// fusion counters of its pure-fusion build (the paper measures the
+/// primitives individually, "without the combination"). Cells persist
+/// as `table2/<suite>/<program>` under the fission build's pipeline
+/// fingerprint, as the raw counters in [`STATS_COUNTERS`] order, not
+/// the derived ratios: counters sum per suite and ratios do not, which
+/// keeps a merged table bit-identical to a single-process run.
+pub struct Table2 {
+    programs: Vec<(&'static str, Module)>,
 }
 
-/// The fingerprint keying Table-2 cells (the fission build's pipeline;
-/// one cell covers both primitive builds).
-fn table2_pipeline() -> u64 {
-    BuildConfig::Khaos(KhaosMode::Fission).fingerprint()
-}
-
-/// One measured Table-2 cell: the fission/fusion counters of one
-/// program (fission stats from a pure-fission build, fusion stats from
-/// a pure-fusion build — the paper measures the primitives
-/// individually, "without the combination").
-#[derive(Clone, Debug, PartialEq)]
-pub struct Table2Cell {
-    /// Suite the program belongs to (Table-2 row).
-    pub suite: &'static str,
-    /// Program name.
-    pub program: String,
-    /// Report keyspace fingerprint.
-    pub pipeline: u64,
-    /// Fission counters of the pure-fission build.
-    pub fission: FissionStats,
-    /// Fusion counters of the pure-fusion build.
-    pub fusion: FusionStats,
-}
-
-impl Table2Cell {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        table2_subject(self.suite, &self.program)
-    }
-}
-
-/// The identity of one expected Table-2 cell.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Table2CellKey {
-    /// Suite the program belongs to.
-    pub suite: &'static str,
-    /// Program name.
-    pub program: String,
-    /// Report keyspace fingerprint.
-    pub pipeline: u64,
-}
-
-impl Table2CellKey {
-    /// The cell's store subject.
-    pub fn subject(&self) -> String {
-        table2_subject(self.suite, &self.program)
-    }
-}
-
-/// Every cell of the Table-2 grid in canonical (suite, program) order.
-pub fn table2_expected(scope: Scope) -> Vec<Table2CellKey> {
-    let suites = table2_suites(scope);
-    let mut out = Vec::new();
-    for (suite, programs) in &suites {
-        for program in programs {
-            out.push(Table2CellKey {
-                suite,
-                program: program.name.clone(),
-                pipeline: table2_pipeline(),
-            });
+impl Table2 {
+    /// The Table-2 grid at `scope`.
+    pub fn new(scope: Scope) -> Table2 {
+        Table2 {
+            programs: in_suites(table2_suites(scope)),
         }
     }
-    out
 }
 
-/// The cell's stored metric pairs: the raw counters in
-/// [`STATS_COUNTERS`] order, *not* the derived ratios — ratios don't
-/// merge, counters do (sum per suite), which is what keeps the merged
-/// table bit-identical to a single-process run.
-fn table2_metrics(cell: &Table2Cell) -> Vec<(&'static str, f64)> {
-    STATS_COUNTERS
-        .into_iter()
-        .zip(stats_counters(&cell.fission, &cell.fusion))
-        .collect()
-}
-
-/// Measures `shard`'s share of the Table-2 grid (one cell per
-/// program), persisting each cell into `store` when given. Cells are
-/// deterministic functions of `(program, seed)`, so shards merge
-/// bit-identically.
-pub fn table2_cells(scope: Scope, shard: ShardSpec, store: Option<&Store>) -> Vec<Table2Cell> {
-    let suites = table2_suites(scope);
-    let mut grid: Vec<(usize, usize)> = Vec::new();
-    for (si, (_, programs)) in suites.iter().enumerate() {
-        for pi in 0..programs.len() {
-            grid.push((si, pi));
-        }
+impl Grid for Table2 {
+    fn name(&self) -> &'static str {
+        "Table 2"
     }
-    let grid = shard.select(grid);
-    par_fan_out(&grid, |&(si, pi)| {
-        let src = &suites[si].1[pi];
-        let base = build_baseline(src);
+
+    fn title(&self) -> &'static str {
+        "# Table 2: statistics of the fission and the fusion"
+    }
+
+    fn title_on_merge(&self) -> bool {
+        true
+    }
+
+    fn metrics(&self) -> &'static [&'static str] {
+        &STATS_COUNTERS
+    }
+
+    fn units(&self) -> Vec<WorkUnit> {
+        let pipeline = BuildConfig::Khaos(KhaosMode::Fission).fingerprint();
+        self.programs
+            .iter()
+            .map(|(suite, m)| {
+                let subject = format!("table2/{suite}/{}", m.name);
+                WorkUnit {
+                    label: subject.clone(),
+                    outputs: vec![(subject, pipeline)],
+                }
+            })
+            .collect()
+    }
+
+    fn compute(&self, unit: usize) -> Vec<Vec<f64>> {
+        let base = build_baseline(&self.programs[unit].1);
         let (_, fi_ctx) = khaos_apply(&base, KhaosMode::Fission, SEED);
         let (_, fu_ctx) = khaos_apply(&base, KhaosMode::Fusion, SEED);
-        let cell = Table2Cell {
-            suite: suites[si].0,
-            program: src.name.clone(),
-            pipeline: table2_pipeline(),
-            fission: fi_ctx.fission_stats,
-            fusion: fu_ctx.fusion_stats,
-        };
-        if let Some(store) = store {
-            persist_metrics_to(
-                store,
-                &cell.subject(),
-                cell.pipeline,
-                &table2_metrics(&cell),
+        vec![stats_counters(&fi_ctx.fission_stats, &fu_ctx.fusion_stats).to_vec()]
+    }
+
+    /// Per-suite aggregates, summed in canonical program order.
+    fn print(&self, cells: &[Vec<f64>]) {
+        println!(
+            "{:<16} {:>12} {:>8} {:>8} {:>13} {:>8} {:>8}",
+            "suite", "FissionRatio", "#BB", "RR", "FusionRatio", "#RP", "#HBB"
+        );
+        for suite in uniq(self.programs.iter().map(|(suite, _)| *suite)) {
+            let mut fi = FissionStats::default();
+            let mut fu = FusionStats::default();
+            for (row, _) in cells
+                .iter()
+                .zip(&self.programs)
+                .filter(|(_, (s, _))| *s == suite)
+            {
+                let (cell_fi, cell_fu) = stats_from_counters(row);
+                fi.merge(&cell_fi);
+                fu.merge(&cell_fu);
+            }
+            println!(
+                "{:<16} {:>11.0}% {:>8.2} {:>7.0}% {:>12.0}% {:>8.2} {:>8.2}",
+                suite,
+                fi.ratio() * 100.0,
+                fi.avg_blocks(),
+                fi.reduced_ratio() * 100.0,
+                fu.ratio() * 100.0,
+                fu.avg_reduced_params(),
+                fu.avg_innocuous(),
             );
         }
-        cell
-    })
-}
-
-/// Prints the Table-2 rows (per-suite aggregates) from a complete cell
-/// grid. Per-suite counters are summed in canonical program order, so
-/// the derived ratios match a single-process run bit for bit.
-fn table2_print_table(cells: &[Table2Cell]) {
-    println!(
-        "{:<16} {:>12} {:>8} {:>8} {:>13} {:>8} {:>8}",
-        "suite", "FissionRatio", "#BB", "RR", "FusionRatio", "#RP", "#HBB"
-    );
-    for suite in uniq(cells.iter().map(|c| c.suite)) {
-        let mut fi = FissionStats::default();
-        let mut fu = FusionStats::default();
-        for c in cells.iter().filter(|c| c.suite == suite) {
-            fi.merge(&c.fission);
-            fu.merge(&c.fusion);
-        }
-        println!(
-            "{:<16} {:>11.0}% {:>8.2} {:>7.0}% {:>12.0}% {:>8.2} {:>8.2}",
-            suite,
-            fi.ratio() * 100.0,
-            fi.avg_blocks(),
-            fi.reduced_ratio() * 100.0,
-            fu.ratio() * 100.0,
-            fu.avg_reduced_params(),
-            fu.avg_innocuous(),
-        );
+        println!("# paper: Fission 116-152%, #BB 5.3-6.5, RR 34-44%; Fusion 97-99%, #RP 1.2-1.5, #HBB 1.0-1.9");
     }
-    println!("# paper: Fission 116-152%, #BB 5.3-6.5, RR 34-44%; Fusion 97-99%, #RP 1.2-1.5, #HBB 1.0-1.9");
 }
 
-/// **Table 2** — fission/fusion internal statistics per suite. Honours
-/// the active shard like [`fig10`]; `experiments table2-merge <DIR...>`
-/// reassembles the full table from shard stores.
+/// **Table 2** — fission/fusion internal statistics per suite.
 pub fn table2(scope: Scope) {
-    println!("# Table 2: statistics of the fission and the fusion");
-    let shard = active_shard();
-    let store = artifact_store();
-    if !shard.is_full() && store.is_none() {
-        println!(
-            "# WARNING: sharded run without KHAOS_STORE — cells will be printed but \
-             not persisted, so table2-merge cannot reassemble this shard"
-        );
-    }
-    let cells = table2_cells(scope, shard, store.as_deref());
-    if shard.is_full() {
-        table2_print_table(&cells);
-        return;
-    }
-    println!(
-        "# shard {shard}: {} of {} cells (merge with `experiments table2-merge <store-dirs>`)",
-        cells.len(),
-        table2_expected(scope).len()
-    );
-    println!(
-        "{:<16} {:<16} {:>9} {:>9} {:>9} {:>9}",
-        "suite", "program", "sepFuncs", "sepBBs", "fusFuncs", "remParams"
-    );
-    for c in &cells {
-        println!(
-            "{:<16} {:<16} {:>9} {:>9} {:>9} {:>9}",
-            c.suite,
-            c.program,
-            c.fission.sep_funcs,
-            c.fission.sep_blocks,
-            c.fusion.fus_funcs,
-            c.fusion.params_removed
-        );
-    }
-}
-
-/// Reassembles the complete Table-2 grid from any union of shard
-/// stores, or lists every missing cell precisely.
-pub fn table2_merge(scope: Scope, stores: &[&Store]) -> Result<Vec<Table2Cell>, Vec<String>> {
-    let expected = table2_expected(scope);
-    let pairs: Vec<(String, u64)> = expected.iter().map(|k| (k.subject(), k.pipeline)).collect();
-    let values = merge_grid(&STATS_COUNTERS, &pairs, stores)?;
-    Ok(expected
-        .into_iter()
-        .zip(values)
-        .map(|(k, v)| {
-            let (fission, fusion) = stats_from_counters(&v);
-            Table2Cell {
-                suite: k.suite,
-                program: k.program,
-                pipeline: k.pipeline,
-                fission,
-                fusion,
-            }
-        })
-        .collect())
-}
-
-/// `experiments table2-merge DIR...` — reassembles and prints the full
-/// Table 2 from a union of shard stores, or lists every missing cell
-/// and fails. Returns whether the grid was complete.
-pub fn table2_report(scope: Scope, store_dirs: &[String]) -> bool {
-    let expected = table2_expected(scope);
-    println!("# Table 2: statistics of the fission and the fusion");
-    merged_report(
-        "Table 2",
-        scope,
-        expected.len(),
-        store_dirs,
-        table2_merge,
-        table2_print_table,
-    )
-}
-
-/// **Table 2, elastic** — one work unit per program on the shared
-/// store's leased work queue (see [`crate::coordinator`]). Returns
-/// `false` (without working) when no store is configured.
-pub fn table2_elastic(scope: Scope) -> bool {
-    let Some(store) = artifact_store() else {
-        eprintln!("experiments: --elastic needs KHAOS_STORE (the shared store is the work queue)");
-        return false;
-    };
-    println!("# Table 2: statistics of the fission and the fusion");
-    println!("# elastic worker over {}", store.root().display());
-    let suites = table2_suites(scope);
-    let mut grid: Vec<(usize, usize)> = Vec::new();
-    for (si, (_, programs)) in suites.iter().enumerate() {
-        for pi in 0..programs.len() {
-            grid.push((si, pi));
-        }
-    }
-    let units: Vec<WorkUnit> = grid
-        .iter()
-        .map(|&(si, pi)| {
-            let subject = table2_subject(suites[si].0, &suites[si].1[pi].name);
-            WorkUnit {
-                label: subject.clone(),
-                lease: (subject.clone(), table2_pipeline()),
-                outputs: vec![(subject, table2_pipeline())],
-            }
-        })
-        .collect();
-    let summary = run_elastic(&store, "table2", &units, |i| {
-        let (si, pi) = grid[i];
-        let src = &suites[si].1[pi];
-        let base = build_baseline(src);
-        let (_, fi_ctx) = khaos_apply(&base, KhaosMode::Fission, SEED);
-        let (_, fu_ctx) = khaos_apply(&base, KhaosMode::Fusion, SEED);
-        let cell = Table2Cell {
-            suite: suites[si].0,
-            program: src.name.clone(),
-            pipeline: table2_pipeline(),
-            fission: fi_ctx.fission_stats,
-            fusion: fu_ctx.fusion_stats,
-        };
-        persist_metrics_to(
-            &store,
-            &cell.subject(),
-            cell.pipeline,
-            &table2_metrics(&cell),
-        );
-    });
-    print_elastic_summary("table2", &summary);
-    elastic_epilogue(table2_merge(scope, &[&store]), |cells| {
-        table2_print_table(cells)
-    })
+    grid::run(&Table2::new(scope), scope, Mode::Plain);
 }
 
 /// **Table 3** — the CVE inventory of the T-III suite.

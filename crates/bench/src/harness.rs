@@ -56,18 +56,18 @@
 //! store tier plus the run memo gave the larger saving (wall time −30%
 //! against −20%) at an unchanged peak (2-core x86-64 host).
 //!
-//! ## Sharding: static and elastic
+//! ## Grids and elastic workers
 //!
-//! `KHAOS_SHARD=i/n` ([`active_shard`]) statically partitions every
-//! grid-shaped driver's flattened work grid; `figN-merge` reassembles
-//! the full grid from the shards' stores. `--elastic` goes further:
-//! the grid becomes a leased work queue *in* the shared store
-//! ([`crate::coordinator`]) — workers claim open cells with atomic
-//! claim files, steal stale claims from dead peers after the lease
-//! horizon, and converge on one complete grid with no up-front
-//! partition. Both modes rely on the same invariant: every cell is a
-//! deterministic function of `(program, config, seed)`, so shards,
-//! stealers, and even double-computed cells merge bit-identically.
+//! Figure 7, Figure 9, Figure 10 and Table 2 are grids ([`crate::grid`]):
+//! every cell is a deterministic function of `(program, config, seed)`
+//! and persists under its own report key. Any number of `--elastic`
+//! workers on machines sharing a `KHAOS_STORE` split a grid between
+//! them through a leased work queue in the store
+//! ([`crate::coordinator`]): they claim open units with atomic claim
+//! files, steal stale claims from dead peers after the lease horizon,
+//! and converge on one complete grid. `figN-merge` decodes the grid
+//! from any union of stores, and workers, stealers and even
+//! double-computed cells merge bit-identically.
 
 use khaos_binary::{lower_module, Binary};
 use khaos_core::{FissionStats, FusionStats, KhaosMode};
@@ -75,7 +75,6 @@ use khaos_ir::{parser, printer, Module};
 use khaos_obs::Counter;
 use khaos_ollvm::OllvmMode;
 use khaos_opt::OptLevel;
-pub use khaos_par::ShardSpec;
 use khaos_pass::{PassCtx, Pipeline, PipelineReport, VerifyPolicy};
 use khaos_store::{BuildKey, Store, StoredBuild, StoredReport};
 use khaos_vm::{run_with_config, RunConfig};
@@ -197,8 +196,8 @@ pub fn persist_metrics(subject: &str, pipeline_fingerprint: u64, metrics: &[(&st
     }
 }
 
-/// [`persist_metrics`] into an explicit store — the form the sharded
-/// drivers use so tests can target scratch stores without touching the
+/// [`persist_metrics`] into an explicit store — the form the grid
+/// runner uses so tests can target scratch stores without touching the
 /// process-wide `KHAOS_STORE` state. Store errors are swallowed here
 /// too: persistence must never fail an experiment.
 pub fn persist_metrics_to(
@@ -217,18 +216,6 @@ pub fn persist_metrics_to(
         metrics: metrics.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
     };
     let _ = store.put_report(&report);
-}
-
-/// The shard this process runs as: `KHAOS_SHARD=i/n` when set (the
-/// experiment binaries' `--shard i/n` flag writes the same variable),
-/// [`ShardSpec::FULL`] otherwise.
-///
-/// # Panics
-/// Panics on a malformed `KHAOS_SHARD` value — a shard silently
-/// degrading to the full grid would redo every cell on every machine of
-/// a sharded sweep, so the harness fails loudly instead.
-pub fn active_shard() -> ShardSpec {
-    ShardSpec::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Version of the build memo, mixed into every [`BuildKey`]. A memo

@@ -41,7 +41,7 @@
 //!
 //! ## Coordination telemetry
 //!
-//! The elastic shard coordinator reports through the same registry:
+//! The elastic grid coordinator reports through the same registry:
 //! `store.lease.acquired` / `store.lease.stolen` /
 //! `store.lease.contended` count cell-lease claims, stale-lease
 //! steals, and claims lost to a live peer, and `store.merge.copied` /

@@ -15,12 +15,6 @@
 //! * [`max_threads`] — the worker count, overridable with the
 //!   `KHAOS_THREADS` environment variable (`KHAOS_THREADS=1` forces
 //!   fully sequential execution, useful for profiling and debugging).
-//!
-//! Beyond threads, the crate also carries the *cross-process* half of
-//! the work-partitioning story: [`ShardSpec`] deterministically splits
-//! a flattened work grid across cooperating processes/machines
-//! (`KHAOS_SHARD=i/n`), the coarse-grained analogue of the in-process
-//! block scheduling above.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -289,140 +283,6 @@ where
     })
 }
 
-/// One shard of a deterministically partitioned work grid: this
-/// process owns every flat index `i` with `i % count == index`.
-///
-/// This is the cross-process analogue of the crate's thread fan-out:
-/// experiment drivers flatten their `config × program` grids to a flat
-/// index space, and `n` cooperating processes (or machines) each run
-/// with a distinct `ShardSpec` (`KHAOS_SHARD=i/n`, or `--shard i/n` on
-/// the experiment binaries). The partition laws the rest of the
-/// workspace relies on (pinned by `tests/shard_e2e.rs`):
-///
-/// * **exact cover** — for any `n`, the shards `0/n .. n-1/n` own every
-///   flat index exactly once (no index is dropped or duplicated);
-/// * **order preservation** — each shard visits its owned indices in
-///   ascending flat order, so per-shard output is a deterministic
-///   subsequence of the unsharded run;
-/// * **round-robin balance** — ownership interleaves (`i % n`), so
-///   heterogeneous item costs (a `gcc`-sized program next to a
-///   `cat`-sized one) spread across shards instead of clustering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShardSpec {
-    index: usize,
-    count: usize,
-}
-
-impl ShardSpec {
-    /// The degenerate single-shard spec owning the whole grid — what
-    /// un-sharded runs use.
-    pub const FULL: ShardSpec = ShardSpec { index: 0, count: 1 };
-
-    /// A shard `index/count`; errors unless `index < count` and
-    /// `count >= 1`.
-    pub fn new(index: usize, count: usize) -> Result<ShardSpec, String> {
-        if count == 0 {
-            return Err("shard count must be at least 1".into());
-        }
-        if index >= count {
-            return Err(format!(
-                "shard index {index} out of range for {count} shard(s) (want 0..{count})"
-            ));
-        }
-        Ok(ShardSpec { index, count })
-    }
-
-    /// Parses the canonical `i/n` form (`0/4`, `3/4`, …).
-    pub fn parse(s: &str) -> Result<ShardSpec, String> {
-        let (i, n) = s
-            .trim()
-            .split_once('/')
-            .ok_or_else(|| format!("`{s}` is not a shard spec (want `i/n`, e.g. `0/4`)"))?;
-        let parse = |part: &str, what: &str| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("`{s}`: {what} `{part}` is not a non-negative integer"))
-        };
-        ShardSpec::new(parse(i, "shard index")?, parse(n, "shard count")?)
-            .map_err(|e| format!("`{s}`: {e}"))
-    }
-
-    /// The shard named by the `KHAOS_SHARD` environment variable, or
-    /// [`ShardSpec::FULL`] when the variable is **unset**. Any set
-    /// value that is not a well-formed `i/n` — including blank and
-    /// non-UTF-8 values — is an error naming the offending value,
-    /// never a silent fallback: a shard quietly becoming `0/1` would
-    /// redo (and re-persist) the whole grid on every machine of a
-    /// sharded sweep, duplicating the fleet's work.
-    pub fn from_env() -> Result<ShardSpec, String> {
-        match std::env::var("KHAOS_SHARD") {
-            Ok(v) if !v.trim().is_empty() => {
-                ShardSpec::parse(&v).map_err(|e| format!("KHAOS_SHARD: {e}"))
-            }
-            Ok(v) => Err(format!(
-                "KHAOS_SHARD: set but blank (`{v}`) — want `i/n` (e.g. `0/4`), or unset \
-                 it for a full run"
-            )),
-            Err(std::env::VarError::NotPresent) => Ok(ShardSpec::FULL),
-            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
-                "KHAOS_SHARD: not valid UTF-8 ({v:?}) — want `i/n` (e.g. `0/4`)"
-            )),
-        }
-    }
-
-    /// This shard's index (`0..count`).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards in the partition.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// True for the degenerate single-shard spec (the whole grid).
-    pub fn is_full(&self) -> bool {
-        self.count == 1
-    }
-
-    /// True when this shard owns flat grid index `i`.
-    pub fn owns(&self, i: usize) -> bool {
-        i % self.count == self.index
-    }
-
-    /// True when this shard owns a hash-identified work item (used
-    /// where items have stable identities but no natural grid index,
-    /// e.g. `khaos-obf --shard` partitioning by module-name hash).
-    pub fn owns_hash(&self, h: u64) -> bool {
-        (h % self.count as u64) as usize == self.index
-    }
-
-    /// The flat indices of `0..n` this shard owns, ascending.
-    pub fn indices(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        (self.index..n).step_by(self.count)
-    }
-
-    /// Filters a flattened work grid down to this shard's items,
-    /// preserving order (ownership is by position in `items`).
-    pub fn select<T>(&self, items: Vec<T>) -> Vec<T> {
-        if self.is_full() {
-            return items;
-        }
-        items
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| self.owns(*i))
-            .map(|(_, x)| x)
-            .collect()
-    }
-}
-
-impl std::fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,100 +419,5 @@ mod tests {
         let want: Vec<usize> = (0..513).map(|i| i * 3).collect();
         assert_eq!(got, want);
         assert_eq!(par_map_with(0, || (), |_, i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn shard_parse_display_round_trip_and_rejects_bad_specs() {
-        for (i, n) in [(0, 1), (0, 2), (1, 2), (6, 7)] {
-            let s = ShardSpec::new(i, n).unwrap();
-            assert_eq!(ShardSpec::parse(&s.to_string()).unwrap(), s);
-            assert_eq!((s.index(), s.count()), (i, n));
-        }
-        assert!(ShardSpec::FULL.is_full());
-        assert!(!ShardSpec::new(0, 2).unwrap().is_full());
-        for bad in ["", "3", "a/b", "1/0", "2/2", "5/4", "-1/2", "1/2/3"] {
-            assert!(ShardSpec::parse(bad).is_err(), "`{bad}` must not parse");
-        }
-    }
-
-    /// Pins the loud-failure contract of `ShardSpec::from_env`: a set
-    /// but malformed (or blank) `KHAOS_SHARD` must error *naming the
-    /// offending value*, never silently fall back to a full run — the
-    /// silent `0/1` fallback would make every machine of a sweep redo
-    /// the whole grid. One test, serial sections: the variable is
-    /// process-global state.
-    #[test]
-    fn from_env_fails_loudly_on_malformed_values() {
-        // set_var/remove_var on a process-global is why this is a
-        // single sequential test, not a loop of parallel cases.
-        std::env::remove_var("KHAOS_SHARD");
-        assert_eq!(ShardSpec::from_env().unwrap(), ShardSpec::FULL);
-        for (val, named) in [
-            ("", "blank"),
-            ("   ", "blank"),
-            ("banana", "`banana`"),
-            ("1/0", "`1/0`"),
-            ("5/4", "`5/4`"),
-            ("1/2/3", "`1/2/3`"),
-        ] {
-            std::env::set_var("KHAOS_SHARD", val);
-            let err = ShardSpec::from_env().expect_err(&format!("`{val}` must not parse"));
-            assert!(
-                err.contains("KHAOS_SHARD"),
-                "error must name the variable: {err}"
-            );
-            assert!(
-                err.contains(named),
-                "error must name the offending value `{val}`: {err}"
-            );
-        }
-        std::env::set_var("KHAOS_SHARD", "2/3");
-        assert_eq!(
-            ShardSpec::from_env().unwrap(),
-            ShardSpec::new(2, 3).unwrap()
-        );
-        std::env::remove_var("KHAOS_SHARD");
-    }
-
-    #[test]
-    fn shards_exactly_cover_any_grid() {
-        for n in 1usize..8 {
-            for len in [0usize, 1, 2, 7, 64, 101] {
-                let mut seen = vec![0u32; len];
-                for index in 0..n {
-                    let shard = ShardSpec::new(index, n).unwrap();
-                    let mut last = None;
-                    for i in shard.indices(len) {
-                        assert!(shard.owns(i));
-                        assert!(last.map(|l| l < i).unwrap_or(true), "ascending order");
-                        last = Some(i);
-                        seen[i] += 1;
-                    }
-                }
-                assert!(
-                    seen.iter().all(|&c| c == 1),
-                    "{n} shards over {len} items must cover each index exactly once"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_select_preserves_order_and_partitions() {
-        let items: Vec<u32> = (0..11).collect();
-        let a = ShardSpec::new(0, 3).unwrap().select(items.clone());
-        let b = ShardSpec::new(1, 3).unwrap().select(items.clone());
-        let c = ShardSpec::new(2, 3).unwrap().select(items.clone());
-        assert_eq!(a, vec![0, 3, 6, 9]);
-        assert_eq!(b, vec![1, 4, 7, 10]);
-        assert_eq!(c, vec![2, 5, 8]);
-        assert_eq!(ShardSpec::FULL.select(items.clone()), items);
-        // owns_hash partitions the hash space the same way.
-        for h in 0u64..32 {
-            let owners = (0..3)
-                .filter(|&i| ShardSpec::new(i, 3).unwrap().owns_hash(h))
-                .count();
-            assert_eq!(owners, 1, "hash {h} must have exactly one owner");
-        }
     }
 }

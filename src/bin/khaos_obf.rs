@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! khaos-obf <mode|spec> [--seed N] [--arity K] [--o2] [--run] [--stats]
-//!                       [--report] [--shard i/n] [input.kir|--demo NAME]
+//!                       [--report] [input.kir|--demo NAME]
 //!
 //!   mode     fission | fusion | fusion-n | fufi-sep | fufi-ori | fufi-all |
 //!            sub | bog | fla | fla-10
@@ -13,27 +13,26 @@
 //!   --run    execute baseline and obfuscated builds and diff the output
 //!   --stats  print fission/fusion statistics
 //!   --report print the per-pass timing / IR-delta report
-//!   --shard  process this input only when shard i of n owns it (by
-//!            module-name hash; `KHAOS_SHARD=i/n` works too) — `n`
-//!            cooperating invocations over the same input list split
-//!            the work deterministically without coordination; inputs
-//!            the shard does not own exit with code 3 (so redirected
-//!            runs never silently produce an empty output file)
 //! ```
 //!
 //! Everything builds through a `khaos-pass` pipeline: the legacy mode
 //! names are aliases for one-atom specs, and any full spec is accepted
 //! in their place. The obfuscated module is printed to stdout in the
 //! same textual format, so shell pipelines compose:
-//! `khaos-obf fufi-all a.kir > a_obf.kir`.
+//! `khaos-obf fufi-all a.kir > a_obf.kir`. One process handles one
+//! input; a batch runs one process per input (`xargs -P` splits a list
+//! across cores or machines).
 //!
 //! `KHAOS_METRICS=stderr|path` dumps the metrics registry on exit.
 
-use khaos::par::ShardSpec;
 use khaos::pass::{PassCtx, Pipeline};
 use khaos::vm::run_to_completion;
 use khaos_ir::{parser, printer, Module};
 use std::process::ExitCode;
+
+/// The error for the removed static-sharding options.
+const SHARD_GONE: &str = "static sharding (--shard, KHAOS_SHARD) is gone: run one process \
+     per input instead (`xargs -P N` splits an input list across cores)";
 
 struct Args {
     mode: String,
@@ -43,12 +42,14 @@ struct Args {
     run: bool,
     stats: bool,
     report: bool,
-    shard: Option<ShardSpec>,
     input: Option<String>,
     demo: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
+    if std::env::var_os("KHAOS_SHARD").is_some() {
+        return Err(SHARD_GONE.into());
+    }
     let mut args = Args {
         mode: String::new(),
         seed: 0xC60,
@@ -57,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
         run: false,
         stats: false,
         report: false,
-        shard: None,
         input: None,
         demo: None,
     };
@@ -81,10 +81,7 @@ fn parse_args() -> Result<Args, String> {
             "--run" => args.run = true,
             "--stats" => args.stats = true,
             "--report" => args.report = true,
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs i/n (e.g. 0/4)")?;
-                args.shard = Some(ShardSpec::parse(&v).map_err(|e| format!("--shard: {e}"))?);
-            }
+            "--shard" => return Err(SHARD_GONE.into()),
             "--demo" => args.demo = Some(it.next().ok_or("--demo needs a program name")?),
             _ if args.mode.is_empty() => args.mode = a,
             _ if args.input.is_none() => args.input = Some(a),
@@ -93,11 +90,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.mode.is_empty() {
         return Err("missing <mode|spec>".into());
-    }
-    if args.shard.is_none() {
-        // The flag and the environment variable are one mechanism, like
-        // the experiment bins.
-        args.shard = Some(ShardSpec::from_env()?);
     }
     Ok(args)
 }
@@ -139,7 +131,7 @@ fn run() -> ExitCode {
             eprintln!("khaos-obf: {e}");
             eprintln!(
                 "usage: khaos-obf <fission|fusion|fusion-n|fufi-sep|fufi-ori|fufi-all|sub|bog|fla|fla-10|SPEC> \
-                 [--seed N] [--arity K] [--o2] [--run] [--stats] [--report] [--shard i/n] \
+                 [--seed N] [--arity K] [--o2] [--run] [--stats] [--report] \
                  [input.kir | --demo NAME]"
             );
             return ExitCode::from(2);
@@ -153,21 +145,6 @@ fn run() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Sharded batch runs: n cooperating invocations over the same input
-    // list each own a deterministic (module-name-hashed) share. A skip
-    // exits with the distinct code 3 — not 0 — so a redirection like
-    // `khaos-obf fufi-all a.kir > a_obf.kir` run under an inherited
-    // KHAOS_SHARD cannot silently leave an empty output file behind;
-    // shard loops treat 3 as "not mine":
-    // `for f in *.kir; do khaos-obf fufi-all --shard 0/2 "$f" > "$f.obf" || [ $? -eq 3 ]; done`.
-    let shard = args.shard.expect("defaulted in parse_args");
-    if !shard.is_full() && !shard.owns_hash(khaos::store::fnv1a(module.name.as_bytes())) {
-        eprintln!(
-            "khaos-obf: skipping `{}` (not owned by shard {shard}; exit 3)",
-            module.name
-        );
-        return ExitCode::from(3);
-    }
     if let Err(errs) = khaos_ir::verify::verify_module(&module) {
         eprintln!("khaos-obf: input does not verify: {}", errs[0]);
         return ExitCode::FAILURE;

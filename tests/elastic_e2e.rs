@@ -14,12 +14,12 @@
 //! it. The horizon is injected as a parameter (not `KHAOS_LEASE_MS`)
 //! so parallel tests can't race on process-global state.
 
-use khaos_bench::experiments::{
-    fig10_cells, fig10_elastic_sweep, fig10_expected, fig10_merge, Fig10Cell, Scope,
-};
-use khaos_bench::{ShardSpec, SEED};
-use khaos_store::{ReportKey, Store};
+use khaos_bench::experiments::{Fig10, Scope};
+use khaos_bench::grid::{self, Grid};
+use khaos_bench::{run_elastic, WorkUnit, SEED};
+use khaos_store::{ReportKey, Store, StoredReport};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -47,24 +47,11 @@ fn lease_files(dir: &Path) -> Vec<PathBuf> {
     found
 }
 
-fn assert_cells_bit_identical(a: &[Fig10Cell], b: &[Fig10Cell], what: &str) {
+fn assert_bit_identical(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: cell count");
-    for (ca, cb) in a.iter().zip(b) {
-        assert_eq!(
-            (&ca.program, &ca.config, ca.tool, ca.pipeline),
-            (&cb.program, &cb.config, cb.tool, cb.pipeline),
-            "{what}: cell identity/order"
-        );
-        for (ea, eb) in ca.escape.iter().zip(&cb.escape) {
-            assert_eq!(
-                ea.to_bits(),
-                eb.to_bits(),
-                "{what}: {}/{}/{} escape bits",
-                ca.program,
-                ca.config,
-                ca.tool
-            );
-        }
+    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ra), bits(rb), "{what}: cell {i}");
     }
 }
 
@@ -78,22 +65,24 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
     let store = Store::open(&dir).expect("store opens");
 
     // Single-process reference grid (no store, no coordinator).
-    let reference = fig10_cells(Scope::Quick, ShardSpec::FULL, None);
-    let expected = fig10_expected(Scope::Quick);
-    assert_eq!(reference.len(), expected.len());
-    // Three tool cells per (config, program) unit.
-    let units = expected.len() / 3;
-    assert!(units >= 4, "grid large enough to mean something");
+    let grid = Fig10::new(Scope::Quick);
+    let reference = grid::cells(&grid, None);
+    // One unit per T-III program, each covering all of its cells.
+    let units = grid.units();
+    assert_eq!(units.len(), 2, "one unit per --quick T-III program");
+    assert_eq!(
+        units.iter().map(|u| u.outputs.len()).sum::<usize>(),
+        reference.len()
+    );
 
-    // The "dead worker": claim the first unit's anchor cell (the
-    // expected grid's innermost dimension is the tool, so expected[0]
-    // IS unit 0's anchor) and leak the lease — no release, no Drop.
-    let anchor = &expected[0];
-    let subject = anchor.subject();
+    // The "dead worker": claim unit 0 (its first output cell is the
+    // anchor the coordinator leases) and leak the lease — no release,
+    // no Drop.
+    let (subject, pipeline) = &units[0].outputs[0];
     let key = ReportKey {
-        pipeline: anchor.pipeline,
+        pipeline: *pipeline,
         seed: SEED,
-        subject: &subject,
+        subject,
     };
     let planted = store
         .try_lease_report(&key, Duration::from_secs(3600))
@@ -106,15 +95,16 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
     // The surviving worker: a tiny horizon makes the dangling claim go
     // stale almost immediately; the sweep must steal it, redo the
     // unit, and finish every unit.
-    let summary = fig10_elastic_sweep(Scope::Quick, &store, Duration::from_millis(100));
-    assert_eq!(summary.units, units);
+    let summary = grid::sweep(&grid, &store, Duration::from_millis(100));
+    assert_eq!(summary.units, units.len());
     assert!(
         summary.stolen >= 1,
         "the dangling claim must be stolen, not waited out: {summary:?}"
     );
     assert_eq!(summary.already_done, 0, "{summary:?}");
     assert_eq!(
-        summary.computed, units,
+        summary.computed,
+        units.len(),
         "the survivor computes the whole grid: {summary:?}"
     );
     assert!(
@@ -124,16 +114,55 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
 
     // The records the stolen unit's redo wrote — and everything else —
     // merge bit-identically to the single-process reference.
-    let merged = fig10_merge(Scope::Quick, &[&store]).expect("grid is complete");
-    assert_cells_bit_identical(&merged, &reference, "elastic merged vs single-process");
+    let merged = grid::decode(&grid, &[&store]).expect("grid is complete");
+    assert_bit_identical(&merged, &reference, "elastic merged vs single-process");
 
     // Re-running a worker over the finished store is a no-op: records
     // are the ground truth of doneness.
-    let again = fig10_elastic_sweep(Scope::Quick, &store, Duration::from_millis(100));
-    assert_eq!(again.already_done, units, "{again:?}");
+    let again = grid::sweep(&grid, &store, Duration::from_millis(100));
+    assert_eq!(again.already_done, units.len(), "{again:?}");
     assert_eq!(again.computed, 0, "{again:?}");
     assert_eq!(again.stolen, 0, "{again:?}");
     assert_eq!(again.rounds, 1, "{again:?}");
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A worker claims at most one unit per worker thread at a time: a
+/// claim nobody computes yet would only keep a peer from taking it. The
+/// check runs inside `compute`, while the batch's claims are held.
+#[test]
+fn a_worker_holds_at_most_one_claim_per_thread() {
+    let dir = scratch("batch");
+    let store = Store::open(&dir).expect("store opens");
+    let units: Vec<WorkUnit> = (0..6)
+        .map(|i| WorkUnit {
+            label: format!("unit/{i}"),
+            outputs: vec![(format!("unit/{i}"), 1)],
+        })
+        .collect();
+    let most_held = AtomicUsize::new(0);
+    let summary = run_elastic(&store, "batch", &units, Duration::from_secs(3600), |i| {
+        most_held.fetch_max(lease_files(&dir).len(), Ordering::SeqCst);
+        let (subject, pipeline) = &units[i].outputs[0];
+        store
+            .put_report(&StoredReport {
+                spec: String::new(),
+                pipeline: *pipeline,
+                seed: SEED,
+                subject: subject.clone(),
+                total_micros: 0,
+                passes: Vec::new(),
+                metrics: vec![("unit".into(), i as f64)],
+            })
+            .expect("persist");
+    });
+    assert_eq!(summary.computed, units.len(), "{summary:?}");
+    let held = most_held.into_inner();
+    assert!(
+        (1..=khaos_par::max_threads()).contains(&held),
+        "held {held} claims with {} worker thread(s)",
+        khaos_par::max_threads()
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,301 +1,156 @@
-//! End-to-end pins for the shard-aware experiment runner.
+//! End-to-end pins for merging the grid-shaped results (Figure 7,
+//! Figure 9, Figure 10 and Table 2) from shard stores: the stores that
+//! elastic workers, or machines that share nothing, fill with a grid's
+//! cells.
 //!
-//! Two laws are pinned here:
+//! The same checks run over every grid:
 //!
-//! 1. **Partition laws** — for any shard count `n`, the shards
-//!    `0/n .. n-1/n` are a permutation-free exact cover of the
-//!    unsharded grid: every flat index is owned by exactly one shard,
-//!    each shard visits its indices in ascending order, and selecting a
-//!    concrete item list per shard re-concatenates (by index) to the
-//!    original list.
-//! 2. **Merge fidelity** — a Figure-10 grid produced by two sharded
-//!    runs persisting into one `khaos-store` and reassembled with
-//!    `fig10_merge` is **cell-for-cell bit-identical** to the
-//!    single-process run, and a store missing a shard is refused with a
-//!    precise listing of every missing cell.
+//! 1. **Merge fidelity**: a plain run persists every cell, and the
+//!    cells decoded back from its store, or from one store holding
+//!    both halves of the grid, equal the cells it computed, bit for
+//!    bit.
+//! 2. **Refusal and union**: a shard store holding every other unit's
+//!    cells is refused with a listing of exactly the missing cells,
+//!    each with its pipeline fingerprint; adding the complementary
+//!    shard store completes the union, bit-identical to the plain run.
 
-use khaos_bench::experiments::{
-    fig10_cells, fig10_expected, fig10_merge, fig7_cells, fig7_expected, fig7_merge, fig9_cells,
-    fig9_expected, fig9_merge, table2_cells, table2_expected, table2_merge, Fig10Cell, Scope,
-};
-use khaos_bench::ShardSpec;
-use khaos_store::Store;
-use proptest::prelude::*;
+use khaos_bench::experiments::{Fig10, Fig7, Fig9, Scope, Table2};
+use khaos_bench::grid::{self, Grid};
+use khaos_bench::SEED;
+use khaos_store::{ReportKey, Store};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 fn scratch(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "khaos-shard-e2e-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = std::env::temp_dir().join(format!("khaos-shard-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Partition law: for random grids and any `n`, the union of shards
-    /// `0/n .. n-1/n` is a permutation-free exact cover of the grid.
-    #[test]
-    fn shards_are_a_permutation_free_exact_cover(len in 0usize..200, n in 1usize..9) {
-        let grid: Vec<usize> = (0..len).collect();
-        let mut owners = vec![0u32; len];
-        let mut reassembled: Vec<Option<usize>> = vec![None; len];
-        for index in 0..n {
-            let shard = ShardSpec::new(index, n).expect("valid shard");
-            let picked = shard.select(grid.clone());
-            // Each shard's picks ascend (no permutation within a shard)...
-            for w in picked.windows(2) {
-                prop_assert!(w[0] < w[1], "shard {}/{} out of order", index, n);
-            }
-            // ...and agree with owns()/indices().
-            let via_indices: Vec<usize> = shard.indices(len).collect();
-            prop_assert_eq!(&picked, &via_indices);
-            for i in picked {
-                prop_assert!(shard.owns(i));
-                owners[i] += 1;
-                reassembled[i] = Some(i);
-            }
-        }
-        // Exact cover: every index owned exactly once, nothing dropped,
-        // nothing duplicated, and putting each shard's items back at
-        // their flat indices reproduces the grid exactly.
-        prop_assert!(owners.iter().all(|&c| c == 1));
-        let reassembled: Vec<usize> = reassembled.into_iter().map(|x| x.expect("covered")).collect();
-        prop_assert_eq!(reassembled, grid);
-    }
-}
-
-fn assert_cells_bit_identical(a: &[Fig10Cell], b: &[Fig10Cell], what: &str) {
+fn assert_bit_identical(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: cell count");
-    for (ca, cb) in a.iter().zip(b) {
-        assert_eq!(
-            (&ca.program, &ca.config, ca.tool, ca.pipeline),
-            (&cb.program, &cb.config, cb.tool, cb.pipeline),
-            "{what}: cell identity/order"
+    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ra), bits(rb), "{what}: cell {i}");
+    }
+}
+
+/// Copies the records of every unit `keep` selects from `from` into
+/// `to`.
+fn copy_units(grid: &dyn Grid, from: &Store, to: &Store, keep: impl Fn(usize) -> bool) {
+    for (_, unit) in grid.units().iter().enumerate().filter(|(i, _)| keep(*i)) {
+        for (subject, pipeline) in &unit.outputs {
+            let key = ReportKey {
+                pipeline: *pipeline,
+                seed: SEED,
+                subject,
+            };
+            let report = from.get_report(&key).expect("read").expect("persisted");
+            to.put_report(&report).expect("write");
+        }
+    }
+}
+
+/// A plain run over `grid` persisting into a fresh store; returns the
+/// store, its directory and the computed cells, after checking that
+/// the cells decoded back from the store equal them bit for bit.
+fn plain_run(tag: &str, grid: &dyn Grid) -> (PathBuf, Store, Vec<Vec<f64>>) {
+    let dir = scratch(&format!("{tag}-full"));
+    let full = Store::open(&dir).expect("store opens");
+    assert!(grid.units().len() >= 2, "{tag}: grid large enough to split");
+    let computed = grid::cells(grid, Some(&full));
+    let merged = grid::decode(grid, &[&full]).expect("a plain run persists every cell");
+    assert_bit_identical(&merged, &computed, &format!("{tag} merged vs plain"));
+    (dir, full, computed)
+}
+
+/// Merge fidelity through one shared store: both halves of the grid
+/// copied into a single shard store decode to the plain run's cells.
+fn check_one_store(tag: &str, grid: &dyn Grid, full: &Store, computed: &[Vec<f64>]) {
+    let dir = scratch(&format!("{tag}-shared"));
+    let shared = Store::open(&dir).expect("store opens");
+    copy_units(grid, full, &shared, |i| i % 2 == 0);
+    copy_units(grid, full, &shared, |i| i % 2 == 1);
+    let merged = grid::decode(grid, &[&shared]).expect("both halves in one store merge");
+    assert_bit_identical(&merged, computed, &format!("{tag} shared store vs plain"));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Refusal and union: a store holding every other unit's cells is
+/// refused with a listing of exactly the missing cells; adding the
+/// complementary store completes the union.
+fn check_refusal_and_union(tag: &str, grid: &dyn Grid, full: &Store, computed: &[Vec<f64>]) {
+    let dirs = ["even", "odd"].map(|s| scratch(&format!("{tag}-{s}")));
+    let [even, odd] = dirs.clone().map(|d| Store::open(d).expect("store opens"));
+    let units = grid.units();
+
+    copy_units(grid, full, &even, |i| i % 2 == 0);
+    let missing = grid::decode(grid, &[&even]).expect_err("half a grid must not merge");
+    let want: Vec<&(String, u64)> = units
+        .iter()
+        .skip(1)
+        .step_by(2)
+        .flat_map(|u| &u.outputs)
+        .collect();
+    assert_eq!(missing.len(), want.len(), "{tag}: {missing:?}");
+    for (line, (subject, pipeline)) in missing.iter().zip(want) {
+        assert!(
+            line.starts_with(subject.as_str()) && line.contains(&format!("{pipeline:016x}")),
+            "{tag}: `{line}` must name {subject} and its pipeline {pipeline:016x}"
         );
-        for (ea, eb) in ca.escape.iter().zip(&cb.escape) {
-            assert_eq!(
-                ea.to_bits(),
-                eb.to_bits(),
-                "{what}: {}/{}/{} escape bits",
-                ca.program,
-                ca.config,
-                ca.tool
-            );
-        }
     }
-}
 
-/// The acceptance pin: a fig10 grid produced by two sharded runs into
-/// one `khaos-store`, then merged, is cell-for-cell identical to the
-/// single-process run.
-#[test]
-fn two_shards_into_one_store_merge_to_the_single_process_grid() {
-    let dir = scratch("merge");
-    let store = Store::open(&dir).expect("store opens");
-
-    // The single-process reference grid (no store involved).
-    let reference = fig10_cells(Scope::Quick, ShardSpec::FULL, None);
-    let expected = fig10_expected(Scope::Quick);
-    assert_eq!(reference.len(), expected.len(), "reference grid is complete");
-    assert!(reference.len() >= 12, "grid large enough to mean something");
-
-    // "Process" A and "process" B: complementary shards persisting into
-    // one shared store (the CI smoke runs the same flow as two real
-    // processes; here the separation is per-call state).
-    let a = fig10_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    let b = fig10_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
-    assert_eq!(a.len() + b.len(), reference.len(), "shards cover the grid");
-    assert!(!a.is_empty() && !b.is_empty(), "both shards own cells");
-
-    // The merged grid is complete and bit-identical to the reference.
-    let merged = fig10_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
-    assert_cells_bit_identical(&merged, &reference, "merged vs single-process");
-
-    // Each shard's own cells also match the reference values directly
-    // (shard-independence of the cell computation).
-    for cell in a.iter().chain(&b) {
-        let want = reference
-            .iter()
-            .find(|c| {
-                (&c.program, &c.config, c.tool) == (&cell.program, &cell.config, cell.tool)
-            })
-            .expect("cell exists in reference");
-        for (ea, eb) in cell.escape.iter().zip(&want.escape) {
-            assert_eq!(ea.to_bits(), eb.to_bits(), "shard cell vs reference");
-        }
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The refusal half: a store holding only one shard must be rejected
-/// with a precise listing of exactly the other shard's cells.
-#[test]
-fn merge_refuses_an_incomplete_grid_listing_every_missing_cell() {
-    let dir = scratch("partial");
-    let store = Store::open(&dir).expect("store opens");
-    let only = fig10_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-
-    let missing = match fig10_merge(Scope::Quick, &[&store]) {
-        Ok(_) => panic!("half a grid must not merge"),
-        Err(m) => m,
-    };
-    let expected = fig10_expected(Scope::Quick);
-    assert_eq!(
-        missing.len(),
-        expected.len() - only.len(),
-        "exactly the absent shard's cells are reported"
+    // An empty extra store changes nothing; the complementary half
+    // completes the union.
+    assert!(
+        grid::decode(grid, &[&even, &odd]).is_err(),
+        "{tag}: empty extra store"
     );
-    // Every reported line names a real expected cell that shard 0 does
-    // not own, precisely (subject + pipeline fingerprint).
-    for line in &missing {
-        let key = expected
-            .iter()
-            .find(|k| line.starts_with(&k.subject()))
-            .unwrap_or_else(|| panic!("`{line}` names no expected cell"));
-        assert!(
-            line.contains(&format!("{:016x}", key.pipeline)),
-            "`{line}` must carry the pipeline fingerprint"
-        );
-        assert!(
-            !only.iter().any(|c| c.subject() == key.subject()),
-            "`{line}` was reported missing but shard 0 persisted it"
-        );
+    copy_units(grid, full, &odd, |i| i % 2 == 1);
+    let union = grid::decode(grid, &[&even, &odd]).expect("the two shard stores cover the grid");
+    assert_bit_identical(&union, computed, &format!("{tag} union vs plain"));
+    for d in dirs {
+        std::fs::remove_dir_all(d).unwrap();
     }
-
-    // An empty extra store changes nothing; adding a store with the
-    // complementary shard completes the union.
-    let dir2 = scratch("partial2");
-    let store2 = Store::open(&dir2).expect("second store opens");
-    assert!(fig10_merge(Scope::Quick, &[&store, &store2]).is_err());
-    fig10_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store2));
-    let merged =
-        fig10_merge(Scope::Quick, &[&store, &store2]).expect("union across two stores merges");
-    assert_eq!(merged.len(), expected.len());
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&dir2).unwrap();
 }
 
-/// Figure 7 merge fidelity: a two-shard run reassembles to the
-/// single-process grid with bit-identical overheads, and a lone shard
-/// is refused.
+fn check(tag: &str, grid: &dyn Grid) {
+    let (dir, full, computed) = plain_run(tag, grid);
+    check_one_store(tag, grid, &full, &computed);
+    check_refusal_and_union(tag, grid, &full, &computed);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn fig7_shards_merge_bit_identically() {
-    let dir = scratch("fig7");
-    let store = Store::open(&dir).expect("store opens");
-    let reference = fig7_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), fig7_expected(Scope::Quick).len());
-
-    let a = fig7_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    assert!(
-        fig7_merge(Scope::Quick, &[&store]).is_err(),
-        "half a grid must not merge"
-    );
-    let b = fig7_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
-    assert_eq!(a.len() + b.len(), reference.len());
-
-    let merged = fig7_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
-    assert_eq!(merged.len(), reference.len());
-    for (m, r) in merged.iter().zip(&reference) {
-        assert_eq!(
-            (m.suite, &m.program, &m.config, m.pipeline),
-            (r.suite, &r.program, &r.config, r.pipeline),
-            "fig7 cell identity/order"
-        );
-        assert_eq!(
-            m.overhead.to_bits(),
-            r.overhead.to_bits(),
-            "fig7 {}/{}/{} overhead bits",
-            m.suite,
-            m.program,
-            m.config
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
+    check("fig7", &Fig7::new(Scope::Quick));
 }
 
-/// Figure 9 merge fidelity: every BinTuner/Khaos similarity column and
-/// the BinTuner overhead survive the store round-trip bit for bit.
 #[test]
 fn fig9_shards_merge_bit_identically() {
-    let dir = scratch("fig9");
-    let store = Store::open(&dir).expect("store opens");
-    let reference = fig9_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), fig9_expected(Scope::Quick).len());
-
-    fig9_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    fig9_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
-
-    let merged = fig9_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
-    assert_eq!(merged.len(), reference.len());
-    for (m, r) in merged.iter().zip(&reference) {
-        assert_eq!(
-            (&m.program, m.pipeline),
-            (&r.program, r.pipeline),
-            "fig9 cell identity/order"
-        );
-        for (a, b) in m.bt.iter().zip(&r.bt).chain(m.kh.iter().zip(&r.kh)) {
-            assert_eq!(a.to_bits(), b.to_bits(), "fig9 {} similarity bits", m.program);
-        }
-        assert_eq!(
-            m.bt_overhead.to_bits(),
-            r.bt_overhead.to_bits(),
-            "fig9 {} overhead bits",
-            m.program
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
+    check("fig9", &Fig9::new(Scope::Quick));
 }
 
-/// Table 2 merge fidelity: the raw fission/fusion counters round-trip
-/// exactly (including the f64 `reduced_ratio_sum`, bit for bit), so
-/// the per-suite aggregates a merged table derives are the
-/// single-process numbers.
+/// Figure 10 merge fidelity: both halves of the grid in one store
+/// decode to the single-process cells, bit for bit.
+#[test]
+fn two_shards_into_one_store_merge_to_the_single_process_grid() {
+    let grid = Fig10::new(Scope::Quick);
+    let (dir, full, computed) = plain_run("fig10-one", &grid);
+    check_one_store("fig10-one", &grid, &full, &computed);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Figure 10 refusal: a store holding half the grid is rejected with a
+/// precise listing of every missing cell.
+#[test]
+fn merge_refuses_an_incomplete_grid_listing_every_missing_cell() {
+    let grid = Fig10::new(Scope::Quick);
+    let (dir, full, computed) = plain_run("fig10-half", &grid);
+    check_refusal_and_union("fig10-half", &grid, &full, &computed);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 #[test]
 fn table2_shards_merge_bit_identically() {
-    let dir = scratch("table2");
-    let store = Store::open(&dir).expect("store opens");
-    let reference = table2_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), table2_expected(Scope::Quick).len());
-
-    table2_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    table2_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
-
-    let merged = table2_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
-    assert_eq!(merged.len(), reference.len());
-    for (m, r) in merged.iter().zip(&reference) {
-        assert_eq!(
-            (m.suite, &m.program, m.pipeline),
-            (r.suite, &r.program, r.pipeline),
-            "table2 cell identity/order"
-        );
-        assert_eq!(m.fusion, r.fusion, "table2 {} fusion counters", m.program);
-        assert_eq!(
-            m.fission.reduced_ratio_sum.to_bits(),
-            r.fission.reduced_ratio_sum.to_bits(),
-            "table2 {} reduced_ratio_sum bits",
-            m.program
-        );
-        let strip = |s: &khaos_core::FissionStats| {
-            (
-                s.ori_funcs,
-                s.fissioned_funcs,
-                s.sep_funcs,
-                s.sep_blocks,
-                s.params_reduced,
-            )
-        };
-        assert_eq!(
-            strip(&m.fission),
-            strip(&r.fission),
-            "table2 {} fission counters",
-            m.program
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
+    check("table2", &Table2::new(Scope::Quick));
 }
