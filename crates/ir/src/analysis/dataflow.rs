@@ -962,13 +962,93 @@ mod tests {
         assert!(def_before_use_violations(&f, &cfg).is_empty());
     }
 
+    /// A loop over more than one word of locals (each iteration's sum of
+    /// 70 products, half of them dead), an invoke whose landing pad binds
+    /// the exception, and a block no edge reaches.
+    fn wide_loop_with_pad_and_unreachable() -> Function {
+        let mut fb = FunctionBuilder::new("w", Type::I64);
+        let p = fb.add_param(Type::I64);
+        let acc = fb.new_local(Type::I64);
+        let (h, body, call, exit) = (
+            fb.new_block(),
+            fb.new_block(),
+            fb.new_block(),
+            fb.new_block(),
+        );
+        let exc = fb.new_local(Type::I64);
+        let pad = fb.new_pad_block(Some(exc));
+        let dead = fb.new_block();
+        fb.copy_to(acc, Operand::const_int(Type::I64, 0));
+        fb.jump(h);
+        fb.switch_to(h);
+        let c = fb.cmp(
+            CmpPred::Slt,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(p),
+        );
+        fb.branch(Operand::local(c), body, call);
+        fb.switch_to(body);
+        let mut sum = acc;
+        for i in 0..70 {
+            let v = fb.bin(
+                BinOp::Mul,
+                Type::I64,
+                Operand::local(acc),
+                Operand::const_int(Type::I64, i),
+            );
+            if i % 2 == 0 {
+                sum = fb.bin(
+                    BinOp::Add,
+                    Type::I64,
+                    Operand::local(sum),
+                    Operand::local(v),
+                );
+            }
+        }
+        fb.copy_to(acc, Operand::local(sum));
+        fb.jump(h);
+        fb.switch_to(call);
+        let r = fb
+            .invoke(
+                Callee::Indirect(Operand::local(p)),
+                Type::I64,
+                vec![Operand::local(acc)],
+                exit,
+                pad,
+            )
+            .expect("non-void invoke binds a result");
+        fb.switch_to(exit);
+        fb.ret(Some(Operand::local(r)));
+        fb.switch_to(pad);
+        fb.ret(Some(Operand::local(exc)));
+        fb.switch_to(dead);
+        let u = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(sum),
+            Operand::local(exc),
+        );
+        fb.ret(Some(Operand::local(u)));
+        let f = fb.finish();
+        assert!(f.locals.len() > 64);
+        f
+    }
+
     #[test]
     fn live_variables_matches_liveness() {
-        for f in [diamond_assign(), half_diamond_assign().0] {
-            let cfg = Cfg::compute(&f);
-            let lv = Liveness::compute(&f, &cfg);
-            let sol = solve(&LiveVariables, &f, &cfg);
-            for &b in cfg.rpo() {
+        // `tests/liveness_quick.rs` runs the same check over the `--quick`
+        // programs after `fufi_all` and after `fla`.
+        for f in &[
+            diamond_assign(),
+            half_diamond_assign().0,
+            wide_loop_with_pad_and_unreachable(),
+        ] {
+            let cfg = Cfg::compute(f);
+            let lv = Liveness::compute(f, &cfg);
+            let sol = solve(&LiveVariables, f, &cfg);
+            // Unreachable blocks too: neither side sweeps them.
+            for (b, _) in f.iter_blocks() {
                 assert_eq!(
                     &sol.block_in[b.index()],
                     lv.live_in(b),

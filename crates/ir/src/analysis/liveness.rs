@@ -5,8 +5,9 @@
 //! allocation; dead-code elimination uses the def/use sets.
 
 use crate::analysis::cfg::Cfg;
-use crate::function::Function;
+use crate::function::{Block, Function};
 use crate::ids::{BlockId, LocalId};
+use crate::inst::Operand;
 
 /// Fixed-size bitset over locals.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,12 +85,14 @@ impl LocalSet {
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = LocalId> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter_map(move |b| {
-                if word & (1u64 << b) != 0 {
-                    Some(LocalId::new(w * 64 + b))
-                } else {
-                    None
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(LocalId::new(w * 64 + b))
             })
         })
     }
@@ -123,68 +126,46 @@ impl Liveness {
     /// pad block. Invoke destinations are treated as defined on the normal
     /// edge only; for simplicity (and conservatively for liveness) we treat
     /// them as block-level defs of the invoking block.
+    ///
+    /// Blocks are swept in postorder, each computing `out = ∪ in[succ]`
+    /// into one reused word buffer and then `in = gen | (out & !def)` a
+    /// word at a time. Unreachable blocks are never swept: their sets stay
+    /// empty.
     pub fn compute(f: &Function, cfg: &Cfg) -> Self {
         let n = f.blocks.len();
         let nl = f.locals.len();
-        let mut gen = vec![LocalSet::new(nl); n];
-        let mut def = vec![LocalSet::new(nl); n];
-        for (b, block) in f.iter_blocks() {
-            let bi = b.index();
-            if let Some(pad) = &block.pad {
-                if let Some(d) = pad.dst {
-                    def[bi].insert(d);
-                }
-            }
-            for inst in &block.insts {
-                inst.for_each_use(|o| {
-                    if let Some(l) = o.as_local() {
-                        if !def[bi].contains(l) {
-                            gen[bi].insert(l);
-                        }
-                    }
-                });
-                if let Some(d) = inst.def() {
-                    def[bi].insert(d);
-                }
-            }
-            block.term.for_each_use(|o| {
-                if let Some(l) = o.as_local() {
-                    if !def[bi].contains(l) {
-                        gen[bi].insert(l);
-                    }
-                }
-            });
-            if let Some(d) = block.term.def() {
-                def[bi].insert(d);
-            }
-        }
+        let (gen, def): (Vec<LocalSet>, Vec<LocalSet>) = f
+            .blocks
+            .iter()
+            .map(|block| Self::block_sets(block, nl))
+            .unzip();
 
         let mut live_in = vec![LocalSet::new(nl); n];
         let mut live_out = vec![LocalSet::new(nl); n];
+        let mut out = vec![0u64; nl.div_ceil(64)];
         let mut changed = true;
         while changed {
             changed = false;
             // Postorder (reverse of RPO) converges fastest for backward flow.
             for &b in cfg.rpo().iter().rev() {
                 let bi = b.index();
-                let mut out = LocalSet::new(nl);
+                out.fill(0);
                 f.block(b).term.for_each_successor(|s| {
-                    out.union_with(&live_in[s.index()]);
-                });
-                // in = gen ∪ (out \ def)
-                let mut inn = gen[bi].clone();
-                for l in out.iter() {
-                    if !def[bi].contains(l) {
-                        inn.insert(l);
+                    for (o, w) in out.iter_mut().zip(&live_in[s.index()].bits) {
+                        *o |= w;
                     }
-                }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
+                });
+                if out != live_out[bi].bits {
+                    live_out[bi].bits.copy_from_slice(&out);
                     changed = true;
                 }
-                if inn != live_in[bi] {
-                    live_in[bi] = inn;
-                    changed = true;
+                let (g, d) = (&gen[bi].bits, &def[bi].bits);
+                for (i, slot) in live_in[bi].bits.iter_mut().enumerate() {
+                    let nv = g[i] | (out[i] & !d[i]);
+                    if nv != *slot {
+                        *slot = nv;
+                        changed = true;
+                    }
                 }
             }
         }
@@ -194,6 +175,35 @@ impl Liveness {
             gen,
             def,
         }
+    }
+
+    /// The upward-exposed uses (`gen`) and the definitions (`def`) of one
+    /// block of a function with `num_locals` locals — the per-block sets
+    /// [`Liveness::compute`] solves over.
+    pub fn block_sets(block: &Block, num_locals: usize) -> (LocalSet, LocalSet) {
+        let mut gen = LocalSet::new(num_locals);
+        let mut def = LocalSet::new(num_locals);
+        if let Some(d) = block.pad.as_ref().and_then(|pad| pad.dst) {
+            def.insert(d);
+        }
+        let mut expose = |o: &Operand, def: &LocalSet| {
+            if let Some(l) = o.as_local() {
+                if !def.contains(l) {
+                    gen.insert(l);
+                }
+            }
+        };
+        for inst in &block.insts {
+            inst.for_each_use(|o| expose(o, &def));
+            if let Some(d) = inst.def() {
+                def.insert(d);
+            }
+        }
+        block.term.for_each_use(|o| expose(o, &def));
+        if let Some(d) = block.term.def() {
+            def.insert(d);
+        }
+        (gen, def)
     }
 
     /// Locals live on entry to `b`.
@@ -236,6 +246,19 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![LocalId(3), LocalId(70)]);
         s.remove(LocalId(3));
         assert!(!s.contains(LocalId(3)));
+
+        // Word edges: the lowest and highest bit of word 0, the lowest of word 1.
+        let mut e = LocalSet::new(130);
+        for l in [64, 0, 63] {
+            e.insert(LocalId(l));
+        }
+        assert_eq!(
+            e.iter().collect::<Vec<_>>(),
+            vec![LocalId(0), LocalId(63), LocalId(64)]
+        );
+        assert_eq!(e.len(), 3);
+        assert_eq!(LocalSet::full(130).iter().count(), 130);
+        assert_eq!(LocalSet::full(130).iter().last(), Some(LocalId(129)));
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! The analysis is deliberately block-local (facts die at block
 //! boundaries): this is what lets O-LLVM-style opaque predicates that load
 //! from globals survive — matching the behaviour the paper relies on when
-//! it measures `Sub`/`Bog`/`Fla` under `O2`.
+//! it measures `Sub`/`Bog`/`Fla` under `O2`. The facts live in a table
+//! indexed by local, with a reverse index from each local to the locals
+//! recorded as its copies, so a definition kills exactly its own facts.
 
 use khaos_ir::constant::normalize_int;
-use khaos_ir::{BinOp, CastKind, CmpPred, Const, Function, Inst, LocalId, Operand, Term, Type, UnOp};
-use std::collections::HashMap;
+use khaos_ir::{
+    BinOp, CastKind, CmpPred, Const, Function, Inst, LocalId, Operand, Term, Type, UnOp,
+};
 
 /// What a local is currently known to hold within the block.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,35 +31,12 @@ pub fn run_function(f: &mut Function) -> bool {
 
 fn run_once(f: &mut Function) -> bool {
     let mut changed = false;
-    for b in 0..f.blocks.len() {
-        let mut known: HashMap<LocalId, Known> = HashMap::new();
-
-        // Substitute an operand through the known-values map.
-        let subst = |known: &HashMap<LocalId, Known>, o: &mut Operand| -> bool {
-            if let Some(l) = o.as_local() {
-                match known.get(&l) {
-                    Some(Known::Const(c)) => {
-                        *o = Operand::Const(*c);
-                        return true;
-                    }
-                    Some(Known::CopyOf(src)) => {
-                        *o = Operand::Local(*src);
-                        return true;
-                    }
-                    None => {}
-                }
-            }
-            false
-        };
-        let kill = |known: &mut HashMap<LocalId, Known>, d: LocalId| {
-            known.remove(&d);
-            known.retain(|_, v| *v != Known::CopyOf(d));
-        };
-
-        let block = &mut f.blocks[b];
+    let mut known = Facts::new(f.locals.len());
+    for block in &mut f.blocks {
+        known.clear();
         for inst in &mut block.insts {
             inst.for_each_use_mut(|o| {
-                if subst(&known, o) {
+                if known.subst(o) {
                     changed = true;
                 }
             });
@@ -65,20 +45,22 @@ fn run_once(f: &mut Function) -> bool {
                 changed = true;
             }
             if let Some(d) = inst.def() {
-                kill(&mut known, d);
+                known.kill(d);
                 match inst {
-                    Inst::Copy { src: Operand::Const(c), .. } => {
-                        known.insert(d, Known::Const(*c));
-                    }
-                    Inst::Copy { src: Operand::Local(s), .. } if *s != d => {
-                        known.insert(d, Known::CopyOf(*s));
-                    }
+                    Inst::Copy {
+                        src: Operand::Const(c),
+                        ..
+                    } => known.set(d, Known::Const(*c)),
+                    Inst::Copy {
+                        src: Operand::Local(s),
+                        ..
+                    } if *s != d => known.set(d, Known::CopyOf(*s)),
                     _ => {}
                 }
             }
         }
         block.term.for_each_use_mut(|o| {
-            if subst(&known, o) {
+            if known.subst(o) {
                 changed = true;
             }
         });
@@ -88,6 +70,65 @@ fn run_once(f: &mut Function) -> bool {
         }
     }
     changed
+}
+
+/// The block's known values, indexed by local, with the reverse index a
+/// definition needs to kill the copies of its local.
+struct Facts {
+    known: Vec<Option<Known>>,
+    /// `copies[s]`: locals recorded as `CopyOf(s)`. An entry may be stale
+    /// (the local since redefined); a kill re-checks each one.
+    copies: Vec<Vec<LocalId>>,
+    /// Locals with a fact or a copy list, reset at the next block.
+    touched: Vec<LocalId>,
+}
+
+impl Facts {
+    fn new(num_locals: usize) -> Self {
+        Facts {
+            known: vec![None; num_locals],
+            copies: vec![Vec::new(); num_locals],
+            touched: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        for l in self.touched.drain(..) {
+            self.known[l.index()] = None;
+            self.copies[l.index()].clear();
+        }
+    }
+
+    fn set(&mut self, d: LocalId, k: Known) {
+        self.known[d.index()] = Some(k);
+        self.touched.push(d);
+        if let Known::CopyOf(s) = k {
+            self.copies[s.index()].push(d);
+            self.touched.push(s);
+        }
+    }
+
+    /// Forgets what `d` held and every copy of `d`.
+    fn kill(&mut self, d: LocalId) {
+        self.known[d.index()] = None;
+        for &x in &self.copies[d.index()] {
+            if self.known[x.index()] == Some(Known::CopyOf(d)) {
+                self.known[x.index()] = None;
+            }
+        }
+        self.copies[d.index()].clear();
+    }
+
+    /// Substitutes an operand through the known values.
+    fn subst(&self, o: &mut Operand) -> bool {
+        let Some(l) = o.as_local() else { return false };
+        match self.known[l.index()] {
+            Some(Known::Const(c)) => *o = Operand::Const(c),
+            Some(Known::CopyOf(src)) => *o = Operand::Local(src),
+            None => return false,
+        }
+        true
+    }
 }
 
 fn const_int(o: &Operand) -> Option<(i64, Type)> {
@@ -108,7 +149,13 @@ fn const_float(o: &Operand) -> Option<f64> {
 /// Returns `None` when not foldable (including would-trap divisions).
 fn fold_inst(inst: &Inst) -> Option<Inst> {
     match inst {
-        Inst::Bin { op, ty, dst, lhs, rhs } => {
+        Inst::Bin {
+            op,
+            ty,
+            dst,
+            lhs,
+            rhs,
+        } => {
             if op.is_float_op() {
                 let (x, y) = (const_float(lhs)?, const_float(rhs)?);
                 let r = match op {
@@ -119,17 +166,38 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                     _ => return None,
                 };
                 let r = if *ty == Type::F32 { r as f32 as f64 } else { r };
-                return Some(Inst::Copy { ty: *ty, dst: *dst, src: Operand::const_float(*ty, r) });
+                return Some(Inst::Copy {
+                    ty: *ty,
+                    dst: *dst,
+                    src: Operand::const_float(*ty, r),
+                });
             }
             // Algebraic identities with one constant side.
             if let Some((c, _)) = const_int(rhs) {
                 match (op, c) {
-                    (BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::LShr | BinOp::AShr, 0)
+                    (
+                        BinOp::Add
+                        | BinOp::Sub
+                        | BinOp::Or
+                        | BinOp::Xor
+                        | BinOp::Shl
+                        | BinOp::LShr
+                        | BinOp::AShr,
+                        0,
+                    )
                     | (BinOp::Mul | BinOp::SDiv | BinOp::UDiv, 1) => {
-                        return Some(Inst::Copy { ty: *ty, dst: *dst, src: *lhs });
+                        return Some(Inst::Copy {
+                            ty: *ty,
+                            dst: *dst,
+                            src: *lhs,
+                        });
                     }
                     (BinOp::Mul | BinOp::And, 0) => {
-                        return Some(Inst::Copy { ty: *ty, dst: *dst, src: Operand::zero(*ty) });
+                        return Some(Inst::Copy {
+                            ty: *ty,
+                            dst: *dst,
+                            src: Operand::zero(*ty),
+                        });
                     }
                     _ => {}
                 }
@@ -137,8 +205,16 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
             let (x, xt) = const_int(lhs)?;
             let (y, _) = const_int(rhs)?;
             let bits = xt.bits().unwrap_or(64);
-            let ux = if bits >= 64 { x as u64 } else { (x as u64) & ((1 << bits) - 1) };
-            let uy = if bits >= 64 { y as u64 } else { (y as u64) & ((1 << bits) - 1) };
+            let ux = if bits >= 64 {
+                x as u64
+            } else {
+                (x as u64) & ((1 << bits) - 1)
+            };
+            let uy = if bits >= 64 {
+                y as u64
+            } else {
+                (y as u64) & ((1 << bits) - 1)
+            };
             let shift = (y & (bits.max(8) as i64 - 1)) as u32;
             let r = match op {
                 BinOp::Add => x.wrapping_add(y),
@@ -156,33 +232,45 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                 BinOp::AShr => x >> shift,
                 _ => return None, // division by zero: preserve the trap
             };
-            Some(Inst::Copy { ty: *ty, dst: *dst, src: Operand::const_int(*ty, normalize_int(r, *ty)) })
+            Some(Inst::Copy {
+                ty: *ty,
+                dst: *dst,
+                src: Operand::const_int(*ty, normalize_int(r, *ty)),
+            })
         }
-        Inst::Un { op, ty, dst, src } => {
-            match op {
-                UnOp::FNeg => {
-                    let x = const_float(src)?;
-                    Some(Inst::Copy { ty: *ty, dst: *dst, src: Operand::const_float(*ty, -x) })
-                }
-                UnOp::Neg => {
-                    let (x, _) = const_int(src)?;
-                    Some(Inst::Copy {
-                        ty: *ty,
-                        dst: *dst,
-                        src: Operand::const_int(*ty, normalize_int(x.wrapping_neg(), *ty)),
-                    })
-                }
-                UnOp::Not => {
-                    let (x, _) = const_int(src)?;
-                    Some(Inst::Copy {
-                        ty: *ty,
-                        dst: *dst,
-                        src: Operand::const_int(*ty, normalize_int(!x, *ty)),
-                    })
-                }
+        Inst::Un { op, ty, dst, src } => match op {
+            UnOp::FNeg => {
+                let x = const_float(src)?;
+                Some(Inst::Copy {
+                    ty: *ty,
+                    dst: *dst,
+                    src: Operand::const_float(*ty, -x),
+                })
             }
-        }
-        Inst::Cmp { pred, ty, dst, lhs, rhs } => {
+            UnOp::Neg => {
+                let (x, _) = const_int(src)?;
+                Some(Inst::Copy {
+                    ty: *ty,
+                    dst: *dst,
+                    src: Operand::const_int(*ty, normalize_int(x.wrapping_neg(), *ty)),
+                })
+            }
+            UnOp::Not => {
+                let (x, _) = const_int(src)?;
+                Some(Inst::Copy {
+                    ty: *ty,
+                    dst: *dst,
+                    src: Operand::const_int(*ty, normalize_int(!x, *ty)),
+                })
+            }
+        },
+        Inst::Cmp {
+            pred,
+            ty,
+            dst,
+            lhs,
+            rhs,
+        } => {
             let r = if pred.is_float_pred() {
                 let (x, y) = (const_float(lhs)?, const_float(rhs)?);
                 match pred {
@@ -198,8 +286,16 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                 let (x, xt) = const_int(lhs)?;
                 let (y, _) = const_int(rhs)?;
                 let bits = xt.bits().unwrap_or(64);
-                let ux = if bits >= 64 { x as u64 } else { (x as u64) & ((1 << bits) - 1) };
-                let uy = if bits >= 64 { y as u64 } else { (y as u64) & ((1 << bits) - 1) };
+                let ux = if bits >= 64 {
+                    x as u64
+                } else {
+                    (x as u64) & ((1 << bits) - 1)
+                };
+                let uy = if bits >= 64 {
+                    y as u64
+                } else {
+                    (y as u64) & ((1 << bits) - 1)
+                };
                 match pred {
                     CmpPred::Eq => x == y,
                     CmpPred::Ne => x != y,
@@ -215,14 +311,34 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                 }
             };
             let _ = ty;
-            Some(Inst::Copy { ty: Type::I1, dst: *dst, src: Operand::const_bool(r) })
+            Some(Inst::Copy {
+                ty: Type::I1,
+                dst: *dst,
+                src: Operand::const_bool(r),
+            })
         }
-        Inst::Select { ty, dst, cond, on_true, on_false } => {
+        Inst::Select {
+            ty,
+            dst,
+            cond,
+            on_true,
+            on_false,
+        } => {
             let (c, _) = const_int(cond)?;
             let src = if c & 1 == 1 { *on_true } else { *on_false };
-            Some(Inst::Copy { ty: *ty, dst: *dst, src })
+            Some(Inst::Copy {
+                ty: *ty,
+                dst: *dst,
+                src,
+            })
         }
-        Inst::Cast { kind, dst, src, from, to } => {
+        Inst::Cast {
+            kind,
+            dst,
+            src,
+            from,
+            to,
+        } => {
             match kind {
                 CastKind::Trunc | CastKind::SExt => {
                     let (x, _) = const_int(src)?;
@@ -235,7 +351,11 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                 CastKind::ZExt => {
                     let (x, _) = const_int(src)?;
                     let bits = from.bits()?;
-                    let ux = if bits >= 64 { x as u64 } else { (x as u64) & ((1 << bits) - 1) };
+                    let ux = if bits >= 64 {
+                        x as u64
+                    } else {
+                        (x as u64) & ((1 << bits) - 1)
+                    };
                     Some(Inst::Copy {
                         ty: *to,
                         dst: *dst,
@@ -244,13 +364,25 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
                 }
                 CastKind::SiToFp => {
                     let (x, _) = const_int(src)?;
-                    let v = if *to == Type::F32 { x as f64 as f32 as f64 } else { x as f64 };
-                    Some(Inst::Copy { ty: *to, dst: *dst, src: Operand::const_float(*to, v) })
+                    let v = if *to == Type::F32 {
+                        x as f64 as f32 as f64
+                    } else {
+                        x as f64
+                    };
+                    Some(Inst::Copy {
+                        ty: *to,
+                        dst: *dst,
+                        src: Operand::const_float(*to, v),
+                    })
                 }
                 CastKind::FpTrunc | CastKind::FpExt => {
                     let x = const_float(src)?;
                     let v = if *to == Type::F32 { x as f32 as f64 } else { x };
-                    Some(Inst::Copy { ty: *to, dst: *dst, src: Operand::const_float(*to, v) })
+                    Some(Inst::Copy {
+                        ty: *to,
+                        dst: *dst,
+                        src: Operand::const_float(*to, v),
+                    })
                 }
                 // Pointer casts and fptosi on constants are rare; skip.
                 _ => None,
@@ -262,16 +394,29 @@ fn fold_inst(inst: &Inst) -> Option<Inst> {
 
 fn fold_term(term: &Term) -> Option<Term> {
     match term {
-        Term::Branch { cond, then_bb, else_bb } => {
+        Term::Branch {
+            cond,
+            then_bb,
+            else_bb,
+        } => {
             if then_bb == else_bb {
                 return Some(Term::Jump(*then_bb));
             }
             let (c, _) = const_int(cond)?;
             Some(Term::Jump(if c & 1 == 1 { *then_bb } else { *else_bb }))
         }
-        Term::Switch { value, cases, default, .. } => {
+        Term::Switch {
+            value,
+            cases,
+            default,
+            ..
+        } => {
             let (v, _) = const_int(value)?;
-            let target = cases.iter().find(|(c, _)| *c == v).map(|(_, t)| *t).unwrap_or(*default);
+            let target = cases
+                .iter()
+                .find(|(c, _)| *c == v)
+                .map(|(_, t)| *t)
+                .unwrap_or(*default);
             Some(Term::Jump(target))
         }
         _ => None,
@@ -288,8 +433,18 @@ mod tests {
     fn folds_constant_chain() {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
-        let a = fb.bin(BinOp::Add, Type::I64, Operand::const_int(Type::I64, 2), Operand::const_int(Type::I64, 3));
-        let b = fb.bin(BinOp::Mul, Type::I64, Operand::local(a), Operand::const_int(Type::I64, 4));
+        let a = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::const_int(Type::I64, 2),
+            Operand::const_int(Type::I64, 3),
+        );
+        let b = fb.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(a),
+            Operand::const_int(Type::I64, 4),
+        );
         fb.ret(Some(Operand::local(b)));
         m.push_function(fb.finish());
         run_function(&mut m.functions[0]);
@@ -304,12 +459,23 @@ mod tests {
     fn preserves_division_by_zero() {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
-        let a = fb.bin(BinOp::SDiv, Type::I64, Operand::const_int(Type::I64, 1), Operand::const_int(Type::I64, 0));
+        let a = fb.bin(
+            BinOp::SDiv,
+            Type::I64,
+            Operand::const_int(Type::I64, 1),
+            Operand::const_int(Type::I64, 0),
+        );
         fb.ret(Some(Operand::local(a)));
         m.push_function(fb.finish());
         run_function(&mut m.functions[0]);
         assert!(
-            matches!(&m.functions[0].blocks[0].insts[0], Inst::Bin { op: BinOp::SDiv, .. }),
+            matches!(
+                &m.functions[0].blocks[0].insts[0],
+                Inst::Bin {
+                    op: BinOp::SDiv,
+                    ..
+                }
+            ),
             "div-by-zero must not be folded away"
         );
     }
@@ -320,7 +486,12 @@ mod tests {
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let t = fb.new_block();
         let e = fb.new_block();
-        let c = fb.cmp(CmpPred::Sgt, Type::I64, Operand::const_int(Type::I64, 5), Operand::const_int(Type::I64, 3));
+        let c = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::const_int(Type::I64, 5),
+            Operand::const_int(Type::I64, 3),
+        );
         fb.branch(Operand::local(c), t, e);
         fb.switch_to(t);
         fb.ret(Some(Operand::const_int(Type::I64, 1)));
@@ -344,7 +515,11 @@ mod tests {
         run_function(&mut m.functions[0]);
         match &m.functions[0].blocks[0].insts[2] {
             Inst::Bin { lhs, rhs, .. } => {
-                assert_eq!(lhs.as_local(), Some(p), "uses chase copies back to the param");
+                assert_eq!(
+                    lhs.as_local(),
+                    Some(p),
+                    "uses chase copies back to the param"
+                );
                 assert_eq!(rhs.as_local(), Some(p));
             }
             other => panic!("unexpected {other:?}"),
@@ -356,13 +531,26 @@ mod tests {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let p = fb.add_param(Type::I64);
-        let a = fb.bin(BinOp::Add, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
-        let b = fb.bin(BinOp::Mul, Type::I64, Operand::local(a), Operand::const_int(Type::I64, 1));
+        let a = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
+        let b = fb.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(a),
+            Operand::const_int(Type::I64, 1),
+        );
         fb.ret(Some(Operand::local(b)));
         m.push_function(fb.finish());
         run_function(&mut m.functions[0]);
         let f = &m.functions[0];
-        assert!(f.blocks[0].insts.iter().all(|i| matches!(i, Inst::Copy { .. })));
+        assert!(f.blocks[0]
+            .insts
+            .iter()
+            .all(|i| matches!(i, Inst::Copy { .. })));
         assert!(matches!(f.blocks[0].term, Term::Ret(Some(Operand::Local(l))) if l == p));
     }
 
@@ -377,7 +565,12 @@ mod tests {
         fb.copy_to(x, Operand::const_int(Type::I64, 7));
         fb.jump(nxt);
         fb.switch_to(nxt);
-        let r = fb.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 1));
+        let r = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, 1),
+        );
         fb.ret(Some(Operand::local(r)));
         m.push_function(fb.finish());
         run_function(&mut m.functions[0]);

@@ -1,56 +1,76 @@
 //! Liveness-based dead code elimination for pure instructions.
+//!
+//! Each round solves liveness once and, walking every block backwards
+//! from its live-out set, removes the pure instructions whose results are
+//! dead. DCE never touches a terminator, so one CFG serves every round.
+//! A removed definition had no use before the next definition of its
+//! local, so removing it never exposes a later use: when a round's
+//! removals leave every block's upward-exposed (`gen`) set unchanged,
+//! liveness cannot change and the next round would remove nothing. The
+//! loop stops there instead of solving again to see an empty round.
 
 use khaos_ir::analysis::liveness::LocalSet;
-use khaos_ir::{Cfg, Function, Liveness};
+use khaos_ir::{Block, BlockId, Cfg, Function, Liveness};
 
 /// Removes pure instructions whose results are dead. Returns the number of
 /// removed instructions.
 pub fn run_function(f: &mut Function) -> usize {
+    let cfg = Cfg::compute(f);
+    let nl = f.locals.len();
+    let mut live = LocalSet::new(nl);
+    let mut keep = Vec::new();
     let mut removed = 0;
     loop {
-        let cfg = Cfg::compute(f);
         let lv = Liveness::compute(f, &cfg);
-        let mut round = 0;
+        let mut gen_changed = false;
         for (b, block) in f.blocks.iter_mut().enumerate() {
-            let bid = khaos_ir::BlockId::new(b);
-            // Walk backwards keeping a running live set.
-            let mut live: LocalSet = lv.live_out(bid).clone();
-            // Collect uses of the terminator first.
-            block.term.for_each_use(|o| {
-                if let Some(l) = o.as_local() {
-                    live.insert(l);
-                }
-            });
-            let mut keep = vec![true; block.insts.len()];
-            for (i, inst) in block.insts.iter().enumerate().rev() {
-                let dead = match inst.def() {
-                    Some(d) => !live.contains(d),
-                    None => false,
-                };
-                if dead && inst.is_pure() {
-                    keep[i] = false;
-                    round += 1;
-                    continue;
-                }
-                if let Some(d) = inst.def() {
-                    live.remove(d);
-                }
-                inst.for_each_use(|o| {
-                    if let Some(l) = o.as_local() {
-                        live.insert(l);
-                    }
-                });
-            }
-            if round > 0 {
-                let mut it = keep.iter();
-                block.insts.retain(|_| *it.next().expect("keep mask aligned"));
+            let bid = BlockId::new(b);
+            live.clone_from(lv.live_out(bid));
+            let dropped = sweep_block(block, &mut live, &mut keep);
+            if dropped > 0 {
+                removed += dropped;
+                gen_changed = gen_changed || Liveness::block_sets(block, nl).0 != *lv.gen_set(bid);
             }
         }
-        if round == 0 {
+        if !gen_changed {
             return removed;
         }
-        removed += round;
     }
+}
+
+/// Removes the dead pure instructions of `block`, walking backwards from
+/// `live` (its live-out set, consumed). Returns the number removed.
+fn sweep_block(block: &mut Block, live: &mut LocalSet, keep: &mut Vec<bool>) -> usize {
+    block.term.for_each_use(|o| {
+        if let Some(l) = o.as_local() {
+            live.insert(l);
+        }
+    });
+    keep.clear();
+    keep.resize(block.insts.len(), true);
+    let mut dropped = 0;
+    for (i, inst) in block.insts.iter().enumerate().rev() {
+        if let Some(d) = inst.def() {
+            if !live.contains(d) && inst.is_pure() {
+                keep[i] = false;
+                dropped += 1;
+                continue;
+            }
+            live.remove(d);
+        }
+        inst.for_each_use(|o| {
+            if let Some(l) = o.as_local() {
+                live.insert(l);
+            }
+        });
+    }
+    if dropped > 0 {
+        let mut it = keep.iter();
+        block
+            .insts
+            .retain(|_| *it.next().expect("keep mask aligned"));
+    }
+    dropped
 }
 
 #[cfg(test)]
@@ -64,8 +84,18 @@ mod tests {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let p = fb.add_param(Type::I64);
-        let a = fb.bin(BinOp::Add, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 1));
-        let _b = fb.bin(BinOp::Mul, Type::I64, Operand::local(a), Operand::const_int(Type::I64, 2));
+        let a = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 1),
+        );
+        let _b = fb.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(a),
+            Operand::const_int(Type::I64, 2),
+        );
         fb.ret(Some(Operand::local(p)));
         m.push_function(fb.finish());
         let removed = run_function(&mut m.functions[0]);
@@ -78,7 +108,11 @@ mod tests {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let p = fb.alloca(8); // impure (frame effect), result unused below
-        fb.store(Type::I64, Operand::const_int(Type::I64, 1), Operand::local(p));
+        fb.store(
+            Type::I64,
+            Operand::const_int(Type::I64, 1),
+            Operand::local(p),
+        );
         fb.ret(Some(Operand::const_int(Type::I64, 0)));
         m.push_function(fb.finish());
         let removed = run_function(&mut m.functions[0]);

@@ -130,7 +130,10 @@ mod tests {
         let tid = m.push_function(tbl.finish());
         m.push_global(khaos_ir::Global {
             name: "table".into(),
-            init: vec![GInit::FuncPtr { func: tid, addend: 0 }],
+            init: vec![GInit::FuncPtr {
+                func: tid,
+                addend: 0,
+            }],
             align: 8,
             exported: false,
         });
@@ -159,6 +162,9 @@ mod tests {
 
         assert_eq!(run_module(&mut m), 1);
         khaos_ir::verify::assert_valid(&m);
-        assert_eq!(khaos_vm::run_function(&m, "main", &[]).unwrap().exit_code, 7);
+        assert_eq!(
+            khaos_vm::run_function(&m, "main", &[]).unwrap().exit_code,
+            7
+        );
     }
 }

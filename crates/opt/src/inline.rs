@@ -5,10 +5,8 @@
 //! `remFunc`s become inlinable into their callers — the source of the
 //! negative-overhead cases in Figure 6.
 
-use khaos_ir::rewrite::{remap_block, import_locals};
-use khaos_ir::{
-    Block, BlockId, Callee, CallGraph, FuncId, Inst, Linkage, Module, Term,
-};
+use khaos_ir::rewrite::{import_locals, remap_block};
+use khaos_ir::{Block, BlockId, CallGraph, Callee, FuncId, Inst, Linkage, Module, Term};
 use std::collections::HashMap;
 
 /// Inliner configuration.
@@ -23,7 +21,10 @@ pub struct InlineOptions {
 
 impl Default for InlineOptions {
     fn default() -> Self {
-        InlineOptions { threshold: 48, allow_exported: true }
+        InlineOptions {
+            threshold: 48,
+            allow_exported: true,
+        }
     }
 }
 
@@ -56,11 +57,22 @@ pub fn run_module(m: &mut Module, opts: &InlineOptions) -> usize {
     inlined
 }
 
-fn find_candidate(m: &Module, caller: FuncId, opts: &InlineOptions) -> Option<(BlockId, usize, FuncId)> {
+fn find_candidate(
+    m: &Module,
+    caller: FuncId,
+    opts: &InlineOptions,
+) -> Option<(BlockId, usize, FuncId)> {
     let f = m.function(caller);
     for (b, block) in f.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
-            let Inst::Call { callee: Callee::Direct(t), args, .. } = inst else { continue };
+            let Inst::Call {
+                callee: Callee::Direct(t),
+                args,
+                ..
+            } = inst
+            else {
+                continue;
+            };
             if *t == caller {
                 continue; // no self-inline
             }
@@ -95,7 +107,11 @@ fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: 
     // inlined entry; `join` receives insts[idx+1..] and the old terminator.
     let tail_insts: Vec<Inst> = f.block(bb).insts[idx + 1..].to_vec();
     let old_term = f.block(bb).term.clone();
-    let join = f.push_block(Block { insts: tail_insts, term: old_term, pad: None });
+    let join = f.push_block(Block {
+        insts: tail_insts,
+        term: old_term,
+        pad: None,
+    });
 
     // Copy callee blocks, remapping locals and block ids.
     let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
@@ -110,7 +126,11 @@ fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: 
         if let Term::Ret(v) = nb.term.clone() {
             if let (Some(d), Some(val)) = (dst, v) {
                 let ty = f.local_ty(d);
-                nb.insts.push(Inst::Copy { ty, dst: d, src: val });
+                nb.insts.push(Inst::Copy {
+                    ty,
+                    dst: d,
+                    src: val,
+                });
             }
             nb.term = Term::Jump(join);
         }
@@ -122,7 +142,11 @@ fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: 
     for (i, a) in args.iter().enumerate() {
         let param = lmap[&khaos_ir::LocalId::new(i)];
         let pty = f.local_ty(param);
-        f.block_mut(bb).insts.push(Inst::Copy { ty: pty, dst: param, src: *a });
+        f.block_mut(bb).insts.push(Inst::Copy {
+            ty: pty,
+            dst: param,
+            src: *a,
+        });
     }
     // A call gives the callee a frame of zeroed locals; an inlined body
     // reuses the caller's locals, which would otherwise carry stale
@@ -131,7 +155,11 @@ fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: 
     for i in g.param_count as usize..g.locals.len() {
         let mapped = lmap[&khaos_ir::LocalId::new(i)];
         let ty = f.local_ty(mapped);
-        f.block_mut(bb).insts.push(Inst::Copy { ty, dst: mapped, src: khaos_ir::Operand::zero(ty) });
+        f.block_mut(bb).insts.push(Inst::Copy {
+            ty,
+            dst: mapped,
+            src: khaos_ir::Operand::zero(ty),
+        });
     }
     f.block_mut(bb).term = Term::Jump(bmap[&g.entry()]);
 }
@@ -149,10 +177,20 @@ mod tests {
         let p = h.add_param(Type::I64);
         let t = h.new_block();
         let e = h.new_block();
-        let c = h.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
+        let c = h.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
         h.branch(Operand::local(c), t, e);
         h.switch_to(t);
-        let r1 = h.bin(BinOp::Mul, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 2));
+        let r1 = h.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 2),
+        );
         h.ret(Some(Operand::local(r1)));
         h.switch_to(e);
         h.ret(Some(Operand::const_int(Type::I64, -1)));
@@ -164,8 +202,12 @@ mod tests {
     fn inlines_and_preserves_behaviour() {
         let (mut m, hid) = module_with_helper();
         let mut main = FunctionBuilder::new("main", Type::I64);
-        let a = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, 21)]).unwrap();
-        let b = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, -5)]).unwrap();
+        let a = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, 21)])
+            .unwrap();
+        let b = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, -5)])
+            .unwrap();
         let r = main.bin(BinOp::Add, Type::I64, Operand::local(a), Operand::local(b));
         main.ret(Some(Operand::local(r)));
         m.push_function(main.finish());
@@ -184,17 +226,28 @@ mod tests {
             .blocks
             .iter()
             .any(|b| b.insts.iter().any(|i| matches!(i, Inst::Call { .. }))));
-        assert!(after.cycles < before.cycles, "call overhead should disappear");
+        assert!(
+            after.cycles < before.cycles,
+            "call overhead should disappear"
+        );
     }
 
     #[test]
     fn respects_threshold() {
         let (mut m, hid) = module_with_helper();
         let mut main = FunctionBuilder::new("main", Type::I64);
-        let a = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, 21)]).unwrap();
+        let a = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, 21)])
+            .unwrap();
         main.ret(Some(Operand::local(a)));
         m.push_function(main.finish());
-        let n = run_module(&mut m, &InlineOptions { threshold: 2, allow_exported: true });
+        let n = run_module(
+            &mut m,
+            &InlineOptions {
+                threshold: 2,
+                allow_exported: true,
+            },
+        );
         assert_eq!(n, 0, "helper exceeds tiny threshold");
     }
 
@@ -209,7 +262,12 @@ mod tests {
         let x = h.new_local(Type::I64); // zero-init unless the branch writes it
         let setit = h.new_block();
         let out = h.new_block();
-        let c = h.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
+        let c = h.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
         h.branch(Operand::local(c), setit, out);
         h.switch_to(setit);
         h.copy_to(x, Operand::const_int(Type::I64, 99));
@@ -220,8 +278,12 @@ mod tests {
 
         // main: call latch(1) then latch(0); second must return 0, not 99.
         let mut main = FunctionBuilder::new("main", Type::I64);
-        let _first = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, 1)]).unwrap();
-        let second = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, 0)]).unwrap();
+        let _first = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, 1)])
+            .unwrap();
+        let second = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, 0)])
+            .unwrap();
         main.ret(Some(Operand::local(second)));
         m.push_function(main.finish());
         khaos_ir::verify::assert_valid(&m);
@@ -263,21 +325,40 @@ mod tests {
         let p = h.add_param(Type::I64);
         let base = h.new_block();
         let rec = h.new_block();
-        let c = h.cmp(CmpPred::Sle, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
+        let c = h.cmp(
+            CmpPred::Sle,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
         h.branch(Operand::local(c), base, rec);
         h.switch_to(base);
         h.ret(Some(Operand::const_int(Type::I64, 0)));
         h.switch_to(rec);
-        let pm1 = h.bin(BinOp::Sub, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 1));
+        let pm1 = h.bin(
+            BinOp::Sub,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 1),
+        );
         let hid_placeholder = FuncId(0); // self id known: first pushed
-        let r = h.call(hid_placeholder, Type::I64, vec![Operand::local(pm1)]).unwrap();
-        let r1 = h.bin(BinOp::Add, Type::I64, Operand::local(r), Operand::const_int(Type::I64, 1));
+        let r = h
+            .call(hid_placeholder, Type::I64, vec![Operand::local(pm1)])
+            .unwrap();
+        let r1 = h.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(r),
+            Operand::const_int(Type::I64, 1),
+        );
         h.ret(Some(Operand::local(r1)));
         let hid = m.push_function(h.finish());
         assert_eq!(hid, hid_placeholder);
 
         let mut main = FunctionBuilder::new("main", Type::I64);
-        let a = main.call(hid, Type::I64, vec![Operand::const_int(Type::I64, 5)]).unwrap();
+        let a = main
+            .call(hid, Type::I64, vec![Operand::const_int(Type::I64, 5)])
+            .unwrap();
         main.ret(Some(Operand::local(a)));
         m.push_function(main.finish());
         khaos_ir::verify::assert_valid(&m);

@@ -24,7 +24,13 @@ pub fn run_function(f: &mut Function) -> usize {
                 match &mut cands[dst.index()] {
                     // A second alloca defining the same local: unsupported.
                     Some(c) => c.ok = false,
-                    slot => *slot = Some(Cand { size: *size, ty: None, ok: true }),
+                    slot => {
+                        *slot = Some(Cand {
+                            size: *size,
+                            ty: None,
+                            ok: true,
+                        })
+                    }
                 }
             }
         }
@@ -111,7 +117,12 @@ pub fn run_function(f: &mut Function) -> usize {
     let mut reg_for: Vec<Option<(LocalId, Type)>> = vec![None; f.locals.len()];
     let mut promoted = 0;
     for (i, c) in cands.iter().enumerate() {
-        if let Some(Cand { ty: Some(ty), ok: true, .. }) = c {
+        if let Some(Cand {
+            ty: Some(ty),
+            ok: true,
+            ..
+        }) = c
+        {
             let r = f.new_local(*ty);
             reg_for[i] = Some((r, *ty));
             promoted += 1;
@@ -124,18 +135,32 @@ pub fn run_function(f: &mut Function) -> usize {
     for b in &mut f.blocks {
         for inst in &mut b.insts {
             let replacement = match inst {
-                Inst::Alloca { dst, .. } => reg_for
-                    .get(dst.index())
-                    .and_then(|r| *r)
-                    .map(|(r, ty)| Inst::Copy { ty, dst: r, src: Operand::zero(ty) }),
+                Inst::Alloca { dst, .. } => {
+                    reg_for
+                        .get(dst.index())
+                        .and_then(|r| *r)
+                        .map(|(r, ty)| Inst::Copy {
+                            ty,
+                            dst: r,
+                            src: Operand::zero(ty),
+                        })
+                }
                 Inst::Load { dst, addr, .. } => addr
                     .as_local()
                     .and_then(|l| reg_for[l.index()])
-                    .map(|(r, ty)| Inst::Copy { ty, dst: *dst, src: Operand::local(r) }),
+                    .map(|(r, ty)| Inst::Copy {
+                        ty,
+                        dst: *dst,
+                        src: Operand::local(r),
+                    }),
                 Inst::Store { addr, value, .. } => addr
                     .as_local()
                     .and_then(|l| reg_for[l.index()])
-                    .map(|(r, ty)| Inst::Copy { ty, dst: r, src: *value }),
+                    .map(|(r, ty)| Inst::Copy {
+                        ty,
+                        dst: r,
+                        src: *value,
+                    }),
                 _ => None,
             };
             if let Some(r) = replacement {
@@ -158,7 +183,11 @@ mod tests {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let p = fb.alloca(8);
-        fb.store(Type::I64, Operand::const_int(Type::I64, 5), Operand::local(p));
+        fb.store(
+            Type::I64,
+            Operand::const_int(Type::I64, 5),
+            Operand::local(p),
+        );
         let v = fb.load(Type::I64, Operand::local(p));
         fb.ret(Some(Operand::local(v)));
         m.push_function(fb.finish());
@@ -167,10 +196,13 @@ mod tests {
         assert_eq!(n, 1);
         khaos_ir::verify::assert_valid(&m);
         assert!(
-            !m.functions[0].blocks.iter().any(|b| b
-                .insts
+            !m.functions[0]
+                .blocks
                 .iter()
-                .any(|i| matches!(i, Inst::Alloca { .. } | Inst::Load { .. } | Inst::Store { .. }))),
+                .any(|b| b.insts.iter().any(|i| matches!(
+                    i,
+                    Inst::Alloca { .. } | Inst::Load { .. } | Inst::Store { .. }
+                ))),
             "all memory ops should be gone"
         );
         assert_eq!(vm_run(&m, "main", &[]).unwrap().exit_code, 5);
@@ -183,7 +215,11 @@ mod tests {
         let p = fb.alloca(8);
         // Address escapes through pointer arithmetic.
         let q = fb.ptradd(Operand::local(p), Operand::const_int(Type::I64, 0));
-        fb.store(Type::I64, Operand::const_int(Type::I64, 5), Operand::local(q));
+        fb.store(
+            Type::I64,
+            Operand::const_int(Type::I64, 5),
+            Operand::local(q),
+        );
         let v = fb.load(Type::I64, Operand::local(p));
         fb.ret(Some(Operand::local(v)));
         m.push_function(fb.finish());
@@ -197,7 +233,11 @@ mod tests {
         let mut m = Module::new("t");
         let mut fb = FunctionBuilder::new("main", Type::I64);
         let p = fb.alloca(8);
-        fb.store(Type::I32, Operand::const_int(Type::I32, 5), Operand::local(p));
+        fb.store(
+            Type::I32,
+            Operand::const_int(Type::I32, 5),
+            Operand::local(p),
+        );
         let v = fb.load(Type::I64, Operand::local(p));
         fb.ret(Some(Operand::local(v)));
         m.push_function(fb.finish());
@@ -213,7 +253,11 @@ mod tests {
         let body = fb.new_block();
         let exit = fb.new_block();
         let i = fb.new_local(Type::I64);
-        fb.store(Type::I64, Operand::const_int(Type::I64, 0), Operand::local(p));
+        fb.store(
+            Type::I64,
+            Operand::const_int(Type::I64, 0),
+            Operand::local(p),
+        );
         fb.copy_to(i, Operand::const_int(Type::I64, 0));
         fb.jump(h);
         fb.switch_to(h);
@@ -226,9 +270,19 @@ mod tests {
         fb.branch(Operand::local(c), body, exit);
         fb.switch_to(body);
         let cur = fb.load(Type::I64, Operand::local(p));
-        let nxt = fb.bin(BinOp::Add, Type::I64, Operand::local(cur), Operand::local(i));
+        let nxt = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(cur),
+            Operand::local(i),
+        );
         fb.store(Type::I64, Operand::local(nxt), Operand::local(p));
-        let ni = fb.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+        let ni = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(i),
+            Operand::const_int(Type::I64, 1),
+        );
         fb.copy_to(i, Operand::local(ni));
         fb.jump(h);
         fb.switch_to(exit);
