@@ -10,9 +10,9 @@
 use crate::coordinator::WorkUnit;
 use crate::grid::{self, Grid, Mode};
 use crate::harness::{
-    build_at, build_baseline, build_binary, build_config, geomean, geomean_ratio, khaos_apply,
-    khaos_atom, measure_cycles, overhead_pct, par_fan_out, run_spec, stats_counters,
-    stats_from_counters, BuildConfig, SEED, STATS_COUNTERS,
+    build_at, build_baseline, build_binary, build_config, checked_overhead, geomean, geomean_ratio,
+    khaos_apply, khaos_atom, par_fan_out, run_spec, stats_counters, stats_from_counters,
+    BuildConfig, SEED, STATS_COUNTERS,
 };
 use khaos_binary::{histogram_distance, lower_module, opcode_histogram};
 use khaos_bintuner::BinTuner;
@@ -81,12 +81,11 @@ pub fn fig6(scope: Scope) {
     // One worker per program: baseline + the five mode builds.
     let rows = par_fan_out(&programs, |src| {
         let base = build_baseline(src);
-        let base_cycles = measure_cycles(&base);
         let ohs: Vec<f64> = KhaosMode::ALL
             .iter()
             .map(|mode| {
                 let (obf, _) = khaos_apply(&base, *mode, SEED);
-                overhead_pct(base_cycles, measure_cycles(&obf))
+                checked_overhead(&base, &obf)
             })
             .collect();
         (src.name.clone(), ohs)
@@ -204,12 +203,11 @@ impl Grid for Fig7 {
 
     fn compute(&self, unit: usize) -> Vec<Vec<f64>> {
         let base = build_baseline(&self.programs[unit].1);
-        let base_cycles = measure_cycles(&base);
         self.configs
             .iter()
             .map(|(_, cfg)| {
                 let obf = build_config(&base, *cfg);
-                vec![overhead_pct(base_cycles, measure_cycles(&obf))]
+                vec![checked_overhead(&base, &obf)]
             })
             .collect()
     }
@@ -398,8 +396,7 @@ impl Grid for Fig9 {
         }
         .tune(src);
         let baseline = build_baseline(src);
-        let base_cycles = measure_cycles(&baseline);
-        let bt_overhead = overhead_pct(base_cycles, measure_cycles(&tuned.module));
+        let bt_overhead = checked_overhead(&baseline, &tuned.module);
         let (khaos, _) = khaos_apply(&baseline, KhaosMode::FuFiAll, SEED);
         let khaos_bin = lower_module(&khaos);
         let mut row: Vec<f64> = refs
@@ -857,11 +854,10 @@ pub fn ablations(scope: Scope) {
         let pipeline = khaos_pass::Pipeline::parse(khaos_atom(mode)).expect("ablation spec");
         let results = par_fan_out(&programs, |src| {
             let base = build_baseline(src);
-            let base_cycles = measure_cycles(&base);
             let mut m = base.clone();
             let mut ctx = khaos_pass::PassCtx::with_options(SEED, options.clone());
             pipeline.run(&mut m, &mut ctx).expect("ablation build");
-            let oh = overhead_pct(base_cycles, measure_cycles(&m));
+            let oh = checked_overhead(&base, &m);
             (oh, ctx.fission_stats, ctx.fusion_stats)
         });
         for (oh, fis, fus) in &results {
@@ -949,10 +945,9 @@ pub fn ext_arity(scope: Scope) {
         let mut eligible = 0usize;
         let results = par_fan_out(&programs, |src| {
             let base = build_baseline(src);
-            let base_cycles = measure_cycles(&base);
             let base_bin = lower_module(&base);
             let (obf, ctx) = khaos_apply_nway(&base, arity, SEED);
-            let oh = overhead_pct(base_cycles, measure_cycles(&obf));
+            let oh = checked_overhead(&base, &obf);
             let obf_bin = lower_module(&obf);
             (
                 oh,
@@ -1007,10 +1002,9 @@ pub fn ext_arity(scope: Scope) {
     for arity in 2..=4usize {
         let results = par_fan_out(&programs, |src| {
             let base = build_baseline(src);
-            let base_cycles = measure_cycles(&base);
             let base_bin = lower_module(&base);
             let (m, _) = run_spec(&base, &format!("fufi_n(arity={arity}) | O2+lto"), SEED);
-            let oh = overhead_pct(base_cycles, measure_cycles(&m));
+            let oh = checked_overhead(&base, &m);
             let obf_bin = lower_module(&m);
             (
                 oh,

@@ -45,8 +45,11 @@
 //!   memo: the store is where it lives. [`BUILD_MEMO_VERSION`] guards
 //!   against stale builds in warm stores (see its docs).
 //! * **Run memo** (in memory). [`measure_cycles`] keeps a process-wide
-//!   map from module content fingerprint to cycles, one `u64` pair per
-//!   distinct module.
+//!   map from module content fingerprint to the run's cycles, output
+//!   digest and exit code, four words per distinct module. The figures'
+//!   overheads come from [`checked_overhead`], which compares each
+//!   obfuscated run's output and exit code with its baseline's before
+//!   it reports a number.
 //!
 //! There is deliberately **no in-memory module tier**. Every repeat
 //! build crosses figure targets (all 126 of ext-dataflow's builds
@@ -77,8 +80,9 @@ use khaos_ollvm::OllvmMode;
 use khaos_opt::OptLevel;
 use khaos_pass::{PassCtx, Pipeline, PipelineReport, VerifyPolicy};
 use khaos_store::{BuildKey, Store, StoredBuild, StoredReport};
-use khaos_vm::{run_with_config, RunConfig};
+use khaos_vm::{run_with_config, RunConfig, RunResult};
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The obfuscation seed used across all experiments (determinism).
@@ -464,27 +468,74 @@ pub fn build_binary(baseline: &Module, config: BuildConfig) -> Binary {
     lower_module(&build_config(baseline, config)).with_build_provenance(config.fingerprint())
 }
 
-/// Simulated runtime of a module in cycles, memoized for the life of
-/// the process by the module's content fingerprint: a module the
-/// drivers already ran is not run again. The memo holds one `u64` per
-/// distinct module.
-///
-/// # Panics
-/// Panics when the program faults — obfuscated programs must run.
-pub fn measure_cycles(m: &Module) -> u64 {
-    static MEMO: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
+/// What the run memo keeps of one run: its cycles and its behaviour.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct RunFacts {
+    cycles: u64,
+    /// A digest of everything the run printed.
+    output: u64,
+    exit_code: i64,
+}
+
+/// Runs `m` once per process: the facts are memoized by the module's
+/// content fingerprint.
+fn run_facts(m: &Module) -> RunFacts {
+    static MEMO: OnceLock<Mutex<HashMap<u64, RunFacts>>> = OnceLock::new();
     static OBS: OnceLock<MemoObs> = OnceLock::new();
     let memo = MEMO.get_or_init(Default::default);
     let obs = OBS.get_or_init(|| MemoObs::new("vm"));
     let key = m.content_fingerprint();
-    if let Some(&cycles) = memo.lock().expect("run memo").get(&key) {
+    if let Some(&facts) = memo.lock().expect("run memo").get(&key) {
         obs.hits.inc();
-        return cycles;
+        return facts;
     }
     obs.misses.inc();
-    let cycles = run_cycles(m);
-    memo.lock().expect("run memo").insert(key, cycles);
-    cycles
+    let r = run_vm(m);
+    let mut output = DefaultHasher::new();
+    r.output.hash(&mut output);
+    let facts = RunFacts {
+        cycles: r.cycles,
+        output: output.finish(),
+        exit_code: r.exit_code,
+    };
+    memo.lock().expect("run memo").insert(key, facts);
+    facts
+}
+
+/// Simulated runtime of a module in cycles, memoized for the life of
+/// the process by the module's content fingerprint: a module the
+/// drivers already ran is not run again.
+///
+/// # Panics
+/// Panics when the program faults — obfuscated programs must run.
+pub fn measure_cycles(m: &Module) -> u64 {
+    run_facts(m).cycles
+}
+
+/// Percentage overhead of `obf` relative to `base`, from memoized runs
+/// of both ([`measure_cycles`]) — but only when `obf` behaves like
+/// `base`: a figure never reports the overhead of a build that computes
+/// something else.
+///
+/// # Panics
+/// Panics, naming the program and the module, when `obf`'s output or
+/// exit code differs from `base`'s, or when either faults.
+pub fn checked_overhead(base: &Module, obf: &Module) -> f64 {
+    let (b, o) = (run_facts(base), run_facts(obf));
+    if (o.output, o.exit_code) != (b.output, b.exit_code) {
+        panic!(
+            "{}: module `{}` ({:016x}) diverges from its baseline: output digest \
+             {:016x} vs {:016x}, exit code {} vs {}",
+            base.name,
+            obf.name,
+            obf.content_fingerprint(),
+            o.output,
+            b.output,
+            o.exit_code,
+            b.exit_code
+        );
+    }
+    overhead_pct(b.cycles, o.cycles)
 }
 
 /// Simulated runtime of a module in cycles, always run on the VM (the
@@ -493,14 +544,17 @@ pub fn measure_cycles(m: &Module) -> u64 {
 /// # Panics
 /// As [`measure_cycles`].
 pub fn run_cycles(m: &Module) -> u64 {
+    run_vm(m).cycles
+}
+
+/// One VM run in the harness's configuration.
+fn run_vm(m: &Module) -> RunResult {
     let _span = khaos_obs::span("vm:run");
     let cfg = RunConfig {
         inputs: vec![3, 7, 11],
         ..RunConfig::default()
     };
-    run_with_config(m, cfg)
-        .unwrap_or_else(|e| panic!("{} failed to run: {e}", m.name))
-        .cycles
+    run_with_config(m, cfg).unwrap_or_else(|e| panic!("{} failed to run: {e}", m.name))
 }
 
 /// Order-preserving parallel fan-out over experiment items (programs,
@@ -579,6 +633,52 @@ mod tests {
     fn overhead_pct_signs() {
         assert!((overhead_pct(100, 107) - 7.0).abs() < 1e-9);
         assert!((overhead_pct(100, 93) + 7.0).abs() < 1e-9);
+    }
+
+    /// `main` prints `printed`, runs `pad` multiplies and returns `exit`.
+    fn printing(printed: i64, exit: i64, pad: usize) -> Module {
+        use khaos_ir::builder::FunctionBuilder;
+        use khaos_ir::{BinOp, ExtFunc, Operand, Type};
+        let mut m = Module::new("prog");
+        let print = m.declare_external(ExtFunc {
+            name: "print_i64".into(),
+            params: vec![Type::I64],
+            ret_ty: Type::Void,
+            variadic: false,
+        });
+        let mut f = FunctionBuilder::new("main", Type::I64);
+        let one = Operand::const_int(Type::I64, 1);
+        for _ in 0..pad {
+            f.bin(BinOp::Mul, Type::I64, one, one);
+        }
+        f.call_ext(
+            print,
+            Type::Void,
+            vec![Operand::const_int(Type::I64, printed)],
+        );
+        f.ret(Some(Operand::const_int(Type::I64, exit)));
+        m.push_function(f.finish());
+        m
+    }
+
+    #[test]
+    fn checked_overhead_compares_behaviour() {
+        let base = printing(7, 0, 0);
+        let slower = printing(7, 0, 10);
+        let oh = checked_overhead(&base, &slower);
+        assert!(oh > 0.0);
+        assert_eq!(oh, overhead_pct(run_cycles(&base), run_cycles(&slower)));
+        let diverging = |obf: &Module| {
+            std::panic::catch_unwind(|| checked_overhead(&base, obf))
+                .expect_err("a diverging build has no overhead")
+                .downcast::<String>()
+                .expect("message")
+        };
+        let msg = diverging(&printing(8, 0, 10));
+        assert!(msg.starts_with("prog: module `prog`"), "{msg}");
+        assert!(msg.contains("diverges from its baseline"), "{msg}");
+        let msg = diverging(&printing(7, 3, 10));
+        assert!(msg.ends_with("exit code 3 vs 0"), "{msg}");
     }
 
     #[test]

@@ -12,8 +12,9 @@ pub mod harness;
 
 pub use coordinator::{run_elastic, ElasticSummary, WorkUnit};
 pub use harness::{
-    artifact_store, build_at, build_baseline, build_binary, build_config, geomean, geomean_ratio,
-    khaos_apply, khaos_apply_nway, khaos_atom, measure_cycles, obfuscate_ollvm, ollvm_atom,
-    overhead_pct, par_fan_out, persist_metrics, persist_metrics_to, prepare_baselines, run_cycles,
-    run_spec, run_spec_in, stored_report, BuildConfig, BUILD_MEMO_VERSION, SEED,
+    artifact_store, build_at, build_baseline, build_binary, build_config, checked_overhead,
+    geomean, geomean_ratio, khaos_apply, khaos_apply_nway, khaos_atom, measure_cycles,
+    obfuscate_ollvm, ollvm_atom, overhead_pct, par_fan_out, persist_metrics, persist_metrics_to,
+    prepare_baselines, run_cycles, run_spec, run_spec_in, stored_report, BuildConfig,
+    BUILD_MEMO_VERSION, SEED,
 };

@@ -1,22 +1,24 @@
 //! The interpreter proper: decoding, dispatch, calls, unwinding.
 //!
-//! [`Vm::new`] decodes the module once into a flat code array (the
-//! crate docs describe the decoded form and where each cost is charged).
-//! [`Vm::run`] then alternates between two paths: the block-chained inner
-//! loop, which runs straight-line ops and follows jumps, branches and
-//! switches without leaving the current frame, and the out-of-line path
-//! for calls, allocas, returns, invokes and externals, which works on the
-//! module's own `&Inst`/`&Term`.
+//! [`Vm::new`] decodes the module once into a flat code array of typed
+//! ops over 8-byte frame slots, with a segment table beside it (the crate
+//! docs describe the decoded form and where each cost is charged).
+//! [`Vm::run`] then alternates between two paths: the segment-chained
+//! inner loop, which runs straight-line ops and follows jumps, branches
+//! and switches without leaving the current frame, and the out-of-line
+//! path for calls, allocas, returns, invokes and externals, which works on
+//! the module's own `&Inst`/`&Term` and converts slots to [`Value`]s.
 
 use crate::cost::CostModel;
 use crate::libc::{self, ExtOutcome};
-use crate::memory::{addr_to_func, func_addr, Memory};
+use crate::memory::{addr_to_func, func_addr, MemError, Memory};
 use crate::value::Value;
 use khaos_ir::constant::normalize_int;
 use khaos_ir::{
     BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, Inst, LocalId, Module, Operand, Term, Type,
     UnOp,
 };
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why execution stopped abnormally.
@@ -84,63 +86,59 @@ pub struct RunResult {
     pub steps: u64,
 }
 
-/// A decoded operand: a local slot, or an immediate normalized once at
-/// decode time.
+/// The slots of a two-operand op: `dst = a op b`.
 #[derive(Clone, Copy, Debug)]
-enum Src {
-    Local(u32),
-    Imm(Value),
+struct Abc {
+    dst: u32,
+    a: u32,
+    b: u32,
 }
 
-impl Src {
-    fn new(o: &Operand) -> Self {
-        match o {
-            Operand::Local(l) => Src::Local(l.0),
-            Operand::Const(c) => Src::Imm(Value::from_const(c)),
-        }
-    }
-}
-
-/// Reads a decoded operand.
-#[inline(always)]
-fn read(locals: &[Value], s: Src) -> Value {
-    match s {
-        Src::Local(i) => locals[i as usize],
-        Src::Imm(v) => v,
-    }
-}
-
-/// Reads an operand of the module (the out-of-line path).
-fn read_operand(locals: &[Value], o: &Operand) -> Value {
-    match o {
-        Operand::Local(l) => locals[l.index()],
-        Operand::Const(c) => Value::from_const(c),
-    }
-}
-
-/// One decoded instruction or terminator. Block targets are resolved to
-/// code positions, branch sites to predictor slots.
+/// One decoded instruction or terminator. Every operand is a frame slot:
+/// a local, or one of the function's constant slots. Block targets are
+/// code positions. The first group are the 64-bit (`i64`/`ptr`, and `f64`
+/// for copies) forms of the commonest ops, each a single ALU op or 8-byte
+/// memory access; every other instruction takes a generic arm that
+/// normalizes its result by the static type it carries.
 #[derive(Debug)]
 enum Op<'m> {
+    Add(Abc),
+    Sub(Abc),
+    Mul(Abc),
+    And(Abc),
+    Or(Abc),
+    Xor(Abc),
+    Shl(Abc),
+    AShr(Abc),
+    LShr(Abc),
+    Slt(Abc),
+    Copy {
+        dst: u32,
+        src: u32,
+    },
+    Load {
+        dst: u32,
+        addr: u32,
+    },
+    Store {
+        addr: u32,
+        value: u32,
+    },
     Bin {
         op: BinOp,
         ty: Type,
-        dst: u32,
-        lhs: Src,
-        rhs: Src,
+        o: Abc,
     },
     Un {
         op: UnOp,
         ty: Type,
         dst: u32,
-        src: Src,
+        src: u32,
     },
     Cmp {
         pred: CmpPred,
         ty: Type,
-        dst: u32,
-        lhs: Src,
-        rhs: Src,
+        o: Abc,
     },
     /// `select`; its `[cond, on_true, on_false]` are `Code::selects[ops]`.
     Select {
@@ -148,52 +146,40 @@ enum Op<'m> {
         dst: u32,
         ops: u32,
     },
-    Copy {
+    /// A copy of a narrow or `f32` value, normalized to `ty`.
+    Convert {
         ty: Type,
         dst: u32,
-        src: Src,
+        src: u32,
     },
     Cast {
         kind: CastKind,
         from: Type,
         to: Type,
         dst: u32,
-        src: Src,
+        src: u32,
     },
-    Load {
+    LoadTyped {
         ty: Type,
         dst: u32,
-        addr: Src,
+        addr: u32,
     },
-    Store {
+    StoreTyped {
         ty: Type,
-        addr: Src,
-        value: Src,
-    },
-    PtrAdd {
-        dst: u32,
-        base: Src,
-        offset: Src,
-    },
-    /// `funcaddr` / `globaladdr`: the address, resolved at decode time.
-    Addr {
-        dst: u32,
-        addr: Value,
+        addr: u32,
+        value: u32,
     },
     Jump {
         pc: u32,
     },
+    /// The predictor slot of a branch or switch is its own code position.
     Branch {
-        cond: Src,
-        site: u32,
-        then_bb: u32,
-        else_bb: u32,
+        cond: u32,
         then_pc: u32,
         else_pc: u32,
     },
     Switch {
-        value: Src,
-        site: u32,
+        value: u32,
         table: u32,
     },
     /// Calls and allocas (and a `globaladdr` of a missing global, which
@@ -201,113 +187,207 @@ enum Op<'m> {
     Inst(&'m Inst),
     /// Returns, invokes and `unreachable`, run out of line.
     Term(&'m Term),
+    /// The target of a jump to a block that does not exist: executing it
+    /// panics, as reaching a missing block always has.
+    Missing,
 }
 
-/// How a step charges its instruction cost (terminators charge their own
-/// control-transfer costs instead).
+// Every op is 16 bytes: wide tables live beside the code (`selects`,
+// `switches`), and a branch's predictor slot is its own position.
+const _: () = assert!(std::mem::size_of::<Op<'static>>() == 16);
+
+impl Op<'_> {
+    /// True for the ops that end a segment: terminators and out-of-line
+    /// ops.
+    fn ends_segment(&self) -> bool {
+        matches!(
+            self,
+            Op::Jump { .. }
+                | Op::Branch { .. }
+                | Op::Switch { .. }
+                | Op::Inst(_)
+                | Op::Term(_)
+                | Op::Missing
+        )
+    }
+}
+
+/// How an op charges its static cost.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Charge {
     /// A plain ALU op: every second consecutive one is free.
     Pair,
     /// Any other instruction: charged, and it breaks a pair.
     Solo,
-    /// A terminator: leaves the pairing state alone.
+    /// A terminator: charged, and it leaves the pairing state alone.
     Term,
 }
 
-/// An op with its instruction cost and how that cost is charged.
-#[derive(Debug)]
-struct Decoded<'m> {
-    op: Op<'m>,
-    cost: u64,
-    charge: Charge,
+/// The accounting of the rest of a segment, from one op to the segment's
+/// last op inclusive. A segment runs from any op to the next terminator
+/// or out-of-line op; entering it at this op in pairing state `s` costs
+/// `cycles[s]` static cycles and leaves the pairing state `pair_out[s]`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seg {
+    steps: u32,
+    pair_out: [bool; 2],
+    cycles: [u64; 2],
 }
 
-/// A decoded switch: the module's case list, with every target resolved.
+impl Seg {
+    /// The accounting of an op charging `cost` as `charge`, followed by
+    /// `tail` when the op does not end its segment.
+    fn new(cost: u64, charge: Charge, tail: Option<&Seg>) -> Seg {
+        let mut seg = Seg {
+            steps: 1 + tail.map_or(0, |t| t.steps),
+            ..Seg::default()
+        };
+        for pair in [false, true] {
+            let (cycles, next) = match charge {
+                // Dual issue: every second consecutive plain ALU op is
+                // free (hidden by superscalar issue).
+                Charge::Pair if pair => (0, false),
+                Charge::Pair => (cost, true),
+                Charge::Solo => (cost, false),
+                Charge::Term => (cost, pair),
+            };
+            let (rest, out) = tail.map_or((0, next), |t| {
+                (t.cycles[next as usize], t.pair_out[next as usize])
+            });
+            seg.cycles[pair as usize] = cycles + rest;
+            seg.pair_out[pair as usize] = out;
+        }
+        seg
+    }
+}
+
+/// A decoded switch: every case target resolved to a code position.
 #[derive(Debug)]
-struct SwitchTable<'m> {
-    cases: &'m [(i64, BlockId)],
-    case_pcs: Vec<u32>,
-    default: BlockId,
+struct SwitchTable {
+    cases: Vec<(i64, u32)>,
     default_pc: u32,
-    /// The cmp/jcc scan charge, `switch_case * (cases / 2)`.
-    scan: u64,
 }
 
 /// A module decoded for dispatch: every function's blocks laid out back
 /// to back (each block's instructions, then its terminator), so a frame's
-/// position is one index. Blocks are numbered module-wide as branch
-/// sites: function `f`'s block `b` is site `site_base[f] + b`.
+/// position is one index, with one [`Seg`] per op.
 #[derive(Debug)]
 struct Code<'m> {
-    ops: Vec<Decoded<'m>>,
-    /// First op of every block, by site.
+    ops: Vec<Op<'m>>,
+    segs: Vec<Seg>,
+    /// First op of every block: function `f`'s block `b` is at
+    /// `block_pc[func_base[f] + b]`.
     block_pc: Vec<u32>,
-    /// First site of every function.
-    site_base: Vec<u32>,
-    switches: Vec<SwitchTable<'m>>,
-    selects: Vec<[Src; 3]>,
+    func_base: Vec<u32>,
+    /// Each function's constant slots, in slot order after its locals.
+    consts: Vec<Vec<u64>>,
+    switches: Vec<SwitchTable>,
+    selects: Vec<[u32; 3]>,
 }
 
-/// The code position of a block target that does not exist: executing
-/// it panics, as reaching a missing block always has.
-const NO_PC: u32 = u32::MAX;
+/// Assigns one function's operands to slots: a local is its own slot,
+/// each distinct constant gets one slot after the locals.
+#[derive(Default)]
+struct Slots {
+    locals: u32,
+    consts: Vec<u64>,
+    /// Constant bits to slot; kept across functions for its capacity.
+    index: HashMap<u64, u32>,
+}
+
+impl Slots {
+    /// Starts the slots of a function with `locals` locals.
+    fn start(&mut self, locals: usize) {
+        self.locals = locals as u32;
+        self.index.clear();
+    }
+
+    /// The slot holding a constant with slot bits `bits`.
+    fn constant(&mut self, bits: u64) -> u32 {
+        let next = self.locals + self.consts.len() as u32;
+        *self.index.entry(bits).or_insert_with(|| {
+            self.consts.push(bits);
+            next
+        })
+    }
+
+    fn of(&mut self, o: &Operand) -> u32 {
+        match o {
+            Operand::Local(l) => l.0,
+            Operand::Const(c) => self.constant(Value::from_const(c).to_bits()),
+        }
+    }
+}
+
+/// True for the types whose values are a full 64-bit integer slot.
+fn is_wide_int(ty: Type) -> bool {
+    matches!(ty, Type::I64 | Type::Ptr)
+}
 
 impl<'m> Code<'m> {
     fn decode(m: &'m Module, cost: &CostModel, mem: &Memory) -> Self {
         let mut block_pc = Vec::new();
-        let mut site_base = Vec::with_capacity(m.functions.len());
+        let mut func_base = Vec::with_capacity(m.functions.len());
         let mut pc = 0u32;
         for f in &m.functions {
-            site_base.push(block_pc.len() as u32);
+            func_base.push(block_pc.len() as u32);
             for b in &f.blocks {
                 block_pc.push(pc);
                 pc += b.insts.len() as u32 + 1;
             }
         }
+        // One op past the code: the target of every missing block.
+        let missing = pc;
         let mut code = Code {
-            ops: Vec::with_capacity(pc as usize),
+            ops: Vec::with_capacity(pc as usize + 1),
+            segs: Vec::with_capacity(pc as usize + 1),
             block_pc,
-            site_base,
+            func_base,
+            consts: Vec::with_capacity(m.functions.len()),
             switches: Vec::new(),
             selects: Vec::new(),
         };
+        let mut charges = Vec::new();
+        let mut slots = Slots::default();
         for (fi, f) in m.functions.iter().enumerate() {
-            let base = code.site_base[fi];
+            let base = code.func_base[fi] as usize;
+            let block_pc = &code.block_pc;
             let target = |b: BlockId| {
                 if b.index() < f.blocks.len() {
-                    code.block_pc[(base + b.0) as usize]
+                    block_pc[base + b.index()]
                 } else {
-                    NO_PC
+                    missing
                 }
             };
-            for (bi, b) in f.blocks.iter().enumerate() {
+            slots.start(f.locals.len());
+            for b in &f.blocks {
+                charges.clear();
                 for inst in &b.insts {
-                    code.ops.push(Decoded {
-                        op: decode_inst(m, inst, mem, &mut code.selects),
-                        cost: cost.inst_cost(inst),
-                        charge: if CostModel::is_pairable_alu(inst) {
-                            Charge::Pair
-                        } else {
-                            Charge::Solo
-                        },
-                    });
+                    code.ops
+                        .push(decode_inst(m, inst, mem, &mut slots, &mut code.selects));
+                    let charge = if CostModel::is_pairable_alu(inst) {
+                        Charge::Pair
+                    } else {
+                        Charge::Solo
+                    };
+                    charges.push((cost.inst_cost(inst), charge));
                 }
-                let site = base + bi as u32;
-                let op = match &b.term {
-                    Term::Jump(t) => Op::Jump { pc: target(*t) },
+                // A jump's and a switch's scan cost are static: they join
+                // the segment's cycles. Predictions are charged when run.
+                let (op, term_cost) = match &b.term {
+                    Term::Jump(t) => (Op::Jump { pc: target(*t) }, cost.branch),
                     Term::Branch {
                         cond,
                         then_bb,
                         else_bb,
-                    } => Op::Branch {
-                        cond: Src::new(cond),
-                        site,
-                        then_bb: then_bb.0,
-                        else_bb: else_bb.0,
-                        then_pc: target(*then_bb),
-                        else_pc: target(*else_bb),
-                    },
+                    } => (
+                        Op::Branch {
+                            cond: slots.of(cond),
+                            then_pc: target(*then_bb),
+                            else_pc: target(*else_bb),
+                        },
+                        0,
+                    ),
                     Term::Switch {
                         ty: _,
                         value,
@@ -315,29 +395,35 @@ impl<'m> Code<'m> {
                         default,
                     } => {
                         code.switches.push(SwitchTable {
-                            cases,
-                            case_pcs: cases.iter().map(|(_, t)| target(*t)).collect(),
-                            default: *default,
+                            cases: cases.iter().map(|(v, t)| (*v, target(*t))).collect(),
                             default_pc: target(*default),
-                            scan: cost.switch_case * (cases.len() as u64 / 2),
                         });
-                        Op::Switch {
-                            value: Src::new(value),
-                            site,
+                        let op = Op::Switch {
+                            value: slots.of(value),
                             table: code.switches.len() as u32 - 1,
-                        }
+                        };
+                        // The cmp/jcc scan of a lowered switch.
+                        (op, cost.switch_case * (cases.len() as u64 / 2))
                     }
                     term @ (Term::Ret(_) | Term::Invoke { .. } | Term::Unreachable) => {
-                        Op::Term(term)
+                        (Op::Term(term), 0)
                     }
                 };
-                code.ops.push(Decoded {
-                    op,
-                    cost: 0,
-                    charge: Charge::Term,
-                });
+                code.ops.push(op);
+                charges.push((term_cost, Charge::Term));
+                // The block's segment table, back to front.
+                let start = code.segs.len();
+                code.segs.resize(code.ops.len(), Seg::default());
+                for (i, &(cost, charge)) in charges.iter().enumerate().rev() {
+                    let pc = start + i;
+                    let tail = (!code.ops[pc].ends_segment()).then(|| code.segs[pc + 1]);
+                    code.segs[pc] = Seg::new(cost, charge, tail.as_ref());
+                }
             }
+            code.consts.push(std::mem::take(&mut slots.consts));
         }
+        code.ops.push(Op::Missing);
+        code.segs.push(Seg::new(0, Charge::Term, None));
         code
     }
 
@@ -350,7 +436,7 @@ impl<'m> Code<'m> {
             b.index() < m.function(func).blocks.len(),
             "{func} has no block {b}"
         );
-        self.block_pc[self.site_base[func.index()] as usize + b.index()] as usize
+        self.block_pc[self.func_base[func.index()] as usize + b.index()] as usize
     }
 }
 
@@ -358,7 +444,8 @@ fn decode_inst<'m>(
     m: &Module,
     inst: &'m Inst,
     mem: &Memory,
-    selects: &mut Vec<[Src; 3]>,
+    slots: &mut Slots,
+    selects: &mut Vec<[u32; 3]>,
 ) -> Op<'m> {
     match inst {
         Inst::Bin {
@@ -367,18 +454,40 @@ fn decode_inst<'m>(
             dst,
             lhs,
             rhs,
-        } => Op::Bin {
-            op: *op,
-            ty: *ty,
-            dst: dst.0,
-            lhs: Src::new(lhs),
-            rhs: Src::new(rhs),
-        },
+        } => {
+            let o = Abc {
+                dst: dst.0,
+                a: slots.of(lhs),
+                b: slots.of(rhs),
+            };
+            match op {
+                _ if !is_wide_int(*ty) => Op::Bin {
+                    op: *op,
+                    ty: *ty,
+                    o,
+                },
+                BinOp::Add => Op::Add(o),
+                BinOp::Sub => Op::Sub(o),
+                BinOp::Mul => Op::Mul(o),
+                BinOp::And => Op::And(o),
+                BinOp::Or => Op::Or(o),
+                BinOp::Xor => Op::Xor(o),
+                BinOp::Shl => Op::Shl(o),
+                BinOp::AShr => Op::AShr(o),
+                BinOp::LShr => Op::LShr(o),
+                // Division and remainder keep their traps in the generic arm.
+                _ => Op::Bin {
+                    op: *op,
+                    ty: *ty,
+                    o,
+                },
+            }
+        }
         Inst::Un { op, ty, dst, src } => Op::Un {
             op: *op,
             ty: *ty,
             dst: dst.0,
-            src: Src::new(src),
+            src: slots.of(src),
         },
         Inst::Cmp {
             pred,
@@ -386,13 +495,22 @@ fn decode_inst<'m>(
             dst,
             lhs,
             rhs,
-        } => Op::Cmp {
-            pred: *pred,
-            ty: *ty,
-            dst: dst.0,
-            lhs: Src::new(lhs),
-            rhs: Src::new(rhs),
-        },
+        } => {
+            let o = Abc {
+                dst: dst.0,
+                a: slots.of(lhs),
+                b: slots.of(rhs),
+            };
+            if *pred == CmpPred::Slt && is_wide_int(*ty) {
+                Op::Slt(o)
+            } else {
+                Op::Cmp {
+                    pred: *pred,
+                    ty: *ty,
+                    o,
+                }
+            }
+        }
         Inst::Select {
             ty,
             dst,
@@ -400,18 +518,21 @@ fn decode_inst<'m>(
             on_true,
             on_false,
         } => {
-            selects.push([Src::new(cond), Src::new(on_true), Src::new(on_false)]);
+            selects.push([slots.of(cond), slots.of(on_true), slots.of(on_false)]);
             Op::Select {
                 ty: *ty,
                 dst: dst.0,
                 ops: selects.len() as u32 - 1,
             }
         }
-        Inst::Copy { ty, dst, src } => Op::Copy {
-            ty: *ty,
-            dst: dst.0,
-            src: Src::new(src),
-        },
+        Inst::Copy { ty, dst, src } => {
+            let (dst, src) = (dst.0, slots.of(src));
+            if is_wide_int(*ty) || *ty == Type::F64 {
+                Op::Copy { dst, src }
+            } else {
+                Op::Convert { ty: *ty, dst, src }
+            }
+        }
         Inst::Cast {
             kind,
             dst,
@@ -423,30 +544,42 @@ fn decode_inst<'m>(
             from: *from,
             to: *to,
             dst: dst.0,
-            src: Src::new(src),
+            src: slots.of(src),
         },
-        Inst::Load { ty, dst, addr } => Op::Load {
-            ty: *ty,
+        Inst::Load { ty, dst, addr } => {
+            let (dst, addr) = (dst.0, slots.of(addr));
+            if is_wide_int(*ty) {
+                Op::Load { dst, addr }
+            } else {
+                Op::LoadTyped { ty: *ty, dst, addr }
+            }
+        }
+        Inst::Store { ty, addr, value } => {
+            let (addr, value) = (slots.of(addr), slots.of(value));
+            if is_wide_int(*ty) {
+                Op::Store { addr, value }
+            } else {
+                Op::StoreTyped {
+                    ty: *ty,
+                    addr,
+                    value,
+                }
+            }
+        }
+        // A pointer add is a 64-bit add.
+        Inst::PtrAdd { dst, base, offset } => Op::Add(Abc {
             dst: dst.0,
-            addr: Src::new(addr),
-        },
-        Inst::Store { ty, addr, value } => Op::Store {
-            ty: *ty,
-            addr: Src::new(addr),
-            value: Src::new(value),
-        },
-        Inst::PtrAdd { dst, base, offset } => Op::PtrAdd {
+            a: slots.of(base),
+            b: slots.of(offset),
+        }),
+        // An address known at decode time is a constant slot.
+        Inst::FuncAddr { dst, func } => Op::Copy {
             dst: dst.0,
-            base: Src::new(base),
-            offset: Src::new(offset),
+            src: slots.constant(func_addr(*func)),
         },
-        Inst::FuncAddr { dst, func } => Op::Addr {
+        Inst::GlobalAddr { dst, global } if global.index() < m.globals.len() => Op::Copy {
             dst: dst.0,
-            addr: Value::Int(func_addr(*func) as i64),
-        },
-        Inst::GlobalAddr { dst, global } if global.index() < m.globals.len() => Op::Addr {
-            dst: dst.0,
-            addr: Value::Int(mem.global_addr(*global) as i64),
+            src: slots.constant(mem.global_addr(*global)),
         },
         Inst::GlobalAddr { .. } | Inst::Call { .. } | Inst::Alloca { .. } => Op::Inst(inst),
     }
@@ -472,7 +605,9 @@ struct Pending {
 #[derive(Debug)]
 struct Frame {
     func: FuncId,
-    locals: Vec<Value>,
+    /// The function's locals, then its constant slots: each slot holds
+    /// its value's bits (see [`Value::to_bits`]).
+    slots: Vec<u64>,
     /// Position in the decoded code.
     pc: usize,
     stack_mark: u64,
@@ -495,8 +630,8 @@ pub struct Vm<'m> {
     code: Code<'m>,
     pub(crate) mem: Memory,
     frames: Vec<Frame>,
-    /// `locals` vectors of popped frames, reused by the next pushes.
-    spare_locals: Vec<Vec<Value>>,
+    /// `slots` vectors of popped frames, reused by the next pushes.
+    spare_slots: Vec<Vec<u64>>,
     /// Argument buffer reused by every call.
     args: Vec<Value>,
     pub(crate) output: Vec<i64>,
@@ -504,8 +639,9 @@ pub struct Vm<'m> {
     pub(crate) config: RunConfig,
     pub(crate) snapshots: Vec<JmpSnapshot>,
     pub(crate) file_offsets: Vec<u64>,
-    /// 1-entry branch history per site: the last successor's block
-    /// index, `u32::MAX` before the site's first branch.
+    /// 1-entry branch history per branch or switch, indexed by its code
+    /// position: the last successor's code position, `u32::MAX` before
+    /// its first transfer.
     predictor: Vec<u32>,
     /// Dual-issue pairing state for consecutive plain ALU ops.
     alu_pair: bool,
@@ -522,12 +658,17 @@ fn trap(msg: impl Into<String>) -> VmError {
     VmError::Trap(msg.into())
 }
 
-/// Charges a two- or multi-way transfer at `site` with 1-entry branch
-/// prediction: a repeat of the site's last successor costs
-/// [`CostModel::branch`], anything else [`CostModel::branch_miss`].
+#[cold]
+fn mem_trap(what: &str, e: MemError) -> VmError {
+    VmError::Trap(format!("{what}: {} at {:#x}", e.message, e.addr))
+}
+
+/// Charges a two- or multi-way transfer at code position `site` with
+/// 1-entry branch prediction: a repeat of the site's last successor
+/// costs [`CostModel::branch`], anything else [`CostModel::branch_miss`].
 #[inline(always)]
-fn predict(predictor: &mut [u32], site: u32, actual: u32, cost: &CostModel) -> u64 {
-    let last = std::mem::replace(&mut predictor[site as usize], actual);
+fn predict(predictor: &mut [u32], site: usize, actual: u32, cost: &CostModel) -> u64 {
+    let last = std::mem::replace(&mut predictor[site], actual);
     if last == actual {
         cost.branch
     } else {
@@ -535,18 +676,110 @@ fn predict(predictor: &mut [u32], site: u32, actual: u32, cost: &CostModel) -> u
     }
 }
 
+/// Executes a straight-line op on the frame's slots `s`: the one op body
+/// of the interpreter, shared by the full-segment loop of [`Vm::chain`]
+/// and [`exec_short`]. Its cost was charged with its segment.
+#[inline(always)]
+fn exec(op: &Op<'_>, code: &Code<'_>, s: &mut [u64], mem: &mut Memory) -> Result<(), VmError> {
+    // `dst = f(a, b)` on the slots of `o`.
+    macro_rules! bin {
+        ($o:expr, |$x:ident, $y:ident| $e:expr) => {{
+            let ($x, $y) = (s[$o.a as usize], s[$o.b as usize]);
+            s[$o.dst as usize] = $e;
+        }};
+    }
+    match *op {
+        Op::Add(o) => bin!(o, |x, y| x.wrapping_add(y)),
+        Op::Sub(o) => bin!(o, |x, y| x.wrapping_sub(y)),
+        Op::Mul(o) => bin!(o, |x, y| x.wrapping_mul(y)),
+        Op::And(o) => bin!(o, |x, y| x & y),
+        Op::Or(o) => bin!(o, |x, y| x | y),
+        Op::Xor(o) => bin!(o, |x, y| x ^ y),
+        Op::Shl(o) => bin!(o, |x, y| x << (y & 63)),
+        Op::AShr(o) => bin!(o, |x, y| ((x as i64) >> (y & 63)) as u64),
+        Op::LShr(o) => bin!(o, |x, y| x >> (y & 63)),
+        Op::Slt(o) => bin!(o, |x, y| ((x as i64) < (y as i64)) as u64),
+        Op::Copy { dst, src } => s[dst as usize] = s[src as usize],
+        Op::Load { dst, addr } => {
+            s[dst as usize] = mem
+                .load64(s[addr as usize])
+                .map_err(|e| mem_trap("load", e))?;
+        }
+        Op::Store { addr, value } => mem
+            .store64(s[addr as usize], s[value as usize])
+            .map_err(|e| mem_trap("store", e))?,
+        Op::Bin { op, ty, o } => {
+            s[o.dst as usize] = eval_bin(op, ty, s[o.a as usize], s[o.b as usize])?;
+        }
+        Op::Un { op, ty, dst, src } => s[dst as usize] = eval_un(op, ty, s[src as usize]),
+        Op::Cmp { pred, ty, o } => {
+            s[o.dst as usize] = eval_cmp(pred, ty, s[o.a as usize], s[o.b as usize]) as u64;
+        }
+        Op::Select { ty, dst, ops } => {
+            let [cond, on_true, on_false] = code.selects[ops as usize];
+            let pick = if s[cond as usize] & 1 == 1 {
+                on_true
+            } else {
+                on_false
+            };
+            s[dst as usize] = normalize(s[pick as usize], ty);
+        }
+        Op::Convert { ty, dst, src } => s[dst as usize] = normalize(s[src as usize], ty),
+        Op::Cast {
+            kind,
+            from,
+            to,
+            dst,
+            src,
+        } => s[dst as usize] = eval_cast(kind, s[src as usize], from, to),
+        Op::LoadTyped { ty, dst, addr } => {
+            s[dst as usize] = mem
+                .load(s[addr as usize], ty)
+                .map_err(|e| mem_trap("load", e))?;
+        }
+        Op::StoreTyped { ty, addr, value } => mem
+            .store(s[addr as usize], ty, s[value as usize])
+            .map_err(|e| mem_trap("store", e))?,
+        Op::Jump { .. }
+        | Op::Branch { .. }
+        | Op::Switch { .. }
+        | Op::Inst(_)
+        | Op::Term(_)
+        | Op::Missing => unreachable!("a segment's last op runs in the chained loop"),
+    }
+    Ok(())
+}
+
+/// Runs the first `budget` ops from `pc`, all inside one segment that the
+/// remaining fuel does not cover, and reports the empty tank — or the
+/// trap one of them raises first.
+#[cold]
+#[inline(never)]
+fn exec_short<'m>(
+    code: &Code<'m>,
+    pc: usize,
+    budget: u64,
+    s: &mut [u64],
+    mem: &mut Memory,
+) -> Result<Exit<'m>, VmError> {
+    for op in &code.ops[pc..pc + budget as usize] {
+        exec(op, code, s, mem)?;
+    }
+    Ok(Exit::Fuel)
+}
+
 impl<'m> Vm<'m> {
     /// Creates a VM for `m`, decoding it for dispatch.
     pub fn new(m: &'m Module, config: RunConfig) -> Self {
         let mem = Memory::new(m, config.data_size);
         let code = Code::decode(m, &config.cost, &mem);
-        let predictor = vec![u32::MAX; code.block_pc.len()];
+        let predictor = vec![u32::MAX; code.ops.len()];
         Vm {
             m,
             code,
             mem,
             frames: Vec::new(),
-            spare_locals: Vec::new(),
+            spare_slots: Vec::new(),
             args: Vec::new(),
             output: Vec::new(),
             input_pos: 0,
@@ -573,6 +806,27 @@ impl<'m> Vm<'m> {
         self.frames.last_mut().expect("frame exists")
     }
 
+    /// Stores `v` into local `d` of the top frame, normalized to the
+    /// local's type.
+    fn set_local(&mut self, d: LocalId, v: Value) {
+        let m: &'m Module = self.m;
+        let fr = self.top();
+        let ty = m.function(fr.func).locals[d.index()];
+        fr.slots[d.index()] = v.normalize(ty).to_bits();
+    }
+
+    /// Reads an operand of the top frame (the out-of-line path).
+    fn operand(&self, o: &Operand) -> Value {
+        let fr = self.frames.last().expect("frame exists");
+        match o {
+            Operand::Local(l) => Value::from_bits(
+                fr.slots[l.index()],
+                self.m.function(fr.func).locals[l.index()],
+            ),
+            Operand::Const(c) => Value::from_const(c),
+        }
+    }
+
     fn push_frame(
         &mut self,
         func: FuncId,
@@ -591,28 +845,28 @@ impl<'m> Vm<'m> {
         if self.frames.len() >= 1 << 14 {
             return Err(trap("call stack overflow"));
         }
-        let mut locals = self.spare_locals.pop().unwrap_or_default();
-        locals.clear();
-        locals.extend(f.locals.iter().map(|t| Value::zero(*t)));
+        let mut slots = self.spare_slots.pop().unwrap_or_default();
+        slots.clear();
+        slots.resize(f.locals.len(), 0);
+        slots.extend_from_slice(&self.code.consts[func.index()]);
         for (i, a) in args.iter().take(f.param_count as usize).enumerate() {
             let ty = f.locals[i];
             // Indirect K&R-style calls may pass the compatible wider class;
             // normalize into the declared parameter type.
-            let v = match (a, ty.is_float()) {
-                (Value::Int(_), false) | (Value::Float(_), true) => a.normalize(ty),
+            slots[i] = match (a, ty.is_float()) {
+                (Value::Int(_), false) | (Value::Float(_), true) => a.normalize(ty).to_bits(),
                 _ => {
                     return Err(trap(format!(
                         "argument class mismatch calling `{}`",
                         f.name
-                    )))
+                    )));
                 }
             };
-            locals[i] = v;
         }
         let pc = self.block_pc(func, f.entry());
         self.frames.push(Frame {
             func,
-            locals,
+            slots,
             pc,
             stack_mark: self.mem.stack_mark(),
             pending: None,
@@ -621,12 +875,12 @@ impl<'m> Vm<'m> {
     }
 
     /// Pops the top frame, releasing its allocas and setjmp snapshots and
-    /// keeping its `locals` vector for reuse.
+    /// keeping its `slots` vector for reuse.
     fn pop_frame(&mut self) -> Option<()> {
         let fr = self.frames.pop()?;
         self.mem.stack_release(fr.stack_mark);
         self.snapshots.retain(|s| s.depth <= self.frames.len());
-        self.spare_locals.push(fr.locals);
+        self.spare_slots.push(fr.slots);
         Some(())
     }
 
@@ -641,12 +895,11 @@ impl<'m> Vm<'m> {
             .take()
             .expect("caller must have pending call");
         if let Some(d) = pending.dst {
-            let ty = self.m.function(caller.func).locals[d.index()];
             let v = value.ok_or(VmError::Trap("void return into value context".into()))?;
-            caller.locals[d.index()] = v.normalize(ty);
+            self.set_local(d, v);
         }
         if let Some((normal, _)) = pending.invoke {
-            let func = caller.func;
+            let func = self.top().func;
             self.top().pc = self.block_pc(func, normal);
         }
         Ok(Flow::Continue)
@@ -681,7 +934,7 @@ impl<'m> Vm<'m> {
         fr.pc = pc;
         if let Some(pad) = &m.function(func).block(unwind).pad {
             if let Some(d) = pad.dst {
-                fr.locals[d.index()] = Value::Int(exc);
+                fr.slots[d.index()] = exc as u64;
             }
         }
     }
@@ -699,7 +952,7 @@ impl<'m> Vm<'m> {
             return Err(trap("longjmp target frame no longer on the stack"));
         }
         for fr in self.frames.drain(depth..) {
-            self.spare_locals.push(fr.locals);
+            self.spare_slots.push(fr.slots);
         }
         let fr = self.frames.last_mut().expect("longjmp with empty stack");
         if fr.func != func {
@@ -709,7 +962,7 @@ impl<'m> Vm<'m> {
         fr.pc = pc;
         if let Some(d) = dst {
             let v = if val == 0 { 1 } else { val };
-            fr.locals[d.index()] = Value::Int(normalize_int(v, Type::I32));
+            fr.slots[d.index()] = normalize_int(v, Type::I32) as u64;
         }
         self.mem.stack_release(stack_mark);
         self.snapshots.retain(|s| s.depth <= self.frames.len());
@@ -754,11 +1007,10 @@ impl<'m> Vm<'m> {
         args: &'m [Operand],
         invoke: Option<(BlockId, BlockId)>,
     ) -> Result<Flow, VmError> {
-        let fr = self.frames.last().expect("frame exists");
-        vals.extend(args.iter().map(|a| read_operand(&fr.locals, a)));
+        vals.extend(args.iter().map(|a| self.operand(a)));
         let callee = match callee {
             Callee::Indirect(p) => {
-                let addr = read_operand(&fr.locals, p).as_int();
+                let addr = self.operand(p).as_int();
                 self.cycles += self.config.cost.indirect_extra;
                 Callee::Direct(self.resolve_indirect(addr)?)
             }
@@ -802,16 +1054,14 @@ impl<'m> Vm<'m> {
                 let name = m.external(e).name.as_str();
                 match libc::dispatch(self, name, args)? {
                     ExtOutcome::Ret(v) => {
-                        let fr = self.top();
                         if let Some(d) = dst {
-                            let ty = m.function(fr.func).locals[d.index()];
                             let v = v.ok_or(VmError::Trap(format!(
                                 "external `{name}` returned void into value context"
                             )))?;
-                            fr.locals[d.index()] = v.normalize(ty);
+                            self.set_local(d, v);
                         }
                         if let Some((normal, _)) = invoke {
-                            let func = fr.func;
+                            let func = self.top().func;
                             self.top().pc = self.block_pc(func, normal);
                         }
                         Ok(Flow::Continue)
@@ -844,7 +1094,7 @@ impl<'m> Vm<'m> {
                             .map_err(|e| VmError::Trap(format!("setjmp buffer: {}", e.message)))?;
                         let fr = self.top();
                         if let Some(d) = dst {
-                            fr.locals[d.index()] = Value::Int(0);
+                            fr.slots[d.index()] = 0;
                         }
                         if let Some((normal, _)) = invoke {
                             let func = fr.func;
@@ -870,12 +1120,12 @@ impl<'m> Vm<'m> {
                     .mem
                     .stack_alloc(*size, *align)
                     .map_err(|e| VmError::Trap(e.message))?;
-                self.top().locals[dst.index()] = Value::Int(a as i64);
+                self.top().slots[dst.index()] = a;
                 Ok(Flow::Continue)
             }
             Inst::GlobalAddr { dst, global } => {
                 let a = self.mem.global_addr(*global);
-                self.top().locals[dst.index()] = Value::Int(a as i64);
+                self.top().slots[dst.index()] = a;
                 Ok(Flow::Continue)
             }
             _ => unreachable!("decoded inline"),
@@ -889,9 +1139,7 @@ impl<'m> Vm<'m> {
                 let fr = self.frames.last().expect("frame");
                 // Normalize to the function's return type.
                 let rt = self.m.function(fr.func).ret_ty;
-                let value = v
-                    .as_ref()
-                    .map(|o| read_operand(&fr.locals, o).normalize(rt));
+                let value = v.as_ref().map(|o| self.operand(o).normalize(rt));
                 self.do_return(value)
             }
             Term::Invoke {
@@ -906,10 +1154,14 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// The block-chained inner loop: runs the top frame's ops, following
-    /// jumps, branches and switches, until the fuel runs out, an op
-    /// traps, or an op must run out of line. The step counter, fuel
-    /// check and every cost are exactly those of one dispatch per step.
+    /// The segment-chained inner loop: runs the top frame's ops, following
+    /// jumps, branches and switches, until the fuel runs out, an op traps,
+    /// or an op must run out of line. Each segment is charged its steps
+    /// and static cycles once, on entry, when the remaining fuel covers
+    /// it; otherwise the ops the fuel covers run (one of them may trap)
+    /// and the run stops out of fuel. Either way the counters and the
+    /// stopping step are exactly those of one fuel check, step count and
+    /// charge per op.
     fn chain(&mut self) -> Result<Exit<'m>, VmError> {
         let Vm {
             code,
@@ -923,149 +1175,66 @@ impl<'m> Vm<'m> {
             ..
         } = self;
         let fr = frames.last_mut().expect("frame exists");
-        let locals = fr.locals.as_mut_slice();
-        let ops = code.ops.as_slice();
+        let s = fr.slots.as_mut_slice();
+        let code: &Code<'m> = code;
+        let (ops, segs) = (code.ops.as_slice(), code.segs.as_slice());
         let cost = &config.cost;
         let max_steps = config.max_steps;
         let (mut pc, mut cy, mut st, mut pair) = (fr.pc, *cycles, *steps, *alu_pair);
-        let exit = loop {
-            if st >= max_steps {
-                break Ok(Exit::Fuel);
+        let exit = 'segment: loop {
+            let seg = &segs[pc];
+            let fuel = max_steps.saturating_sub(st);
+            if u64::from(seg.steps) > fuel {
+                break exec_short(code, pc, fuel, s, mem);
             }
-            st += 1;
-            let d = &ops[pc];
-            pc += 1;
-            match d.charge {
-                Charge::Pair => {
-                    // Dual issue: every second consecutive plain ALU op
-                    // is free (hidden by superscalar issue).
-                    if pair {
-                        pair = false;
-                    } else {
-                        pair = true;
-                        cy += d.cost;
-                    }
+            st += u64::from(seg.steps);
+            cy += seg.cycles[pair as usize];
+            pair = seg.pair_out[pair as usize];
+            let (last, straight) = ops[pc..pc + seg.steps as usize]
+                .split_last()
+                .expect("a segment has an op");
+            for op in straight {
+                if let Err(e) = exec(op, code, s, mem) {
+                    break 'segment Err(e);
                 }
-                Charge::Solo => {
-                    pair = false;
-                    cy += d.cost;
-                }
-                Charge::Term => {}
             }
-            match d.op {
-                Op::Bin {
-                    op,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                } => match eval_bin(op, ty, read(locals, lhs), read(locals, rhs)) {
-                    Ok(v) => locals[dst as usize] = v,
-                    Err(e) => break Err(e),
-                },
-                Op::Un { op, ty, dst, src } => {
-                    let s = read(locals, src);
-                    let v = match op {
-                        UnOp::Neg => Value::Int(s.as_int().wrapping_neg()),
-                        UnOp::Not => Value::Int(!s.as_int()),
-                        UnOp::FNeg => Value::Float(-s.as_float()),
-                    };
-                    locals[dst as usize] = v.normalize(ty);
-                }
-                Op::Cmp {
-                    pred,
-                    ty,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let r = eval_cmp(pred, ty, read(locals, lhs), read(locals, rhs));
-                    locals[dst as usize] = Value::Int(r as i64);
-                }
-                Op::Select { ty, dst, ops } => {
-                    let [cond, on_true, on_false] = code.selects[ops as usize];
-                    let c = read(locals, cond).as_int() & 1;
-                    let v = read(locals, if c == 1 { on_true } else { on_false });
-                    locals[dst as usize] = v.normalize(ty);
-                }
-                Op::Copy { ty, dst, src } => locals[dst as usize] = read(locals, src).normalize(ty),
-                Op::Cast {
-                    kind,
-                    from,
-                    to,
-                    dst,
-                    src,
-                } => {
-                    locals[dst as usize] = eval_cast(kind, read(locals, src), from, to);
-                }
-                Op::Load { ty, dst, addr } => {
-                    let a = read(locals, addr).as_int() as u64;
-                    match mem.read(a, ty) {
-                        Ok(v) => locals[dst as usize] = v,
-                        Err(e) => {
-                            break Err(VmError::Trap(format!(
-                                "load: {} at {:#x}",
-                                e.message, e.addr
-                            )))
-                        }
-                    }
-                }
-                Op::Store { ty, addr, value } => {
-                    let a = read(locals, addr).as_int() as u64;
-                    let v = read(locals, value).normalize(ty);
-                    if let Err(e) = mem.write(a, ty, v) {
-                        break Err(VmError::Trap(format!(
-                            "store: {} at {:#x}",
-                            e.message, e.addr
-                        )));
-                    }
-                }
-                Op::PtrAdd { dst, base, offset } => {
-                    let b = read(locals, base).as_int();
-                    let o = read(locals, offset).as_int();
-                    locals[dst as usize] = Value::Int(b.wrapping_add(o));
-                }
-                Op::Addr { dst, addr } => locals[dst as usize] = addr,
-                Op::Jump { pc: target } => {
-                    cy += cost.branch;
-                    pc = target as usize;
-                }
+            pc += straight.len();
+            match *last {
+                Op::Jump { pc: target } => pc = target as usize,
                 Op::Branch {
                     cond,
-                    site,
-                    then_bb,
-                    else_bb,
                     then_pc,
                     else_pc,
                 } => {
-                    let c = read(locals, cond).as_int() & 1;
-                    let (target, target_pc) = if c == 1 {
-                        (then_bb, then_pc)
+                    let target = if s[cond as usize] & 1 == 1 {
+                        then_pc
                     } else {
-                        (else_bb, else_pc)
+                        else_pc
                     };
-                    cy += predict(predictor, site, target, cost);
-                    pc = target_pc as usize;
+                    cy += predict(predictor, pc, target, cost);
+                    pc = target as usize;
                 }
-                Op::Switch { value, site, table } => {
-                    let v = read(locals, value).as_int();
+                Op::Switch { value, table } => {
+                    let v = s[value as usize] as i64;
                     let t = &code.switches[table as usize];
-                    // Lowered switches scan a cmp/jcc chain, and erratic
-                    // targets (flattening dispatch) mispredict.
-                    let (target, target_pc) = match t.cases.iter().position(|(c, _)| *c == v) {
-                        Some(i) => (t.cases[i].1, t.case_pcs[i]),
-                        None => (t.default, t.default_pc),
-                    };
-                    cy += t.scan + predict(predictor, site, target.0, cost);
-                    pc = target_pc as usize;
+                    // Erratic targets (flattening dispatch) mispredict.
+                    let target = t
+                        .cases
+                        .iter()
+                        .find(|(c, _)| *c == v)
+                        .map_or(t.default_pc, |&(_, pc)| pc);
+                    cy += predict(predictor, pc, target, cost);
+                    pc = target as usize;
                 }
-                Op::Inst(inst) => break Ok(Exit::Inst(inst)),
-                Op::Term(term) => {
-                    // Stay on the terminator, as a setjmp snapshot taken
-                    // by an invoked external records it.
-                    pc -= 1;
-                    break Ok(Exit::Term(term));
+                Op::Inst(inst) => {
+                    pc += 1;
+                    break Ok(Exit::Inst(inst));
                 }
+                // A terminator stays put, as a setjmp snapshot taken by an
+                // invoked external records it.
+                Op::Term(term) => break Ok(Exit::Term(term)),
+                Op::Missing => panic!("control reached a block that does not exist"),
+                _ => unreachable!("a segment ends in a terminator or an out-of-line op"),
             }
         };
         fr.pc = pc;
@@ -1099,9 +1268,39 @@ impl<'m> Vm<'m> {
     }
 }
 
-fn eval_bin(op: BinOp, ty: Type, a: Value, b: Value) -> Result<Value, VmError> {
+/// Slot bits of integer `v` as a value of type `ty` (pointers are not
+/// narrowed).
+fn int_slot(v: i64, ty: Type) -> u64 {
+    if ty == Type::Ptr {
+        v as u64
+    } else {
+        normalize_int(v, ty) as u64
+    }
+}
+
+/// Slot bits of float `v` as a value of type `ty` (an `f32` is rounded
+/// and kept widened).
+fn float_slot(v: f64, ty: Type) -> u64 {
+    match ty {
+        Type::F32 => (v as f32 as f64).to_bits(),
+        Type::F64 => v.to_bits(),
+        _ => panic!("cannot normalize float {v} to {ty}"),
+    }
+}
+
+/// Normalizes slot bits to `ty` (the canonical value of a local of that
+/// type; constant slots hold a float constant unrounded).
+fn normalize(bits: u64, ty: Type) -> u64 {
+    if ty.is_float() {
+        float_slot(f64::from_bits(bits), ty)
+    } else {
+        int_slot(bits as i64, ty)
+    }
+}
+
+fn eval_bin(op: BinOp, ty: Type, a: u64, b: u64) -> Result<u64, VmError> {
     if op.is_float_op() {
-        let (x, y) = (a.as_float(), b.as_float());
+        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
         let r = match op {
             BinOp::FAdd => x + y,
             BinOp::FSub => x - y,
@@ -1109,9 +1308,9 @@ fn eval_bin(op: BinOp, ty: Type, a: Value, b: Value) -> Result<Value, VmError> {
             BinOp::FDiv => x / y,
             _ => unreachable!(),
         };
-        return Ok(Value::Float(r).normalize(ty));
+        return Ok(float_slot(r, ty));
     }
-    let (x, y) = (a.as_int(), b.as_int());
+    let (x, y) = (a as i64, b as i64);
     let bits = ty.bits().unwrap_or(64);
     let shift_mask = (bits.max(8) - 1) as i64; // i1 shifts unused in practice
     let r = match op {
@@ -1150,7 +1349,15 @@ fn eval_bin(op: BinOp, ty: Type, a: Value, b: Value) -> Result<Value, VmError> {
         BinOp::AShr => x >> (y & shift_mask) as u32,
         _ => unreachable!(),
     };
-    Ok(Value::Int(r).normalize(ty))
+    Ok(int_slot(r, ty))
+}
+
+fn eval_un(op: UnOp, ty: Type, s: u64) -> u64 {
+    match op {
+        UnOp::Neg => int_slot((s as i64).wrapping_neg(), ty),
+        UnOp::Not => int_slot(!(s as i64), ty),
+        UnOp::FNeg => float_slot(-f64::from_bits(s), ty),
+    }
 }
 
 fn to_unsigned(x: i64, bits: u32) -> u64 {
@@ -1161,9 +1368,9 @@ fn to_unsigned(x: i64, bits: u32) -> u64 {
     }
 }
 
-fn eval_cmp(pred: CmpPred, ty: Type, a: Value, b: Value) -> bool {
+fn eval_cmp(pred: CmpPred, ty: Type, a: u64, b: u64) -> bool {
     if pred.is_float_pred() {
-        let (x, y) = (a.as_float(), b.as_float());
+        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
         return match pred {
             CmpPred::FEq => x == y,
             CmpPred::FNe => x != y,
@@ -1174,7 +1381,7 @@ fn eval_cmp(pred: CmpPred, ty: Type, a: Value, b: Value) -> bool {
             _ => unreachable!(),
         };
     }
-    let (x, y) = (a.as_int(), b.as_int());
+    let (x, y) = (a as i64, b as i64);
     let bits = ty.bits().unwrap_or(64);
     let (ux, uy) = (to_unsigned(x, bits), to_unsigned(y, bits));
     match pred {
@@ -1192,26 +1399,25 @@ fn eval_cmp(pred: CmpPred, ty: Type, a: Value, b: Value) -> bool {
     }
 }
 
-fn eval_cast(kind: CastKind, s: Value, from: Type, to: Type) -> Value {
+fn eval_cast(kind: CastKind, s: u64, from: Type, to: Type) -> u64 {
     match kind {
-        CastKind::Trunc | CastKind::SExt => Value::Int(s.as_int()).normalize(to),
+        CastKind::Trunc | CastKind::SExt => int_slot(s as i64, to),
         CastKind::ZExt => {
             let bits = from.bits().unwrap_or(64);
-            Value::Int(to_unsigned(s.as_int(), bits) as i64).normalize(to)
+            int_slot(to_unsigned(s as i64, bits) as i64, to)
         }
         CastKind::FpToSi => {
-            let f = s.as_float();
+            let f = f64::from_bits(s);
             let v = if f.is_nan() {
                 0
             } else {
                 f.max(i64::MIN as f64).min(i64::MAX as f64) as i64
             };
-            Value::Int(v).normalize(to)
+            int_slot(v, to)
         }
-        CastKind::SiToFp => Value::Float(s.as_int() as f64).normalize(to),
-        CastKind::FpTrunc | CastKind::FpExt => Value::Float(s.as_float()).normalize(to),
-        CastKind::PtrToInt => Value::Int(s.as_int()),
-        CastKind::IntToPtr => Value::Int(s.as_int()),
+        CastKind::SiToFp => float_slot(s as i64 as f64, to),
+        CastKind::FpTrunc | CastKind::FpExt => float_slot(f64::from_bits(s), to),
+        CastKind::PtrToInt | CastKind::IntToPtr => s,
     }
 }
 

@@ -147,20 +147,16 @@ impl Memory {
         Ok(at)
     }
 
+    /// Fails unless `[addr, addr + size)` lies inside the data arena. The
+    /// end is computed with checked arithmetic: a wild address or length
+    /// whose end wraps around the address space traps like any other
+    /// out-of-bounds access.
+    #[inline(always)]
     fn check(&self, addr: u64, size: u64) -> Result<(), MemError> {
-        if addr < DATA_BASE || addr + size > self.limit {
-            return Err(MemError {
-                addr,
-                message: if addr >= FUNC_SPACE_BASE {
-                    "data access to code address (tagged or raw function pointer?)".into()
-                } else if addr == 0 {
-                    "null dereference".into()
-                } else {
-                    "out-of-bounds access".into()
-                },
-            });
+        match addr.checked_add(size) {
+            Some(end) if addr >= DATA_BASE && end <= self.limit => Ok(()),
+            _ => Err(access_error(addr)),
         }
-        Ok(())
     }
 
     /// Reads a typed value.
@@ -168,35 +164,44 @@ impl Memory {
     /// # Errors
     /// Fails on unmapped addresses.
     pub fn read(&self, addr: u64, ty: Type) -> Result<Value, MemError> {
-        let size = ty.size() as u64;
-        self.check(addr, size)?;
+        self.load(addr, ty).map(|bits| Value::from_bits(bits, ty))
+    }
+
+    /// Reads a value of type `ty` as slot bits: integers and pointers
+    /// sign-extended to `i64` (`i1` masked to its low bit), floats as
+    /// `f64` bits (an `f32` widened).
+    pub(crate) fn load(&self, addr: u64, ty: Type) -> Result<u64, MemError> {
+        self.check(addr, ty.size() as u64)?;
         let at = addr as usize;
-        let v = match ty {
-            Type::I1 => Value::Int((self.bytes[at] & 1) as i64),
-            Type::I8 => Value::Int(self.bytes[at] as i8 as i64),
-            Type::I16 => Value::Int(i16::from_le_bytes(
-                self.bytes[at..at + 2].try_into().expect("size"),
-            ) as i64),
-            Type::I32 => Value::Int(i32::from_le_bytes(
-                self.bytes[at..at + 4].try_into().expect("size"),
-            ) as i64),
-            Type::I64 | Type::Ptr => Value::Int(i64::from_le_bytes(
-                self.bytes[at..at + 8].try_into().expect("size"),
-            )),
-            Type::F32 => Value::Float(f32::from_le_bytes(
-                self.bytes[at..at + 4].try_into().expect("size"),
-            ) as f64),
-            Type::F64 => Value::Float(f64::from_le_bytes(
-                self.bytes[at..at + 8].try_into().expect("size"),
-            )),
+        let b = &self.bytes;
+        Ok(match ty {
+            Type::I1 => (b[at] & 1) as u64,
+            Type::I8 => b[at] as i8 as u64,
+            Type::I16 => i16::from_le_bytes(b[at..at + 2].try_into().expect("size")) as u64,
+            Type::I32 => i32::from_le_bytes(b[at..at + 4].try_into().expect("size")) as u64,
+            Type::I64 | Type::Ptr | Type::F64 => {
+                u64::from_le_bytes(b[at..at + 8].try_into().expect("size"))
+            }
+            Type::F32 => {
+                (f32::from_le_bytes(b[at..at + 4].try_into().expect("size")) as f64).to_bits()
+            }
             Type::Void => {
                 return Err(MemError {
                     addr,
                     message: "read of void".into(),
                 })
             }
-        };
-        Ok(v)
+        })
+    }
+
+    /// Reads 8 bytes (an `i64` or pointer) as slot bits.
+    #[inline(always)]
+    pub(crate) fn load64(&self, addr: u64) -> Result<u64, MemError> {
+        self.check(addr, 8)?;
+        let at = addr as usize;
+        Ok(u64::from_le_bytes(
+            self.bytes[at..at + 8].try_into().expect("size"),
+        ))
     }
 
     /// Writes a typed value.
@@ -204,34 +209,58 @@ impl Memory {
     /// # Errors
     /// Fails on unmapped addresses.
     pub fn write(&mut self, addr: u64, ty: Type, v: Value) -> Result<(), MemError> {
-        let size = ty.size() as u64;
-        self.check(addr, size)?;
-        let at = addr as usize;
-        match (ty, v) {
-            (Type::I1 | Type::I8, Value::Int(x)) => self.bytes[at] = x as u8,
-            (Type::I16, Value::Int(x)) => {
-                self.bytes[at..at + 2].copy_from_slice(&(x as i16).to_le_bytes())
-            }
-            (Type::I32, Value::Int(x)) => {
-                self.bytes[at..at + 4].copy_from_slice(&(x as i32).to_le_bytes())
-            }
-            (Type::I64 | Type::Ptr, Value::Int(x)) => {
-                self.bytes[at..at + 8].copy_from_slice(&x.to_le_bytes())
-            }
-            (Type::F32, Value::Float(x)) => {
-                self.bytes[at..at + 4].copy_from_slice(&(x as f32).to_le_bytes())
-            }
-            (Type::F64, Value::Float(x)) => {
-                self.bytes[at..at + 8].copy_from_slice(&x.to_le_bytes())
-            }
-            (t, v) => {
-                return Err(MemError {
-                    addr,
-                    message: format!("type mismatch {t} vs {v:?}"),
-                })
-            }
+        self.check(addr, ty.size() as u64)?;
+        let fits = match v {
+            Value::Int(_) => ty.is_int() || ty.is_ptr(),
+            Value::Float(_) => ty.is_float(),
+        };
+        if !fits {
+            return Err(MemError {
+                addr,
+                message: format!("type mismatch {ty} vs {v:?}"),
+            });
         }
+        self.put(addr, ty, v.to_bits());
         Ok(())
+    }
+
+    /// Writes slot bits as a value of type `ty`: integers truncated to
+    /// the type's width, an `f32` narrowed.
+    pub(crate) fn store(&mut self, addr: u64, ty: Type, bits: u64) -> Result<(), MemError> {
+        self.check(addr, ty.size() as u64)?;
+        if ty == Type::Void {
+            return Err(MemError {
+                addr,
+                message: "write of void".into(),
+            });
+        }
+        self.put(addr, ty, bits);
+        Ok(())
+    }
+
+    /// Writes 8 bytes (an `i64` or pointer) from slot bits.
+    #[inline(always)]
+    pub(crate) fn store64(&mut self, addr: u64, bits: u64) -> Result<(), MemError> {
+        self.check(addr, 8)?;
+        let at = addr as usize;
+        self.bytes[at..at + 8].copy_from_slice(&bits.to_le_bytes());
+        Ok(())
+    }
+
+    /// Writes `bits` at a checked address.
+    fn put(&mut self, addr: u64, ty: Type, bits: u64) {
+        let at = addr as usize;
+        let b = &mut self.bytes;
+        match ty {
+            Type::I1 | Type::I8 => b[at] = bits as u8,
+            Type::I16 => b[at..at + 2].copy_from_slice(&(bits as u16).to_le_bytes()),
+            Type::I32 => b[at..at + 4].copy_from_slice(&(bits as u32).to_le_bytes()),
+            Type::I64 | Type::Ptr | Type::F64 => b[at..at + 8].copy_from_slice(&bits.to_le_bytes()),
+            Type::F32 => {
+                b[at..at + 4].copy_from_slice(&(f64::from_bits(bits) as f32).to_le_bytes())
+            }
+            Type::Void => {}
+        }
     }
 
     /// Raw byte copy (`memcpy`).
@@ -273,6 +302,21 @@ impl Memory {
             at += 1;
         }
         Ok(out)
+    }
+}
+
+/// The error for an access outside the data arena.
+#[cold]
+fn access_error(addr: u64) -> MemError {
+    MemError {
+        addr,
+        message: if addr >= FUNC_SPACE_BASE {
+            "data access to code address (tagged or raw function pointer?)".into()
+        } else if addr == 0 {
+            "null dereference".into()
+        } else {
+            "out-of-bounds access".into()
+        },
     }
 }
 

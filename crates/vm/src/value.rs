@@ -58,6 +58,24 @@ impl Value {
         }
     }
 
+    /// The payload as frame-slot bits: an integer's two's complement, a
+    /// float's `f64` bits.
+    pub(crate) fn to_bits(self) -> u64 {
+        match self {
+            Value::Int(v) => v as u64,
+            Value::Float(v) => v.to_bits(),
+        }
+    }
+
+    /// Reads slot bits holding a value of static type `ty`.
+    pub(crate) fn from_bits(bits: u64, ty: Type) -> Value {
+        if ty.is_float() {
+            Value::Float(f64::from_bits(bits))
+        } else {
+            Value::Int(bits as i64)
+        }
+    }
+
     /// Wraps the payload to `ty`'s width/precision, producing the canonical
     /// value stored in a local of that type.
     pub fn normalize(self, ty: Type) -> Value {
