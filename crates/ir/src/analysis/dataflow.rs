@@ -14,26 +14,30 @@
 //! join order; and the state space must have finite height. Under that
 //! contract [`solve`] terminates at the unique least (for may-problems) or
 //! greatest (for must-problems, where `top` is the full set and `join` is
-//! intersection) fixpoint. All states here are bitsets over locals or def
-//! sites, so height is bounded by the function size and every solve is a
-//! handful of passes in practice ([`Solution::iterations`] records the
-//! exact block-visit count).
+//! intersection) fixpoint. All states here are bitsets over locals, so
+//! height is bounded by the function size and every solve is a handful of
+//! passes in practice ([`Solution::iterations`] records the exact
+//! block-visit count).
 //!
 //! On top of the framework this module provides the concrete instances the
-//! semantic auditor ([`crate::audit`]), the verifier and `khaos-lint`
-//! share: [`ReachingDefs`], [`DefiniteInit`] (use-before-initialization),
-//! [`LiveVariables`] (the framework form of [`crate::Liveness`]),
-//! [`dead_assignments`], [`unreachable_blocks`]/[`executable_blocks`], and
-//! the dominance-checked def-before-use pass
-//! ([`def_before_use_violations`]) built on [`crate::DomTree`].
+//! semantic auditor ([`crate::audit`]) and `khaos-lint` share:
+//! [`DefiniteInit`] (use-before-initialization), [`LiveVariables`] (the
+//! framework form of [`crate::Liveness`]), [`dead_assignments`], and
+//! [`unreachable_blocks`]/[`executable_blocks`]. The verifier's
+//! def-before-use check, [`certainly_uninit_uses`], is one word-parallel
+//! may-defined solve over locals outside the framework, in the style of
+//! [`crate::Liveness::compute`]; the reaching-definitions pass it replaced
+//! is kept in the `reference` module as its test oracle.
 
 use crate::analysis::cfg::Cfg;
-use crate::analysis::dom::DomTree;
 use crate::analysis::liveness::LocalSet;
 use crate::function::Function;
 use crate::ids::{BlockId, LocalId};
 use crate::inst::{Operand, Term};
 use std::collections::VecDeque;
+
+#[cfg(test)]
+mod reference;
 
 /// Which way facts propagate through the CFG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -308,140 +312,112 @@ pub fn use_before_init(f: &Function, cfg: &Cfg) -> Vec<UseBeforeInit> {
     out
 }
 
-/// The dominance-checked def-before-use pass the verifier runs.
-///
-/// Fast path: a use is accepted when an assignment appears earlier in the
-/// same block, or when some block containing an assignment *strictly
-/// dominates* the use's block ([`DomTree`]) — every entry path then
-/// executes the def before the use. Only when a use survives that check is
-/// the [`DefiniteInit`] dataflow consulted: its intersection join also
-/// accepts the legal non-SSA diamond (a local assigned on *every* incoming
-/// path with no single dominating definition, the shape `mem2reg`
-/// produces at joins). Uses failing both checks are returned.
-pub fn def_before_use_violations(f: &Function, cfg: &Cfg) -> Vec<UseBeforeInit> {
-    if dominance_covers_all_uses(f, cfg) {
-        return Vec::new();
-    }
-    use_before_init(f, cfg)
-}
-
-/// True if every use in the reachable region is covered by a same-block
-/// earlier def or a strictly dominating def block (the cheap sound filter
-/// of [`def_before_use_violations`]).
-fn dominance_covers_all_uses(f: &Function, cfg: &Cfg) -> bool {
-    let nl = f.locals.len();
-    // def_blocks[l]: blocks whose execution guarantees l is assigned on
-    // exit — including the normal successor of a defining invoke.
-    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); nl];
-    for &b in cfg.rpo() {
-        let block = f.block(b);
-        if let Some(pad) = &block.pad {
-            if let Some(d) = pad.dst {
-                def_blocks[d.index()].push(b);
-            }
-        }
-        for inst in &block.insts {
-            if let Some(d) = inst.def() {
-                if def_blocks[d.index()].last() != Some(&b) {
-                    def_blocks[d.index()].push(b);
-                }
-            }
-        }
-        if let Term::Invoke {
-            dst: Some(d),
-            normal,
-            ..
-        } = &block.term
-        {
-            def_blocks[d.index()].push(*normal);
-        }
-    }
-    let dom = DomTree::compute(f, cfg);
-    let params = {
-        let mut s = LocalSet::new(nl);
-        for p in f.params() {
-            s.insert(p);
-        }
-        s
-    };
-    let dominated = |l: LocalId, b: BlockId, assigned_here: &LocalSet| {
-        params.contains(l)
-            || assigned_here.contains(l)
-            || def_blocks[l.index()]
-                .iter()
-                .any(|&d| d != b && dom.dominates(d, b))
-    };
-    for &b in cfg.rpo() {
-        let block = f.block(b);
-        let mut assigned = LocalSet::new(nl);
-        if let Some(pad) = &block.pad {
-            if let Some(d) = pad.dst {
-                assigned.insert(d);
-            }
-        }
-        let mut ok = true;
-        for inst in &block.insts {
-            inst.for_each_use(|o| {
-                if let Some(l) = o.as_local() {
-                    if !dominated(l, b, &assigned) {
-                        ok = false;
-                    }
-                }
-            });
-            if let Some(d) = inst.def() {
-                assigned.insert(d);
-            }
-        }
-        block.term.for_each_use(|o| {
-            if let Some(l) = o.as_local() {
-                if !dominated(l, b, &assigned) {
-                    ok = false;
-                }
-            }
-        });
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
 /// Uses that **no** definition reaches on **any** path — certainly
 /// uninitialized, as opposed to the maybe-uninitialized uses
-/// [`use_before_init`] reports.
+/// [`use_before_init`] reports. The verifier flags the ones in address
+/// positions.
 ///
 /// The distinction matters under control-flow-merging obfuscation: deep
 /// fusion interleaves blocks of two function bodies and re-dispatches on
 /// the ctrl parameter, so a def on the ctrl=0 path stops dominating uses
 /// that are dynamically ctrl=0-only. Those uses are maybe-uninit to the
-/// path-insensitive must-analysis yet correct at run time. A use with an
-/// *empty* reaching-def set has no such excuse: the defining code was
-/// dropped or orphaned. Built on [`ReachingDefs`], with the same
-/// dominance fast path as [`def_before_use_violations`].
+/// path-insensitive must-analysis yet correct at run time. A use no def
+/// reaches has no such excuse: the defining code was dropped or orphaned.
+///
+/// "Some def of `l` reaches this point" is the same fact as "`l` may be
+/// defined here", so this is one forward union solve over locals, a word
+/// at a time: `out[b] = in[b] | defs[b]`, where `defs[b]` holds the
+/// locals `b`'s pad binding and instructions assign, and `in[b]` is the
+/// union of `out[p]` over the reachable predecessors `p`, plus an
+/// invoke's result on its normal edge only, plus the parameters at the
+/// entry. Reachable blocks are swept in reverse postorder until nothing
+/// changes; unreachable blocks keep an empty `out`. The walk then
+/// reports uses block by block in reverse postorder, in instruction
+/// order, terminator last.
 pub fn certainly_uninit_uses(f: &Function, cfg: &Cfg) -> Vec<UseBeforeInit> {
-    if dominance_covers_all_uses(f, cfg) {
-        return Vec::new();
+    let w = f.locals.len().div_ceil(64);
+    let set = |words: &mut [u64], l: LocalId| words[l.index() / 64] |= 1 << (l.index() % 64);
+    let has = |words: &[u64], l: LocalId| {
+        words
+            .get(l.index() / 64)
+            .is_some_and(|x| x & (1 << (l.index() % 64)) != 0)
+    };
+    let mut params = vec![0u64; w];
+    for p in f.params() {
+        set(&mut params, p);
     }
-    let (rd, sol) = ReachingDefs::compute(f, cfg);
-    let nl = f.locals.len();
-    let mut out = Vec::new();
+    let mut defs = vec![0u64; f.blocks.len() * w];
     for &b in cfg.rpo() {
-        // reached[l] = some def of l reaches the current point.
-        let mut reached = LocalSet::new(nl);
-        for s in rd.resolve(&sol.block_in[b.index()]) {
-            reached.insert(s.local);
-        }
+        let d = &mut defs[b.index() * w..][..w];
         let block = f.block(b);
-        if let Some(pad) = &block.pad {
-            if let Some(d) = pad.dst {
-                reached.insert(d);
+        if let Some(l) = block.pad.as_ref().and_then(|pad| pad.dst) {
+            set(d, l);
+        }
+        for inst in &block.insts {
+            if let Some(l) = inst.def() {
+                set(d, l);
             }
+        }
+    }
+    // `inn` becomes the may-defined set on entry to `b`, given the
+    // current `out` of every block.
+    let gather = |b: BlockId, out: &[u64], inn: &mut [u64]| {
+        if b == f.entry() {
+            inn.copy_from_slice(&params);
+        } else {
+            inn.fill(0);
+        }
+        for &p in cfg.preds(b) {
+            if !cfg.is_reachable(p) {
+                continue;
+            }
+            for (a, x) in inn.iter_mut().zip(&out[p.index() * w..][..w]) {
+                *a |= x;
+            }
+            if let Term::Invoke {
+                dst: Some(d),
+                normal,
+                ..
+            } = &f.block(p).term
+            {
+                if *normal == b {
+                    set(inn, *d);
+                }
+            }
+        }
+    };
+
+    let mut out = vec![0u64; f.blocks.len() * w];
+    let mut inn = vec![0u64; w];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in cfg.rpo() {
+            gather(b, &out, &mut inn);
+            let (o, d) = (&mut out[b.index() * w..][..w], &defs[b.index() * w..][..w]);
+            for i in 0..w {
+                let nv = inn[i] | d[i];
+                if nv != o[i] {
+                    o[i] = nv;
+                    changed = true;
+                }
+            }
+        }
+    }
+
+    let mut flagged = Vec::new();
+    for &b in cfg.rpo() {
+        // `inn` tracks the locals some def reaches at the current point.
+        gather(b, &out, &mut inn);
+        let block = f.block(b);
+        if let Some(l) = block.pad.as_ref().and_then(|pad| pad.dst) {
+            set(&mut inn, l);
         }
         for (i, inst) in block.insts.iter().enumerate() {
             inst.for_each_use(|o| {
                 if let Some(l) = o.as_local() {
-                    if !reached.contains(l) {
-                        out.push(UseBeforeInit {
+                    if !has(&inn, l) {
+                        flagged.push(UseBeforeInit {
                             block: b,
                             inst: Some(i),
                             local: l,
@@ -449,14 +425,14 @@ pub fn certainly_uninit_uses(f: &Function, cfg: &Cfg) -> Vec<UseBeforeInit> {
                     }
                 }
             });
-            if let Some(d) = inst.def() {
-                reached.insert(d);
+            if let Some(l) = inst.def() {
+                set(&mut inn, l);
             }
         }
         block.term.for_each_use(|o| {
             if let Some(l) = o.as_local() {
-                if !reached.contains(l) {
-                    out.push(UseBeforeInit {
+                if !has(&inn, l) {
+                    flagged.push(UseBeforeInit {
                         block: b,
                         inst: None,
                         local: l,
@@ -465,225 +441,7 @@ pub fn certainly_uninit_uses(f: &Function, cfg: &Cfg) -> Vec<UseBeforeInit> {
             }
         });
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions.
-// ---------------------------------------------------------------------------
-
-/// Where a definition site sits within its block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DefPos {
-    /// A parameter (site attached to the entry block's boundary).
-    Param,
-    /// A landing pad's exception binding (top of the pad block).
-    PadBind,
-    /// The instruction at this index.
-    Inst(u32),
-    /// An invoke result (materializes on the normal edge out of `block`).
-    InvokeResult,
-}
-
-/// One definition site of a local.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DefSite {
-    /// The local defined.
-    pub local: LocalId,
-    /// The block holding the definition.
-    pub block: BlockId,
-    /// The position within the block.
-    pub pos: DefPos,
-}
-
-/// A bitset over [`DefSite`] indices (the [`ReachingDefs`] state).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SiteSet {
-    bits: Vec<u64>,
-}
-
-impl SiteSet {
-    /// An empty set sized for `n` sites.
-    pub fn new(n: usize) -> Self {
-        SiteSet {
-            bits: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Inserts site `i`.
-    pub fn insert(&mut self, i: u32) {
-        self.bits[i as usize / 64] |= 1 << (i % 64);
-    }
-
-    /// Membership test.
-    pub fn contains(&self, i: u32) -> bool {
-        self.bits
-            .get(i as usize / 64)
-            .is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-
-    /// Unions `other` into `self`.
-    pub fn union_with(&mut self, other: &SiteSet) {
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-        }
-    }
-
-    /// Removes every site present in `other`.
-    pub fn subtract(&mut self, other: &SiteSet) {
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= !*b;
-        }
-    }
-
-    /// Iterates member indices in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64u32).filter_map(move |b| {
-                if word & (1u64 << b) != 0 {
-                    Some(w as u32 * 64 + b)
-                } else {
-                    None
-                }
-            })
-        })
-    }
-}
-
-/// Forward may-analysis: which definition sites of each local can reach a
-/// program point. Construct with [`ReachingDefs::new`] (the instance
-/// pre-numbers every site), solve via [`solve`] or the
-/// [`ReachingDefs::compute`] convenience.
-pub struct ReachingDefs {
-    sites: Vec<DefSite>,
-    /// Per local: all of its sites (the kill set of a new definition).
-    kill: Vec<SiteSet>,
-    /// Per block: site indices in execution order (pad bind, then insts).
-    block_events: Vec<Vec<u32>>,
-    /// Per block: the invoke-result site, if the terminator defines one.
-    term_site: Vec<Option<u32>>,
-    param_sites: Vec<u32>,
-}
-
-impl ReachingDefs {
-    /// Numbers every definition site of `f`.
-    pub fn new(f: &Function) -> Self {
-        let mut sites = Vec::new();
-        let mut param_sites = Vec::new();
-        for p in f.params() {
-            param_sites.push(sites.len() as u32);
-            sites.push(DefSite {
-                local: p,
-                block: f.entry(),
-                pos: DefPos::Param,
-            });
-        }
-        let mut block_events = vec![Vec::new(); f.blocks.len()];
-        let mut term_site = vec![None; f.blocks.len()];
-        for (b, block) in f.iter_blocks() {
-            if let Some(pad) = &block.pad {
-                if let Some(d) = pad.dst {
-                    block_events[b.index()].push(sites.len() as u32);
-                    sites.push(DefSite {
-                        local: d,
-                        block: b,
-                        pos: DefPos::PadBind,
-                    });
-                }
-            }
-            for (i, inst) in block.insts.iter().enumerate() {
-                if let Some(d) = inst.def() {
-                    block_events[b.index()].push(sites.len() as u32);
-                    sites.push(DefSite {
-                        local: d,
-                        block: b,
-                        pos: DefPos::Inst(i as u32),
-                    });
-                }
-            }
-            if let Some(d) = block.term.def() {
-                term_site[b.index()] = Some(sites.len() as u32);
-                sites.push(DefSite {
-                    local: d,
-                    block: b,
-                    pos: DefPos::InvokeResult,
-                });
-            }
-        }
-        let mut kill = vec![SiteSet::new(sites.len()); f.locals.len()];
-        for (i, s) in sites.iter().enumerate() {
-            kill[s.local.index()].insert(i as u32);
-        }
-        ReachingDefs {
-            sites,
-            kill,
-            block_events,
-            term_site,
-            param_sites,
-        }
-    }
-
-    /// The numbered sites, indexable by the bits of a [`SiteSet`].
-    pub fn sites(&self) -> &[DefSite] {
-        &self.sites
-    }
-
-    /// Solves reaching definitions for `f` and returns the instance
-    /// (site table) alongside the per-block solution.
-    pub fn compute(f: &Function, cfg: &Cfg) -> (Self, Solution<SiteSet>) {
-        let a = Self::new(f);
-        let sol = solve(&a, f, cfg);
-        (a, sol)
-    }
-
-    /// The sites of `set` resolved against the site table.
-    pub fn resolve<'a>(&'a self, set: &'a SiteSet) -> impl Iterator<Item = &'a DefSite> + 'a {
-        set.iter().map(|i| &self.sites[i as usize])
-    }
-}
-
-impl Analysis for ReachingDefs {
-    type State = SiteSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self, _f: &Function) -> SiteSet {
-        let mut s = SiteSet::new(self.sites.len());
-        for &i in &self.param_sites {
-            s.insert(i);
-        }
-        s
-    }
-
-    fn top(&self, _f: &Function) -> SiteSet {
-        SiteSet::new(self.sites.len())
-    }
-
-    fn join(&self, into: &mut SiteSet, other: &SiteSet) {
-        into.union_with(other);
-    }
-
-    fn transfer(&self, _f: &Function, b: BlockId, state: &mut SiteSet) {
-        for &i in &self.block_events[b.index()] {
-            let l = self.sites[i as usize].local;
-            state.subtract(&self.kill[l.index()]);
-            state.insert(i);
-        }
-    }
-
-    fn edge(&self, f: &Function, from: BlockId, to: BlockId, state: &mut SiteSet) {
-        if let Some(i) = self.term_site[from.index()] {
-            if let Term::Invoke { normal, .. } = &f.block(from).term {
-                if *normal == to {
-                    let l = self.sites[i as usize].local;
-                    state.subtract(&self.kill[l.index()]);
-                    state.insert(i);
-                }
-            }
-        }
-    }
+    flagged
 }
 
 // ---------------------------------------------------------------------------
@@ -867,6 +625,9 @@ pub fn executable_blocks(f: &Function) -> Vec<bool> {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{
+        self, def_before_use_violations, dominance_covers_all_uses, DefPos, ReachingDefs,
+    };
     use super::*;
     use crate::analysis::liveness::Liveness;
     use crate::builder::FunctionBuilder;
@@ -1201,5 +962,154 @@ mod tests {
         let v = use_before_init(&f, &cfg);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].local, x);
+    }
+
+    /// The may-defined solve against the reaching-defs reference; returns
+    /// the flagged uses.
+    fn certainly_uninit_matches_reference(f: &Function) -> Vec<UseBeforeInit> {
+        let cfg = Cfg::compute(f);
+        let got = certainly_uninit_uses(f, &cfg);
+        assert_eq!(
+            got,
+            reference::certainly_uninit_uses(f, &cfg),
+            "certainly_uninit_uses differs from the reference on {}",
+            f.name
+        );
+        got
+    }
+
+    /// bb0 is the loop header: it reads `x`, which only bb1 (the latch)
+    /// assigns, and bb2 reads `y`, which nothing assigns.
+    fn entry_is_loop_header() -> (Function, LocalId) {
+        let mut fb = FunctionBuilder::new("eh", Type::I64);
+        let p = fb.add_param(Type::I64);
+        let x = fb.new_local(Type::I64);
+        let y = fb.new_local(Type::I64);
+        let (latch, exit) = (fb.new_block(), fb.new_block());
+        let c = fb.cmp(
+            CmpPred::Slt,
+            Type::I64,
+            Operand::local(x),
+            Operand::local(p),
+        );
+        fb.branch(Operand::local(c), latch, exit);
+        fb.switch_to(latch);
+        fb.copy_to(x, Operand::const_int(Type::I64, 1));
+        fb.jump(BlockId(0));
+        fb.switch_to(exit);
+        let r = fb.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::local(y));
+        fb.ret(Some(Operand::local(r)));
+        (fb.finish(), y)
+    }
+
+    /// 100 locals `xs`, each assigned in its own arm of a switch and all
+    /// read at the join; only an unreachable block assigns `xs[90]`.
+    fn wide_switch_with_orphaned_def() -> (Function, LocalId) {
+        let mut fb = FunctionBuilder::new("ws", Type::I64);
+        let p = fb.add_param(Type::I64);
+        let xs: Vec<LocalId> = (0..100).map(|_| fb.new_local(Type::I64)).collect();
+        let join = fb.new_block();
+        let arms: Vec<BlockId> = xs.iter().map(|_| fb.new_block()).collect();
+        let dead = fb.new_block();
+        let cases = arms
+            .iter()
+            .enumerate()
+            .map(|(k, &a)| (k as i64, a))
+            .collect();
+        fb.switch(Type::I64, Operand::local(p), cases, join);
+        for (k, &a) in arms.iter().enumerate() {
+            fb.switch_to(a);
+            if k != 90 {
+                fb.copy_to(xs[k], Operand::const_int(Type::I64, k as i64));
+            }
+            fb.jump(join);
+        }
+        fb.switch_to(dead);
+        fb.copy_to(xs[90], Operand::const_int(Type::I64, 90));
+        fb.jump(join);
+        fb.switch_to(join);
+        let mut sum = p;
+        for &x in &xs {
+            sum = fb.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(sum),
+                Operand::local(x),
+            );
+        }
+        fb.ret(Some(Operand::local(sum)));
+        (fb.finish(), xs[90])
+    }
+
+    /// bb0 branches to bb1 or straight to bb2; bb1 invokes with normal
+    /// successor bb2, so bb2 has two in-edges and the result `r` reaches
+    /// it on one. bb4 is unreachable and invokes with the same normal
+    /// successor: its result `q` reaches nothing. bb2 reads both; the pad
+    /// bb3 binds `e` and reads `r`, which no def reaches there.
+    fn invoke_normal_shared_with_branch() -> (Function, LocalId, LocalId) {
+        let mut fb = FunctionBuilder::new("inv2", Type::I64);
+        let p = fb.add_param(Type::Ptr);
+        let (call, join) = (fb.new_block(), fb.new_block());
+        let e = fb.new_local(Type::I64);
+        let pad = fb.new_pad_block(Some(e));
+        let dead = fb.new_block();
+        fb.branch(Operand::const_bool(true), call, join);
+        fb.switch_to(call);
+        let target = Callee::Indirect(Operand::local(p));
+        let r = fb
+            .invoke(target.clone(), Type::I64, vec![], join, pad)
+            .expect("non-void invoke binds a result");
+        fb.switch_to(dead);
+        let q = fb
+            .invoke(target, Type::I64, vec![], join, pad)
+            .expect("non-void invoke binds a result");
+        fb.switch_to(join);
+        let s = fb.bin(BinOp::Add, Type::I64, Operand::local(r), Operand::local(q));
+        fb.ret(Some(Operand::local(s)));
+        fb.switch_to(pad);
+        let t = fb.bin(BinOp::Add, Type::I64, Operand::local(e), Operand::local(r));
+        fb.ret(Some(Operand::local(t)));
+        (fb.finish(), r, q)
+    }
+
+    #[test]
+    fn certainly_uninit_matches_reference_on_hand_built_cases() {
+        for f in &[
+            diamond_assign(),
+            half_diamond_assign().0,
+            wide_loop_with_pad_and_unreachable(),
+        ] {
+            assert!(
+                certainly_uninit_matches_reference(f).is_empty(),
+                "{}",
+                f.name
+            );
+        }
+
+        let (f, y) = entry_is_loop_header();
+        let v = certainly_uninit_matches_reference(&f);
+        assert_eq!(
+            v,
+            vec![UseBeforeInit {
+                block: BlockId(2),
+                inst: Some(0),
+                local: y,
+            }],
+            "the back edge carries x into the entry; nothing assigns y"
+        );
+
+        let (f, orphan) = wide_switch_with_orphaned_def();
+        assert!(f.locals.len() > 64);
+        let v = certainly_uninit_matches_reference(&f);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].local, orphan);
+
+        let (f, r, q) = invoke_normal_shared_with_branch();
+        let mut flagged: Vec<(BlockId, LocalId)> = certainly_uninit_matches_reference(&f)
+            .iter()
+            .map(|u| (u.block, u.local))
+            .collect();
+        flagged.sort_by_key(|&(b, _)| b.index());
+        assert_eq!(flagged, vec![(BlockId(2), q), (BlockId(3), r)]);
     }
 }

@@ -332,27 +332,28 @@ impl ModuleFacts {
 
         // Effect collection over the converged pointer sets.
         let gname = |g: usize| m.globals[g].name.clone();
+        // Each function's pointer sets and executability move into its
+        // facts once its effects are collected.
         let mut fns: Vec<FnFacts> = Vec::with_capacity(n);
-        for (fi, f) in m.functions.iter().enumerate() {
-            let pf = &ptr[fi];
+        for ((f, pf), ex) in m.functions.iter().zip(ptr).zip(exec) {
             let mut fx = FnFacts {
                 effects: EffectSet::default(),
                 callees: BTreeSet::new(),
                 has_indirect_call: false,
                 ptr: Vec::new(),
-                exec: exec[fi].clone(),
+                exec: Vec::new(),
                 taken: BTreeSet::new(),
             };
             let is_root = f.linkage == Linkage::Exported || f.name == "main";
             let escape = |o: &Operand, fx: &mut FnFacts| {
-                if let Some(g) = operand_globals(pf, o) {
+                if let Some(g) = operand_globals(&pf, o) {
                     fx.effects
                         .global_escapes
                         .extend(g.iter().map(|&x| gname(x)));
                 }
             };
-            for (bi, block) in f.blocks.iter().enumerate() {
-                if !exec[fi][bi] {
+            for (block, &executable) in f.blocks.iter().zip(&ex) {
+                if !executable {
                     continue;
                 }
                 let call_site = |callee: &Callee, args: &[Operand], fx: &mut FnFacts| match callee {
@@ -378,12 +379,12 @@ impl ModuleFacts {
                 for inst in &block.insts {
                     match inst {
                         Inst::Load { addr, .. } => {
-                            if let Some(g) = operand_globals(pf, addr) {
+                            if let Some(g) = operand_globals(&pf, addr) {
                                 fx.effects.global_reads.extend(g.iter().map(|&x| gname(x)));
                             }
                         }
                         Inst::Store { addr, value, .. } => {
-                            if let Some(g) = operand_globals(pf, addr) {
+                            if let Some(g) = operand_globals(&pf, addr) {
                                 fx.effects.global_writes.extend(g.iter().map(|&x| gname(x)));
                             }
                             escape(value, &mut fx);
@@ -401,7 +402,8 @@ impl ModuleFacts {
                     _ => {}
                 }
             }
-            fx.ptr = pf.clone();
+            fx.ptr = pf;
+            fx.exec = ex;
             fns.push(fx);
         }
 

@@ -40,10 +40,10 @@
 //! fixed point; each block is re-processed only when a predecessor's
 //! (successor's, for backward) state changes, so convergence takes
 //! `O(height × edges)` joins in the worst case and one pass over an
-//! acyclic CFG. Shipped instances: reaching definitions, definite
-//! initialisation (and its certainly-uninitialised refinement used by the
-//! verifier), live variables, and dead-assignment/unreachable-block
-//! detection.
+//! acyclic CFG. Shipped instances: definite initialisation, live
+//! variables, and dead-assignment/unreachable-block detection. The
+//! verifier's certainly-uninitialised check is a word-parallel
+//! may-defined solve beside the framework.
 //!
 //! ## The semantic auditor
 //!

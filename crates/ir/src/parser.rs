@@ -45,22 +45,19 @@ pub fn parse_module(src: &str) -> PResult<Module> {
     let mut func_ids = HashMap::new();
     let mut global_ids = HashMap::new();
     let mut ext_ids = HashMap::new();
-    for line in src.lines() {
+    for (i, line) in src.lines().enumerate() {
         let t = line.trim();
         if let Some(rest) = t.strip_prefix("func ") {
             if let Some(name) = rest.split('(').next() {
-                let id = FuncId::new(func_ids.len());
-                func_ids.insert(name.trim().to_string(), id);
+                declare(&mut func_ids, name.trim(), "func", i + 1, FuncId::new)?;
             }
         } else if let Some(rest) = t.strip_prefix("global ") {
             if let Some(name) = rest.split_whitespace().next() {
-                let id = GlobalId::new(global_ids.len());
-                global_ids.insert(name.to_string(), id);
+                declare(&mut global_ids, name, "global", i + 1, GlobalId::new)?;
             }
         } else if let Some(rest) = t.strip_prefix("extern ") {
             if let Some(name) = rest.split('(').next() {
-                let id = ExtId::new(ext_ids.len());
-                ext_ids.insert(name.trim().to_string(), id);
+                declare(&mut ext_ids, name.trim(), "extern", i + 1, ExtId::new)?;
             }
         }
     }
@@ -79,6 +76,25 @@ pub fn parse_module(src: &str) -> PResult<Module> {
         ext_ids,
     };
     p.module()
+}
+
+/// Numbers `name` in declaration order. A repeated name is an error: it
+/// would shift the id of every later declaration of its kind.
+fn declare<I>(
+    ids: &mut HashMap<String, I>,
+    name: &str,
+    what: &str,
+    line: usize,
+    id: impl FnOnce(usize) -> I,
+) -> PResult<()> {
+    let next = id(ids.len());
+    if ids.insert(name.to_string(), next).is_some() {
+        return Err(ParseError {
+            line,
+            message: format!("duplicate {what} name `{name}`"),
+        });
+    }
+    Ok(())
 }
 
 impl<'a> Parser<'a> {
@@ -1020,5 +1036,13 @@ bb3:
         let bad = "module m\nfunc f(0) -> void {\n  prov original f\n  locals\nbb0:\n  call @nope()\n  ret\n}\n";
         let err = parse_module(bad).unwrap_err();
         assert!(err.message.contains("unknown func"));
+    }
+
+    #[test]
+    fn rejects_duplicate_func_name() {
+        let f = "func f(0) -> void {\n  prov original f\n  locals\nbb0:\n  ret\n}\n";
+        let err = parse_module(&format!("module m\n{f}{f}")).unwrap_err();
+        assert_eq!(err.line, 8);
+        assert_eq!(err.message, "duplicate func name `f`");
     }
 }

@@ -50,14 +50,23 @@ impl<'m> Checker<'m> {
         });
     }
 
-    fn check_module(&mut self) {
-        let mut names = std::collections::HashSet::new();
-        for f in &self.m.functions {
-            if !names.insert(f.name.as_str()) {
-                self.err(format!("duplicate function name `{}`", f.name));
+    /// Reports every name of `names` seen before (the parser and the
+    /// audit both look symbols up by name, so a repeat would alias).
+    fn check_unique<'a>(&mut self, what: &str, names: impl Iterator<Item = &'a str>) {
+        let mut seen = std::collections::HashSet::new();
+        for name in names {
+            if !seen.insert(name) {
+                self.err(format!("duplicate {what} name `{name}`"));
             }
         }
-        for g in &self.m.globals {
+    }
+
+    fn check_module(&mut self) {
+        let m = self.m;
+        self.check_unique("function", m.functions.iter().map(|f| f.name.as_str()));
+        self.check_unique("global", m.globals.iter().map(|g| g.name.as_str()));
+        self.check_unique("external", m.externals.iter().map(|e| e.name.as_str()));
+        for g in &m.globals {
             for init in &g.init {
                 if let GInit::FuncPtr { func, .. } = init {
                     if func.index() >= self.m.functions.len() {
@@ -69,7 +78,7 @@ impl<'m> Checker<'m> {
                 }
             }
         }
-        for (fi, f) in self.m.functions.iter().enumerate() {
+        for (fi, f) in m.functions.iter().enumerate() {
             self.cur_fn = Some(f.name.clone());
             self.check_function(FuncId::new(fi), f);
             self.cur_fn = None;
@@ -271,22 +280,21 @@ impl<'m> Checker<'m> {
             self.cur_bb = None;
         }
 
-        // Def-before-use for addresses, dominance-checked with a
-        // reaching-defs fallback
-        // ([`crate::analysis::dataflow::certainly_uninit_uses`]): a local
-        // dereferenced in reachable code (load/store address, indirect
-        // callee) must have at least one definition reaching it. Three
-        // deliberate limits keep this sound for the IR's real programs:
-        // KIR zero-initializes locals, so a maybe-uninit value read is
-        // defined behavior (it reads zero) and stays legal; deep fusion's
-        // ctrl-correlated block merging makes defs stop *dominating*
-        // their uses while every dynamic path still executes them, so
-        // only a use no def reaches on ANY path counts; and fission's
-        // naive (non-data-flow-reduced) extraction passes never-defined
-        // locals as call arguments on purpose (transporting the zero),
-        // so only *address* positions — where the zero faults — are
-        // errors. Runs only when the structural checks above are clean —
-        // the CFG walk indexes successor blocks, which may be out of
+        // Def-before-use for addresses, by one may-defined solve over
+        // locals ([`crate::analysis::dataflow::certainly_uninit_uses`]): a
+        // local dereferenced in reachable code (load/store address,
+        // indirect callee) must have at least one definition reaching it.
+        // Three deliberate limits keep this sound for the IR's real
+        // programs: KIR zero-initializes locals, so a maybe-uninit value
+        // read is defined behavior (it reads zero) and stays legal; deep
+        // fusion's ctrl-correlated block merging makes defs stop
+        // *dominating* their uses while every dynamic path still executes
+        // them, so only a use no def reaches on ANY path counts; and
+        // fission's naive (non-data-flow-reduced) extraction passes
+        // never-defined locals as call arguments on purpose (transporting
+        // the zero), so only *address* positions — where the zero faults —
+        // are errors. Runs only when the structural checks above are clean
+        // — the CFG walk indexes successor blocks, which may be out of
         // range otherwise.
         if self.errors.len() == errs_at_entry {
             let cfg = crate::analysis::cfg::Cfg::compute(f);
@@ -483,11 +491,6 @@ impl<'m> Checker<'m> {
     }
 }
 
-/// Verifies a whole module.
-///
-/// # Errors
-/// Returns every problem found; an empty `Ok(())` means the module is
-/// well-formed for the VM, the optimizer and the code generator.
 /// True when the flagged use sits in an address position: a load/store
 /// address or an indirect call/invoke target.
 fn is_address_use(f: &Function, v: &crate::analysis::dataflow::UseBeforeInit) -> bool {
@@ -511,6 +514,11 @@ fn is_address_use(f: &Function, v: &crate::analysis::dataflow::UseBeforeInit) ->
     }
 }
 
+/// Verifies a whole module.
+///
+/// # Errors
+/// Returns every problem found; an empty `Ok(())` means the module is
+/// well-formed for the VM, the optimizer and the code generator.
 pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
     let mut c = Checker {
         m,
@@ -567,7 +575,8 @@ pub use crate::function::Linkage as _Linkage;
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::BinOp;
+    use crate::inst::{BinOp, CmpPred};
+    use crate::module::{ExtFunc, Global};
 
     #[test]
     fn valid_module_passes() {
@@ -698,6 +707,222 @@ mod tests {
             errs.iter()
                 .any(|e| e.message.contains("duplicate switch case")),
             "{errs:?}"
+        );
+    }
+
+    /// Verifies a module holding just `f` and returns every error as text.
+    fn errors_of(f: Function) -> Vec<String> {
+        let mut m = Module::new("deref");
+        m.push_function(f);
+        match verify_module(&m) {
+            Ok(()) => Vec::new(),
+            Err(errs) => errs.iter().map(ToString::to_string).collect(),
+        }
+    }
+
+    #[test]
+    fn undefined_load_address_caught() {
+        let mut fb = FunctionBuilder::new("f", Type::I64);
+        let a = fb.new_local(Type::Ptr);
+        let v = fb.load(Type::I64, Operand::local(a));
+        fb.ret(Some(Operand::local(v)));
+        assert_eq!(
+            errors_of(fb.finish()),
+            ["in f at bb0: local %0 is dereferenced but no definition reaches the use at inst 0"]
+        );
+    }
+
+    #[test]
+    fn undefined_store_address_caught() {
+        let mut fb = FunctionBuilder::new("f", Type::Void);
+        let v = fb.iconst(Type::I64, 7);
+        let a = fb.new_local(Type::Ptr);
+        fb.store(Type::I64, Operand::local(v), Operand::local(a));
+        fb.ret(None);
+        assert_eq!(
+            errors_of(fb.finish()),
+            ["in f at bb0: local %1 is dereferenced but no definition reaches the use at inst 1"]
+        );
+    }
+
+    #[test]
+    fn undefined_indirect_call_target_caught() {
+        let mut fb = FunctionBuilder::new("f", Type::Void);
+        let t = fb.new_local(Type::Ptr);
+        fb.call_indirect(Operand::local(t), Type::Void, vec![]);
+        fb.ret(None);
+        assert_eq!(
+            errors_of(fb.finish()),
+            ["in f at bb0: local %0 is dereferenced but no definition reaches the use at inst 0"]
+        );
+    }
+
+    #[test]
+    fn undefined_indirect_invoke_target_caught() {
+        let mut fb = FunctionBuilder::new("f", Type::Void);
+        let t = fb.new_local(Type::Ptr);
+        let (normal, pad) = (fb.new_block(), fb.new_pad_block(None));
+        fb.invoke(
+            Callee::Indirect(Operand::local(t)),
+            Type::Void,
+            vec![],
+            normal,
+            pad,
+        );
+        fb.switch_to(normal);
+        fb.ret(None);
+        fb.switch_to(pad);
+        fb.ret(None);
+        assert_eq!(
+            errors_of(fb.finish()),
+            ["in f at bb0: local %0 is dereferenced but no definition reaches the use at terminator"]
+        );
+    }
+
+    /// An invoke returning a pointer, dereferenced in the unwind pad
+    /// (`in_pad`) or on the normal edge.
+    fn deref_invoke_result(in_pad: bool) -> Function {
+        let mut fb = FunctionBuilder::new("f", Type::I64);
+        let t = fb.add_param(Type::Ptr);
+        let (normal, pad) = (fb.new_block(), fb.new_pad_block(None));
+        let r = fb
+            .invoke(
+                Callee::Indirect(Operand::local(t)),
+                Type::Ptr,
+                vec![],
+                normal,
+                pad,
+            )
+            .expect("non-void invoke binds a result");
+        let (deref, other) = if in_pad { (pad, normal) } else { (normal, pad) };
+        fb.switch_to(deref);
+        let v = fb.load(Type::I64, Operand::local(r));
+        fb.ret(Some(Operand::local(v)));
+        fb.switch_to(other);
+        fb.ret(Some(Operand::const_int(Type::I64, 0)));
+        fb.finish()
+    }
+
+    #[test]
+    fn invoke_result_dereferenced_in_its_pad_caught() {
+        assert_eq!(
+            errors_of(deref_invoke_result(true)),
+            ["in f at bb2: local %1 is dereferenced but no definition reaches the use at inst 0"]
+        );
+    }
+
+    #[test]
+    fn invoke_result_dereferenced_on_normal_edge_accepted() {
+        assert_eq!(errors_of(deref_invoke_result(false)), Vec::<String>::new());
+    }
+
+    /// bb1 loads through `q` before bb2, the latch, allocates it: only
+    /// the back edge carries a def to the use.
+    #[test]
+    fn address_defined_around_back_edge_accepted() {
+        let mut fb = FunctionBuilder::new("f", Type::Void);
+        let n = fb.add_param(Type::I64);
+        let q = fb.new_local(Type::Ptr);
+        let (head, latch, exit) = (fb.new_block(), fb.new_block(), fb.new_block());
+        fb.jump(head);
+        fb.switch_to(head);
+        fb.load(Type::I64, Operand::local(q));
+        let c = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(n),
+            Operand::const_int(Type::I64, 0),
+        );
+        fb.branch(Operand::local(c), latch, exit);
+        fb.switch_to(latch);
+        let a = fb.alloca(8);
+        fb.copy_to(q, Operand::local(a));
+        fb.jump(head);
+        fb.switch_to(exit);
+        fb.ret(None);
+        assert_eq!(errors_of(fb.finish()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn address_defined_only_in_unreachable_block_caught() {
+        let mut fb = FunctionBuilder::new("f", Type::I64);
+        let q = fb.new_local(Type::Ptr);
+        let dead = fb.new_block();
+        let v = fb.load(Type::I64, Operand::local(q));
+        fb.ret(Some(Operand::local(v)));
+        fb.switch_to(dead);
+        let a = fb.alloca(8);
+        fb.copy_to(q, Operand::local(a));
+        fb.ret(Some(Operand::const_int(Type::I64, 0)));
+        assert_eq!(
+            errors_of(fb.finish()),
+            ["in f at bb0: local %0 is dereferenced but no definition reaches the use at inst 0"]
+        );
+    }
+
+    /// Fission transports a never-defined local's zero as a plain call
+    /// argument on purpose; only address positions are checked.
+    #[test]
+    fn undefined_plain_call_argument_accepted() {
+        let mut m = Module::new("zero");
+        let mut callee = FunctionBuilder::new("callee", Type::Void);
+        callee.add_param(Type::Ptr);
+        callee.ret(None);
+        let cid = m.push_function(callee.finish());
+        let mut fb = FunctionBuilder::new("f", Type::Void);
+        let x = fb.new_local(Type::Ptr);
+        fb.call(cid, Type::Void, vec![Operand::local(x)]);
+        fb.ret(None);
+        m.push_function(fb.finish());
+        assert_eq!(verify_module(&m), Ok(()));
+    }
+
+    /// Globals `a`, `a`, `c` with a store to `@c`. Before the check this
+    /// verified clean, and after a text round trip the store targeted the
+    /// second `a`.
+    fn duplicate_global_module() -> Module {
+        let mut m = Module::new("dupg");
+        let ids = ["a", "a", "c"].map(|name| m.push_global(Global::zeroed(name, 8)));
+        let mut fb = FunctionBuilder::new("main", Type::Void);
+        let c = fb.globaladdr(ids[2]);
+        fb.store(
+            Type::I64,
+            Operand::const_int(Type::I64, 1),
+            Operand::local(c),
+        );
+        fb.ret(None);
+        m.push_function(fb.finish());
+        m
+    }
+
+    #[test]
+    fn duplicate_global_names_caught() {
+        let m = duplicate_global_module();
+        let errs = verify_module(&m).unwrap_err();
+        let text: Vec<String> = errs.iter().map(ToString::to_string).collect();
+        assert_eq!(text, ["duplicate global name `a`"]);
+        let err = crate::parser::parse_module(&crate::printer::print_module(&m)).unwrap_err();
+        assert!(err.message.contains("duplicate global name `a`"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_external_names_caught() {
+        let mut m = Module::new("dupe");
+        for ret_ty in [Type::Void, Type::I64] {
+            m.externals.push(ExtFunc {
+                name: "print_i64".into(),
+                params: vec![Type::I64],
+                ret_ty,
+                variadic: false,
+            });
+        }
+        let errs = verify_module(&m).unwrap_err();
+        let text: Vec<String> = errs.iter().map(ToString::to_string).collect();
+        assert_eq!(text, ["duplicate external name `print_i64`"]);
+        let err = crate::parser::parse_module(&crate::printer::print_module(&m)).unwrap_err();
+        assert!(
+            err.message.contains("duplicate extern name `print_i64`"),
+            "{err}"
         );
     }
 }
