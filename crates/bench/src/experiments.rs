@@ -1,8 +1,8 @@
 //! The per-figure / per-table experiment drivers.
 //!
 //! Every function prints the same rows or series the paper's artifact
-//! reports. See `EXPERIMENTS.md` at the repository root for paper-vs-
-//! measured notes. Figure 7, Figure 9, Figure 10 and Table 2 are
+//! reports. ROADMAP.md, open item 5, tracks the paper-vs-measured
+//! verdicts. Figure 7, Figure 9, Figure 10 and Table 2 are
 //! [`Grid`]s ([`Fig7`], [`Fig9`], [`Fig10`], [`Table2`]): besides the
 //! plain drivers here, [`grid::run`] runs them as elastic workers or
 //! decodes them from stores.

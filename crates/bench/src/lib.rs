@@ -2,8 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§4).
 //! Each `figN`/`tableN` function prints the same rows/series the paper
-//! reports; `EXPERIMENTS.md` records the measured numbers next to the
-//! paper's. The `experiments` binary dispatches to these functions.
+//! reports; ROADMAP.md, open item 5, tracks recording the measured
+//! numbers next to the paper's. The `experiments` binary dispatches to
+//! these functions.
 
 pub mod coordinator;
 pub mod experiments;

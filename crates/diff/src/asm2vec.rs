@@ -11,7 +11,7 @@
 //! across functions (fission/fusion) changes the token distribution
 //! wholesale.
 
-use crate::tokens::block_class_tokens;
+use crate::tokens::{IdMap, TokenTable};
 use crate::vector::{TokenHasher, EMB_DIM};
 use crate::Differ;
 use khaos_binary::{BinFunction, Binary};
@@ -47,32 +47,67 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-fn embed_function(f: &BinFunction, walks: u32, walk_len: u32, seed: u64) -> Vec<f64> {
+/// A contribution in signed quarter-units at one dimension: the n-gram
+/// weights 1, ½ and ¼ are 4, 2 and 1 quarters.
+type Quarters = (usize, i64);
+
+/// `weight_quarters` at `h`'s dimension, with `h`'s sign.
+fn quarters(h: TokenHasher, weight_quarters: i64) -> Quarters {
+    (h.dim(), weight_quarters * h.sign() as i64)
+}
+
+/// The n-gram contributions of one `embed` call, memoized per id
+/// n-gram: a bigram's hash state resumes from its first token's with
+/// `"|" + second` fed, a trigram's from its bigram's — bit-identical to
+/// hashing the `"{a}|{b}|{c}"` strings.
+#[derive(Default)]
+struct NGrams {
+    bigrams: IdMap<(u32, u32), (TokenHasher, Quarters)>,
+    trigrams: IdMap<(u32, u32, u32), Quarters>,
+}
+
+impl NGrams {
+    fn bigram(&mut self, table: &TokenTable, a: u32, b: u32) -> (TokenHasher, Quarters) {
+        *self.bigrams.entry((a, b)).or_insert_with(|| {
+            let h = table.hasher(a).feed("|").feed(table.text(b));
+            (h, quarters(h, 2))
+        })
+    }
+
+    /// The trigram `(a, b, c)`, resuming from `ab`, the bigram's state.
+    fn trigram(&mut self, table: &TokenTable, ab: TokenHasher, a: u32, b: u32, c: u32) -> Quarters {
+        *self
+            .trigrams
+            .entry((a, b, c))
+            .or_insert_with(|| quarters(ab.feed("|").feed(table.text(c)), 1))
+    }
+}
+
+fn embed_function(
+    f: &BinFunction,
+    tool: &Asm2Vec,
+    table: &mut TokenTable,
+    grams: &mut NGrams,
+) -> Vec<f64> {
     let mut v = vec![0.0; EMB_DIM];
     if f.blocks.is_empty() {
         return v;
     }
-    // Tokens are hashed once per block into resumable states: the
-    // unigram contribution is a table lookup, and each n-gram resumes
-    // from its prefix's state, hashing only the `"|" + next-token`
-    // suffix — identical, bit for bit, to hashing the seed path's
-    // `format!("{a}|{b}")` strings, minus both the heap allocation and
-    // the re-hash of the shared prefix.
-    let per_block: Vec<Vec<(String, TokenHasher)>> = f
-        .blocks
-        .iter()
-        .map(|b| {
-            block_class_tokens(b, &f.operand_pool)
-                .into_iter()
-                .map(|t| {
-                    let h = TokenHasher::new().feed(&t);
-                    (t, h)
-                })
-                .collect()
-        })
-        .collect();
-    let mut rng = seed ^ 0x9e3779b97f4a7c15;
-    for w in 0..walks {
+    // Each block's token ids, flat, with block `b` at `ids[starts[b]..starts[b + 1]]`.
+    let mut ids = Vec::new();
+    let mut starts = vec![0];
+    for b in &f.blocks {
+        table.intern_block(b, &f.operand_pool, &mut ids);
+        starts.push(ids.len());
+    }
+    // Every weight is a multiple of ¼ and every partial sum stays far
+    // below 2^51 quarters, so the f64 sums the seed accumulated were
+    // exact and order-free: counting quarters in integers and
+    // converting once gives the same bits.
+    let mut acc = [0i64; EMB_DIM];
+    let mut rng = tool.seed ^ 0x9e3779b97f4a7c15;
+    let mut sequence: Vec<u32> = Vec::new();
+    for w in 0..tool.walks {
         // Walks start at the entry (like Asm2Vec's edge-sampled sequences)
         // and at rotating offsets for coverage.
         let mut cur = if f.blocks.len() > 1 {
@@ -80,11 +115,9 @@ fn embed_function(f: &BinFunction, walks: u32, walk_len: u32, seed: u64) -> Vec<
         } else {
             0
         };
-        let mut sequence: Vec<&(String, TokenHasher)> = Vec::new();
-        for _ in 0..walk_len {
-            for t in &per_block[cur] {
-                sequence.push(t);
-            }
+        sequence.clear();
+        for _ in 0..tool.walk_len {
+            sequence.extend_from_slice(&ids[starts[cur]..starts[cur + 1]]);
             let succs = &f.blocks[cur].succs;
             if succs.is_empty() {
                 break;
@@ -95,20 +128,21 @@ fn embed_function(f: &BinFunction, walks: u32, walk_len: u32, seed: u64) -> Vec<
             }
         }
         // n-gram accumulation (PV-DM context windows).
-        for i in 0..sequence.len() {
-            let (_, ha) = sequence[i];
-            ha.add_to(&mut v, 1.0);
-            if i + 1 < sequence.len() {
-                let bigram = ha.feed("|").feed(&sequence[i + 1].0);
-                bigram.add_to(&mut v, 0.5);
-                if i + 2 < sequence.len() {
-                    bigram
-                        .feed("|")
-                        .feed(&sequence[i + 2].0)
-                        .add_to(&mut v, 0.25);
+        for (i, &a) in sequence.iter().enumerate() {
+            let (d, q) = quarters(table.hasher(a), 4);
+            acc[d] += q;
+            if let Some(&b) = sequence.get(i + 1) {
+                let (ab, (d, q)) = grams.bigram(table, a, b);
+                acc[d] += q;
+                if let Some(&c) = sequence.get(i + 2) {
+                    let (d, q) = grams.trigram(table, ab, a, b, c);
+                    acc[d] += q;
                 }
             }
         }
+    }
+    for (x, q) in v.iter_mut().zip(acc) {
+        *x = q as f64 * 0.25;
     }
     // Length normalization so big functions do not dominate.
     let n: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -134,9 +168,11 @@ impl Differ for Asm2Vec {
     }
 
     fn embed(&self, bin: &Binary) -> Vec<Vec<f64>> {
+        let mut table = TokenTable::classes();
+        let mut grams = NGrams::default();
         bin.functions
             .iter()
-            .map(|f| embed_function(f, self.walks, self.walk_len, self.seed))
+            .map(|f| embed_function(f, self, &mut table, &mut grams))
             .collect()
     }
 }

@@ -32,13 +32,17 @@
 //!
 //! The experiment `experiments ext-dataflow` compares this tool's
 //! Precision@1 under every obfuscation configuration against the five
-//! paper tools (see `EXPERIMENTS.md`, extension E11).
+//! paper tools (extension E11; ROADMAP.md, open item 5, tracks checking
+//! such verdicts against the paper).
 
-use crate::tokens::opcode_class;
-use crate::vector::{add_token, EMB_DIM};
+use crate::tokens::{opcode_class_index, IdSet, OPCODE_CLASSES};
+use crate::vector::{TokenHasher, EMB_DIM};
 use crate::Differ;
 use khaos_binary::{BinBlock, BinFunction, Binary, MOperand, Opcode};
-use std::collections::HashMap;
+use std::sync::OnceLock;
+
+#[cfg(test)]
+mod reference;
 
 /// The data-flow-representation tool of the paper's §5 outlook.
 ///
@@ -103,10 +107,18 @@ fn reg_key(o: &MOperand) -> Option<u16> {
     }
 }
 
-/// The registers an instruction reads (destination excluded where the
-/// opcode overwrites it; two-address ALU ops read their destination too).
+/// The registers an instruction reads, as a list ([`for_each_read`]).
+#[cfg(test)]
 fn reads_of(inst: &khaos_binary::MInst, pool: &[MOperand]) -> Vec<u16> {
     let mut rs = Vec::new();
+    for_each_read(inst, pool, |r| rs.push(r));
+    rs
+}
+
+/// Calls `read` with each register an instruction reads, in operand
+/// order (destination excluded where the opcode overwrites it;
+/// two-address ALU ops read their destination too).
+fn for_each_read(inst: &khaos_binary::MInst, pool: &[MOperand], mut read: impl FnMut(u16)) {
     let dest_written = writes_dest(inst.opcode);
     for (i, o) in inst.operands(pool).iter().enumerate() {
         match o {
@@ -132,14 +144,13 @@ fn reads_of(inst: &khaos_binary::MInst, pool: &[MOperand]) -> Vec<u16> {
                             | Opcode::Cvtsd2ss
                     );
                 if !overwrites {
-                    rs.push(reg_key(o).expect("register operand"));
+                    read(reg_key(o).expect("register operand"));
                 }
             }
-            MOperand::Mem { base, .. } => rs.push(*base as u16),
+            MOperand::Mem { base, .. } => read(*base as u16),
             _ => {}
         }
     }
-    rs
 }
 
 /// The register an instruction defines, if any. Calls clobber the return
@@ -154,117 +165,207 @@ fn def_of(inst: &khaos_binary::MInst, pool: &[MOperand]) -> Option<u16> {
     inst.operands(pool).first().and_then(reg_key)
 }
 
-/// Per-block data-flow summary for the one-hop inter-block join.
-struct BlockSummary {
-    /// class of the last write to each register still live at block end.
-    out_defs: HashMap<u16, &'static str>,
-    /// class of the first read of each register before any write to it.
-    exposed_uses: HashMap<u16, &'static str>,
+/// Register slots: integer registers take `0..0x100`, float registers
+/// `0x100..0x200` ([`reg_key`]).
+const REG_SLOTS: usize = 0x200;
+
+/// The hash state (`(dim, sign)`) of every token the extraction emits,
+/// hashed once per process instead of `format!`-ed per edge.
+struct DataFlowTokens {
+    /// `df:{def class}->{use class}`, indexed by class index.
+    df: [[TokenHasher; 15]; 15],
+    /// `xdf:{def class}->{use class}`.
+    xdf: [[TokenHasher; 15]; 15],
+    memread: TokenHasher,
+    memwrite: TokenHasher,
+    store_load: TokenHasher,
+    /// `chain:d1`, `chain:d2`, `chain:d3` (depth 3–4), `chain:d5` (5+).
+    chain: [TokenHasher; 4],
 }
 
-/// Emits this block's intra-block edges into `vec` and returns its summary.
-fn scan_block(
-    b: &BinBlock,
-    pool: &[MOperand],
-    vec: &mut [f64],
-    chain_lens: &mut Vec<u32>,
-) -> BlockSummary {
-    // reg -> (class of def, chain length so far)
-    let mut last_def: HashMap<u16, (&'static str, u32)> = HashMap::new();
-    let mut exposed: HashMap<u16, &'static str> = HashMap::new();
+fn dataflow_tokens() -> &'static DataFlowTokens {
+    static TOKENS: OnceLock<DataFlowTokens> = OnceLock::new();
+    TOKENS.get_or_init(|| {
+        let h = |t: &str| TokenHasher::new().feed(t);
+        let edges = |prefix: &str| {
+            std::array::from_fn(|d| {
+                std::array::from_fn(|u| {
+                    h(&format!(
+                        "{prefix}:{}->{}",
+                        OPCODE_CLASSES[d], OPCODE_CLASSES[u]
+                    ))
+                })
+            })
+        };
+        DataFlowTokens {
+            df: edges("df"),
+            xdf: edges("xdf"),
+            memread: h("df:memread"),
+            memwrite: h("df:memwrite"),
+            store_load: h("df:st->ld"),
+            chain: ["d1", "d2", "d3", "d5"].map(|b| h(&format!("chain:{b}"))),
+        }
+    })
+}
 
+/// The `chain:` bucket of a def-use chain depth.
+fn chain_bucket(depth: u32) -> usize {
+    match depth {
+        1 => 0,
+        2 => 1,
+        3..=4 => 2,
+        _ => 3,
+    }
+}
+
+/// Per-block data-flow summary for the one-hop inter-block join:
+/// `(register, class index)` pairs.
+struct BlockSummary {
+    /// class of the last write to each register still live at block end.
+    out_defs: Vec<(u16, u8)>,
+    /// class of the first read of each register before any write to it.
+    exposed_uses: Vec<(u16, u8)>,
+}
+
+/// Per-register state of the block being scanned, reused across blocks:
+/// dense arrays indexed by register slot, reset through the lists of
+/// the slots a block touched.
+struct Scratch {
+    /// reg -> (class of its last def in this block, chain length so far).
+    last_def: Vec<Option<(u8, u32)>>,
+    /// reg -> class of its first read before any def in this block.
+    exposed: Vec<Option<u8>>,
+    defined: Vec<u16>,
+    exposed_regs: Vec<u16>,
+    /// The `[base+offset]` slots stored to so far in this block.
+    stores: IdSet<(u8, i32)>,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            last_def: vec![None; REG_SLOTS],
+            exposed: vec![None; REG_SLOTS],
+            defined: Vec::new(),
+            exposed_regs: Vec::new(),
+            stores: IdSet::default(),
+        }
+    }
+}
+
+/// Emits this block's intra-block edges into `vec` and returns its
+/// summary. Every weight (1, ½, ¼) is dyadic, so the sums are exact and
+/// the order of the adds cannot change a bit.
+fn scan_block(b: &BinBlock, pool: &[MOperand], vec: &mut [f64], s: &mut Scratch) -> BlockSummary {
+    let t = dataflow_tokens();
     for inst in &b.insts {
-        let uclass = opcode_class(inst.opcode);
+        let uclass = opcode_class_index(inst.opcode);
         let mut depth_in: u32 = 0;
-        for r in reads_of(inst, pool) {
-            match last_def.get(&r) {
+        for_each_read(inst, pool, |r| {
+            let r = r as usize;
+            match s.last_def[r] {
                 Some((dclass, depth)) => {
-                    add_token(vec, &format!("df:{dclass}->{uclass}"), 1.0);
-                    depth_in = depth_in.max(*depth);
+                    t.df[dclass as usize][uclass as usize].add_to(vec, 1.0);
+                    depth_in = depth_in.max(depth);
                 }
                 None => {
-                    exposed.entry(r).or_insert(uclass);
+                    if s.exposed[r].is_none() {
+                        s.exposed[r] = Some(uclass);
+                        s.exposed_regs.push(r as u16);
+                    }
                 }
             }
-        }
-        // Memory dependence: a store and a later load of the same slot.
-        if inst.opcode == Opcode::Load {
-            add_token(vec, "df:memread", 0.25);
-        }
-        if inst.opcode == Opcode::Store {
-            add_token(vec, "df:memwrite", 0.25);
+        });
+        // Memory dependence: a store and a later load of the same slot
+        // (exact within the block).
+        match (inst.opcode, inst.operands(pool)) {
+            (Opcode::Load, ops) => {
+                t.memread.add_to(vec, 0.25);
+                if let Some(MOperand::Mem { base, offset }) = ops.get(1) {
+                    if s.stores.contains(&(*base, *offset)) {
+                        t.store_load.add_to(vec, 1.0);
+                    }
+                }
+            }
+            (Opcode::Store, ops) => {
+                t.memwrite.add_to(vec, 0.25);
+                if let Some(MOperand::Mem { base, offset }) = ops.first() {
+                    s.stores.insert((*base, *offset));
+                }
+            }
+            _ => {}
         }
         if let Some(d) = def_of(inst, pool) {
             let depth = depth_in + 1;
             if inst.opcode == Opcode::Ret {
                 continue;
             }
-            last_def.insert(d, (uclass, depth));
-            chain_lens.push(depth);
+            let slot = &mut s.last_def[d as usize];
+            if slot.is_none() {
+                s.defined.push(d);
+            }
+            *slot = Some((uclass, depth));
+            // Chain-shape statistics: bucketed def-use chain depths.
+            // These survive code motion (the chain moves wholesale) but
+            // distinguish functions with different computation depth.
+            t.chain[chain_bucket(depth)].add_to(vec, 0.5);
         }
     }
 
-    // Store→load same-slot edges (exact within the block).
-    let mut stores: HashMap<(u8, i32), &'static str> = HashMap::new();
-    for inst in &b.insts {
-        match inst.opcode {
-            Opcode::Store => {
-                if let Some(MOperand::Mem { base, offset }) = inst.operands(pool).first() {
-                    stores.insert((*base, *offset), "store");
-                }
-            }
-            Opcode::Load => {
-                if let Some(MOperand::Mem { base, offset }) = inst.operands(pool).get(1) {
-                    if stores.contains_key(&(*base, *offset)) {
-                        add_token(vec, "df:st->ld", 1.0);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
+    let out_defs = s
+        .defined
+        .drain(..)
+        .map(|r| {
+            let (class, _) = s.last_def[r as usize].take().expect("a defined register");
+            (r, class)
+        })
+        .collect();
+    let exposed_uses = s
+        .exposed_regs
+        .drain(..)
+        .map(|r| {
+            (
+                r,
+                s.exposed[r as usize].take().expect("an exposed register"),
+            )
+        })
+        .collect();
+    s.stores.clear();
     BlockSummary {
-        out_defs: last_def.into_iter().map(|(r, (c, _))| (r, c)).collect(),
-        exposed_uses: exposed,
+        out_defs,
+        exposed_uses,
     }
 }
 
 /// Embeds one function as its data-flow signature.
-fn embed_function(f: &BinFunction) -> Vec<f64> {
+fn embed_function(f: &BinFunction, s: &mut Scratch) -> Vec<f64> {
     let mut vec = vec![0.0; EMB_DIM];
-    let mut chain_lens: Vec<u32> = Vec::new();
     let summaries: Vec<BlockSummary> = f
         .blocks
         .iter()
-        .map(|b| scan_block(b, &f.operand_pool, &mut vec, &mut chain_lens))
+        .map(|b| scan_block(b, &f.operand_pool, &mut vec, s))
         .collect();
 
-    // One-hop inter-block join: defs flowing into successors' exposed uses.
+    // One-hop inter-block join: defs flowing into successors' exposed
+    // uses, looked up through the (otherwise empty) `exposed` array.
+    let t = dataflow_tokens();
     for (bi, b) in f.blocks.iter().enumerate() {
-        for &s in &b.succs {
-            let Some(succ) = summaries.get(s as usize) else {
+        for &succ in &b.succs {
+            let Some(succ) = summaries.get(succ as usize) else {
                 continue;
             };
-            for (r, dclass) in &summaries[bi].out_defs {
-                if let Some(uclass) = succ.exposed_uses.get(r) {
-                    add_token(&mut vec, &format!("xdf:{dclass}->{uclass}"), 0.5);
+            for &(r, uclass) in &succ.exposed_uses {
+                s.exposed[r as usize] = Some(uclass);
+            }
+            for &(r, dclass) in &summaries[bi].out_defs {
+                if let Some(uclass) = s.exposed[r as usize] {
+                    t.xdf[dclass as usize][uclass as usize].add_to(&mut vec, 0.5);
                 }
             }
+            for &(r, _) in &succ.exposed_uses {
+                s.exposed[r as usize] = None;
+            }
         }
-    }
-
-    // Chain-shape statistics: bucketed def-use chain depths. These survive
-    // code motion (the chain moves wholesale) but distinguish functions
-    // with different computation depth.
-    for d in &chain_lens {
-        let bucket = match d {
-            1 => "d1",
-            2 => "d2",
-            3..=4 => "d3",
-            _ => "d5",
-        };
-        add_token(&mut vec, &format!("chain:{bucket}"), 0.5);
     }
 
     // L2-normalize so function size cancels: a sepFunc holding half the
@@ -346,7 +447,11 @@ impl Differ for DataFlowDiff {
     }
 
     fn embed(&self, bin: &Binary) -> Vec<Vec<f64>> {
-        bin.functions.iter().map(embed_function).collect()
+        let mut scratch = Scratch::new();
+        bin.functions
+            .iter()
+            .map(|f| embed_function(f, &mut scratch))
+            .collect()
     }
 
     /// Asymmetric matching. The query side (the analyst's reference
@@ -526,6 +631,158 @@ mod tests {
         );
         assert_eq!(def_of(&a, &pool), Some(0x101));
         assert_eq!(reads_of(&a, &pool), vec![0x101, 0x102]);
+    }
+
+    /// One hand-built block: its instructions and its successors.
+    type Block<'a> = (&'a [(Opcode, &'a [MOperand])], &'a [u32]);
+
+    /// A function of `blocks` over one operand pool.
+    fn function(blocks: &[Block]) -> BinFunction {
+        use khaos_binary::BinProvenance;
+        let mut pool = Vec::new();
+        let blocks = blocks
+            .iter()
+            .map(|(insts, succs)| {
+                let mut blk = BinBlock::default();
+                for (op, ops) in insts.iter() {
+                    blk.push_inst(&mut pool, *op, ops);
+                }
+                blk.succs = succs.to_vec();
+                blk
+            })
+            .collect();
+        BinFunction {
+            name: Some("f".into()),
+            provenance: BinProvenance {
+                origins: vec!["f".into()],
+                annotations: vec![],
+            },
+            exported: false,
+            blocks,
+            operand_pool: pool,
+        }
+    }
+
+    /// The table-driven extraction matches the `HashMap`-based oracle bit
+    /// for bit on the edge cases, one scratch reused across functions.
+    #[test]
+    fn matches_the_reference_on_edge_cases() {
+        use MOperand::{FReg, Imm, Mem, Reg};
+        let slot = Mem {
+            base: 5,
+            offset: -16,
+        };
+        let other_slot = Mem {
+            base: 5,
+            offset: -8,
+        };
+        let cases = [
+            // Float-register keys (0x100+) alongside the same integer ids.
+            function(&[(
+                &[
+                    (Opcode::Movsd, &[FReg(1), FReg(2)]),
+                    (Opcode::Addsd, &[FReg(1), FReg(3)]),
+                    (Opcode::Add, &[Reg(1), Reg(3)]),
+                    (Opcode::Mulsd, &[FReg(3), FReg(1)]),
+                    (Opcode::Cvttsd2si, &[Reg(2), FReg(3)]),
+                ],
+                &[],
+            )]),
+            // A `Mem` base read, defined in-block and upward-exposed.
+            function(&[
+                (
+                    &[
+                        (Opcode::Lea, &[Reg(4), Mem { base: 6, offset: 8 }]),
+                        (Opcode::Load, &[Reg(2), Mem { base: 4, offset: 0 }]),
+                        (Opcode::Add, &[Reg(2), Imm(3)]),
+                    ],
+                    &[1],
+                ),
+                (
+                    &[
+                        (Opcode::Load, &[Reg(1), Mem { base: 2, offset: 4 }]),
+                        (Opcode::Store, &[Mem { base: 4, offset: 0 }, Reg(1)]),
+                    ],
+                    &[],
+                ),
+            ]),
+            // Store→load to the same slot, a different slot, and a load
+            // before any store; the next block's load of the slot is no
+            // edge (slot dependences are exact within a block only).
+            function(&[
+                (
+                    &[
+                        (Opcode::Load, &[Reg(3), slot]),
+                        (Opcode::Store, &[slot, Reg(1)]),
+                        (Opcode::Load, &[Reg(2), slot]),
+                        (Opcode::Load, &[Reg(2), other_slot]),
+                        (Opcode::Store, &[slot, Reg(2)]),
+                        (Opcode::Load, &[Reg(7), slot]),
+                    ],
+                    &[1],
+                ),
+                (&[(Opcode::Load, &[Reg(7), slot])], &[]),
+            ]),
+            // A `Ret` reading the return register, and a call clobbering
+            // `r0` before and after a use.
+            function(&[
+                (
+                    &[
+                        (Opcode::MovImm, &[Reg(0), Imm(1)]),
+                        (Opcode::Call, &[MOperand::Sym(SymRef::Func(0))]),
+                        (Opcode::Add, &[Reg(1), Reg(0)]),
+                        (Opcode::CallInd, &[Reg(1)]),
+                    ],
+                    &[1],
+                ),
+                (
+                    &[(Opcode::Mov, &[Reg(0), Reg(0)]), (Opcode::Ret, &[Reg(0)])],
+                    &[],
+                ),
+            ]),
+            // Out-of-range successors, an empty block, a self-loop and
+            // chains deeper than five.
+            function(&[
+                (
+                    &[
+                        (Opcode::MovImm, &[Reg(1), Imm(1)]),
+                        (Opcode::Add, &[Reg(1), Reg(1)]),
+                        (Opcode::Add, &[Reg(1), Reg(1)]),
+                        (Opcode::Imul, &[Reg(1), Reg(1)]),
+                        (Opcode::Shl, &[Reg(1), Imm(2)]),
+                        (Opcode::Sub, &[Reg(1), Reg(9)]),
+                        (Opcode::Cmp, &[Reg(1), Imm(0)]),
+                        (Opcode::Setcc, &[Reg(2)]),
+                    ],
+                    &[1, 7, 2, u32::MAX],
+                ),
+                (&[], &[2, 0]),
+                (
+                    &[
+                        (Opcode::Add, &[Reg(2), Reg(1)]),
+                        (Opcode::Push, &[Reg(2)]),
+                        (Opcode::Pop, &[Reg(9)]),
+                        (Opcode::Nop, &[]),
+                    ],
+                    &[2, 0, 1],
+                ),
+            ]),
+            // An empty function and a function of one empty block.
+            function(&[]),
+            function(&[(&[], &[0])]),
+        ];
+        let mut scratch = Scratch::new();
+        for (k, f) in cases.iter().enumerate() {
+            let want = reference::embed_function(f);
+            let have = embed_function(f, &mut scratch);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&have), bits(&want), "case {k}");
+        }
+        // And on every function of the shared test binary.
+        for f in &small_binary("x").functions {
+            let want = reference::embed_function(f);
+            assert_eq!(embed_function(f, &mut scratch), want);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! and the call graph*, both of which Khaos rewrites.
 
 use crate::engine::{EmbeddingCache, FunctionEmbeddings, SimilarityMatrix};
-use crate::tokens::block_tokens;
-use crate::vector::{add_token, EMB_DIM};
+use crate::tokens::TokenTable;
+use crate::vector::EMB_DIM;
 use khaos_binary::{Binary, SymRef};
 
 /// DeepBinDiff stand-in. See the module docs.
@@ -72,13 +72,16 @@ impl DeepBinDiff {
                 }
             }
         }
-        // Own token features.
+        // Own token features, each token's hash state looked up by its
+        // interned id (the weight-1 sums are exact integers).
+        let mut table = TokenTable::mnemonics();
         let mut own: Vec<Vec<f64>> = Vec::with_capacity(n);
         for &(fi, bi) in &ids {
             let f = &bin.functions[fi];
             let mut v = vec![0.0; EMB_DIM];
-            for t in block_tokens(&f.blocks[bi], &f.operand_pool) {
-                add_token(&mut v, &t, 1.0);
+            for inst in &f.blocks[bi].insts {
+                let id = table.intern(inst, &f.operand_pool);
+                table.hasher(id).add_to(&mut v, 1.0);
             }
             own.push(v);
         }

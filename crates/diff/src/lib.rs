@@ -25,9 +25,18 @@
 //!   (instruction operands live in one contiguous
 //!   `BinFunction::operand_pool` slice per function, reached through
 //!   [`khaos_binary::MInst::operands`]) — cold fingerprint+embed is
-//!   bandwidth-bound, not allocator-bound, and the n-gram embedders
-//!   hash token fragments through resumable [`TokenHasher`] states
-//!   instead of `format!`-ing every n-gram;
+//!   bandwidth-bound, not allocator-bound;
+//! * the token embedders (Asm2Vec, SAFE, DeepBinDiff) intern each
+//!   instruction's exact class key to a dense id once per `embed` call
+//!   (the `tokens` module's `TokenTable`), so each distinct token's
+//!   text is built and hashed once, not at every occurrence; whatever
+//!   they derive from a token — Asm2Vec's bigram and trigram states,
+//!   resumed from their prefix's [`TokenHasher`] state, SAFE's
+//!   attention and phase states — is memoized per id. DataFlowDiff
+//!   reads its fixed 15×15 def-use edge tokens from tables hashed once
+//!   per process. Every embedding is bit-identical to hashing each
+//!   occurrence's string (pinned by
+//!   `crates/bench/tests/embedding_pins.rs`);
 //! * embeddings live in [`FunctionEmbeddings`] — one flat row-major
 //!   buffer, **L2-normalized once at construction**, so cosine is a
 //!   pure dot product in the inner loop (no per-pair `sqrt`/norms),
@@ -103,10 +112,7 @@ pub use quant::{
     stream_top_k_quantized, QuantizedEmbeddings, QUANT_SHORTLIST_FACTOR, QUANT_SHORTLIST_MIN,
 };
 pub use safe::Safe;
-pub use tokens::{
-    block_class_tokens, block_tokens, function_class_stream, function_token_stream, opcode_class,
-    operand_class,
-};
+pub use tokens::{opcode_class, operand_class};
 pub use vector::{
     add_token, add_token_parts, cosine, hash_sign, hash_sign_parts, hash_token, hash_token_parts,
     Dim, TokenHasher, EMB_DIM,

@@ -5,11 +5,10 @@
 //! order sensitivity (positional weighting of token contributions) and
 //! attention-style emphasis (rarer tokens weigh more than filler moves).
 
-use crate::tokens::function_class_stream;
+use crate::tokens::TokenTable;
 use crate::vector::{TokenHasher, EMB_DIM};
 use crate::Differ;
 use khaos_binary::Binary;
-use std::collections::HashMap;
 
 /// SAFE stand-in. See the module docs.
 #[derive(Clone, Debug)]
@@ -38,34 +37,51 @@ impl Differ for Safe {
     fn embed(&self, bin: &Binary) -> Vec<Vec<f64>> {
         // Corpus-level token frequencies give the attention weights
         // (inverse-frequency emphasis, as learned attention tends to).
-        // Each distinct token is hashed once into a resumable state;
-        // per-occurrence work is then a lookup plus the 3-byte phase
-        // suffix — identical, bit for bit, to the seed's
-        // `format!("{t}#p{phase}")` hashing.
-        let streams: Vec<Vec<String>> = bin.functions.iter().map(function_class_stream).collect();
-        let mut df: HashMap<&str, (f64, TokenHasher)> = HashMap::new();
-        for s in &streams {
-            for t in s {
-                df.entry(t.as_str())
-                    .or_insert_with(|| (0.0, TokenHasher::new().feed(t)))
-                    .0 += 1.0;
-            }
+        // Everything that depends only on the token — its count, its
+        // attention and the hash states of `t` and `"{t}#p{phase}"` — is
+        // computed once per distinct id; per occurrence the adds and
+        // their weight expressions are the seed's, in the seed's order
+        // (SAFE's weights are not dyadic, so the order matters).
+        let mut table = TokenTable::classes();
+        let streams: Vec<Vec<u32>> = bin
+            .functions
+            .iter()
+            .map(|f| {
+                let mut ids = Vec::new();
+                for b in &f.blocks {
+                    table.intern_block(b, &f.operand_pool, &mut ids);
+                }
+                ids
+            })
+            .collect();
+        let mut counts = vec![0.0f64; table.len()];
+        for &id in streams.iter().flatten() {
+            counts[id as usize] += 1.0;
         }
-        let total: f64 = df.values().map(|(c, _)| c).sum::<f64>().max(1.0);
+        // Integer-valued counts: the sum is exact in any order.
+        let total: f64 = counts.iter().sum::<f64>().max(1.0);
+        const PHASES: [&str; 4] = ["#p0", "#p1", "#p2", "#p3"];
+        let per_id: Vec<(f64, TokenHasher, [TokenHasher; 4])> = counts
+            .iter()
+            .enumerate()
+            .map(|(id, &count)| {
+                let h = table.hasher(id as u32);
+                let attention = (total / (1.0 + count)).ln().max(0.1);
+                (attention, h, PHASES.map(|p| h.feed(p)))
+            })
+            .collect();
 
         streams
             .iter()
             .map(|s| {
                 let mut v = vec![0.0; EMB_DIM];
                 let n = s.len().max(1) as f64;
-                for (i, t) in s.iter().enumerate() {
-                    let (count, h) = df[t.as_str()];
-                    let attention = (total / (1.0 + count)).ln().max(0.1);
+                for (i, &id) in s.iter().enumerate() {
+                    let (attention, h, phased) = &per_id[id as usize];
                     // Position bucket: early/mid/late phases of the body.
-                    const PHASES: [&str; 4] = ["#p0", "#p1", "#p2", "#p3"];
                     let phase = (i / self.position_period) % 4;
                     h.add_to(&mut v, attention / n);
-                    h.feed(PHASES[phase]).add_to(&mut v, 0.5 * attention / n);
+                    phased[phase].add_to(&mut v, 0.5 * attention / n);
                 }
                 let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
                 if norm > 0.0 {

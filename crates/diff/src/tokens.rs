@@ -4,23 +4,42 @@
 //! Asm2Vec/SAFE/DeepBinDiff (concrete registers and addresses carry no
 //! cross-binary signal; immediates are bucketed).
 //!
+//! The embedders never build a token string per occurrence. Each
+//! `embed` call interns instructions through one [`TokenTable`]: an
+//! instruction's exact class key (its head — opcode class or opcode —
+//! plus its operand-class sequence) maps to a dense `u32` id, and each
+//! id holds its token text and that text's [`TokenHasher`] state,
+//! computed once when the id is first seen. The text comes from
+//! [`inst_class_token`]/[`inst_token`], so it keeps a single
+//! definition; the embedders then memoize whatever they derive from a
+//! token (n-gram states, attention weights, `(dim, sign)` pairs) per
+//! id, which is bit-identical to hashing the text at every occurrence.
+//!
 //! Instructions store their operands as ranges into the owning
 //! function's flat [`khaos_binary::BinFunction::operand_pool`], so the
-//! per-instruction tokenizers take the pool alongside the instruction;
-//! the function-level streams resolve it themselves.
+//! per-instruction tokenizers take the pool alongside the instruction.
 
-use khaos_binary::{BinBlock, BinFunction, MInst, MOperand, Opcode, SymRef};
+use crate::vector::TokenHasher;
+use khaos_binary::{BinBlock, MInst, MOperand, Opcode, SymRef};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Coarse semantic class of an opcode. The learned models (Asm2Vec, SAFE)
-/// embed *semantics*, which makes them robust against instruction
-/// substitution — `add` and the `sub`-chains O-LLVM replaces it with live
-/// in the same class.
-pub fn opcode_class(op: Opcode) -> &'static str {
+/// The opcode classes, indexed by [`opcode_class_index`].
+pub const OPCODE_CLASSES: [&str; 15] = [
+    "mov", "load", "store", "lea", "alu", "muldiv", "cmp", "cc", "jump", "call", "ret", "stack",
+    "fparith", "cvt", "nop",
+];
+
+/// Index of an opcode's coarse semantic class in [`OPCODE_CLASSES`].
+/// The learned models (Asm2Vec, SAFE) embed *semantics*, which makes
+/// them robust against instruction substitution — `add` and the
+/// `sub`-chains O-LLVM replaces it with live in the same class.
+pub fn opcode_class_index(op: Opcode) -> u8 {
     match op {
-        Opcode::Mov | Opcode::MovImm | Opcode::Movsx | Opcode::Movzx | Opcode::Movsd => "mov",
-        Opcode::Load => "load",
-        Opcode::Store => "store",
-        Opcode::Lea => "lea",
+        Opcode::Mov | Opcode::MovImm | Opcode::Movsx | Opcode::Movzx | Opcode::Movsd => 0,
+        Opcode::Load => 1,
+        Opcode::Store => 2,
+        Opcode::Lea => 3,
         // One class for simple integer ALU work: `add` and the
         // `sub/xor/and` chains O-LLVM's Sub rewrites it into are
         // semantically interchangeable to a learned model.
@@ -33,18 +52,23 @@ pub fn opcode_class(op: Opcode) -> &'static str {
         | Opcode::Not
         | Opcode::Shl
         | Opcode::Shr
-        | Opcode::Sar => "alu",
-        Opcode::Imul | Opcode::Idiv | Opcode::Div => "muldiv",
-        Opcode::Cmp | Opcode::Test | Opcode::Ucomisd => "cmp",
-        Opcode::Setcc | Opcode::Cmov => "cc",
-        Opcode::Jmp | Opcode::Jcc => "jump",
-        Opcode::Call | Opcode::CallInd => "call",
-        Opcode::Ret => "ret",
-        Opcode::Push | Opcode::Pop => "stack",
-        Opcode::Addsd | Opcode::Subsd | Opcode::Mulsd | Opcode::Divsd | Opcode::Xorps => "fparith",
-        Opcode::Cvtsi2sd | Opcode::Cvttsd2si | Opcode::Cvtss2sd | Opcode::Cvtsd2ss => "cvt",
-        Opcode::Nop => "nop",
+        | Opcode::Sar => 4,
+        Opcode::Imul | Opcode::Idiv | Opcode::Div => 5,
+        Opcode::Cmp | Opcode::Test | Opcode::Ucomisd => 6,
+        Opcode::Setcc | Opcode::Cmov => 7,
+        Opcode::Jmp | Opcode::Jcc => 8,
+        Opcode::Call | Opcode::CallInd => 9,
+        Opcode::Ret => 10,
+        Opcode::Push | Opcode::Pop => 11,
+        Opcode::Addsd | Opcode::Subsd | Opcode::Mulsd | Opcode::Divsd | Opcode::Xorps => 12,
+        Opcode::Cvtsi2sd | Opcode::Cvttsd2si | Opcode::Cvtss2sd | Opcode::Cvtsd2ss => 13,
+        Opcode::Nop => 14,
     }
+}
+
+/// Coarse semantic class of an opcode (see [`opcode_class_index`]).
+pub fn opcode_class(op: Opcode) -> &'static str {
+    OPCODE_CLASSES[opcode_class_index(op) as usize]
 }
 
 /// Shared body of [`inst_token`]/[`inst_class_token`]: head word plus
@@ -60,45 +84,42 @@ fn token_with_head(head: &str, i: &MInst, pool: &[MOperand]) -> String {
     s
 }
 
-/// Semantic-class token of an instruction, e.g. `"arith reg,imm8"`.
+/// Semantic-class token of an instruction, e.g. `"alu reg,imm8"`.
 pub fn inst_class_token(i: &MInst, pool: &[MOperand]) -> String {
     token_with_head(opcode_class(i.opcode), i, pool)
 }
 
-/// Class tokens of one block (used by the learned-model stand-ins).
-pub fn block_class_tokens(b: &BinBlock, pool: &[MOperand]) -> Vec<String> {
-    b.insts.iter().map(|i| inst_class_token(i, pool)).collect()
-}
+/// The operand classes, indexed by [`operand_class_index`].
+pub const OPERAND_CLASSES: [&str; 10] = [
+    "reg", "xmm", "imm0", "imm8", "imm32", "mem", "fnsym", "glsym", "extsym", "loc",
+];
 
-/// The linear class-token stream of a function.
-pub fn function_class_stream(f: &BinFunction) -> Vec<String> {
-    f.blocks
-        .iter()
-        .flat_map(|b| block_class_tokens(b, &f.operand_pool))
-        .collect()
+/// Index of an operand's normalized class in [`OPERAND_CLASSES`].
+pub fn operand_class_index(o: &MOperand) -> u8 {
+    match o {
+        MOperand::Reg(_) => 0,
+        MOperand::FReg(_) => 1,
+        MOperand::Imm(v) => {
+            // Bucketed immediates, as Asm2Vec does.
+            if *v == 0 {
+                2
+            } else if (-128..=127).contains(v) {
+                3
+            } else {
+                4
+            }
+        }
+        MOperand::Mem { .. } => 5,
+        MOperand::Sym(SymRef::Func(_)) => 6,
+        MOperand::Sym(SymRef::Global(_)) => 7,
+        MOperand::Sym(SymRef::Ext(_)) => 8,
+        MOperand::Label(_) => 9,
+    }
 }
 
 /// Normalizes one operand to a token fragment.
 pub fn operand_class(o: &MOperand) -> &'static str {
-    match o {
-        MOperand::Reg(_) => "reg",
-        MOperand::FReg(_) => "xmm",
-        MOperand::Imm(v) => {
-            // Bucketed immediates, as Asm2Vec does.
-            if *v == 0 {
-                "imm0"
-            } else if (-128..=127).contains(v) {
-                "imm8"
-            } else {
-                "imm32"
-            }
-        }
-        MOperand::Mem { .. } => "mem",
-        MOperand::Sym(SymRef::Func(_)) => "fnsym",
-        MOperand::Sym(SymRef::Global(_)) => "glsym",
-        MOperand::Sym(SymRef::Ext(_)) => "extsym",
-        MOperand::Label(_) => "loc",
-    }
+    OPERAND_CLASSES[operand_class_index(o) as usize]
 }
 
 /// Normalized token of a whole instruction, e.g. `"add reg,imm8"`.
@@ -106,17 +127,160 @@ pub fn inst_token(i: &MInst, pool: &[MOperand]) -> String {
     token_with_head(i.opcode.mnemonic(), i, pool)
 }
 
-/// Tokens of one block.
-pub fn block_tokens(b: &BinBlock, pool: &[MOperand]) -> Vec<String> {
-    b.insts.iter().map(|i| inst_token(i, pool)).collect()
+/// A multiply-rotate hasher for the small integer keys of the token
+/// layer (class keys, id n-grams): a few cycles per word where the
+/// standard library's SipHash takes tens.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
-/// The linear token stream of a function (layout order).
-pub fn function_token_stream(f: &BinFunction) -> Vec<String> {
-    f.blocks
-        .iter()
-        .flat_map(|b| block_tokens(b, &f.operand_pool))
-        .collect()
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.mix(v as u64);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.mix(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` over [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// Which head word a [`TokenTable`]'s tokens carry.
+#[derive(Clone, Copy, Debug)]
+enum Head {
+    /// The opcode class ([`inst_class_token`]).
+    Class,
+    /// The mnemonic ([`inst_token`]).
+    Mnemonic,
+}
+
+/// An instruction's exact class key: its head byte (class index or
+/// opcode) and operand-class indices. Up to [`ClassKey::WORD_OPERANDS`]
+/// operands pack into one word — head in bits 0–7, operand count in
+/// 8–11, then 4 bits per operand class — and longer keys keep their
+/// bytes, so the key is injective at any operand count.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum ClassKey {
+    Word(u64),
+    Bytes(Box<[u8]>),
+}
+
+impl ClassKey {
+    /// The most operands a [`ClassKey::Word`] holds.
+    const WORD_OPERANDS: usize = 13;
+
+    fn new(head: u8, ops: &[MOperand]) -> Self {
+        if ops.len() <= Self::WORD_OPERANDS {
+            let mut word = head as u64 | (ops.len() as u64) << 8;
+            for (k, o) in ops.iter().enumerate() {
+                word |= (operand_class_index(o) as u64) << (12 + 4 * k);
+            }
+            ClassKey::Word(word)
+        } else {
+            let bytes = std::iter::once(head).chain(ops.iter().map(operand_class_index));
+            ClassKey::Bytes(bytes.collect())
+        }
+    }
+}
+
+/// Interns instruction tokens to dense ids for one `embed` call (see
+/// the module docs). In a class table two instructions share an id
+/// exactly when their token texts are equal, so per-id counts are
+/// per-token counts. A mnemonic table keys on the opcode itself, so
+/// `Mov` and `MovImm` (both `mov`) get two ids of equal text.
+#[derive(Debug)]
+pub struct TokenTable {
+    head: Head,
+    ids: IdMap<ClassKey, u32>,
+    tokens: Vec<(String, TokenHasher)>,
+}
+
+impl TokenTable {
+    fn new(head: Head) -> Self {
+        TokenTable {
+            head,
+            ids: IdMap::default(),
+            tokens: Vec::new(),
+        }
+    }
+
+    /// A table of semantic-class tokens ([`inst_class_token`]), as
+    /// Asm2Vec and SAFE read them.
+    pub fn classes() -> Self {
+        Self::new(Head::Class)
+    }
+
+    /// A table of mnemonic tokens ([`inst_token`]), as DeepBinDiff
+    /// reads them.
+    pub fn mnemonics() -> Self {
+        Self::new(Head::Mnemonic)
+    }
+
+    /// The id of `i`'s token, interning it on first sight.
+    pub fn intern(&mut self, i: &MInst, pool: &[MOperand]) -> u32 {
+        let head = match self.head {
+            Head::Class => opcode_class_index(i.opcode),
+            Head::Mnemonic => i.opcode as u8,
+        };
+        let key = ClassKey::new(head, i.operands(pool));
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        let text = match self.head {
+            Head::Class => inst_class_token(i, pool),
+            Head::Mnemonic => inst_token(i, pool),
+        };
+        let id = u32::try_from(self.tokens.len()).expect("fewer than 2^32 distinct tokens");
+        let hasher = TokenHasher::new().feed(&text);
+        self.tokens.push((text, hasher));
+        self.ids.insert(key, id);
+        id
+    }
+
+    /// Appends the ids of `b`'s instructions to `out`.
+    pub fn intern_block(&mut self, b: &BinBlock, pool: &[MOperand], out: &mut Vec<u32>) {
+        out.extend(b.insts.iter().map(|i| self.intern(i, pool)));
+    }
+
+    /// The number of distinct tokens interned so far.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// The text of token `id`.
+    pub fn text(&self, id: u32) -> &str {
+        &self.tokens[id as usize].0
+    }
+
+    /// The hash state of token `id`'s text.
+    pub fn hasher(&self, id: u32) -> TokenHasher {
+        self.tokens[id as usize].1
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +330,80 @@ mod tests {
         assert_eq!(inst_token(&z, &pool), "mov reg,imm0");
         assert_eq!(inst_token(&small, &pool), "mov reg,imm8");
         assert_eq!(inst_token(&big, &pool), "mov reg,imm32");
+    }
+
+    #[test]
+    fn class_tables_match_the_class_names() {
+        let mut pool = Vec::new();
+        let i = MInst::alloc(
+            &mut pool,
+            Opcode::Sub,
+            &[MOperand::Reg(3), MOperand::Sym(SymRef::Global(1))],
+        );
+        assert_eq!(inst_class_token(&i, &pool), "alu reg,glsym");
+        assert_eq!(opcode_class(Opcode::Cvtss2sd), "cvt");
+        assert_eq!(operand_class(&MOperand::Label(2)), "loc");
+    }
+
+    #[test]
+    fn ids_are_exact_over_trailing_operand_classes() {
+        let mut pool = Vec::new();
+        let reg = MOperand::Reg(1);
+        let imm = MOperand::Imm(1000);
+        // More operands than any lowering emits: the key stays exact.
+        let mut operand_lists = vec![vec![reg], vec![reg, reg], vec![reg, imm], vec![reg; 3]];
+        // Around the one-word key's limit, and past it.
+        for n in [12, 13, 14, 20] {
+            let mut ops = vec![reg; n];
+            operand_lists.push(ops.clone());
+            *ops.last_mut().unwrap() = imm;
+            operand_lists.push(ops);
+        }
+        let insts: Vec<MInst> = operand_lists
+            .iter()
+            .map(|ops| MInst::alloc(&mut pool, Opcode::Add, ops))
+            .collect();
+        for mut table in [TokenTable::classes(), TokenTable::mnemonics()] {
+            let ids: Vec<u32> = insts.iter().map(|i| table.intern(i, &pool)).collect();
+            let fresh: Vec<u32> = (0..insts.len() as u32).collect();
+            assert_eq!(ids, fresh, "every key is distinct");
+            assert_eq!(table.len(), insts.len());
+            // Re-interning finds the same ids.
+            for (i, &id) in insts.iter().zip(&ids) {
+                assert_eq!(table.intern(i, &pool), id);
+            }
+        }
+        let mut table = TokenTable::classes();
+        let last = insts.last().unwrap();
+        let id = table.intern(last, &pool);
+        let text = inst_class_token(last, &pool);
+        assert!(text.ends_with("reg,imm32"), "{text}");
+        assert_eq!(table.text(id), text);
+        let h = table.hasher(id);
+        assert_eq!(h.dim(), crate::vector::hash_token(&text));
+        assert_eq!(h.sign(), crate::vector::hash_sign(&text));
+    }
+
+    #[test]
+    fn one_id_per_class_text() {
+        // `add` and `xor` share the class token, so they share an id in a
+        // class table and not in a mnemonic one.
+        let mut pool = Vec::new();
+        let add = MInst::alloc(
+            &mut pool,
+            Opcode::Add,
+            &[MOperand::Reg(1), MOperand::Reg(2)],
+        );
+        let xor = MInst::alloc(
+            &mut pool,
+            Opcode::Xor,
+            &[MOperand::Reg(4), MOperand::Reg(5)],
+        );
+        let mut classes = TokenTable::classes();
+        assert_eq!(classes.intern(&add, &pool), classes.intern(&xor, &pool));
+        let mut mnemonics = TokenTable::mnemonics();
+        assert_ne!(mnemonics.intern(&add, &pool), mnemonics.intern(&xor, &pool));
+        assert_eq!(mnemonics.text(1), "xor reg,reg");
     }
 
     #[test]

@@ -69,8 +69,9 @@ pub fn add_token_parts(vec: &mut [f64], parts: &[&str], weight: f64) {
 /// sign ([`hash_sign`]) chains are byte-streaming, so the state after a
 /// prefix can be cloned and extended with a suffix. The n-gram
 /// embedders exploit this twice: per-token states are computed once per
-/// block (unigram adds become table lookups), and a trigram resumes
-/// from the bigram's state — only the `"|" + next` suffix is hashed.
+/// interned token (the embedders' per-call token table), and a trigram
+/// resumes from the bigram's state — only the `"|" + next` suffix is
+/// hashed.
 /// `TokenHasher::new().feed(a).feed(b)` is bit-identical to hashing the
 /// concatenated string.
 #[derive(Clone, Copy, Debug)]
