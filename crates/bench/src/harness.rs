@@ -29,8 +29,9 @@
 //! again and again: in one `experiments --quick all` run, 402 of the
 //! 602 [`run_spec`] builds repeat a build already made, and 103 of the
 //! 212 [`measure_cycles`] runs repeat a VM run. Two memos remove that
-//! work. Both key on [`Module::content_fingerprint`] (FNV-1a over the
-//! printed text IR), never on a program's name.
+//! work. Both key on [`Module::content_fingerprint`], never on a
+//! program's name: FNV-1a over the module's printed text IR, which the
+//! printer streams into the hash without ever building the text.
 //!
 //! * **Build memo** (in the store). [`run_spec`] keys each build by
 //!   `(source content fingerprint, Pipeline::fingerprint(), seed,
@@ -324,9 +325,9 @@ fn build_memo_obs() -> &'static MemoObs {
 
 /// The module and Table-2 counters of a memoized build, or `None` when
 /// the record is missing, damaged, or does not parse — every such case
-/// is a miss that rebuilds (and rewrites) the record.
+/// is a miss that rebuilds (and rewrites) the record. Runs inside the
+/// caller's `memo:build_load` span.
 fn load_build(store: &Store, key: &BuildKey) -> Option<(Module, PassCtx)> {
-    let _span = khaos_obs::span("memo:build_load");
     let build = store.get_build(key).ok()??;
     if build.stats.len() != STATS_COUNTERS.len() {
         return None;
@@ -380,21 +381,25 @@ pub fn run_spec_in(
 ) -> (Module, PassCtx) {
     let pipeline = Pipeline::parse(spec).unwrap_or_else(|e| panic!("spec `{spec}`: {e}"));
     // The identity pipeline costs a clone: memoizing it would cost more.
-    let memo = store.filter(|_| !pipeline.is_empty()).map(|store| {
+    let mut memo = None;
+    if let Some(store) = store.filter(|_| !pipeline.is_empty()) {
+        // The span covers the key too: the source fingerprint is part of
+        // what a lookup costs.
+        let span = khaos_obs::span("memo:build_load");
         let key = BuildKey {
             source: src.content_fingerprint(),
             pipeline: pipeline.fingerprint(),
             seed,
             version: BUILD_MEMO_VERSION,
         };
-        (store, key)
-    });
-    if let Some((store, key)) = &memo {
-        if let Some(hit) = load_build(store, key) {
+        let hit = load_build(store, &key);
+        drop(span);
+        if let Some(hit) = hit {
             build_memo_obs().hits.inc();
             return hit;
         }
         build_memo_obs().misses.inc();
+        memo = Some((store, key));
     }
     let mut m = src.clone();
     let mut ctx = PassCtx::new(seed).with_verify(VerifyPolicy::AuditAfterEach);

@@ -186,16 +186,13 @@ impl Module {
     }
 
     /// A stable 64-bit fingerprint of the module's content: FNV-1a over
-    /// its [`crate::printer`] text. The text round-trips through
-    /// [`crate::parser`], so it captures everything a module holds —
-    /// equal fingerprints mean equal modules (up to 64-bit collision
-    /// odds) — and it is the key that build and run memos use.
+    /// its [`crate::printer`] text. The printer streams that text into
+    /// the hash a token at a time, so the text is never built. The text
+    /// round-trips through [`crate::parser`], so it captures everything a
+    /// module holds — equal fingerprints mean equal modules (up to 64-bit
+    /// collision odds) — and it is the key that build and run memos use.
     pub fn content_fingerprint(&self) -> u64 {
-        crate::printer::print_module(self)
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
+        crate::printer::fnv1a(self)
     }
 }
 

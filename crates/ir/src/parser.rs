@@ -1,4 +1,10 @@
 //! Parsing of the textual KIR format produced by [`crate::printer`].
+//!
+//! One pass splits the text into lines and numbers every `func`, `global`
+//! and `extern` header, so forward references resolve; a second walks the
+//! lines. Error values are built only on the failure path, and no line
+//! allocates beyond what the module keeps. Malformed input is a
+//! [`ParseError`] naming the line, never a panic.
 
 use crate::constant::Const;
 use crate::function::{Block, Function, Linkage, PadInfo, ProvKind, Provenance};
@@ -8,6 +14,9 @@ use crate::module::{ExtFunc, GInit, Global, Module};
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// A parse failure with a line number.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,12 +37,43 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+#[cold]
+fn fail(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
+        line,
+        message: message.into(),
+    }
+}
+
+/// `ok_or` with a static message, built only on failure.
+trait OrFail<T> {
+    fn or_fail(self, line: usize, message: &str) -> PResult<T>;
+}
+
+impl<T> OrFail<T> for Option<T> {
+    #[inline]
+    fn or_fail(self, line: usize, message: &str) -> PResult<T> {
+        match self {
+            Some(v) => Ok(v),
+            None => Err(fail(line, message)),
+        }
+    }
+}
+
+impl<T, E> OrFail<T> for Result<T, E> {
+    #[inline]
+    fn or_fail(self, line: usize, message: &str) -> PResult<T> {
+        self.ok().or_fail(line, message)
+    }
+}
+
 struct Parser<'a> {
+    /// Non-blank, non-comment lines, trimmed, with their 1-based numbers.
     lines: Vec<(usize, &'a str)>,
     pos: usize,
-    func_ids: HashMap<String, FuncId>,
-    global_ids: HashMap<String, GlobalId>,
-    ext_ids: HashMap<String, ExtId>,
+    func_ids: HashMap<&'a str, FuncId>,
+    global_ids: HashMap<&'a str, GlobalId>,
+    ext_ids: HashMap<&'a str, ExtId>,
 }
 
 /// Parses a module from the textual format.
@@ -41,60 +81,170 @@ struct Parser<'a> {
 /// # Errors
 /// Returns a [`ParseError`] with the offending line on malformed input.
 pub fn parse_module(src: &str) -> PResult<Module> {
-    // Pre-scan symbol tables so forward references resolve.
-    let mut func_ids = HashMap::new();
-    let mut global_ids = HashMap::new();
-    let mut ext_ids = HashMap::new();
+    let mut p = Parser {
+        lines: Vec::new(),
+        pos: 0,
+        func_ids: HashMap::new(),
+        global_ids: HashMap::new(),
+        ext_ids: HashMap::new(),
+    };
     for (i, line) in src.lines().enumerate() {
-        let t = line.trim();
+        let (ln, t) = (i + 1, line.trimmed());
+        if t.is_empty() || t.starts_with(';') {
+            continue;
+        }
+        p.lines.push((ln, t));
+        // Number the symbols in declaration order so forward references
+        // resolve; a header the main pass rejects fails there.
         if let Some(rest) = t.strip_prefix("func ") {
-            if let Some(name) = rest.split('(').next() {
-                declare(&mut func_ids, name.trim(), "func", i + 1, FuncId::new)?;
-            }
+            let name = rest.split('(').next().unwrap_or(rest).trimmed();
+            declare(&mut p.func_ids, name, "func", ln, FuncId::new)?;
         } else if let Some(rest) = t.strip_prefix("global ") {
             if let Some(name) = rest.split_whitespace().next() {
-                declare(&mut global_ids, name, "global", i + 1, GlobalId::new)?;
+                declare(&mut p.global_ids, name, "global", ln, GlobalId::new)?;
             }
         } else if let Some(rest) = t.strip_prefix("extern ") {
-            if let Some(name) = rest.split('(').next() {
-                declare(&mut ext_ids, name.trim(), "extern", i + 1, ExtId::new)?;
-            }
+            let name = rest.split('(').next().unwrap_or(rest).trimmed();
+            declare(&mut p.ext_ids, name, "extern", ln, ExtId::new)?;
         }
     }
-
-    let lines: Vec<(usize, &str)> = src
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with(';'))
-        .collect();
-    let mut p = Parser {
-        lines,
-        pos: 0,
-        func_ids,
-        global_ids,
-        ext_ids,
-    };
     p.module()
 }
 
 /// Numbers `name` in declaration order. A repeated name is an error: it
 /// would shift the id of every later declaration of its kind.
-fn declare<I>(
-    ids: &mut HashMap<String, I>,
-    name: &str,
+fn declare<'a, I>(
+    ids: &mut HashMap<&'a str, I>,
+    name: &'a str,
     what: &str,
     line: usize,
     id: impl FnOnce(usize) -> I,
 ) -> PResult<()> {
     let next = id(ids.len());
-    if ids.insert(name.to_string(), next).is_some() {
-        return Err(ParseError {
-            line,
-            message: format!("duplicate {what} name `{name}`"),
-        });
+    if ids.insert(name, next).is_some() {
+        return Err(fail(line, format!("duplicate {what} name `{name}`")));
     }
     Ok(())
+}
+
+/// The `(` … `)` span of a header: the first `(` and the `)` that
+/// `close` finds. A `)` before the `(` is an error, not a backwards slice.
+fn parens(
+    ln: usize,
+    s: &str,
+    close: impl FnOnce(&str) -> Option<usize>,
+) -> PResult<(usize, usize)> {
+    let open = s.find('(').or_fail(ln, "expected `(`")?;
+    let close = close(s).or_fail(ln, "expected `)`")?;
+    if close < open {
+        return Err(fail(ln, "expected `)` after `(`"));
+    }
+    Ok((open, close))
+}
+
+fn bin_op(mnem: &str) -> Option<BinOp> {
+    Some(match mnem {
+        "add" => BinOp::Add,
+        "sub" => BinOp::Sub,
+        "mul" => BinOp::Mul,
+        "sdiv" => BinOp::SDiv,
+        "udiv" => BinOp::UDiv,
+        "srem" => BinOp::SRem,
+        "urem" => BinOp::URem,
+        "and" => BinOp::And,
+        "or" => BinOp::Or,
+        "xor" => BinOp::Xor,
+        "shl" => BinOp::Shl,
+        "lshr" => BinOp::LShr,
+        "ashr" => BinOp::AShr,
+        "fadd" => BinOp::FAdd,
+        "fsub" => BinOp::FSub,
+        "fmul" => BinOp::FMul,
+        "fdiv" => BinOp::FDiv,
+        _ => return None,
+    })
+}
+
+fn un_op(mnem: &str) -> Option<UnOp> {
+    Some(match mnem {
+        "neg" => UnOp::Neg,
+        "not" => UnOp::Not,
+        "fneg" => UnOp::FNeg,
+        _ => return None,
+    })
+}
+
+fn cmp_pred(mnem: &str) -> Option<CmpPred> {
+    Some(match mnem {
+        "eq" => CmpPred::Eq,
+        "ne" => CmpPred::Ne,
+        "slt" => CmpPred::Slt,
+        "sle" => CmpPred::Sle,
+        "sgt" => CmpPred::Sgt,
+        "sge" => CmpPred::Sge,
+        "ult" => CmpPred::Ult,
+        "ule" => CmpPred::Ule,
+        "ugt" => CmpPred::Ugt,
+        "uge" => CmpPred::Uge,
+        "feq" => CmpPred::FEq,
+        "fne" => CmpPred::FNe,
+        "flt" => CmpPred::FLt,
+        "fle" => CmpPred::FLe,
+        "fgt" => CmpPred::FGt,
+        "fge" => CmpPred::FGe,
+        _ => return None,
+    })
+}
+
+fn cast_kind(mnem: &str) -> Option<CastKind> {
+    Some(match mnem {
+        "trunc" => CastKind::Trunc,
+        "zext" => CastKind::ZExt,
+        "sext" => CastKind::SExt,
+        "fptosi" => CastKind::FpToSi,
+        "sitofp" => CastKind::SiToFp,
+        "fptrunc" => CastKind::FpTrunc,
+        "fpext" => CastKind::FpExt,
+        "ptrtoint" => CastKind::PtrToInt,
+        "inttoptr" => CastKind::IntToPtr,
+        _ => return None,
+    })
+}
+
+/// `s` split at its first space; the second part is `None` without one.
+fn first_word(s: &str) -> (&str, Option<&str>) {
+    match s.split_byte(b' ') {
+        Some((a, b)) => (a, Some(b)),
+        None => (s, None),
+    }
+}
+
+/// `str::trim` and `str::split_once` for the parser's short lines: the
+/// same results, minus the character decoding and the searcher set-up
+/// that dominate on lines this short.
+trait Text {
+    /// `trim()`, decoding characters only when an end is non-ASCII or a
+    /// vertical tab (the one ASCII space `trim_ascii` keeps).
+    fn trimmed(&self) -> &str;
+    /// `split_once(b)` for an ASCII byte `b`.
+    fn split_byte(&self, b: u8) -> Option<(&str, &str)>;
+}
+
+impl Text for str {
+    fn trimmed(&self) -> &str {
+        let t = self.trim_ascii();
+        match (t.bytes().next(), t.bytes().next_back()) {
+            (Some(a), Some(z)) if !a.is_ascii() || !z.is_ascii() || a == 0x0b || z == 0x0b => {
+                t.trim()
+            }
+            _ => t,
+        }
+    }
+
+    fn split_byte(&self, b: u8) -> Option<(&str, &str)> {
+        let i = self.bytes().position(|c| c == b)?;
+        Some((&self[..i], &self[i + 1..]))
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -103,86 +253,63 @@ impl<'a> Parser<'a> {
     }
 
     fn next_line(&mut self) -> PResult<(usize, &'a str)> {
-        let r = self.peek().ok_or_else(|| ParseError {
-            line: self.lines.last().map_or(0, |(n, _)| *n),
-            message: "unexpected end of input".into(),
+        let r = self.peek().ok_or_else(|| {
+            let last = self.lines.last().map_or(0, |(n, _)| *n);
+            fail(last, "unexpected end of input")
         })?;
         self.pos += 1;
         Ok(r)
     }
 
-    fn err<T>(&self, line: usize, msg: impl Into<String>) -> PResult<T> {
-        Err(ParseError {
-            line,
-            message: msg.into(),
-        })
-    }
-
     fn module(&mut self) -> PResult<Module> {
         let (ln, first) = self.next_line()?;
-        let name = first.strip_prefix("module ").ok_or_else(|| ParseError {
-            line: ln,
-            message: "expected `module <name>`".into(),
-        })?;
-        let mut m = Module::new(name.trim());
-        // Pre-size function slots so ids match the pre-scan.
+        let name = first
+            .strip_prefix("module ")
+            .or_fail(ln, "expected `module <name>`")?;
+        let mut m = Module::new(name.trimmed());
+        m.functions.reserve_exact(self.func_ids.len());
         while let Some((ln, line)) = self.peek() {
+            self.pos += 1;
             if line.starts_with("extern ") {
-                self.pos += 1;
                 m.externals.push(self.parse_extern(ln, line)?);
             } else if line.starts_with("global ") {
-                self.pos += 1;
                 m.globals.push(self.parse_global(ln, line)?);
             } else if line.starts_with("func ") {
-                self.pos += 1;
-                let f = self.parse_function(ln, line)?;
-                m.functions.push(f);
+                m.functions.push(self.parse_function(ln, line)?);
             } else {
-                return self.err(ln, format!("unexpected line `{line}`"));
+                return Err(fail(ln, format!("unexpected line `{line}`")));
             }
         }
         Ok(m)
     }
 
     fn parse_type(&self, ln: usize, s: &str) -> PResult<Type> {
-        match s {
-            "void" => Ok(Type::Void),
-            "i1" => Ok(Type::I1),
-            "i8" => Ok(Type::I8),
-            "i16" => Ok(Type::I16),
-            "i32" => Ok(Type::I32),
-            "i64" => Ok(Type::I64),
-            "f32" => Ok(Type::F32),
-            "f64" => Ok(Type::F64),
-            "ptr" => Ok(Type::Ptr),
-            other => self.err(ln, format!("unknown type `{other}`")),
-        }
+        Ok(match s {
+            "void" => Type::Void,
+            "i1" => Type::I1,
+            "i8" => Type::I8,
+            "i16" => Type::I16,
+            "i32" => Type::I32,
+            "i64" => Type::I64,
+            "f32" => Type::F32,
+            "f64" => Type::F64,
+            "ptr" => Type::Ptr,
+            other => return Err(fail(ln, format!("unknown type `{other}`"))),
+        })
     }
 
     fn parse_extern(&self, ln: usize, line: &str) -> PResult<ExtFunc> {
         // extern name(ty, ty, ...) -> ty
-        let rest = line.strip_prefix("extern ").expect("caller checked prefix");
-        let open = rest.find('(').ok_or(ParseError {
-            line: ln,
-            message: "expected `(`".into(),
-        })?;
-        let close = rest.rfind(')').ok_or(ParseError {
-            line: ln,
-            message: "expected `)`".into(),
-        })?;
-        let name = rest[..open].trim().to_string();
-        let params_str = &rest[open + 1..close];
-        let after = rest[close + 1..].trim();
-        let ret_str = after
+        let rest = &line["extern ".len()..];
+        let (open, close) = parens(ln, rest, |s| s.rfind(')'))?;
+        let ret_str = rest[close + 1..]
+            .trimmed()
             .strip_prefix("->")
-            .ok_or(ParseError {
-                line: ln,
-                message: "expected `-> <ty>`".into(),
-            })?
-            .trim();
+            .or_fail(ln, "expected `-> <ty>`")?
+            .trimmed();
         let mut params = Vec::new();
         let mut variadic = false;
-        for part in params_str
+        for part in rest[open + 1..close]
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
@@ -194,7 +321,7 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(ExtFunc {
-            name,
+            name: rest[..open].trimmed().to_string(),
             params,
             ret_ty: self.parse_type(ln, ret_str)?,
             variadic,
@@ -203,121 +330,86 @@ impl<'a> Parser<'a> {
 
     fn parse_global(&mut self, ln: usize, header: &str) -> PResult<Global> {
         // global name align N [exported] {
-        let rest = header
-            .strip_prefix("global ")
-            .expect("caller checked prefix");
-        let mut words = rest.split_whitespace();
-        let name = words
-            .next()
-            .ok_or(ParseError {
-                line: ln,
-                message: "expected global name".into(),
-            })?
-            .to_string();
+        let mut words = header["global ".len()..].split_whitespace();
+        let name = words.next().or_fail(ln, "expected global name")?;
         let mut align = 8u32;
         let mut exported = false;
         while let Some(w) = words.next() {
             match w {
                 "align" => {
-                    let v = words.next().ok_or(ParseError {
-                        line: ln,
-                        message: "expected align value".into(),
-                    })?;
-                    align = v.parse().map_err(|_| ParseError {
-                        line: ln,
-                        message: "bad align value".into(),
-                    })?;
+                    let v = words.next().or_fail(ln, "expected align value")?;
+                    align = v.parse().or_fail(ln, "bad align value")?;
                 }
                 "exported" => exported = true,
                 "{" => break,
-                other => return self.err(ln, format!("unexpected `{other}` in global header")),
+                other => {
+                    return Err(fail(ln, format!("unexpected `{other}` in global header")));
+                }
             }
         }
         let mut init = Vec::new();
         loop {
-            let (ln2, line) = self.next_line()?;
+            let (ln, line) = self.next_line()?;
             if line == "}" {
                 break;
             }
             let mut w = line.split_whitespace();
-            match w.next() {
+            init.push(match w.next() {
                 Some("bytes") => {
                     let hex = w.next().unwrap_or("");
                     if hex.len() % 2 != 0 {
-                        return self.err(ln2, "odd-length hex byte string");
+                        return Err(fail(ln, "odd-length hex byte string"));
                     }
-                    let mut bytes = Vec::with_capacity(hex.len() / 2);
-                    for i in (0..hex.len()).step_by(2) {
-                        let b = u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| ParseError {
-                            line: ln2,
-                            message: "bad hex".into(),
-                        })?;
-                        bytes.push(b);
+                    // Two-byte slices of ASCII are whole characters.
+                    if !hex.is_ascii() {
+                        return Err(fail(ln, "bad hex"));
                     }
-                    init.push(GInit::Bytes(bytes));
+                    let bytes = (0..hex.len())
+                        .step_by(2)
+                        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).or_fail(ln, "bad hex"))
+                        .collect::<PResult<_>>()?;
+                    GInit::Bytes(bytes)
                 }
                 Some("int") => {
-                    let ty = self.parse_type(
-                        ln2,
-                        w.next().ok_or(ParseError {
-                            line: ln2,
-                            message: "expected type".into(),
-                        })?,
-                    )?;
-                    let v: i64 = w.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                        line: ln2,
-                        message: "bad int value".into(),
-                    })?;
-                    init.push(GInit::Int { value: v, ty });
+                    let ty = self.parse_type(ln, w.next().or_fail(ln, "expected type")?)?;
+                    let value = w.next().and_then(|s| s.parse().ok());
+                    GInit::Int {
+                        value: value.or_fail(ln, "bad int value")?,
+                        ty,
+                    }
                 }
                 Some("float") => {
-                    let ty = self.parse_type(
-                        ln2,
-                        w.next().ok_or(ParseError {
-                            line: ln2,
-                            message: "expected type".into(),
-                        })?,
-                    )?;
-                    let v: f64 = w.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                        line: ln2,
-                        message: "bad float value".into(),
-                    })?;
-                    init.push(GInit::Float { value: v, ty });
+                    let ty = self.parse_type(ln, w.next().or_fail(ln, "expected type")?)?;
+                    let value = w.next().and_then(|s| s.parse().ok());
+                    GInit::Float {
+                        value: value.or_fail(ln, "bad float value")?,
+                        ty,
+                    }
                 }
                 Some("zero") => {
-                    let n: u32 = w.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                        line: ln2,
-                        message: "bad zero size".into(),
-                    })?;
-                    init.push(GInit::Zero(n));
+                    let n = w.next().and_then(|s| s.parse().ok());
+                    GInit::Zero(n.or_fail(ln, "bad zero size")?)
                 }
                 Some("funcptr") => {
-                    let fname = w
-                        .next()
-                        .and_then(|s| s.strip_prefix('@'))
-                        .ok_or(ParseError {
-                            line: ln2,
-                            message: "expected @func".into(),
-                        })?;
-                    let func = *self.func_ids.get(fname).ok_or(ParseError {
-                        line: ln2,
-                        message: format!("unknown func `{fname}`"),
-                    })?;
+                    let fname = w.next().and_then(|s| s.strip_prefix('@'));
+                    let fname = fname.or_fail(ln, "expected @func")?;
+                    let func = *self
+                        .func_ids
+                        .get(fname)
+                        .ok_or_else(|| fail(ln, format!("unknown func `{fname}`")))?;
                     // optional "+ N"
                     let mut addend = 0i64;
                     if let Some("+") = w.next() {
-                        addend = w.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                            line: ln2,
-                            message: "bad addend".into(),
-                        })?;
+                        let n = w.next().and_then(|s| s.parse().ok());
+                        addend = n.or_fail(ln, "bad addend")?;
                     }
-                    init.push(GInit::FuncPtr { func, addend });
+                    GInit::FuncPtr { func, addend }
                 }
-                other => return self.err(ln2, format!("unknown global init `{other:?}`")),
-            }
+                other => return Err(fail(ln, format!("unknown global init `{other:?}`"))),
+            });
         }
         Ok(Global {
-            name,
+            name: name.to_string(),
             init,
             align,
             exported,
@@ -325,13 +417,12 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_operand(&self, ln: usize, s: &str) -> PResult<Operand> {
-        let s = s.trim();
+        let s = s.trimmed();
         if let Some(n) = s.strip_prefix('%') {
-            let i: usize = n.parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad local `{s}`"),
-            })?;
-            return Ok(Operand::Local(LocalId::new(i)));
+            let i = n
+                .parse()
+                .map_err(|_| fail(ln, format!("bad local `{s}`")))?;
+            return Ok(Operand::Local(LocalId(i)));
         }
         match s {
             "true" => return Ok(Operand::const_bool(true)),
@@ -340,131 +431,105 @@ impl<'a> Parser<'a> {
             _ => {}
         }
         // ty:value
-        let (ty_s, val_s) = s.split_once(':').ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("bad operand `{s}`"),
-        })?;
+        let (ty_s, val_s) = s
+            .split_byte(b':')
+            .ok_or_else(|| fail(ln, format!("bad operand `{s}`")))?;
         let ty = self.parse_type(ln, ty_s)?;
         if ty.is_float() {
-            let v: f64 = val_s.parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad float `{val_s}`"),
-            })?;
-            Ok(Operand::const_float(ty, v))
+            let value = val_s
+                .parse()
+                .map_err(|_| fail(ln, format!("bad float `{val_s}`")))?;
+            Ok(Operand::Const(Const::Float { value, ty }))
         } else {
-            let v: i64 = val_s.parse().map_err(|_| ParseError {
-                line: ln,
-                message: format!("bad int `{val_s}`"),
-            })?;
-            Ok(Operand::const_int(ty, v))
+            let value = val_s
+                .parse()
+                .map_err(|_| fail(ln, format!("bad int `{val_s}`")))?;
+            if !ty.is_int() {
+                return Err(fail(ln, format!("no `{ty}` constants: `{s}`")));
+            }
+            Ok(Operand::Const(Const::Int { value, ty }))
         }
     }
 
     fn parse_local(&self, ln: usize, s: &str) -> PResult<LocalId> {
-        let n = s.trim().strip_prefix('%').ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected local, got `{s}`"),
-        })?;
-        let i: usize = n.parse().map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad local `{s}`"),
-        })?;
-        Ok(LocalId::new(i))
+        let n = s
+            .trimmed()
+            .strip_prefix('%')
+            .ok_or_else(|| fail(ln, format!("expected local, got `{s}`")))?;
+        let i = n
+            .parse()
+            .map_err(|_| fail(ln, format!("bad local `{s}`")))?;
+        Ok(LocalId(i))
     }
 
     fn parse_block_id(&self, ln: usize, s: &str) -> PResult<BlockId> {
-        let n = s.trim().strip_prefix("bb").ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("expected block, got `{s}`"),
-        })?;
-        let i: usize = n.parse().map_err(|_| ParseError {
-            line: ln,
-            message: format!("bad block `{s}`"),
-        })?;
-        Ok(BlockId::new(i))
+        let n = s
+            .trimmed()
+            .strip_prefix("bb")
+            .ok_or_else(|| fail(ln, format!("expected block, got `{s}`")))?;
+        let i = n
+            .parse()
+            .map_err(|_| fail(ln, format!("bad block `{s}`")))?;
+        Ok(BlockId(i))
     }
 
     fn parse_callee(&self, ln: usize, s: &str) -> PResult<Callee> {
-        let s = s.trim();
+        let s = s.trimmed();
         if let Some(name) = s.strip_prefix('@') {
-            let id = self.func_ids.get(name).ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("unknown func `{name}`"),
-            })?;
+            let id = self
+                .func_ids
+                .get(name)
+                .ok_or_else(|| fail(ln, format!("unknown func `{name}`")))?;
             Ok(Callee::Direct(*id))
         } else if let Some(name) = s.strip_prefix("ext:") {
-            let id = self.ext_ids.get(name).ok_or_else(|| ParseError {
-                line: ln,
-                message: format!("unknown extern `{name}`"),
-            })?;
+            let id = self
+                .ext_ids
+                .get(name)
+                .ok_or_else(|| fail(ln, format!("unknown extern `{name}`")))?;
             Ok(Callee::Ext(*id))
         } else if s.starts_with('[') && s.ends_with(']') {
             Ok(Callee::Indirect(
                 self.parse_operand(ln, &s[1..s.len() - 1])?,
             ))
         } else {
-            self.err(ln, format!("bad callee `{s}`"))
+            Err(fail(ln, format!("bad callee `{s}`")))
         }
-    }
-
-    fn parse_args(&self, ln: usize, s: &str) -> PResult<Vec<Operand>> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Ok(Vec::new());
-        }
-        s.split(',').map(|a| self.parse_operand(ln, a)).collect()
     }
 
     fn parse_call_like(&self, ln: usize, s: &str) -> PResult<(Callee, Vec<Operand>)> {
         // "<callee>(<args>)"
-        let open = s.find('(').ok_or_else(|| ParseError {
-            line: ln,
-            message: "expected `(` in call".into(),
-        })?;
-        let close = s.rfind(')').ok_or_else(|| ParseError {
-            line: ln,
-            message: "expected `)` in call".into(),
-        })?;
+        let open = s.find('(').or_fail(ln, "expected `(` in call")?;
+        let close = s.rfind(')').or_fail(ln, "expected `)` in call")?;
         let callee = self.parse_callee(ln, &s[..open])?;
-        let args = self.parse_args(ln, &s[open + 1..close])?;
+        if close < open {
+            return Err(fail(ln, "expected `)` after `(` in call"));
+        }
+        let args = s[open + 1..close].trimmed();
+        if args.is_empty() {
+            return Ok((callee, Vec::new()));
+        }
+        let args = args
+            .split(',')
+            .map(|a| self.parse_operand(ln, a))
+            .collect::<PResult<_>>()?;
         Ok((callee, args))
     }
 
     fn parse_function(&mut self, ln: usize, header: &str) -> PResult<Function> {
         // func name(N) -> ty [exported] [variadic] {
-        let rest = header.strip_prefix("func ").expect("caller checked prefix");
-        let open = rest.find('(').ok_or(ParseError {
-            line: ln,
-            message: "expected `(`".into(),
-        })?;
-        let close = rest.find(')').ok_or(ParseError {
-            line: ln,
-            message: "expected `)`".into(),
-        })?;
-        let name = rest[..open].trim().to_string();
-        let param_count: u32 = rest[open + 1..close]
-            .trim()
+        let rest = &header["func ".len()..];
+        let (open, close) = parens(ln, rest, |s| s.find(')'))?;
+        let name = rest[..open].trimmed().to_string();
+        let param_count = rest[open + 1..close]
+            .trimmed()
             .parse()
-            .map_err(|_| ParseError {
-                line: ln,
-                message: "bad param count".into(),
-            })?;
-        let after = rest[close + 1..].trim();
-        let after = after
+            .or_fail(ln, "bad param count")?;
+        let after = rest[close + 1..]
+            .trimmed()
             .strip_prefix("->")
-            .ok_or(ParseError {
-                line: ln,
-                message: "expected `->`".into(),
-            })?
-            .trim();
+            .or_fail(ln, "expected `->`")?;
         let mut words = after.split_whitespace();
-        let ret_ty = self.parse_type(
-            ln,
-            words.next().ok_or(ParseError {
-                line: ln,
-                message: "expected return type".into(),
-            })?,
-        )?;
+        let ret_ty = self.parse_type(ln, words.next().or_fail(ln, "expected return type")?)?;
         let mut linkage = Linkage::Internal;
         let mut variadic = false;
         for w in words {
@@ -472,19 +537,15 @@ impl<'a> Parser<'a> {
                 "exported" => linkage = Linkage::Exported,
                 "variadic" => variadic = true,
                 "{" => break,
-                other => return self.err(ln, format!("unexpected `{other}` in func header")),
+                other => return Err(fail(ln, format!("unexpected `{other}` in func header"))),
             }
         }
 
-        let mut f = Function::new(name, ret_ty);
-        f.blocks.clear();
-        f.param_count = param_count;
-        f.linkage = linkage;
-        f.variadic = variadic;
-
         // Optional prov / annot lines, then locals.
-        loop {
-            let (ln2, line) = self.next_line()?;
+        let mut provenance = None;
+        let mut annotations = Vec::new();
+        let locals = loop {
+            let (ln, line) = self.next_line()?;
             if let Some(rest) = line.strip_prefix("prov ") {
                 let mut w = rest.split_whitespace();
                 let kind = match w.next() {
@@ -493,46 +554,44 @@ impl<'a> Parser<'a> {
                     Some("rem") => ProvKind::Rem,
                     Some("fused") => ProvKind::Fused,
                     Some("trampoline") => ProvKind::Trampoline,
-                    other => return self.err(ln2, format!("unknown prov kind `{other:?}`")),
+                    other => return Err(fail(ln, format!("unknown prov kind `{other:?}`"))),
                 };
-                f.provenance = Provenance {
+                provenance = Some(Provenance {
                     kind,
                     origins: w.map(String::from).collect(),
-                };
+                });
             } else if let Some(rest) = line.strip_prefix("annot ") {
-                f.annotations = rest.split_whitespace().map(String::from).collect();
+                annotations = rest.split_whitespace().map(String::from).collect();
             } else if let Some(rest) = line.strip_prefix("locals") {
-                f.locals = rest
+                break rest
                     .split_whitespace()
-                    .map(|t| self.parse_type(ln2, t))
+                    .map(|t| self.parse_type(ln, t))
                     .collect::<PResult<Vec<_>>>()?;
-                break;
             } else {
-                return self.err(ln2, format!("expected prov/annot/locals, got `{line}`"));
+                return Err(fail(
+                    ln,
+                    format!("expected prov/annot/locals, got `{line}`"),
+                ));
             }
-        }
+        };
 
         // Blocks until "}".
+        let mut blocks = Vec::new();
         let mut cur: Option<Block> = None;
         loop {
-            let (ln2, line) = self.next_line()?;
+            let (ln, line) = self.next_line()?;
             if line == "}" {
-                if let Some(b) = cur.take() {
-                    f.blocks.push(b);
-                }
+                blocks.extend(cur.take());
                 break;
             }
             if line.starts_with("bb") && line.ends_with(':') {
-                if let Some(b) = cur.take() {
-                    f.blocks.push(b);
-                }
-                let head = &line[..line.len() - 1];
-                let mut parts = head.split_whitespace();
+                blocks.extend(cur.take());
+                let mut parts = line[..line.len() - 1].split_whitespace();
                 let _bid = parts.next(); // block ids are positional
                 let mut pad = None;
                 if let Some("pad") = parts.next() {
                     let dst = match parts.next() {
-                        Some(l) => Some(self.parse_local(ln2, l)?),
+                        Some(l) => Some(self.parse_local(ln, l)?),
                         None => None,
                     };
                     pad = Some(PadInfo { dst });
@@ -542,191 +601,160 @@ impl<'a> Parser<'a> {
                 cur = Some(b);
                 continue;
             }
-            let block = cur.as_mut().ok_or(ParseError {
-                line: ln2,
-                message: "instruction before first block".into(),
-            })?;
-            if let Some(term) = self.try_parse_term(ln2, line)? {
-                block.term = term;
+            let block = cur.as_mut().or_fail(ln, "instruction before first block")?;
+            self.parse_block_line(ln, line, block)?;
+        }
+        Ok(Function {
+            provenance: provenance.unwrap_or_else(|| Provenance::original(name.clone())),
+            name,
+            locals,
+            param_count,
+            ret_ty,
+            blocks,
+            linkage,
+            variadic,
+            annotations,
+        })
+    }
+
+    /// One instruction or terminator line of `block`.
+    fn parse_block_line(&self, ln: usize, line: &str, block: &mut Block) -> PResult<()> {
+        if line.starts_with('%') {
+            // `%d = invoke ...` or `%d = <inst>`.
+            let (lhs, rhs) = line
+                .split_byte(b'=')
+                .ok_or_else(|| fail(ln, format!("unrecognised line `{line}`")))?;
+            let dst = self.parse_local(ln, lhs)?;
+            let body = rhs.trimmed();
+            if let Some(rest) = body.strip_prefix("invoke ") {
+                block.term = self.parse_invoke(ln, Some(dst), rest)?;
             } else {
-                block.insts.push(self.parse_inst(ln2, line)?);
+                block.insts.push(self.parse_def(ln, dst, body)?);
             }
+            return Ok(());
         }
-        Ok(f)
-    }
-
-    fn try_parse_term(&self, ln: usize, line: &str) -> PResult<Option<Term>> {
-        if let Some(rest) = line.strip_prefix("jmp ") {
-            return Ok(Some(Term::Jump(self.parse_block_id(ln, rest)?)));
+        if let Some(term) = self.try_parse_term(ln, line)? {
+            block.term = term;
+            return Ok(());
         }
-        if let Some(rest) = line.strip_prefix("br ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
-                return self.err(ln, "br needs cond, then, else");
-            }
-            return Ok(Some(Term::Branch {
-                cond: self.parse_operand(ln, parts[0])?,
-                then_bb: self.parse_block_id(ln, parts[1])?,
-                else_bb: self.parse_block_id(ln, parts[2])?,
-            }));
-        }
-        if let Some(rest) = line.strip_prefix("switch ") {
-            // switch ty value [c -> bb, ...] default bb
-            let open = rest.find('[').ok_or(ParseError {
-                line: ln,
-                message: "expected `[`".into(),
-            })?;
-            let close = rest.rfind(']').ok_or(ParseError {
-                line: ln,
-                message: "expected `]`".into(),
-            })?;
-            let mut head = rest[..open].split_whitespace();
-            let ty = self.parse_type(
-                ln,
-                head.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected type".into(),
-                })?,
-            )?;
-            let value = self.parse_operand(
-                ln,
-                head.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected value".into(),
-                })?,
-            )?;
-            let mut cases = Vec::new();
-            for c in rest[open + 1..close]
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-            {
-                let (v, t) = c.split_once("->").ok_or(ParseError {
-                    line: ln,
-                    message: "case needs `->`".into(),
-                })?;
-                let v: i64 = v.trim().parse().map_err(|_| ParseError {
-                    line: ln,
-                    message: "bad case value".into(),
-                })?;
-                cases.push((v, self.parse_block_id(ln, t)?));
-            }
-            let def = rest[close + 1..]
-                .trim()
-                .strip_prefix("default")
-                .ok_or(ParseError {
-                    line: ln,
-                    message: "expected `default`".into(),
-                })?;
-            return Ok(Some(Term::Switch {
-                ty,
-                value,
-                cases,
-                default: self.parse_block_id(ln, def)?,
-            }));
-        }
-        if line == "ret" {
-            return Ok(Some(Term::Ret(None)));
-        }
-        if let Some(rest) = line.strip_prefix("ret ") {
-            return Ok(Some(Term::Ret(Some(self.parse_operand(ln, rest)?))));
-        }
-        if line == "unreachable" {
-            return Ok(Some(Term::Unreachable));
-        }
-        // [%d =] invoke callee(args) to bbN unwind bbM
-        let (dst, body) = match line.split_once('=') {
-            Some((lhs, rhs))
-                if lhs.trim().starts_with('%') && rhs.trim().starts_with("invoke ") =>
-            {
-                (Some(self.parse_local(ln, lhs)?), rhs.trim())
-            }
-            _ => (None, line),
-        };
-        if let Some(rest) = body.strip_prefix("invoke ") {
-            let to_pos = rest.rfind(" to ").ok_or(ParseError {
-                line: ln,
-                message: "invoke needs ` to `".into(),
-            })?;
-            let (callee, args) = self.parse_call_like(ln, &rest[..to_pos])?;
-            let tail = &rest[to_pos + 4..];
-            let (normal_s, unwind_s) = tail.split_once("unwind").ok_or(ParseError {
-                line: ln,
-                message: "invoke needs `unwind`".into(),
-            })?;
-            return Ok(Some(Term::Invoke {
-                dst,
-                callee,
-                args,
-                normal: self.parse_block_id(ln, normal_s)?,
-                unwind: self.parse_block_id(ln, unwind_s)?,
-            }));
-        }
-        Ok(None)
-    }
-
-    fn parse_inst(&self, ln: usize, line: &str) -> PResult<Inst> {
-        // Void call has no `=`.
         if let Some(rest) = line.strip_prefix("call ") {
             let (callee, args) = self.parse_call_like(ln, rest)?;
-            return Ok(Inst::Call {
+            block.insts.push(Inst::Call {
                 dst: None,
                 callee,
                 args,
             });
-        }
-        if let Some(rest) = line.strip_prefix("store ") {
+        } else if let Some(rest) = line.strip_prefix("store ") {
             // store ty value, addr
-            let mut w = rest.splitn(2, ' ');
-            let ty = self.parse_type(
-                ln,
-                w.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected type".into(),
-                })?,
-            )?;
-            let rest2 = w.next().ok_or(ParseError {
-                line: ln,
-                message: "expected operands".into(),
-            })?;
-            let (v, a) = rest2.split_once(',').ok_or(ParseError {
-                line: ln,
-                message: "store needs value, addr".into(),
-            })?;
-            return Ok(Inst::Store {
+            let (ty, ops) = first_word(rest);
+            let ty = self.parse_type(ln, ty)?;
+            let ops = ops.or_fail(ln, "expected operands")?;
+            let (v, a) = ops
+                .split_byte(b',')
+                .or_fail(ln, "store needs value, addr")?;
+            block.insts.push(Inst::Store {
                 ty,
                 value: self.parse_operand(ln, v)?,
                 addr: self.parse_operand(ln, a)?,
             });
+        } else {
+            let (lhs, _) = line
+                .split_byte(b'=')
+                .ok_or_else(|| fail(ln, format!("unrecognised line `{line}`")))?;
+            // Not a `%` local: this fails, naming it.
+            self.parse_local(ln, lhs)?;
         }
-        let (lhs, rhs) = line.split_once('=').ok_or_else(|| ParseError {
-            line: ln,
-            message: format!("unrecognised line `{line}`"),
-        })?;
-        let dst = self.parse_local(ln, lhs)?;
-        let body = rhs.trim();
-        let mut w = body.splitn(2, ' ');
-        let mnem = w.next().unwrap_or("");
-        let rest = w.next().unwrap_or("").trim();
+        Ok(())
+    }
 
-        let binop = BinOp::ALL.iter().find(|b| b.mnemonic() == mnem).copied();
-        if let Some(op) = binop {
-            let mut ww = rest.splitn(2, ' ');
-            let ty = self.parse_type(
-                ln,
-                ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected type".into(),
-                })?,
-            )?;
-            let ops = ww.next().ok_or(ParseError {
-                line: ln,
-                message: "expected operands".into(),
-            })?;
-            let (l, r) = ops.split_once(',').ok_or(ParseError {
-                line: ln,
-                message: "binop needs two operands".into(),
-            })?;
+    /// A terminator without a destination, or `None` for other lines.
+    fn try_parse_term(&self, ln: usize, line: &str) -> PResult<Option<Term>> {
+        Ok(Some(match first_word(line) {
+            ("jmp", Some(rest)) => Term::Jump(self.parse_block_id(ln, rest)?),
+            ("br", Some(rest)) => {
+                let mut parts = rest.split(',');
+                let (Some(cond), Some(then_bb), Some(else_bb), None) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
+                else {
+                    return Err(fail(ln, "br needs cond, then, else"));
+                };
+                Term::Branch {
+                    cond: self.parse_operand(ln, cond)?,
+                    then_bb: self.parse_block_id(ln, then_bb.trimmed())?,
+                    else_bb: self.parse_block_id(ln, else_bb.trimmed())?,
+                }
+            }
+            ("switch", Some(rest)) => self.parse_switch(ln, rest)?,
+            ("ret", None) => Term::Ret(None),
+            ("ret", Some(rest)) => Term::Ret(Some(self.parse_operand(ln, rest)?)),
+            ("unreachable", None) => Term::Unreachable,
+            ("invoke", Some(rest)) => self.parse_invoke(ln, None, rest)?,
+            _ => return Ok(None),
+        }))
+    }
+
+    fn parse_switch(&self, ln: usize, rest: &str) -> PResult<Term> {
+        // switch ty value [c -> bb, ...] default bb
+        let open = rest.find('[').or_fail(ln, "expected `[`")?;
+        let close = rest.rfind(']').or_fail(ln, "expected `]`")?;
+        if close < open {
+            return Err(fail(ln, "expected `]` after `[`"));
+        }
+        let mut head = rest[..open].split_whitespace();
+        let ty = self.parse_type(ln, head.next().or_fail(ln, "expected type")?)?;
+        let value = self.parse_operand(ln, head.next().or_fail(ln, "expected value")?)?;
+        let mut cases = Vec::new();
+        for c in rest[open + 1..close]
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+        {
+            let (v, t) = c.split_once("->").or_fail(ln, "case needs `->`")?;
+            let v = v.trimmed().parse().or_fail(ln, "bad case value")?;
+            cases.push((v, self.parse_block_id(ln, t)?));
+        }
+        let default = rest[close + 1..]
+            .trimmed()
+            .strip_prefix("default")
+            .or_fail(ln, "expected `default`")?;
+        Ok(Term::Switch {
+            ty,
+            value,
+            cases,
+            default: self.parse_block_id(ln, default)?,
+        })
+    }
+
+    /// `callee(args) to bbN unwind bbM`, after `[%d =] invoke `.
+    fn parse_invoke(&self, ln: usize, dst: Option<LocalId>, rest: &str) -> PResult<Term> {
+        let to_pos = rest.rfind(" to ").or_fail(ln, "invoke needs ` to `")?;
+        let (callee, args) = self.parse_call_like(ln, &rest[..to_pos])?;
+        let (normal, unwind) = rest[to_pos + 4..]
+            .split_once("unwind")
+            .or_fail(ln, "invoke needs `unwind`")?;
+        Ok(Term::Invoke {
+            dst,
+            callee,
+            args,
+            normal: self.parse_block_id(ln, normal)?,
+            unwind: self.parse_block_id(ln, unwind)?,
+        })
+    }
+
+    /// The instruction after `%dst = `.
+    fn parse_def(&self, ln: usize, dst: LocalId, body: &str) -> PResult<Inst> {
+        let (mnem, rest) = first_word(body);
+        let rest = rest.unwrap_or("").trimmed();
+        // `ty operands`: the type, then whatever follows its space.
+        let typed = |what: &str| -> PResult<(Type, &str)> {
+            let (ty, ops) = first_word(rest);
+            Ok((self.parse_type(ln, ty)?, ops.or_fail(ln, what)?))
+        };
+        if let Some(op) = bin_op(mnem) {
+            let (ty, ops) = typed("expected operands")?;
+            let (l, r) = ops
+                .split_byte(b',')
+                .or_fail(ln, "binop needs two operands")?;
             return Ok(Inst::Bin {
                 op,
                 ty,
@@ -735,23 +763,8 @@ impl<'a> Parser<'a> {
                 rhs: self.parse_operand(ln, r)?,
             });
         }
-        if let Some(op) = [UnOp::Neg, UnOp::Not, UnOp::FNeg]
-            .iter()
-            .find(|u| u.mnemonic() == mnem)
-            .copied()
-        {
-            let mut ww = rest.splitn(2, ' ');
-            let ty = self.parse_type(
-                ln,
-                ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected type".into(),
-                })?,
-            )?;
-            let src = ww.next().ok_or(ParseError {
-                line: ln,
-                message: "expected operand".into(),
-            })?;
+        if let Some(op) = un_op(mnem) {
+            let (ty, src) = typed("expected operand")?;
             return Ok(Inst::Un {
                 op,
                 ty,
@@ -759,190 +772,117 @@ impl<'a> Parser<'a> {
                 src: self.parse_operand(ln, src)?,
             });
         }
-        match mnem {
+        Ok(match mnem {
             "cmp" => {
-                let mut ww = rest.splitn(3, ' ');
-                let pred_s = ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected pred".into(),
-                })?;
-                let pred = CmpPred::ALL
-                    .iter()
-                    .find(|p| p.mnemonic() == pred_s)
-                    .copied()
-                    .ok_or_else(|| ParseError {
-                        line: ln,
-                        message: format!("bad pred `{pred_s}`"),
-                    })?;
-                let ty = self.parse_type(
-                    ln,
-                    ww.next().ok_or(ParseError {
-                        line: ln,
-                        message: "expected type".into(),
-                    })?,
-                )?;
-                let ops = ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected operands".into(),
-                })?;
-                let (l, r) = ops.split_once(',').ok_or(ParseError {
-                    line: ln,
-                    message: "cmp needs two operands".into(),
-                })?;
-                Ok(Inst::Cmp {
+                let (pred_s, tail) = first_word(rest);
+                let pred =
+                    cmp_pred(pred_s).ok_or_else(|| fail(ln, format!("bad pred `{pred_s}`")))?;
+                let (ty, ops) = first_word(tail.or_fail(ln, "expected type")?);
+                let ty = self.parse_type(ln, ty)?;
+                let ops = ops.or_fail(ln, "expected operands")?;
+                let (l, r) = ops.split_byte(b',').or_fail(ln, "cmp needs two operands")?;
+                Inst::Cmp {
                     pred,
                     ty,
                     dst,
                     lhs: self.parse_operand(ln, l)?,
                     rhs: self.parse_operand(ln, r)?,
-                })
+                }
             }
             "select" => {
-                let mut ww = rest.splitn(2, ' ');
-                let ty = self.parse_type(
-                    ln,
-                    ww.next().ok_or(ParseError {
-                        line: ln,
-                        message: "expected type".into(),
-                    })?,
-                )?;
-                let ops = ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected operands".into(),
-                })?;
-                let parts: Vec<&str> = ops.split(',').map(str::trim).collect();
-                if parts.len() != 3 {
-                    return self.err(ln, "select needs three operands");
-                }
-                Ok(Inst::Select {
+                let (ty, ops) = typed("expected operands")?;
+                let mut parts = ops.split(',');
+                let (Some(cond), Some(on_true), Some(on_false), None) =
+                    (parts.next(), parts.next(), parts.next(), parts.next())
+                else {
+                    return Err(fail(ln, "select needs three operands"));
+                };
+                Inst::Select {
                     ty,
                     dst,
-                    cond: self.parse_operand(ln, parts[0])?,
-                    on_true: self.parse_operand(ln, parts[1])?,
-                    on_false: self.parse_operand(ln, parts[2])?,
-                })
+                    cond: self.parse_operand(ln, cond)?,
+                    on_true: self.parse_operand(ln, on_true)?,
+                    on_false: self.parse_operand(ln, on_false)?,
+                }
             }
             "copy" => {
-                let mut ww = rest.splitn(2, ' ');
-                let ty = self.parse_type(
-                    ln,
-                    ww.next().ok_or(ParseError {
-                        line: ln,
-                        message: "expected type".into(),
-                    })?,
-                )?;
-                let src = ww.next().ok_or(ParseError {
-                    line: ln,
-                    message: "expected operand".into(),
-                })?;
-                Ok(Inst::Copy {
+                let (ty, src) = typed("expected operand")?;
+                Inst::Copy {
                     ty,
                     dst,
                     src: self.parse_operand(ln, src)?,
-                })
+                }
             }
             "load" => {
-                let (ty_s, addr_s) = rest.split_once(',').ok_or(ParseError {
-                    line: ln,
-                    message: "load needs `ty, addr`".into(),
-                })?;
-                Ok(Inst::Load {
-                    ty: self.parse_type(ln, ty_s.trim())?,
+                let (ty, addr) = rest.split_byte(b',').or_fail(ln, "load needs `ty, addr`")?;
+                Inst::Load {
+                    ty: self.parse_type(ln, ty.trimmed())?,
                     dst,
-                    addr: self.parse_operand(ln, addr_s)?,
-                })
+                    addr: self.parse_operand(ln, addr)?,
+                }
             }
             "alloca" => {
-                let mut ww = rest.split_whitespace();
-                let size: u32 = ww.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                    line: ln,
-                    message: "bad alloca size".into(),
-                })?;
+                let mut w = rest.split_whitespace();
+                let size = w.next().and_then(|s| s.parse().ok());
+                let size = size.or_fail(ln, "bad alloca size")?;
                 let mut align = 8;
-                if let Some("align") = ww.next() {
-                    align = ww.next().and_then(|s| s.parse().ok()).ok_or(ParseError {
-                        line: ln,
-                        message: "bad align".into(),
-                    })?;
+                if let Some("align") = w.next() {
+                    let a = w.next().and_then(|s| s.parse().ok());
+                    align = a.or_fail(ln, "bad align")?;
                 }
-                Ok(Inst::Alloca { dst, size, align })
+                Inst::Alloca { dst, size, align }
             }
             "ptradd" => {
-                let (b, o) = rest.split_once(',').ok_or(ParseError {
-                    line: ln,
-                    message: "ptradd needs base, offset".into(),
-                })?;
-                Ok(Inst::PtrAdd {
+                let (b, o) = rest
+                    .split_byte(b',')
+                    .or_fail(ln, "ptradd needs base, offset")?;
+                Inst::PtrAdd {
                     dst,
                     base: self.parse_operand(ln, b)?,
                     offset: self.parse_operand(ln, o)?,
-                })
+                }
             }
             "call" => {
                 let (callee, args) = self.parse_call_like(ln, rest)?;
-                Ok(Inst::Call {
+                Inst::Call {
                     dst: Some(dst),
                     callee,
                     args,
-                })
+                }
             }
             "funcaddr" => {
-                let name = rest.strip_prefix('@').ok_or(ParseError {
-                    line: ln,
-                    message: "expected @func".into(),
-                })?;
-                let func = *self.func_ids.get(name).ok_or_else(|| ParseError {
-                    line: ln,
-                    message: format!("unknown func `{name}`"),
-                })?;
-                Ok(Inst::FuncAddr { dst, func })
+                let name = rest.strip_prefix('@').or_fail(ln, "expected @func")?;
+                let func = *self
+                    .func_ids
+                    .get(name)
+                    .ok_or_else(|| fail(ln, format!("unknown func `{name}`")))?;
+                Inst::FuncAddr { dst, func }
             }
             "globaladdr" => {
-                let name = rest.strip_prefix('@').ok_or(ParseError {
-                    line: ln,
-                    message: "expected @global".into(),
-                })?;
-                let global = *self.global_ids.get(name).ok_or_else(|| ParseError {
-                    line: ln,
-                    message: format!("unknown global `{name}`"),
-                })?;
-                Ok(Inst::GlobalAddr { dst, global })
+                let name = rest.strip_prefix('@').or_fail(ln, "expected @global")?;
+                let global = *self
+                    .global_ids
+                    .get(name)
+                    .ok_or_else(|| fail(ln, format!("unknown global `{name}`")))?;
+                Inst::GlobalAddr { dst, global }
             }
             // casts: "%d = trunc %s : i64 -> i32"
             m => {
-                let kinds = [
-                    CastKind::Trunc,
-                    CastKind::ZExt,
-                    CastKind::SExt,
-                    CastKind::FpToSi,
-                    CastKind::SiToFp,
-                    CastKind::FpTrunc,
-                    CastKind::FpExt,
-                    CastKind::PtrToInt,
-                    CastKind::IntToPtr,
-                ];
-                if let Some(kind) = kinds.iter().find(|k| k.mnemonic() == m).copied() {
-                    // Split at the LAST colon: the source operand may be a
-                    // typed constant (`i64:0`) containing one itself.
-                    let (src_s, tys) = rest.rsplit_once(':').ok_or(ParseError {
-                        line: ln,
-                        message: "cast needs `:`".into(),
-                    })?;
-                    let (from_s, to_s) = tys.split_once("->").ok_or(ParseError {
-                        line: ln,
-                        message: "cast needs `->`".into(),
-                    })?;
-                    return Ok(Inst::Cast {
-                        kind,
-                        dst,
-                        src: self.parse_operand(ln, src_s)?,
-                        from: self.parse_type(ln, from_s.trim())?,
-                        to: self.parse_type(ln, to_s.trim())?,
-                    });
+                let kind =
+                    cast_kind(m).ok_or_else(|| fail(ln, format!("unknown instruction `{m}`")))?;
+                // Split at the LAST colon: the source operand may be a
+                // typed constant (`i64:0`) containing one itself.
+                let (src, tys) = rest.rsplit_once(':').or_fail(ln, "cast needs `:`")?;
+                let (from, to) = tys.split_once("->").or_fail(ln, "cast needs `->`")?;
+                Inst::Cast {
+                    kind,
+                    dst,
+                    src: self.parse_operand(ln, src)?,
+                    from: self.parse_type(ln, from.trimmed())?,
+                    to: self.parse_type(ln, to.trimmed())?,
                 }
-                self.err(ln, format!("unknown instruction `{m}`"))
             }
-        }
+        })
     }
 }
 
@@ -1044,5 +984,94 @@ bb3:
         let err = parse_module(&format!("module m\n{f}{f}")).unwrap_err();
         assert_eq!(err.line, 8);
         assert_eq!(err.message, "duplicate func name `f`");
+    }
+
+    #[test]
+    fn agrees_with_the_reference_on_the_sample() {
+        let m = parse_module(SAMPLE).unwrap();
+        assert_eq!(m, reference::parse_module(SAMPLE).unwrap());
+        let text = print_module(&m);
+        assert_eq!(parse_module(&text).unwrap(), m);
+        // Every line cut short and every line dropped: the same error on
+        // the same line, or the same module.
+        let lines: Vec<&str> = text.lines().collect();
+        for i in 0..lines.len() {
+            for cut in [None, Some(lines[i].len() / 2)] {
+                let mutated: String = lines
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, l)| match (j == i, cut) {
+                        (false, _) => Some(format!("{l}\n")),
+                        (true, None) => None,
+                        (true, Some(n)) => Some(format!("{}\n", &l[..n])),
+                    })
+                    .collect();
+                assert_eq!(
+                    parse_module(&mutated),
+                    reference::parse_module(&mutated),
+                    "{mutated}"
+                );
+            }
+        }
+    }
+
+    /// Lines the reference parser panics on: each is an error naming
+    /// its line.
+    #[test]
+    fn malformed_lines_are_errors_not_panics() {
+        let body = |line: &str| {
+            format!("module m\nfunc f(0) -> void {{\n  prov original f\n  locals i64\nbb0:\n  {line}\n  ret\n}}\n")
+        };
+        let cases = [
+            (
+                "module m\nfunc f)(0) -> void {\n}\n".to_string(),
+                2,
+                "expected `)` after `(`",
+            ),
+            (
+                "module m\nextern e)(i64 -> void\n".into(),
+                2,
+                "expected `)` after `(`",
+            ),
+            (
+                "module m\nglobal g align 8 {\n  bytes a\u{e9}0\n}\n".into(),
+                3,
+                "bad hex",
+            ),
+            (
+                body("switch i64 %0 ] [ default bb0"),
+                6,
+                "expected `]` after `[`",
+            ),
+            (
+                format!(
+                    "module m\nextern e)(i64) -> void\n{}",
+                    &body("call ext:e)(")[9..]
+                ),
+                7,
+                "expected `)` after `(` in call",
+            ),
+            (
+                body("%99999999999 = copy i64 %0"),
+                6,
+                "bad local `%99999999999 `",
+            ),
+            (
+                body("%0 = copy i64 %4294967296"),
+                6,
+                "bad local `%4294967296`",
+            ),
+            (body("jmp bb4294967296"), 6, "bad block `bb4294967296`"),
+            (
+                body("%0 = copy ptr ptr:0"),
+                6,
+                "no `ptr` constants: `ptr:0`",
+            ),
+            (body("ret void:0"), 6, "no `void` constants: `void:0`"),
+        ];
+        for (src, line, message) in cases {
+            let err = parse_module(&src).expect_err(&src);
+            assert_eq!((err.line, err.message.as_str()), (line, message), "{src}");
+        }
     }
 }

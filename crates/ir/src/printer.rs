@@ -1,281 +1,530 @@
 //! Textual printing of KIR modules.
 //!
 //! The format round-trips through [`crate::parser`], which the test suites
-//! use to snapshot and rebuild IR.
+//! use to snapshot and rebuild IR, and the build memo uses to store built
+//! modules.
+//!
+//! There is one printer, generic over a private byte sink. It writes each
+//! token straight into the sink: `&'static str` keywords and mnemonics,
+//! names, integers from a small digit formatter, and `{:?}` only for
+//! floats. [`print_module`] runs it into a `String`.
+//! [`Module::content_fingerprint`] runs it into an FNV-1a hash, so a
+//! module's fingerprint is the FNV-1a of its printed text without the
+//! text ever being built. `crates/ir/tests/text_format_pin.rs` pins the
+//! text and the fingerprint of a module holding every variant.
 
 use crate::constant::Const;
 use crate::function::{Function, Linkage, ProvKind};
+use crate::ids::{BlockId, LocalId};
 use crate::inst::{Callee, Inst, Operand, Term};
 use crate::module::{GInit, Module};
 use crate::types::Type;
 use std::fmt::Write as _;
 
+#[cfg(test)]
+pub(crate) mod reference;
+
 /// Prints a whole module.
 pub fn print_module(m: &Module) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "module {}", m.name);
-    for e in &m.externals {
-        let params: Vec<String> = e.params.iter().map(|t| t.to_string()).collect();
-        let var = if e.variadic { ", ..." } else { "" };
-        let _ = writeln!(
-            s,
-            "extern {}({}{}) -> {}",
-            e.name,
-            params.join(", "),
-            var,
-            e.ret_ty
-        );
-    }
-    for g in &m.globals {
-        let exp = if g.exported { " exported" } else { "" };
-        let _ = writeln!(s, "global {} align {}{} {{", g.name, g.align, exp);
-        for init in &g.init {
-            match init {
-                GInit::Bytes(b) => {
-                    let hex: Vec<String> = b.iter().map(|x| format!("{x:02x}")).collect();
-                    let _ = writeln!(s, "  bytes {}", hex.join(""));
-                }
-                GInit::Int { value, ty } => {
-                    let _ = writeln!(s, "  int {ty} {value}");
-                }
-                GInit::Float { value, ty } => {
-                    let _ = writeln!(s, "  float {ty} {value:?}");
-                }
-                GInit::Zero(n) => {
-                    let _ = writeln!(s, "  zero {n}");
-                }
-                GInit::FuncPtr { func, addend } => {
-                    let name = &m.functions[func.index()].name;
-                    let _ = writeln!(s, "  funcptr @{name} + {addend}");
-                }
-            }
-        }
-        let _ = writeln!(s, "}}");
-    }
-    for f in &m.functions {
-        s.push('\n');
-        print_function_into(&mut s, m, f);
-    }
-    s
+    // About 25 to 35 bytes of text per instruction: one growth step at
+    // most.
+    text(m, 32 * m.inst_count() + 1024, Printer::module)
 }
 
 /// Prints a single function (with module context for callee names).
 pub fn print_function(m: &Module, f: &Function) -> String {
-    let mut s = String::new();
-    print_function_into(&mut s, m, f);
-    s
-}
-
-fn print_function_into(s: &mut String, m: &Module, f: &Function) {
-    let exp = if f.linkage == Linkage::Exported {
-        " exported"
-    } else {
-        ""
-    };
-    let var = if f.variadic { " variadic" } else { "" };
-    let _ = writeln!(
-        s,
-        "func {}({}) -> {}{}{} {{",
-        f.name, f.param_count, f.ret_ty, exp, var
-    );
-    let kind = match f.provenance.kind {
-        ProvKind::Original => "original",
-        ProvKind::Sep => "sep",
-        ProvKind::Rem => "rem",
-        ProvKind::Fused => "fused",
-        ProvKind::Trampoline => "trampoline",
-    };
-    let _ = writeln!(s, "  prov {} {}", kind, f.provenance.origins.join(" "));
-    if !f.annotations.is_empty() {
-        let _ = writeln!(s, "  annot {}", f.annotations.join(" "));
-    }
-    let tys: Vec<String> = f.locals.iter().map(|t| t.to_string()).collect();
-    let _ = writeln!(s, "  locals {}", tys.join(" "));
-    for (b, block) in f.iter_blocks() {
-        match &block.pad {
-            Some(pad) => match pad.dst {
-                Some(d) => {
-                    let _ = writeln!(s, "{b} pad {d}:");
-                }
-                None => {
-                    let _ = writeln!(s, "{b} pad:");
-                }
-            },
-            None => {
-                let _ = writeln!(s, "{b}:");
-            }
-        }
-        for inst in &block.insts {
-            let _ = writeln!(s, "  {}", fmt_inst(m, inst));
-        }
-        let _ = writeln!(s, "  {}", fmt_term(m, &block.term));
-    }
-    let _ = writeln!(s, "}}");
-}
-
-fn fmt_operand(o: &Operand) -> String {
-    match o {
-        Operand::Local(l) => format!("{l}"),
-        Operand::Const(Const::Int { value, ty }) => {
-            if *ty == Type::I1 {
-                if *value & 1 == 1 {
-                    "true".into()
-                } else {
-                    "false".into()
-                }
-            } else {
-                format!("{ty}:{value}")
-            }
-        }
-        Operand::Const(Const::Float { value, ty }) => format!("{ty}:{value:?}"),
-        Operand::Const(Const::Null) => "null".into(),
-    }
-}
-
-fn fmt_callee(m: &Module, c: &Callee) -> String {
-    match c {
-        Callee::Direct(f) => format!("@{}", m.functions[f.index()].name),
-        Callee::Ext(e) => format!("ext:{}", m.externals[e.index()].name),
-        Callee::Indirect(p) => format!("[{}]", fmt_operand(p)),
-    }
-}
-
-fn fmt_args(args: &[Operand]) -> String {
-    let v: Vec<String> = args.iter().map(fmt_operand).collect();
-    v.join(", ")
+    text(m, 0, |p| p.function(f))
 }
 
 /// Formats one instruction in parseable syntax.
 pub fn fmt_inst(m: &Module, inst: &Inst) -> String {
-    match inst {
-        Inst::Bin {
-            op,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            format!(
-                "{dst} = {} {ty} {}, {}",
-                op.mnemonic(),
-                fmt_operand(lhs),
-                fmt_operand(rhs)
-            )
-        }
-        Inst::Un { op, ty, dst, src } => {
-            format!("{dst} = {} {ty} {}", op.mnemonic(), fmt_operand(src))
-        }
-        Inst::Cmp {
-            pred,
-            ty,
-            dst,
-            lhs,
-            rhs,
-        } => {
-            format!(
-                "{dst} = cmp {} {ty} {}, {}",
-                pred.mnemonic(),
-                fmt_operand(lhs),
-                fmt_operand(rhs)
-            )
-        }
-        Inst::Select {
-            ty,
-            dst,
-            cond,
-            on_true,
-            on_false,
-        } => {
-            format!(
-                "{dst} = select {ty} {}, {}, {}",
-                fmt_operand(cond),
-                fmt_operand(on_true),
-                fmt_operand(on_false)
-            )
-        }
-        Inst::Copy { ty, dst, src } => format!("{dst} = copy {ty} {}", fmt_operand(src)),
-        Inst::Cast {
-            kind,
-            dst,
-            src,
-            from,
-            to,
-        } => {
-            format!(
-                "{dst} = {} {} : {from} -> {to}",
-                kind.mnemonic(),
-                fmt_operand(src)
-            )
-        }
-        Inst::Load { ty, dst, addr } => format!("{dst} = load {ty}, {}", fmt_operand(addr)),
-        Inst::Store { ty, addr, value } => {
-            format!("store {ty} {}, {}", fmt_operand(value), fmt_operand(addr))
-        }
-        Inst::Alloca { dst, size, align } => format!("{dst} = alloca {size} align {align}"),
-        Inst::PtrAdd { dst, base, offset } => {
-            format!(
-                "{dst} = ptradd {}, {}",
-                fmt_operand(base),
-                fmt_operand(offset)
-            )
-        }
-        Inst::Call { dst, callee, args } => match dst {
-            Some(d) => format!("{d} = call {}({})", fmt_callee(m, callee), fmt_args(args)),
-            None => format!("call {}({})", fmt_callee(m, callee), fmt_args(args)),
-        },
-        Inst::FuncAddr { dst, func } => {
-            format!("{dst} = funcaddr @{}", m.functions[func.index()].name)
-        }
-        Inst::GlobalAddr { dst, global } => {
-            format!("{dst} = globaladdr @{}", m.globals[global.index()].name)
-        }
-    }
+    text(m, 0, |p| p.inst(inst))
 }
 
 /// Formats one terminator in parseable syntax.
 pub fn fmt_term(m: &Module, term: &Term) -> String {
-    match term {
-        Term::Jump(t) => format!("jmp {t}"),
-        Term::Branch {
-            cond,
-            then_bb,
-            else_bb,
-        } => {
-            format!("br {}, {then_bb}, {else_bb}", fmt_operand(cond))
+    text(m, 0, |p| p.term(term))
+}
+
+/// FNV-1a (64-bit) over the text [`print_module`] would return.
+pub(crate) fn fnv1a(m: &Module) -> u64 {
+    let mut p = Printer {
+        m,
+        out: Fnv1a(0xcbf2_9ce4_8422_2325),
+    };
+    p.module();
+    p.out.0
+}
+
+/// What `write` prints, as a `String`.
+fn text<'m>(
+    m: &'m Module,
+    capacity: usize,
+    write: impl FnOnce(&mut Printer<'m, Vec<u8>>),
+) -> String {
+    let mut p = Printer {
+        m,
+        out: Vec::with_capacity(capacity),
+    };
+    write(&mut p);
+    String::from_utf8(p.out).expect("the printer writes only names and ASCII")
+}
+
+/// Where the printer's bytes go.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The FNV-1a hash of everything put so far.
+struct Fnv1a(u64);
+
+impl Sink for Fnv1a {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
-        Term::Switch {
-            ty,
-            value,
-            cases,
-            default,
-        } => {
-            let cs: Vec<String> = cases.iter().map(|(v, t)| format!("{v} -> {t}")).collect();
-            format!(
-                "switch {ty} {} [{}] default {default}",
-                fmt_operand(value),
-                cs.join(", ")
-            )
+    }
+}
+
+/// Lets `write!` format a float straight into a sink.
+struct FmtSink<'a, S>(&'a mut S);
+
+impl<S: Sink> std::fmt::Write for FmtSink<'_, S> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.put(s.as_bytes());
+        Ok(())
+    }
+}
+
+struct Printer<'m, S> {
+    m: &'m Module,
+    out: S,
+}
+
+impl<S: Sink> Printer<'_, S> {
+    fn s(&mut self, s: &str) {
+        self.out.put(s.as_bytes());
+    }
+
+    fn uint(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
-        Term::Ret(None) => "ret".into(),
-        Term::Ret(Some(v)) => format!("ret {}", fmt_operand(v)),
-        Term::Invoke {
-            dst,
-            callee,
-            args,
-            normal,
-            unwind,
-        } => {
-            let head = match dst {
-                Some(d) => format!("{d} = invoke"),
-                None => "invoke".into(),
-            };
-            format!(
-                "{head} {}({}) to {normal} unwind {unwind}",
-                fmt_callee(m, callee),
-                fmt_args(args)
-            )
+        self.out.put(&buf[i..]);
+    }
+
+    fn int(&mut self, v: i64) {
+        if v < 0 {
+            self.s("-");
         }
-        Term::Unreachable => "unreachable".into(),
+        self.uint(v.unsigned_abs());
+    }
+
+    fn float(&mut self, v: f64) {
+        let _ = write!(FmtSink(&mut self.out), "{v:?}");
+    }
+
+    fn ty(&mut self, t: Type) {
+        self.s(t.name());
+    }
+
+    fn local(&mut self, l: LocalId) {
+        self.s("%");
+        self.uint(u64::from(l.0));
+    }
+
+    fn block_id(&mut self, b: BlockId) {
+        self.s("bb");
+        self.uint(u64::from(b.0));
+    }
+
+    /// `%d = ` before an instruction that defines `d`.
+    fn def(&mut self, d: LocalId) {
+        self.local(d);
+        self.s(" = ");
+    }
+
+    /// `items` separated by `sep`.
+    fn list<T>(&mut self, items: &[T], sep: &str, mut item: impl FnMut(&mut Self, &T)) {
+        for (i, x) in items.iter().enumerate() {
+            if i > 0 {
+                self.s(sep);
+            }
+            item(self, x);
+        }
+    }
+
+    fn module(&mut self) {
+        let m = self.m;
+        self.s("module ");
+        self.s(&m.name);
+        self.s("\n");
+        for e in &m.externals {
+            self.s("extern ");
+            self.s(&e.name);
+            self.s("(");
+            self.list(&e.params, ", ", |p, &t| p.ty(t));
+            if e.variadic {
+                self.s(", ...");
+            }
+            self.s(") -> ");
+            self.ty(e.ret_ty);
+            self.s("\n");
+        }
+        for g in &m.globals {
+            self.s("global ");
+            self.s(&g.name);
+            self.s(" align ");
+            self.uint(u64::from(g.align));
+            self.s(if g.exported { " exported {\n" } else { " {\n" });
+            for init in &g.init {
+                self.ginit(init);
+            }
+            self.s("}\n");
+        }
+        for f in &m.functions {
+            self.s("\n");
+            self.function(f);
+        }
+    }
+
+    fn ginit(&mut self, init: &GInit) {
+        match init {
+            GInit::Bytes(b) => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                self.s("  bytes ");
+                for &x in b {
+                    let pair = [HEX[usize::from(x >> 4)], HEX[usize::from(x & 15)]];
+                    self.out.put(&pair);
+                }
+            }
+            GInit::Int { value, ty } => {
+                self.s("  int ");
+                self.ty(*ty);
+                self.s(" ");
+                self.int(*value);
+            }
+            GInit::Float { value, ty } => {
+                self.s("  float ");
+                self.ty(*ty);
+                self.s(" ");
+                self.float(*value);
+            }
+            GInit::Zero(n) => {
+                self.s("  zero ");
+                self.uint(u64::from(*n));
+            }
+            GInit::FuncPtr { func, addend } => {
+                self.s("  funcptr @");
+                self.s(&self.m.functions[func.index()].name);
+                self.s(" + ");
+                self.int(*addend);
+            }
+        }
+        self.s("\n");
+    }
+
+    fn function(&mut self, f: &Function) {
+        self.s("func ");
+        self.s(&f.name);
+        self.s("(");
+        self.uint(u64::from(f.param_count));
+        self.s(") -> ");
+        self.ty(f.ret_ty);
+        if f.linkage == Linkage::Exported {
+            self.s(" exported");
+        }
+        if f.variadic {
+            self.s(" variadic");
+        }
+        self.s(" {\n  prov ");
+        self.s(match f.provenance.kind {
+            ProvKind::Original => "original ",
+            ProvKind::Sep => "sep ",
+            ProvKind::Rem => "rem ",
+            ProvKind::Fused => "fused ",
+            ProvKind::Trampoline => "trampoline ",
+        });
+        self.list(&f.provenance.origins, " ", |p, o| p.s(o));
+        if !f.annotations.is_empty() {
+            self.s("\n  annot ");
+            self.list(&f.annotations, " ", |p, a| p.s(a));
+        }
+        self.s("\n  locals ");
+        self.list(&f.locals, " ", |p, &t| p.ty(t));
+        self.s("\n");
+        for (b, block) in f.iter_blocks() {
+            self.block_id(b);
+            if let Some(pad) = block.pad {
+                self.s(" pad");
+                if let Some(d) = pad.dst {
+                    self.s(" ");
+                    self.local(d);
+                }
+            }
+            self.s(":\n");
+            for inst in &block.insts {
+                self.s("  ");
+                self.inst(inst);
+                self.s("\n");
+            }
+            self.s("  ");
+            self.term(&block.term);
+            self.s("\n");
+        }
+        self.s("}\n");
+    }
+
+    fn operand(&mut self, o: &Operand) {
+        match *o {
+            Operand::Local(l) => self.local(l),
+            Operand::Const(Const::Int {
+                value,
+                ty: Type::I1,
+            }) => {
+                self.s(if value & 1 == 1 { "true" } else { "false" });
+            }
+            Operand::Const(Const::Int { value, ty }) => {
+                self.ty(ty);
+                self.s(":");
+                self.int(value);
+            }
+            Operand::Const(Const::Float { value, ty }) => {
+                self.ty(ty);
+                self.s(":");
+                self.float(value);
+            }
+            Operand::Const(Const::Null) => self.s("null"),
+        }
+    }
+
+    /// `lhs, rhs`
+    fn pair(&mut self, lhs: &Operand, rhs: &Operand) {
+        self.operand(lhs);
+        self.s(", ");
+        self.operand(rhs);
+    }
+
+    /// `callee(args)`
+    fn call(&mut self, callee: &Callee, args: &[Operand]) {
+        match callee {
+            Callee::Direct(f) => {
+                self.s("@");
+                self.s(&self.m.functions[f.index()].name);
+            }
+            Callee::Ext(e) => {
+                self.s("ext:");
+                self.s(&self.m.externals[e.index()].name);
+            }
+            Callee::Indirect(p) => {
+                self.s("[");
+                self.operand(p);
+                self.s("]");
+            }
+        }
+        self.s("(");
+        self.list(args, ", ", Self::operand);
+        self.s(")");
+    }
+
+    fn inst(&mut self, inst: &Inst) {
+        match inst {
+            Inst::Bin {
+                op,
+                ty,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                self.def(*dst);
+                self.s(op.mnemonic());
+                self.s(" ");
+                self.ty(*ty);
+                self.s(" ");
+                self.pair(lhs, rhs);
+            }
+            Inst::Un { op, ty, dst, src } => {
+                self.def(*dst);
+                self.s(op.mnemonic());
+                self.s(" ");
+                self.ty(*ty);
+                self.s(" ");
+                self.operand(src);
+            }
+            Inst::Cmp {
+                pred,
+                ty,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                self.def(*dst);
+                self.s("cmp ");
+                self.s(pred.mnemonic());
+                self.s(" ");
+                self.ty(*ty);
+                self.s(" ");
+                self.pair(lhs, rhs);
+            }
+            Inst::Select {
+                ty,
+                dst,
+                cond,
+                on_true,
+                on_false,
+            } => {
+                self.def(*dst);
+                self.s("select ");
+                self.ty(*ty);
+                self.s(" ");
+                self.operand(cond);
+                self.s(", ");
+                self.pair(on_true, on_false);
+            }
+            Inst::Copy { ty, dst, src } => {
+                self.def(*dst);
+                self.s("copy ");
+                self.ty(*ty);
+                self.s(" ");
+                self.operand(src);
+            }
+            Inst::Cast {
+                kind,
+                dst,
+                src,
+                from,
+                to,
+            } => {
+                self.def(*dst);
+                self.s(kind.mnemonic());
+                self.s(" ");
+                self.operand(src);
+                self.s(" : ");
+                self.ty(*from);
+                self.s(" -> ");
+                self.ty(*to);
+            }
+            Inst::Load { ty, dst, addr } => {
+                self.def(*dst);
+                self.s("load ");
+                self.ty(*ty);
+                self.s(", ");
+                self.operand(addr);
+            }
+            Inst::Store { ty, addr, value } => {
+                self.s("store ");
+                self.ty(*ty);
+                self.s(" ");
+                self.pair(value, addr);
+            }
+            Inst::Alloca { dst, size, align } => {
+                self.def(*dst);
+                self.s("alloca ");
+                self.uint(u64::from(*size));
+                self.s(" align ");
+                self.uint(u64::from(*align));
+            }
+            Inst::PtrAdd { dst, base, offset } => {
+                self.def(*dst);
+                self.s("ptradd ");
+                self.pair(base, offset);
+            }
+            Inst::Call { dst, callee, args } => {
+                if let Some(d) = dst {
+                    self.def(*d);
+                }
+                self.s("call ");
+                self.call(callee, args);
+            }
+            Inst::FuncAddr { dst, func } => {
+                self.def(*dst);
+                self.s("funcaddr @");
+                self.s(&self.m.functions[func.index()].name);
+            }
+            Inst::GlobalAddr { dst, global } => {
+                self.def(*dst);
+                self.s("globaladdr @");
+                self.s(&self.m.globals[global.index()].name);
+            }
+        }
+    }
+
+    fn term(&mut self, term: &Term) {
+        match term {
+            Term::Jump(t) => {
+                self.s("jmp ");
+                self.block_id(*t);
+            }
+            Term::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
+                self.s("br ");
+                self.operand(cond);
+                self.s(", ");
+                self.block_id(*then_bb);
+                self.s(", ");
+                self.block_id(*else_bb);
+            }
+            Term::Switch {
+                ty,
+                value,
+                cases,
+                default,
+            } => {
+                self.s("switch ");
+                self.ty(*ty);
+                self.s(" ");
+                self.operand(value);
+                self.s(" [");
+                self.list(cases, ", ", |p, &(v, t)| {
+                    p.int(v);
+                    p.s(" -> ");
+                    p.block_id(t);
+                });
+                self.s("] default ");
+                self.block_id(*default);
+            }
+            Term::Ret(None) => self.s("ret"),
+            Term::Ret(Some(v)) => {
+                self.s("ret ");
+                self.operand(v);
+            }
+            Term::Invoke {
+                dst,
+                callee,
+                args,
+                normal,
+                unwind,
+            } => {
+                if let Some(d) = dst {
+                    self.def(*d);
+                }
+                self.s("invoke ");
+                self.call(callee, args);
+                self.s(" to ");
+                self.block_id(*normal);
+                self.s(" unwind ");
+                self.block_id(*unwind);
+            }
+            Term::Unreachable => self.s("unreachable"),
+        }
     }
 }
 
@@ -317,12 +566,29 @@ mod tests {
         assert!(out.contains("br %1, bb1, bb2"));
         assert!(out.contains("ret i32:0"));
         assert!(out.contains("prov original f"));
+        assert_eq!(out, reference::print_module(&m));
+        assert_eq!(
+            print_function(&m, &m.functions[0]),
+            out["module demo\n\n".len()..]
+        );
+        assert_eq!(fnv1a(&m), reference::fnv1a(&m));
     }
 
     #[test]
     fn prints_bool_consts_as_keywords() {
-        assert_eq!(fmt_operand(&Operand::const_bool(true)), "true");
-        assert_eq!(fmt_operand(&Operand::const_bool(false)), "false");
-        assert_eq!(fmt_operand(&Operand::Const(Const::Null)), "null");
+        let m = Module::new("m");
+        let ret = |v| fmt_term(&m, &Term::Ret(Some(v)));
+        assert_eq!(ret(Operand::const_bool(true)), "ret true");
+        assert_eq!(ret(Operand::const_bool(false)), "ret false");
+        assert_eq!(ret(Operand::Const(Const::Null)), "ret null");
+    }
+
+    #[test]
+    fn formats_integers_at_their_extremes() {
+        let m = Module::new("m");
+        let ret = |value| fmt_term(&m, &Term::Ret(Some(Operand::const_int(Type::I64, value))));
+        for v in [0, 1, -1, 9, 10, -10, 4_294_967_296, i64::MAX, i64::MIN] {
+            assert_eq!(ret(v), format!("ret i64:{v}"));
+        }
     }
 }

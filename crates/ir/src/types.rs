@@ -111,11 +111,10 @@ impl Type {
             other
         })
     }
-}
 
-impl fmt::Display for Type {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The type's name in the text format (`i32`, `ptr`, ...).
+    pub fn name(self) -> &'static str {
+        match self {
             Type::Void => "void",
             Type::I1 => "i1",
             Type::I8 => "i8",
@@ -125,8 +124,13 @@ impl fmt::Display for Type {
             Type::F32 => "f32",
             Type::F64 => "f64",
             Type::Ptr => "ptr",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Type {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

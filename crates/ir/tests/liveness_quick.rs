@@ -7,27 +7,14 @@
 //! hand-built cases of each.
 
 use khaos_ir::analysis::dataflow::{solve, LiveVariables};
-use khaos_ir::{Cfg, Function, Liveness, Module};
+use khaos_ir::{Cfg, Function, Liveness};
 
-fn quick_programs() -> Vec<Module> {
-    let mut t1 = khaos_workloads::spec2006();
-    t1.extend(khaos_workloads::spec2017());
-    let fig9 = ["400.perlbench", "401.bzip2", "429.mcf", "445.gobmk"];
-    let mut programs: Vec<Module> = t1.iter().take(6).cloned().collect();
-    for m in t1.into_iter().filter(|m| fig9.contains(&m.name.as_str())) {
-        if !programs.iter().any(|p| p.name == m.name) {
-            programs.push(m);
-        }
-    }
-    programs.extend(khaos_workloads::coreutils().into_iter().take(8));
-    programs.extend(khaos_workloads::tiii().into_iter().take(2));
-    programs
-}
+mod common;
 
 fn functions_after(atom: &str) -> Vec<Function> {
     let pipeline = khaos_pass::Pipeline::parse(&format!("O2+lto | {atom}")).expect("spec parses");
     let mut out = Vec::new();
-    for mut m in quick_programs() {
+    for mut m in common::quick_programs() {
         let mut ctx = khaos_pass::PassCtx::new(0xC60_2023);
         pipeline.run(&mut m, &mut ctx).expect("pipeline runs");
         out.extend(m.functions);
