@@ -36,7 +36,9 @@ pub enum Scope {
     Full,
 }
 
-fn t1_programs(scope: Scope) -> Vec<Module> {
+/// The T-I programs (SPEC CPU 2006/2017 stand-ins) at `scope`; Figure
+/// 11 runs one BinTuner search per program.
+pub fn t1_programs(scope: Scope) -> Vec<Module> {
     let mut v = spec2006();
     v.extend(spec2017());
     if scope == Scope::Quick {
@@ -318,8 +320,9 @@ fn fig9_names() -> Vec<&'static str> {
     ]
 }
 
-/// The T-I programs of Figure 9, trimmed under `--quick`.
-fn fig9_programs(scope: Scope) -> Vec<Module> {
+/// The T-I programs of Figure 9, trimmed under `--quick`; one BinTuner
+/// search each.
+pub fn fig9_programs(scope: Scope) -> Vec<Module> {
     let names = fig9_names();
     let mut programs: Vec<Module> = spec2006()
         .into_iter()

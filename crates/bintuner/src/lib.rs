@@ -16,14 +16,48 @@
 //! ([`TunerConfig::pipeline`]), candidate mutation is pipeline mutation,
 //! and the winning candidate's spec and fingerprint come back in the
 //! [`TunedResult`] as build provenance.
+//!
+//! ## Candidate memo
+//!
+//! A candidate's score is a pure function of the source module and the
+//! candidate's pipeline. The process keeps every score it has computed,
+//! keyed by `(source content fingerprint, TunerConfig::fingerprint())`,
+//! so each distinct candidate is built, lowered and scored once per
+//! process: the repeats inside one search, and Figure 11's budget-8
+//! searches, which replay the first eight candidates of Figure 9's
+//! budget-16 searches on the programs the two share. A known candidate
+//! still counts toward [`TunedResult::evaluations`], so the search walks
+//! the same candidates in the same order and returns the same result
+//! whatever ran before it. Inside one search a repeat can never beat the
+//! best so far; a candidate scored by an earlier search can, and when
+//! such a candidate wins, the winner is built once after the search.
+//! The `bintuner.memo.hits` and `bintuner.memo.misses` counters report
+//! the reuse, and each search runs in one `bintuner:search` span.
+//! `KHAOS_AUDIT=1` audits every candidate that is built.
+//!
+//! ## Memory
+//!
+//! The largest candidates set the peak resident set of a `--quick all`
+//! run: Figure 9's `445.gobmk` search builds modules of 150,000
+//! instructions, about 12 MB each, whose binaries take about 22 MB. So a
+//! candidate's binary is dropped as soon as it is scored, only the best
+//! candidate's module is kept, and the winner's binary is lowered again
+//! after the search. Candidates are scored through a small embedding
+//! cache of the search's own: a candidate binary is scored once, and its
+//! table and matrix in the process-wide cache would only evict entries
+//! that other drivers reuse.
 
 use khaos_binary::{lower_module, Binary};
-use khaos_diff::{binary_similarity, BinDiff};
+use khaos_diff::{binary_similarity_with, BinDiff, EmbeddingCache};
 use khaos_ir::Module;
 use khaos_pass::{InlinePass, PassCtx, Pipeline, ScalarKind, ScalarPass, VerifyPolicy};
+use khaos_store::{ReportKey, Store, StoredReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Errors constructing tuner configurations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,26 +277,93 @@ impl Default for BinTuner {
     }
 }
 
+/// Candidate scores by `(source content fingerprint, candidate pipeline
+/// fingerprint)`.
+type Scores = Mutex<HashMap<(u64, u64), f64>>;
+
+/// The process-wide candidate memo.
+fn scores() -> &'static Scores {
+    static SCORES: OnceLock<Scores> = OnceLock::new();
+    SCORES.get_or_init(Default::default)
+}
+
+/// Hit/miss counters of the candidate memo in the global registry.
+struct MemoObs {
+    hits: Arc<khaos_obs::Counter>,
+    misses: Arc<khaos_obs::Counter>,
+}
+
+fn memo_obs() -> &'static MemoObs {
+    static OBS: OnceLock<MemoObs> = OnceLock::new();
+    OBS.get_or_init(|| {
+        let r = khaos_obs::Registry::global();
+        MemoObs {
+            hits: r.counter("bintuner.memo.hits"),
+            misses: r.counter("bintuner.memo.misses"),
+        }
+    })
+}
+
+/// The pipeline slot of a search report's key: a report is keyed by
+/// program, budget and seed, which a reader knows before the search,
+/// not by the winner's pipeline, which the search finds.
+const SEARCH_REPORT_PIPELINE: u64 = 0;
+
 impl BinTuner {
     /// Runs the search on `source` (an unoptimized module), maximising
     /// difference against its `-O0` build. Candidates are pipeline
     /// mutations ([`TunerConfig::mutate`] flips one pipeline knob);
-    /// each candidate builds through its generated pipeline.
+    /// each candidate builds through its generated pipeline, unless the
+    /// process already scored it (see the crate docs).
+    ///
+    /// With a persistent store configured (`KHAOS_STORE`), the winner's
+    /// spec, similarity and evaluations are recorded as a report that
+    /// [`BinTuner::get_report`] reads back.
     pub fn tune(&self, source: &Module) -> TunedResult {
+        let _span = khaos_obs::span("bintuner:search");
+        let result = self.search(source, scores());
+        if let Some(store) = EmbeddingCache::global().store() {
+            let _ = store.put_report(&self.report(&source.name, &result));
+        }
+        result
+    }
+
+    /// The search, scoring candidates through `memo`.
+    fn search(&self, source: &Module, memo: &Scores) -> TunedResult {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let differ = BinDiff::default();
-        let baseline = lower_module(source); // -O0 reference
+        // Room for the baseline's table and one candidate's.
+        let cache = EmbeddingCache::new(2);
+        let baseline = OnceCell::new(); // -O0 reference, lowered on first use
+        let source_fp = source.content_fingerprint();
+        let obs = memo_obs();
 
-        let evaluate = |cfg: &TunerConfig| -> (f64, Module, Binary) {
+        let build = |cfg: &TunerConfig| -> Module {
             let mut m = source.clone();
             cfg.apply(&mut m);
-            let bin = lower_module(&m).with_build_provenance(cfg.fingerprint());
-            let sim = binary_similarity(&differ, &baseline, &bin);
-            (sim, m, bin)
+            m
+        };
+        let lower = |cfg: &TunerConfig, m: &Module| -> Binary {
+            lower_module(m).with_build_provenance(cfg.fingerprint())
+        };
+        // The candidate's score, and its module when this call built one
+        // (see "Memory" in the crate docs).
+        let evaluate = |cfg: &TunerConfig| -> (f64, Option<Module>) {
+            let key = (source_fp, cfg.fingerprint());
+            if let Some(&sim) = memo.lock().expect("bintuner memo").get(&key) {
+                obs.hits.inc();
+                return (sim, None);
+            }
+            obs.misses.inc();
+            let m = build(cfg);
+            let baseline = baseline.get_or_init(|| lower_module(source));
+            let sim = binary_similarity_with(&differ, baseline, &lower(cfg, &m), &cache);
+            memo.lock().expect("bintuner memo").insert(key, sim);
+            (sim, Some(m))
         };
 
         let mut best_cfg = TunerConfig::random(&mut rng);
-        let (mut best_sim, mut best_mod, mut best_bin) = evaluate(&best_cfg);
+        let (mut best_sim, mut best_module) = evaluate(&best_cfg);
         let mut evaluations = 1;
         while evaluations < self.budget {
             // Mostly hill-climb, occasionally restart (genetic flavour).
@@ -271,41 +372,66 @@ impl BinTuner {
             } else {
                 best_cfg.mutate(&mut rng)
             };
-            let (sim, m, bin) = evaluate(&cand);
+            let (sim, built) = evaluate(&cand);
             evaluations += 1;
             if sim < best_sim {
                 best_sim = sim;
                 best_cfg = cand;
-                best_mod = m;
-                best_bin = bin;
+                best_module = built;
             }
         }
-        // With a persistent store configured (KHAOS_STORE), record the
-        // winning configuration as an experiment artifact keyed by its
-        // pipeline fingerprint — a later sweep can read which spec won
-        // for this program without re-running the search.
-        if let Some(store) = khaos_diff::EmbeddingCache::global().store() {
-            let _ = store.put_report(&khaos_store::StoredReport {
-                spec: best_cfg.pipeline().to_string(),
-                pipeline: best_cfg.fingerprint(),
-                seed: self.seed,
-                subject: format!("bintuner/{}", source.name),
-                total_micros: 0,
-                passes: Vec::new(),
-                metrics: vec![
-                    ("similarity_vs_o0".into(), best_sim),
-                    ("evaluations".into(), evaluations as f64),
-                ],
-            });
-        }
+        let module = best_module.unwrap_or_else(|| build(&best_cfg));
+        let binary = lower(&best_cfg, &module);
         TunedResult {
             config: best_cfg,
             spec: best_cfg.pipeline().to_string(),
             similarity_vs_o0: best_sim,
-            module: best_mod,
-            binary: best_bin,
+            module,
+            binary,
             evaluations,
         }
+    }
+
+    /// The report subject of this search on `program`.
+    fn report_subject(&self, program: &str) -> String {
+        format!("bintuner/{program}/budget={}", self.budget)
+    }
+
+    /// The report [`BinTuner::tune`] persists for `result` on `program`:
+    /// the winning spec, its similarity and the evaluations spent, keyed
+    /// by program, budget and seed.
+    fn report(&self, program: &str, result: &TunedResult) -> StoredReport {
+        StoredReport {
+            spec: result.spec.clone(),
+            pipeline: SEARCH_REPORT_PIPELINE,
+            seed: self.seed,
+            subject: self.report_subject(program),
+            total_micros: 0,
+            passes: Vec::new(),
+            metrics: vec![
+                ("similarity_vs_o0".into(), result.similarity_vs_o0),
+                ("evaluations".into(), result.evaluations as f64),
+            ],
+        }
+    }
+
+    /// The report a search with this budget and seed recorded for
+    /// `program`, if `store` holds one: the winning spec plus the
+    /// `similarity_vs_o0` and `evaluations` metrics.
+    ///
+    /// # Errors
+    /// I/O errors reading the store (a missing or damaged record is
+    /// `Ok(None)`).
+    pub fn get_report(
+        &self,
+        store: &Store,
+        program: &str,
+    ) -> std::io::Result<Option<StoredReport>> {
+        store.get_report(&ReportKey {
+            pipeline: SEARCH_REPORT_PIPELINE,
+            seed: self.seed,
+            subject: &self.report_subject(program),
+        })
     }
 }
 
@@ -357,6 +483,75 @@ mod tests {
         let b = BinTuner { budget: 8, seed: 9 }.tune(&src);
         assert_eq!(a.config, b.config);
         assert_eq!(a.similarity_vs_o0, b.similarity_vs_o0);
+    }
+
+    /// Asserts two search results are equal in every field.
+    fn assert_same_result(a: &TunedResult, b: &TunedResult) {
+        assert_eq!(a.config, b.config);
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.similarity_vs_o0.to_bits(), b.similarity_vs_o0.to_bits());
+        assert_eq!(a.module, b.module);
+        assert_eq!(a.binary, b.binary);
+        assert_eq!(a.evaluations, b.evaluations);
+    }
+
+    #[test]
+    fn shorter_search_after_a_longer_one_is_unchanged() {
+        let src = coreutils_program("cat", 3);
+        let (long, short) = (
+            BinTuner {
+                budget: 16,
+                seed: 5,
+            },
+            BinTuner { budget: 8, seed: 5 },
+        );
+        let alone = short.search(&src, &Scores::default());
+
+        let memo = Scores::default();
+        let first = long.search(&src, &memo);
+        let scored = memo.lock().unwrap().len();
+        let after = short.search(&src, &memo);
+        assert_eq!(
+            memo.lock().unwrap().len(),
+            scored,
+            "the budget-8 search replays candidates the budget-16 one scored"
+        );
+        assert_same_result(&after, &alone);
+        assert_same_result(&long.search(&src, &memo), &first);
+    }
+
+    #[test]
+    fn report_is_found_from_program_budget_and_seed() {
+        let dir =
+            std::env::temp_dir().join(format!("khaos-bintuner-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).expect("store opens");
+        let src = coreutils_program("ls", 2);
+        let tuner = BinTuner { budget: 6, seed: 3 };
+        let result = tuner.search(&src, &Scores::default());
+        store
+            .put_report(&tuner.report(&src.name, &result))
+            .expect("report written");
+
+        let got = BinTuner { budget: 6, seed: 3 }
+            .get_report(&store, &src.name)
+            .expect("store readable")
+            .expect("report found from program, budget and seed");
+        assert_eq!(got.spec, result.spec);
+        assert_eq!(
+            got.metrics,
+            vec![
+                ("similarity_vs_o0".to_string(), result.similarity_vs_o0),
+                ("evaluations".to_string(), 6.0),
+            ]
+        );
+        for other in [
+            BinTuner { budget: 5, seed: 3 },
+            BinTuner { budget: 6, seed: 4 },
+        ] {
+            assert!(other.get_report(&store, &src.name).unwrap().is_none());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,90 +3,103 @@
 //! Removes internal functions that are never directly called, never
 //! address-taken and never referenced from a global initialiser. Function
 //! ids shift, so every reference in the module is rewritten.
+//!
+//! ## Peeling
+//!
+//! One pass counts the references to every function: each direct call,
+//! invoke and `funcaddr`, each global `FuncPtr`, and one more for a root
+//! (an exported function or `main`). Functions with no references go on
+//! a worklist. Removing one decrements the counts of the functions it
+//! refers to, and any count that reaches zero joins the worklist. The
+//! survivors are compacted and remapped once, in their old order.
+//!
+//! This peels exactly the functions that removing every unreferenced
+//! function, and rescanning, until none is left would remove. A dead
+//! function that calls itself, or a dead cycle of functions, keeps a
+//! reference from inside and **stays**. Reachability from the roots
+//! would remove such cycles, and so change what every LTO build
+//! contains.
 
 use khaos_ir::{Callee, FuncId, Function, GInit, Inst, Linkage, Module, Term};
-use std::collections::HashMap;
+
+/// Visits every direct reference `f` makes to a function: direct calls,
+/// direct invokes and `funcaddr` operands.
+fn for_each_ref_mut(f: &mut Function, mut visit: impl FnMut(&mut FuncId)) {
+    for b in &mut f.blocks {
+        for inst in &mut b.insts {
+            match inst {
+                Inst::Call {
+                    callee: Callee::Direct(t),
+                    ..
+                } => visit(t),
+                Inst::FuncAddr { func, .. } => visit(func),
+                _ => {}
+            }
+        }
+        if let Term::Invoke {
+            callee: Callee::Direct(t),
+            ..
+        } = &mut b.term
+        {
+            visit(t);
+        }
+    }
+}
+
+/// Visits every function pointer in the module's global initialisers.
+fn for_each_global_ref_mut(m: &mut Module, mut visit: impl FnMut(&mut FuncId)) {
+    for g in &mut m.globals {
+        for init in &mut g.init {
+            if let GInit::FuncPtr { func, .. } = init {
+                visit(func);
+            }
+        }
+    }
+}
 
 /// Removes dead internal functions. Returns the number removed.
 pub fn run_module(m: &mut Module) -> usize {
-    {
-        let mut referenced = vec![false; m.functions.len()];
-        for (i, f) in m.functions.iter().enumerate() {
-            if f.linkage == Linkage::Exported || f.name == "main" {
-                referenced[i] = true;
-            }
+    let n = m.functions.len();
+    let mut refs = vec![0usize; n];
+    for (i, f) in m.functions.iter_mut().enumerate() {
+        if f.linkage == Linkage::Exported || f.name == "main" {
+            refs[i] += 1;
         }
-        let mark = |c: &Callee, referenced: &mut Vec<bool>| {
-            if let Callee::Direct(t) = c {
-                referenced[t.index()] = true;
-            }
-        };
-        for f in &m.functions {
-            for b in &f.blocks {
-                for inst in &b.insts {
-                    match inst {
-                        Inst::Call { callee, .. } => mark(callee, &mut referenced),
-                        Inst::FuncAddr { func, .. } => referenced[func.index()] = true,
-                        _ => {}
-                    }
-                }
-                if let Term::Invoke { callee, .. } = &b.term {
-                    mark(callee, &mut referenced);
-                }
-            }
-        }
-        for g in &m.globals {
-            for init in &g.init {
-                if let GInit::FuncPtr { func, .. } = init {
-                    referenced[func.index()] = true;
-                }
-            }
-        }
-
-        let dead: Vec<usize> = (0..m.functions.len()).filter(|i| !referenced[*i]).collect();
-        if dead.is_empty() {
-            return 0;
-        }
-
-        // Compact and remap.
-        let mut map: HashMap<FuncId, FuncId> = HashMap::new();
-        let old: Vec<Function> = std::mem::take(&mut m.functions);
-        for (i, f) in old.into_iter().enumerate() {
-            if referenced[i] {
-                map.insert(FuncId::new(i), FuncId::new(m.functions.len()));
-                m.functions.push(f);
-            }
-        }
-        let remap = |c: &mut Callee| {
-            if let Callee::Direct(t) = c {
-                *t = map[t];
-            }
-        };
-        for f in &mut m.functions {
-            for b in &mut f.blocks {
-                for inst in &mut b.insts {
-                    match inst {
-                        Inst::Call { callee, .. } => remap(callee),
-                        Inst::FuncAddr { func, .. } => *func = map[func],
-                        _ => {}
-                    }
-                }
-                if let Term::Invoke { callee, .. } = &mut b.term {
-                    remap(callee);
-                }
-            }
-        }
-        for g in &mut m.globals {
-            for init in &mut g.init {
-                if let GInit::FuncPtr { func, .. } = init {
-                    *func = map[func];
-                }
-            }
-        }
-        // Removing functions can orphan others; iterate.
-        let removed = dead.len();
-        removed + run_module(m)
+        for_each_ref_mut(f, |t| refs[t.index()] += 1);
     }
+    for_each_global_ref_mut(m, |t| refs[t.index()] += 1);
+
+    let mut work: Vec<usize> = (0..n).filter(|&i| refs[i] == 0).collect();
+    let mut dead = vec![false; n];
+    let mut removed = 0;
+    while let Some(i) = work.pop() {
+        dead[i] = true;
+        removed += 1;
+        for_each_ref_mut(&mut m.functions[i], |t| {
+            refs[t.index()] -= 1;
+            if refs[t.index()] == 0 {
+                work.push(t.index());
+            }
+        });
+    }
+    if removed == 0 {
+        return 0;
+    }
+
+    // Compact and remap.
+    let mut map = vec![FuncId::new(0); n];
+    let old: Vec<Function> = std::mem::take(&mut m.functions);
+    for (i, f) in old.into_iter().enumerate() {
+        if !dead[i] {
+            map[i] = FuncId::new(m.functions.len());
+            m.functions.push(f);
+        }
+    }
+    for f in &mut m.functions {
+        for_each_ref_mut(f, |t| *t = map[t.index()]);
+    }
+    for_each_global_ref_mut(m, |t| *t = map[t.index()]);
+    removed
 }
 
 #[cfg(test)]

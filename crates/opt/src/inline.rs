@@ -4,10 +4,32 @@
 //! inlines small functions (`O2 + LTO`), and after fission the thinned
 //! `remFunc`s become inlinable into their callers — the source of the
 //! negative-overhead cases in Figure 6.
+//!
+//! ## Cost
+//!
+//! Callers are visited once each, and each caller's loop is linear in
+//! what it scans and splices:
+//!
+//! * Function sizes are counted once per [`run_module`]; a caller's size
+//!   is refreshed when its loop ends. Only the caller is edited while it
+//!   is visited, so its callees' sizes hold throughout.
+//! * The scan for the next call site to inline resumes at the block after
+//!   the site just inlined. Nothing before that site changed, nothing
+//!   there was a candidate (candidacy depends on the callee alone), and
+//!   the call block now ends in copies and a jump. The split-off tail and
+//!   the callee's body are appended, so the scan still reaches them.
+//! * A site is spliced with one clone of the callee's blocks. The callee's
+//!   locals and blocks are appended to the caller's, so every id is
+//!   remapped by adding a fixed offset.
+//!
+//! The inlined calls and the modules built are the same as rescanning
+//! the caller from its entry after every site; the tests check this
+//! against such a rescanning reference on every `--quick` program.
 
-use khaos_ir::rewrite::{import_locals, remap_block};
-use khaos_ir::{Block, BlockId, CallGraph, Callee, FuncId, Inst, Linkage, Module, Term};
-use std::collections::HashMap;
+use khaos_ir::{
+    Block, BlockId, CallGraph, Callee, FuncId, Function, Inst, Linkage, LocalId, Module, Operand,
+    Term,
+};
 
 /// Inliner configuration.
 #[derive(Clone, Copy, Debug)]
@@ -36,34 +58,39 @@ pub fn run_module(m: &mut Module, opts: &InlineOptions) -> usize {
     // ascending by callee count.
     let mut order: Vec<FuncId> = m.iter_functions().map(|(id, _)| id).collect();
     order.sort_by_key(|f| cg.callees(*f).len());
+    let mut sizes: Vec<usize> = m.functions.iter().map(Function::inst_count).collect();
 
     let mut inlined = 0;
     for caller in order {
         // Budget: don't let a function more than triple.
-        let base_size = m.function(caller).inst_count();
-        let budget = base_size * 2 + opts.threshold * 2;
+        let budget = sizes[caller.index()] * 2 + opts.threshold * 2;
         let mut grown = 0usize;
-        // Repeatedly look for an inlinable call site in the caller.
-        while let Some((bb, idx, callee)) = find_candidate(m, caller, opts) {
-            let callee_size = m.function(callee).inst_count();
+        let mut from = 0;
+        while let Some((bb, idx, callee)) = find_candidate(m, caller, &sizes, opts, from) {
+            let callee_size = sizes[callee.index()];
             if grown + callee_size > budget {
                 break;
             }
             inline_site(m, caller, bb, idx, callee);
             grown += callee_size;
             inlined += 1;
+            from = bb.index() + 1;
         }
+        sizes[caller.index()] = m.function(caller).inst_count();
     }
     inlined
 }
 
+/// The first inlinable call site of `caller` in block `from` or later.
 fn find_candidate(
     m: &Module,
     caller: FuncId,
+    sizes: &[usize],
     opts: &InlineOptions,
+    from: usize,
 ) -> Option<(BlockId, usize, FuncId)> {
     let f = m.function(caller);
-    for (b, block) in f.iter_blocks() {
+    for (b, block) in f.blocks.iter().enumerate().skip(from) {
         for (i, inst) in block.insts.iter().enumerate() {
             let Inst::Call {
                 callee: Callee::Direct(t),
@@ -79,13 +106,13 @@ fn find_candidate(
             let g = m.function(*t);
             if g.variadic
                 || args.len() != g.param_count as usize
-                || g.inst_count() > opts.threshold
+                || sizes[t.index()] > opts.threshold
                 || (g.linkage == Linkage::Exported && !opts.allow_exported)
                 || g.has_annotation("noinline")
             {
                 continue;
             }
-            return Some((b, i, *t));
+            return Some((BlockId::new(b), i, *t));
         }
     }
     None
@@ -93,38 +120,38 @@ fn find_candidate(
 
 /// Splices `callee`'s body in place of the call at `(bb, idx)` in `caller`.
 fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: FuncId) {
-    let g = m.function(callee).clone();
+    let g = m.function(callee);
+    let (params, locals, body) = (g.param_count as usize, g.locals.clone(), g.blocks.clone());
     let f = m.function_mut(caller);
 
-    let Inst::Call { dst, args, .. } = f.block(bb).insts[idx].clone() else {
+    // Split the call block: `bb` keeps insts[..idx] and jumps into the
+    // inlined entry (the callee's first block); `join` receives
+    // insts[idx+1..] and the old terminator.
+    let tail_insts = f.blocks[bb.index()].insts.split_off(idx + 1);
+    let Some(Inst::Call { dst, args, .. }) = f.blocks[bb.index()].insts.pop() else {
         panic!("inline_site target is not a call");
     };
-
-    // Fresh locals for the callee body.
-    let lmap = import_locals(f, &g);
-
-    // Split the call block: `bb` keeps insts[..idx] and jumps into the
-    // inlined entry; `join` receives insts[idx+1..] and the old terminator.
-    let tail_insts: Vec<Inst> = f.block(bb).insts[idx + 1..].to_vec();
-    let old_term = f.block(bb).term.clone();
-    let join = f.push_block(Block {
+    let local_base = f.locals.len();
+    f.locals.extend_from_slice(&locals);
+    let join = BlockId::new(f.blocks.len());
+    let block_base = join.index() + 1;
+    let old_term = std::mem::replace(
+        &mut f.blocks[bb.index()].term,
+        Term::Jump(BlockId::new(block_base)),
+    );
+    f.push_block(Block {
         insts: tail_insts,
         term: old_term,
         pad: None,
     });
 
-    // Copy callee blocks, remapping locals and block ids.
-    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-    for (i, _) in g.blocks.iter().enumerate() {
-        let placeholder = f.push_block(Block::with_term(Term::Unreachable));
-        bmap.insert(BlockId::new(i), placeholder);
-    }
-    for (i, gb) in g.blocks.iter().enumerate() {
-        let mut nb = gb.clone();
-        remap_block(&mut nb, &lmap, &bmap);
+    // Append the callee's blocks, shifting locals and block ids past the
+    // caller's.
+    for mut nb in body {
+        shift_block(&mut nb, local_base, block_base);
         // Rewrite returns into copies + jump to the join block.
-        if let Term::Ret(v) = nb.term.clone() {
-            if let (Some(d), Some(val)) = (dst, v) {
+        if let Term::Ret(v) = &nb.term {
+            if let (Some(d), Some(val)) = (dst, *v) {
                 let ty = f.local_ty(d);
                 nb.insts.push(Inst::Copy {
                     ty,
@@ -134,34 +161,55 @@ fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: 
             }
             nb.term = Term::Jump(join);
         }
-        *f.block_mut(bmap[&BlockId::new(i)]) = nb;
+        f.blocks.push(nb);
     }
 
     // Rewire the call block: arg copies then jump to the inlined entry.
-    f.block_mut(bb).insts.truncate(idx);
-    for (i, a) in args.iter().enumerate() {
-        let param = lmap[&khaos_ir::LocalId::new(i)];
-        let pty = f.local_ty(param);
-        f.block_mut(bb).insts.push(Inst::Copy {
-            ty: pty,
-            dst: param,
-            src: *a,
+    let insts = &mut f.blocks[bb.index()].insts;
+    for (i, a) in args.into_iter().enumerate() {
+        insts.push(Inst::Copy {
+            ty: locals[i],
+            dst: LocalId::new(local_base + i),
+            src: a,
         });
     }
     // A call gives the callee a frame of zeroed locals; an inlined body
     // reuses the caller's locals, which would otherwise carry stale
     // values when the call site sits in a loop. Re-establish the
     // fresh-frame semantics explicitly (DCE removes the dead ones).
-    for i in g.param_count as usize..g.locals.len() {
-        let mapped = lmap[&khaos_ir::LocalId::new(i)];
-        let ty = f.local_ty(mapped);
-        f.block_mut(bb).insts.push(Inst::Copy {
+    for (i, &ty) in locals.iter().enumerate().skip(params) {
+        insts.push(Inst::Copy {
             ty,
-            dst: mapped,
-            src: khaos_ir::Operand::zero(ty),
+            dst: LocalId::new(local_base + i),
+            src: Operand::zero(ty),
         });
     }
-    f.block_mut(bb).term = Term::Jump(bmap[&g.entry()]);
+}
+
+/// Renumbers a callee block appended to a caller: every local id moves
+/// up by `locals`, every block id by `blocks`.
+fn shift_block(b: &mut Block, locals: usize, blocks: usize) {
+    let shift = |l: &mut LocalId| *l = LocalId::new(l.index() + locals);
+    let shift_use = |o: &mut Operand| {
+        if let Operand::Local(l) = o {
+            shift(l);
+        }
+    };
+    if let Some(d) = b.pad.as_mut().and_then(|p| p.dst.as_mut()) {
+        shift(d);
+    }
+    for inst in &mut b.insts {
+        if let Some(d) = inst.def_mut() {
+            shift(d);
+        }
+        inst.for_each_use_mut(shift_use);
+    }
+    if let Term::Invoke { dst: Some(d), .. } = &mut b.term {
+        shift(d);
+    }
+    b.term.for_each_use_mut(shift_use);
+    b.term
+        .for_each_successor_mut(|s| *s = BlockId::new(s.index() + blocks));
 }
 
 #[cfg(test)]

@@ -1,18 +1,26 @@
-//! Reference implementations of the scalar passes as they were before
-//! they became near-linear, and the tests that pin the fast passes to
-//! them function by function.
+//! Reference implementations of the passes as they were before they
+//! became near-linear, and the tests that pin the fast passes to them
+//! function by function (module by module for the inliner and DFE).
 //!
 //! * [`dce`] recomputes the CFG and liveness every round until a round
 //!   removes nothing.
 //! * [`simplifycfg`] merges one block per round, cloning the successor.
+//! * [`inline_module`] rescans the caller from its entry after every
+//!   inlined site, counts the callee's size at every call it scans, and
+//!   splices through two clones and two `HashMap`s of remapped ids.
+//! * [`dfe_module`] rescans the whole module once per layer of dead
+//!   functions.
 
-use crate::{constprop, cse, dfe, inline, mem2reg, optimize, OptOptions};
+use crate::inline::InlineOptions;
+use crate::{constprop, cse, dfe, inline, mem2reg, optimize, simplifycfg, OptOptions};
 use khaos_ir::analysis::liveness::LocalSet;
 use khaos_ir::builder::FunctionBuilder;
-use khaos_ir::rewrite::{remove_blocks, retarget_edges};
+use khaos_ir::rewrite::{import_locals, remap_block, remove_blocks, retarget_edges};
 use khaos_ir::{
-    BinOp, BlockId, Callee, Cfg, CmpPred, Function, Liveness, Module, Operand, Term, Type,
+    BinOp, Block, BlockId, CallGraph, Callee, Cfg, CmpPred, FuncId, Function, GInit, Global, Inst,
+    Linkage, Liveness, LocalId, Module, Operand, Term, Type,
 };
+use std::collections::HashMap;
 
 /// Dead code elimination, one full CFG and liveness solve per round.
 fn dce(f: &mut Function) -> usize {
@@ -116,6 +124,219 @@ fn simplifycfg(f: &mut Function) -> bool {
     }
 }
 
+/// The inliner, rescanning the caller from its entry after every site.
+fn inline_module(m: &mut Module, opts: &InlineOptions) -> usize {
+    let cg = CallGraph::compute(m);
+    let mut order: Vec<FuncId> = m.iter_functions().map(|(id, _)| id).collect();
+    order.sort_by_key(|f| cg.callees(*f).len());
+
+    let mut inlined = 0;
+    for caller in order {
+        let base_size = m.function(caller).inst_count();
+        let budget = base_size * 2 + opts.threshold * 2;
+        let mut grown = 0usize;
+        while let Some((bb, idx, callee)) = find_candidate(m, caller, opts) {
+            let callee_size = m.function(callee).inst_count();
+            if grown + callee_size > budget {
+                break;
+            }
+            inline_site(m, caller, bb, idx, callee);
+            grown += callee_size;
+            inlined += 1;
+        }
+    }
+    inlined
+}
+
+fn find_candidate(
+    m: &Module,
+    caller: FuncId,
+    opts: &InlineOptions,
+) -> Option<(BlockId, usize, FuncId)> {
+    let f = m.function(caller);
+    for (b, block) in f.iter_blocks() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            let Inst::Call {
+                callee: Callee::Direct(t),
+                args,
+                ..
+            } = inst
+            else {
+                continue;
+            };
+            if *t == caller {
+                continue;
+            }
+            let g = m.function(*t);
+            if g.variadic
+                || args.len() != g.param_count as usize
+                || g.inst_count() > opts.threshold
+                || (g.linkage == Linkage::Exported && !opts.allow_exported)
+                || g.has_annotation("noinline")
+            {
+                continue;
+            }
+            return Some((b, i, *t));
+        }
+    }
+    None
+}
+
+fn inline_site(m: &mut Module, caller: FuncId, bb: BlockId, idx: usize, callee: FuncId) {
+    let g = m.function(callee).clone();
+    let f = m.function_mut(caller);
+
+    let Inst::Call { dst, args, .. } = f.block(bb).insts[idx].clone() else {
+        panic!("inline_site target is not a call");
+    };
+    let lmap = import_locals(f, &g);
+    let tail_insts: Vec<Inst> = f.block(bb).insts[idx + 1..].to_vec();
+    let old_term = f.block(bb).term.clone();
+    let join = f.push_block(Block {
+        insts: tail_insts,
+        term: old_term,
+        pad: None,
+    });
+    let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
+    for (i, _) in g.blocks.iter().enumerate() {
+        let placeholder = f.push_block(Block::with_term(Term::Unreachable));
+        bmap.insert(BlockId::new(i), placeholder);
+    }
+    for (i, gb) in g.blocks.iter().enumerate() {
+        let mut nb = gb.clone();
+        remap_block(&mut nb, &lmap, &bmap);
+        if let Term::Ret(v) = nb.term.clone() {
+            if let (Some(d), Some(val)) = (dst, v) {
+                let ty = f.local_ty(d);
+                nb.insts.push(Inst::Copy {
+                    ty,
+                    dst: d,
+                    src: val,
+                });
+            }
+            nb.term = Term::Jump(join);
+        }
+        *f.block_mut(bmap[&BlockId::new(i)]) = nb;
+    }
+    f.block_mut(bb).insts.truncate(idx);
+    for (i, a) in args.iter().enumerate() {
+        let param = lmap[&LocalId::new(i)];
+        let pty = f.local_ty(param);
+        f.block_mut(bb).insts.push(Inst::Copy {
+            ty: pty,
+            dst: param,
+            src: *a,
+        });
+    }
+    for i in g.param_count as usize..g.locals.len() {
+        let mapped = lmap[&LocalId::new(i)];
+        let ty = f.local_ty(mapped);
+        f.block_mut(bb).insts.push(Inst::Copy {
+            ty,
+            dst: mapped,
+            src: Operand::zero(ty),
+        });
+    }
+    f.block_mut(bb).term = Term::Jump(bmap[&g.entry()]);
+}
+
+/// Dead function elimination, one scan of the whole module per layer of
+/// dead functions.
+fn dfe_module(m: &mut Module) -> usize {
+    let mut referenced = vec![false; m.functions.len()];
+    for (i, f) in m.functions.iter().enumerate() {
+        if f.linkage == Linkage::Exported || f.name == "main" {
+            referenced[i] = true;
+        }
+    }
+    let mark = |c: &Callee, referenced: &mut Vec<bool>| {
+        if let Callee::Direct(t) = c {
+            referenced[t.index()] = true;
+        }
+    };
+    for f in &m.functions {
+        for b in &f.blocks {
+            for inst in &b.insts {
+                match inst {
+                    Inst::Call { callee, .. } => mark(callee, &mut referenced),
+                    Inst::FuncAddr { func, .. } => referenced[func.index()] = true,
+                    _ => {}
+                }
+            }
+            if let Term::Invoke { callee, .. } = &b.term {
+                mark(callee, &mut referenced);
+            }
+        }
+    }
+    for g in &m.globals {
+        for init in &g.init {
+            if let GInit::FuncPtr { func, .. } = init {
+                referenced[func.index()] = true;
+            }
+        }
+    }
+    let dead = referenced.iter().filter(|r| !**r).count();
+    if dead == 0 {
+        return 0;
+    }
+    let mut map: HashMap<FuncId, FuncId> = HashMap::new();
+    let old: Vec<Function> = std::mem::take(&mut m.functions);
+    for (i, f) in old.into_iter().enumerate() {
+        if referenced[i] {
+            map.insert(FuncId::new(i), FuncId::new(m.functions.len()));
+            m.functions.push(f);
+        }
+    }
+    let remap = |c: &mut Callee| {
+        if let Callee::Direct(t) = c {
+            *t = map[t];
+        }
+    };
+    for f in &mut m.functions {
+        for b in &mut f.blocks {
+            for inst in &mut b.insts {
+                match inst {
+                    Inst::Call { callee, .. } => remap(callee),
+                    Inst::FuncAddr { func, .. } => *func = map[func],
+                    _ => {}
+                }
+            }
+            if let Term::Invoke { callee, .. } = &mut b.term {
+                remap(callee);
+            }
+        }
+    }
+    for g in &mut m.globals {
+        for init in &mut g.init {
+            if let GInit::FuncPtr { func, .. } = init {
+                *func = map[func];
+            }
+        }
+    }
+    dead + dfe_module(m)
+}
+
+/// Runs the fast inliner on `m`, asserting it inlines the same number of
+/// sites and builds the same module as [`inline_module`].
+fn check_inline(m: &mut Module, opts: &InlineOptions, what: &str) {
+    let mut r = m.clone();
+    let (got, want) = (inline::run_module(m, opts), inline_module(&mut r, opts));
+    assert_eq!(got, want, "inline count on {what} ({opts:?})");
+    assert!(
+        *m == r,
+        "inline output differs from the reference on {what} ({opts:?})"
+    );
+}
+
+/// Runs the fast DFE on `m`, asserting it removes the same functions as
+/// [`dfe_module`].
+fn check_dfe(m: &mut Module, what: &str) {
+    let mut r = m.clone();
+    let (got, want) = (dfe::run_module(m), dfe_module(&mut r));
+    assert_eq!(got, want, "dfe removal count on {what}");
+    assert!(*m == r, "dfe output differs from the reference on {what}");
+}
+
 /// Runs the fast DCE and simplifycfg on `f`, asserting each matches its
 /// reference on the same input (result and returned value).
 fn check_function(f: &mut Function, what: &str) {
@@ -148,21 +369,22 @@ fn checked_scalar(m: &mut Module, what: &str) {
     }
 }
 
-/// `optimize(m, O2+lto)` with every scalar cleanup checked; asserts the
-/// result equals the unchecked pipeline's.
+/// `optimize(m, O2+lto)` with every scalar cleanup, the inliner and DFE
+/// checked; asserts the result equals the unchecked pipeline's.
 fn checked_o2_lto(m: &mut Module, what: &str) {
     let mut plain = m.clone();
     optimize(&mut plain, &OptOptions::baseline());
     checked_scalar(m, what);
-    inline::run_module(
+    check_inline(
         m,
-        &inline::InlineOptions {
+        &InlineOptions {
             threshold: 48,
             allow_exported: true,
         },
+        what,
     );
     checked_scalar(m, what);
-    dfe::run_module(m);
+    check_dfe(m, what);
     assert!(
         *m == plain,
         "checked O2+lto differs from optimize on {what}"
@@ -387,4 +609,212 @@ fn wide_function_drops_every_dead_def() {
         1,
         "the straight-line blocks merge into the entry"
     );
+}
+
+/// `rounds` rounds of `cse | simplifycfg | inline(opts)` on `src`, the
+/// inliner checked against its reference after every round and DFE on a
+/// copy after every round.
+fn checked_tuner_rounds(src: &Module, opts: &InlineOptions, rounds: usize) {
+    let mut m = src.clone();
+    for round in 1..=rounds {
+        let what = format!("{} round {round}", src.name);
+        for f in &mut m.functions {
+            cse::run_function(f);
+            simplifycfg::run_function(f);
+        }
+        check_inline(&mut m, opts, &what);
+        check_dfe(&mut m.clone(), &what);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "every --quick program under 24 inliner sweeps: run with --release"
+)]
+fn quick_programs_match_inline_and_dfe_references() {
+    for src in quick_programs() {
+        check_dfe(&mut src.clone(), &src.name);
+        for threshold in [16, 48, 96, 160] {
+            for allow_exported in [false, true] {
+                let opts = InlineOptions {
+                    threshold,
+                    allow_exported,
+                };
+                checked_tuner_rounds(&src, &opts, 3);
+            }
+        }
+    }
+}
+
+/// `helper(p) = p + 1 + 2 + … + 9` (ten instructions) and a `main` that
+/// calls it `calls` times, one call per block, summing the results.
+fn caller_over_many_blocks(calls: usize) -> Module {
+    let mut m = Module::new("budget");
+    let mut h = FunctionBuilder::new("helper", Type::I64);
+    let mut r = h.add_param(Type::I64);
+    for k in 1..10 {
+        r = h.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(r),
+            Operand::const_int(Type::I64, k),
+        );
+    }
+    h.ret(Some(Operand::local(r)));
+    let hid = m.push_function(h.finish());
+
+    let mut main = FunctionBuilder::new("main", Type::I64);
+    let mut acc = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::const_int(Type::I64, 0),
+        Operand::const_int(Type::I64, 0),
+    );
+    for i in 0..calls {
+        let v = main
+            .call(
+                hid,
+                Type::I64,
+                vec![Operand::const_int(Type::I64, i as i64)],
+            )
+            .expect("helper returns a value");
+        acc = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(v),
+        );
+        let next = main.new_block();
+        main.jump(next);
+        main.switch_to(next);
+    }
+    main.ret(Some(Operand::local(acc)));
+    m.push_function(main.finish());
+    khaos_ir::verify::assert_valid(&m);
+    m
+}
+
+#[test]
+fn caller_budget_runs_out_in_the_middle_of_a_scan() {
+    // main has 1 + 3 * 24 + 1 = 74 instructions, so its budget is
+    // 2 * 74 + 2 * 10 = 168: sixteen 10-instruction helpers fit, the
+    // other eight calls stay, and the scan stops at a block in the middle.
+    let src = caller_over_many_blocks(24);
+    let opts = InlineOptions {
+        threshold: 10,
+        allow_exported: true,
+    };
+    assert_eq!(src.function(FuncId::new(0)).inst_count(), 10);
+    assert_eq!(src.function(FuncId::new(1)).inst_count(), 74);
+    let mut m = src.clone();
+    check_inline(&mut m, &opts, "budget");
+    let (_, main) = m.function_by_name("main").expect("main survives");
+    let calls_left = main
+        .blocks
+        .iter()
+        .flat_map(|b| &b.insts)
+        .filter(|i| matches!(i, Inst::Call { .. }))
+        .count();
+    assert_eq!(calls_left, 8, "the budget stops inlining part way");
+    khaos_ir::verify::assert_valid(&m);
+    let want = khaos_vm::run_function(&src, "main", &[]).expect("source runs");
+    let got = khaos_vm::run_function(&m, "main", &[]).expect("inlined runs");
+    assert_eq!(got.exit_code, want.exit_code);
+}
+
+/// `guarded(p)` invokes `p` indirectly with a landing pad that returns
+/// the exception value; `main` calls `guarded` twice.
+fn callee_with_landing_pad() -> Module {
+    let mut m = Module::new("pad");
+    let gid = m.push_function(landing_pad_destination());
+    let mut leaf = FunctionBuilder::new("leaf", Type::I64);
+    leaf.ret(Some(Operand::const_int(Type::I64, 41)));
+    let lid = m.push_function(leaf.finish());
+    let mut main = FunctionBuilder::new("main", Type::I64);
+    let fp = main.funcaddr(lid);
+    let a = main
+        .call(gid, Type::I64, vec![Operand::local(fp)])
+        .expect("guarded returns a value");
+    let b = main
+        .call(gid, Type::I64, vec![Operand::local(fp)])
+        .expect("guarded returns a value");
+    let r = main.bin(BinOp::Add, Type::I64, Operand::local(a), Operand::local(b));
+    main.ret(Some(Operand::local(r)));
+    m.push_function(main.finish());
+    khaos_ir::verify::assert_valid(&m);
+    m
+}
+
+#[test]
+fn callee_with_landing_pad_matches_reference() {
+    let src = callee_with_landing_pad();
+    let mut m = src.clone();
+    check_inline(&mut m, &InlineOptions::default(), "landing pad");
+    let (_, main) = m.function_by_name("main").expect("main survives");
+    assert_eq!(
+        main.blocks.iter().filter(|b| b.is_pad()).count(),
+        2,
+        "each inlined copy brings its own landing pad"
+    );
+    khaos_ir::verify::assert_valid(&m);
+    let want = khaos_vm::run_function(&src, "main", &[]).expect("source runs");
+    let got = khaos_vm::run_function(&m, "main", &[]).expect("inlined runs");
+    assert_eq!(got.exit_code, want.exit_code);
+    assert_eq!(got.exit_code, 82);
+}
+
+/// A module of `main` plus internal functions named by `calls`: each
+/// entry `(name, callees)` calls the functions at those indices. `main`
+/// is last and calls nothing.
+fn call_web(calls: &[(&str, &[usize])]) -> Module {
+    let mut m = Module::new("web");
+    for (name, callees) in calls {
+        let mut fb = FunctionBuilder::new(*name, Type::Void);
+        for c in *callees {
+            fb.call(FuncId::new(*c), Type::Void, vec![]);
+        }
+        fb.ret(None);
+        m.push_function(fb.finish());
+    }
+    let mut main = FunctionBuilder::new("main", Type::I64);
+    main.ret(Some(Operand::const_int(Type::I64, 0)));
+    m.push_function(main.finish());
+    m
+}
+
+#[test]
+fn dead_cycles_stay_and_dead_chains_go() {
+    // A dead self-recursive function stays.
+    let mut m = call_web(&[("selfrec", &[0])]);
+    check_dfe(&mut m, "self-recursive");
+    assert_eq!(m.functions.len(), 2);
+    // A dead two-function cycle stays.
+    let mut m = call_web(&[("ping", &[1]), ("pong", &[0])]);
+    check_dfe(&mut m, "two-cycle");
+    assert_eq!(m.functions.len(), 3);
+    // A dead three-function chain goes, whatever the id order.
+    let mut m = call_web(&[("c", &[]), ("a", &[2]), ("b", &[0])]);
+    let mut r = m.clone();
+    assert_eq!(dfe::run_module(&mut r), 3);
+    check_dfe(&mut m, "chain");
+    assert_eq!(m.functions.len(), 1);
+    assert_eq!(m.functions[0].name, "main");
+    // Survivors keep their order, and their references and a global's
+    // function pointer are renumbered.
+    let mut m = call_web(&[("dead", &[]), ("kept", &[]), ("user", &[1]), ("ring", &[3])]);
+    m.functions[2].linkage = Linkage::Exported;
+    m.push_global(Global {
+        name: "table".into(),
+        init: vec![GInit::FuncPtr {
+            func: FuncId::new(1),
+            addend: 0,
+        }],
+        align: 8,
+        exported: false,
+    });
+    check_dfe(&mut m, "renumbered");
+    let names: Vec<&str> = m.functions.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["kept", "user", "ring", "main"]);
+    khaos_ir::verify::assert_valid(&m);
 }
