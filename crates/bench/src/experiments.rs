@@ -47,7 +47,8 @@ pub fn t1_programs(scope: Scope) -> Vec<Module> {
     v
 }
 
-fn t2_programs(scope: Scope) -> Vec<Module> {
+/// The T-II programs (coreutils stand-ins) at `scope`.
+pub fn t2_programs(scope: Scope) -> Vec<Module> {
     let mut v = coreutils();
     if scope == Scope::Quick {
         v.truncate(8);

@@ -38,6 +38,7 @@ pub use lower::lower_module;
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Machine opcodes (a practical x86-64 subset).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -389,7 +390,13 @@ pub struct ExtSym {
 }
 
 /// A lowered binary.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Mutate a binary only through its methods ([`Binary::strip`],
+/// [`Binary::with_build_provenance`]) once it may have been
+/// fingerprinted: [`Binary::fingerprint`] keeps its digest in a memo
+/// those methods clear, and writing a public field directly leaves the
+/// memo stale (debug builds catch that on the next fingerprint).
+#[derive(Clone, PartialEq)]
 pub struct Binary {
     /// Binary (module) name.
     pub name: String,
@@ -410,13 +417,67 @@ pub struct Binary {
     /// (program, pipeline) pair without any risk of cross-build
     /// aliasing.
     pub build_provenance: u64,
+    /// The digest [`Binary::fingerprint`] computed, once.
+    fingerprint_memo: FingerprintMemo,
+}
+
+/// The memo behind [`Binary::fingerprint`]. It is part of no value: a
+/// clone starts empty (a clone is usually made to be mutated), and
+/// every memo compares equal, so `==` on binaries compares their
+/// contents only.
+#[derive(Default)]
+struct FingerprintMemo(OnceLock<u64>);
+
+impl Clone for FingerprintMemo {
+    fn clone(&self) -> Self {
+        FingerprintMemo::default()
+    }
+}
+
+impl PartialEq for FingerprintMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The derived format of the public fields; the memo is not shown.
+impl fmt::Debug for Binary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Binary")
+            .field("name", &self.name)
+            .field("functions", &self.functions)
+            .field("relocations", &self.relocations)
+            .field("externals", &self.externals)
+            .field("stripped", &self.stripped)
+            .field("build_provenance", &self.build_provenance)
+            .finish()
+    }
 }
 
 impl Binary {
+    /// An unstripped binary of unknown build provenance.
+    pub fn new(
+        name: String,
+        functions: Vec<BinFunction>,
+        relocations: Vec<Reloc>,
+        externals: Vec<ExtSym>,
+    ) -> Binary {
+        Binary {
+            name,
+            functions,
+            relocations,
+            externals,
+            stripped: false,
+            build_provenance: 0,
+            fingerprint_memo: FingerprintMemo::default(),
+        }
+    }
+
     /// Stamps the build provenance (builder style); see
     /// [`Binary::build_provenance`].
     pub fn with_build_provenance(mut self, fingerprint: u64) -> Self {
         self.build_provenance = fingerprint;
+        self.fingerprint_memo = FingerprintMemo::default();
         self
     }
     /// Removes all symbol names (diffing must then work structurally).
@@ -425,6 +486,7 @@ impl Binary {
         for f in &mut self.functions {
             f.name = None;
         }
+        self.fingerprint_memo = FingerprintMemo::default();
     }
 
     /// Total instruction count.
@@ -448,7 +510,28 @@ impl Binary {
     /// the digest the nested-`Vec` seed layout produced (pinned by
     /// `tests/layout_equivalence.rs`) and every embedding-cache key
     /// minted before the operand-pool refactor stays valid.
+    ///
+    /// The digest is computed on the first call and kept in a private
+    /// memo, so a binary shared by many metric calls is hashed once. A
+    /// clone starts without it, and [`Binary::strip`] and
+    /// [`Binary::with_build_provenance`] clear it. A public field
+    /// written after the first call leaves the memo stale: debug builds
+    /// recompute the digest on every call and panic when the two
+    /// differ, so such a write fails the tests instead of keying a
+    /// cache with the old contents.
     pub fn fingerprint(&self) -> u64 {
+        let fp = *self.fingerprint_memo.0.get_or_init(|| self.digest());
+        debug_assert_eq!(
+            fp,
+            self.digest(),
+            "binary `{}` was mutated after it was fingerprinted",
+            self.name
+        );
+        fp
+    }
+
+    /// The digest behind [`Binary::fingerprint`], computed afresh.
+    fn digest(&self) -> u64 {
         let mut h = Mix::new();
         h.bytes(self.name.as_bytes());
         h.u64(self.build_provenance);
@@ -466,8 +549,8 @@ impl Binary {
             h.u64(f.blocks.len() as u64);
             let pool = f.operand_pool.as_slice();
             for b in &f.blocks {
-                // All three lengths in one fold: every warm metric
-                // call pays this hash, so folds are budgeted tightly.
+                // All three lengths in one fold: every lowered binary
+                // pays this hash once, so folds are budgeted tightly.
                 h.u64(
                     (b.insts.len() as u64)
                         | ((b.succs.len() as u64) << 21)
@@ -536,9 +619,8 @@ impl Binary {
 /// Words round-robin across four independent multiply–xorshift chains,
 /// so the CPU overlaps the multiplies instead of serializing on one
 /// chain — an order of magnitude faster than byte-wise FNV on
-/// instruction-stream-sized inputs. Speed matters here: the similarity
-/// engine fingerprints binaries on every cached matrix lookup, so this
-/// hash is the floor under every warm metric call.
+/// instruction-stream-sized inputs. Speed matters here: every binary a
+/// figure scores is hashed once before its first cache lookup.
 struct Mix {
     lanes: [u64; 4],
     next: usize,
@@ -635,10 +717,9 @@ mod tests {
             );
         }
         blk.push_inst(&mut pool, Opcode::Ret, &[]);
-        Binary {
-            build_provenance: 0,
-            name: "t".into(),
-            functions: vec![BinFunction {
+        Binary::new(
+            "t".into(),
+            vec![BinFunction {
                 name: Some("f".into()),
                 provenance: BinProvenance {
                     origins: vec!["f".into()],
@@ -648,10 +729,9 @@ mod tests {
                 blocks: vec![blk],
                 operand_pool: pool,
             }],
-            relocations: vec![],
-            externals: vec![],
-            stripped: false,
-        }
+            vec![],
+            vec![],
+        )
     }
 
     #[test]
@@ -712,6 +792,53 @@ mod tests {
         assert!(r.operands(&pool).is_empty());
         assert_eq!(pool.len(), 2);
         assert_eq!(a.operand_range.as_range(), 0..2);
+    }
+
+    #[test]
+    fn strip_and_provenance_refresh_the_memo() {
+        let mut b = tiny_binary(1);
+        let before = b.fingerprint();
+        b.strip();
+        assert_eq!(b.fingerprint(), b.digest());
+        assert_ne!(b.fingerprint(), before);
+        let stamped = b.clone().with_build_provenance(7);
+        let stripped = b.fingerprint();
+        let b = b.with_build_provenance(7);
+        assert_eq!(b.fingerprint(), b.digest());
+        assert_eq!(b.fingerprint(), stamped.fingerprint());
+        assert_ne!(b.fingerprint(), stripped);
+    }
+
+    #[test]
+    fn a_mutated_clone_hashes_its_own_contents() {
+        let b = tiny_binary(1);
+        let before = b.fingerprint();
+        let mut renamed = b.clone();
+        renamed.functions[0].name = Some("g".into());
+        assert_eq!(renamed.fingerprint(), renamed.digest());
+        assert_ne!(renamed.fingerprint(), before);
+        assert_eq!(b.fingerprint(), before);
+    }
+
+    #[test]
+    fn equality_ignores_the_memo() {
+        let hashed = tiny_binary(2);
+        hashed.fingerprint();
+        let fresh = tiny_binary(2);
+        assert_eq!(hashed, fresh);
+        assert_eq!(hashed.clone(), hashed);
+        assert_ne!(hashed, tiny_binary(3));
+        assert_eq!(format!("{hashed:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "was mutated after it was fingerprinted")]
+    fn a_field_written_after_hashing_is_caught() {
+        let mut b = tiny_binary(1);
+        b.fingerprint();
+        b.functions[0].name = Some("g".into());
+        b.fingerprint();
     }
 
     #[test]

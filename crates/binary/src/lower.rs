@@ -64,6 +64,7 @@ struct FnLowering<'m> {
 
 /// Lowers a whole module to a [`Binary`].
 pub fn lower_module(m: &Module) -> Binary {
+    let _span = khaos_obs::span("lower");
     let functions = m.functions.iter().map(|f| lower_function(m, f)).collect();
     let mut relocations = Vec::new();
     for g in &m.globals {
@@ -83,14 +84,7 @@ pub fn lower_module(m: &Module) -> Binary {
             name: e.name.clone(),
         })
         .collect();
-    Binary {
-        name: m.name.clone(),
-        functions,
-        relocations,
-        externals,
-        stripped: false,
-        build_provenance: 0,
-    }
+    Binary::new(m.name.clone(), functions, relocations, externals)
 }
 
 fn assign_places(f: &Function) -> (Vec<Place>, i32) {

@@ -207,6 +207,7 @@ pub fn binary_similarity_with(
         return 0.0;
     }
     let matrix = cache.matrix_for(tool, query, target);
+    let _span = khaos_obs::span("diff:bindiff_match");
     let mut edges: Vec<(f64, usize, usize)> = Vec::new();
     for i in 0..matrix.rows() {
         for (j, s) in matrix.row(i).iter().enumerate() {

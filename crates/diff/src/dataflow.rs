@@ -870,10 +870,9 @@ mod tests {
                 );
             }
             blk.push_inst(&mut pool, Opcode::Ret, &[]);
-            Binary {
-                build_provenance: 0,
-                name: "t".into(),
-                functions: vec![BinFunction {
+            Binary::new(
+                "t".into(),
+                vec![BinFunction {
                     name: Some("f".into()),
                     provenance: BinProvenance {
                         origins: vec!["f".into()],
@@ -883,10 +882,9 @@ mod tests {
                     blocks: vec![blk],
                     operand_pool: pool,
                 }],
-                relocations: vec![],
-                externals: vec![],
-                stripped: false,
-            }
+                vec![],
+                vec![],
+            )
         };
         let t = DataFlowDiff::new();
         let with = t.embed(&mk(true));

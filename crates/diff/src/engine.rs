@@ -35,8 +35,9 @@
 //! # Dot-product dispatch
 //!
 //! Every dot in this module — the matrix build, [`EmbedScorer`], the
-//! streaming top-k scans — goes through **one checked entry point**,
-//! [`crate::kernels::dot`], which dispatches to an explicit
+//! streaming top-k scans — goes through the checked entry points
+//! [`crate::kernels::dot`] and, for a whole query row against every
+//! target row, [`crate::kernels::dot_rows`], which dispatch to an explicit
 //! `std::arch` kernel chosen once per process: AVX-512, AVX2 or the
 //! portable 8-wide blocked kernel ([`dot_blocked`] delegates to the
 //! same implementation). The choice comes from
@@ -231,11 +232,13 @@ impl SimilarityMatrix {
         let (q, t) = (qe.len(), te.len());
         let mut data = vec![0.0f64; q * t];
         if t > 0 && q > 0 {
+            let targets = te.as_flat();
             khaos_par::par_chunks_mut(&mut data, t, |i, row| {
-                let qr = qe.row(i);
-                for (j, slot) in row.iter_mut().enumerate() {
-                    let s = crate::kernels::dot(qr, te.row(j));
-                    *slot = if clamp { s.max(0.0) } else { s };
+                crate::kernels::dot_rows(qe.row(i), targets, row);
+                if clamp {
+                    for s in row.iter_mut() {
+                        *s = s.max(0.0);
+                    }
                 }
             });
         }
@@ -277,19 +280,7 @@ impl SimilarityMatrix {
     /// wins on ties (lowest index), matching the legacy argmax loops.
     /// `None` when there are no candidates.
     pub fn argmax_row(&self, i: usize) -> Option<usize> {
-        let row = self.row(i);
-        let mut best = 0usize;
-        let mut best_s = f64::MIN;
-        if row.is_empty() {
-            return None;
-        }
-        for (j, &s) in row.iter().enumerate() {
-            if s > best_s {
-                best_s = s;
-                best = j;
-            }
-        }
-        Some(best)
+        argmax(self.row(i))
     }
 
     /// The `k` best candidates for query `i` in ranked order
@@ -357,6 +348,26 @@ impl SimilarityMatrix {
     pub fn as_flat(&self) -> &[f64] {
         &self.data
     }
+}
+
+/// Index of the **first** maximum of a similarity row (the scan keeps a
+/// candidate only when it beats the best so far, starting from
+/// `f64::MIN`), or `None` for an empty row. Shared by
+/// [`SimilarityMatrix::argmax_row`] and DeepBinDiff's streamed
+/// judgment, so both pick the same candidate.
+pub(crate) fn argmax(row: &[f64]) -> Option<usize> {
+    if row.is_empty() {
+        return None;
+    }
+    let mut best = 0usize;
+    let mut best_s = f64::MIN;
+    for (j, &s) in row.iter().enumerate() {
+        if s > best_s {
+            best_s = s;
+            best = j;
+        }
+    }
+    Some(best)
 }
 
 /// 1-based rank of the best-ranked candidate accepted by `is_match`

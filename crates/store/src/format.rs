@@ -5,6 +5,9 @@
 //! encoder/decoder pair and the FNV-1a checksum both sides share; the
 //! [`crate::Store`] layer never touches raw bytes directly.
 
+#[cfg(test)]
+mod reference;
+
 use crate::{
     FlatTable, IndexTable, QuantTable, QuantView, StoredBuild, StoredPass, StoredReport,
     StoredRowMeta, StoredShape, TableView,
@@ -77,6 +80,13 @@ impl Enc {
         Enc { buf: Vec::new() }
     }
 
+    /// An encoder whose buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -92,6 +102,23 @@ impl Enc {
     /// Raw IEEE-754 bits: the byte-exact round trip the store pins.
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// A run of [`Enc::f64`]s, appended in one copy.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        if cfg!(target_endian = "little") {
+            // An f64 in memory is its bits in native order, which is
+            // little-endian here: exactly the bytes `f64` writes.
+            // SAFETY: the byte view covers exactly the memory of `vs`,
+            // which any `u8` may alias, and lives only for this copy.
+            self.buf.extend_from_slice(unsafe {
+                std::slice::from_raw_parts(vs.as_ptr() as *const u8, std::mem::size_of_val(vs))
+            });
+        } else {
+            for &v in vs {
+                self.f64(v);
+            }
+        }
     }
 
     /// Length-prefixed UTF-8 (u32 length + bytes).
@@ -348,86 +375,45 @@ pub(crate) fn key_bytes_bld(source: u64, pipeline: u64, seed: u64, version: u64)
     e.into_bytes()
 }
 
-fn payload_bytes_table(table: TableView<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(table.rows);
-    e.u64(table.dim);
-    for &v in table.data {
-        e.f64(v);
-    }
-    e.into_bytes()
-}
-
-/// Quantized-table payload: shape, per-row f64 scales and offsets
-/// (raw bits, byte-exact), then the i8 codes as one raw byte run.
-fn payload_bytes_quant(q: QuantView<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(q.rows);
-    e.u64(q.dim);
-    for &s in q.scales {
-        e.f64(s);
-    }
-    for &o in q.offsets {
-        e.f64(o);
-    }
-    // i8 → u8 is a bijection on bytes; decode casts back losslessly.
-    e.bytes(unsafe { std::slice::from_raw_parts(q.data.as_ptr() as *const u8, q.data.len()) });
-    e.into_bytes()
-}
-
-fn payload_bytes_report(r: &StoredReport) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.str(&r.spec);
-    e.u64(r.total_micros);
-    e.u32(r.passes.len() as u32);
-    for p in &r.passes {
-        e.str(&p.pass);
-        e.u64(p.micros);
-        for s in [&p.before, &p.after] {
-            e.u64(s.functions);
-            e.u64(s.blocks);
-            e.u64(s.insts);
-        }
-    }
-    e.u32(r.metrics.len() as u32);
-    for (name, value) in &r.metrics {
-        e.str(name);
-        e.f64(*value);
-    }
-    e.into_bytes()
-}
-
-/// Build payload: the module's text IR, then the counters as f64 bits.
-fn payload_bytes_build(b: &StoredBuild) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.str(&b.module);
-    e.u32(b.stats.len() as u32);
-    for value in &b.stats {
-        e.f64(*value);
-    }
-    e.into_bytes()
-}
-
-/// Assembles one complete record: header, key block, length-prefixed
-/// payload, trailing checksum.
-pub(crate) fn encode_record(kind: u8, key_bytes: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut e = Enc::new();
+/// Writes one complete record — header, key block, length-prefixed
+/// payload, trailing checksum — into a single buffer allocated once.
+/// `payload_len` is the exact byte count `payload` writes, so the
+/// buffer never grows and the payload is never copied.
+fn encode_record(
+    kind: u8,
+    key_bytes: &[u8],
+    payload_len: usize,
+    payload: impl FnOnce(&mut Enc),
+) -> Vec<u8> {
+    let mut e = Enc::with_capacity(MAGIC.len() + 4 + 1 + key_bytes.len() + 8 + payload_len + 8);
     e.bytes(&MAGIC);
     e.u32(FORMAT_VERSION);
     e.u8(kind);
     e.bytes(key_bytes);
-    e.u64(payload.len() as u64);
-    e.bytes(payload);
+    e.u64(payload_len as u64);
+    let start = e.buf.len();
+    payload(&mut e);
+    debug_assert_eq!(e.buf.len() - start, payload_len, "record payload size");
     e.finish()
+}
+
+/// Encoded size of a length-prefixed string.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+/// Table payload: shape, then every cell's raw f64 bits.
+fn encode_table(kind: u8, key_bytes: &[u8], t: TableView<'_>) -> Vec<u8> {
+    encode_record(kind, key_bytes, 16 + 8 * t.data.len(), |e| {
+        e.u64(t.rows);
+        e.u64(t.dim);
+        e.f64s(t.data);
+    })
 }
 
 /// Encodes an embedding-table record.
 pub(crate) fn encode_embeddings(tool: &str, config: u64, binary: u64, t: TableView<'_>) -> Vec<u8> {
-    encode_record(
-        KIND_EMBEDDINGS,
-        &key_bytes_emb(tool, config, binary),
-        &payload_bytes_table(t),
-    )
+    encode_table(KIND_EMBEDDINGS, &key_bytes_emb(tool, config, binary), t)
 }
 
 /// Encodes a similarity-matrix record.
@@ -438,59 +424,56 @@ pub(crate) fn encode_matrix(
     target: u64,
     t: TableView<'_>,
 ) -> Vec<u8> {
-    encode_record(
-        KIND_MATRIX,
-        &key_bytes_mat(tool, config, query, target),
-        &payload_bytes_table(t),
-    )
+    encode_table(KIND_MATRIX, &key_bytes_mat(tool, config, query, target), t)
 }
 
-/// Encodes a quantized-embedding record.
+/// Encodes a quantized-embedding record. Payload: shape, per-row f64
+/// scales and offsets (raw bits, byte-exact), then the i8 codes as one
+/// raw byte run.
 pub(crate) fn encode_quantized(tool: &str, config: u64, binary: u64, q: QuantView<'_>) -> Vec<u8> {
-    encode_record(
-        KIND_QUANT,
-        &key_bytes_emb(tool, config, binary),
-        &payload_bytes_quant(q),
-    )
+    let len = 16 + 8 * (q.scales.len() + q.offsets.len()) + q.data.len();
+    encode_record(KIND_QUANT, &key_bytes_emb(tool, config, binary), len, |e| {
+        e.u64(q.rows);
+        e.u64(q.dim);
+        e.f64s(q.scales);
+        e.f64s(q.offsets);
+        // i8 → u8 is a bijection on bytes; decode casts back losslessly.
+        // SAFETY: the byte view covers exactly the memory of `q.data`.
+        e.bytes(unsafe { std::slice::from_raw_parts(q.data.as_ptr() as *const u8, q.data.len()) });
+    })
 }
 
-/// Index-segment payload: IVF parameters and shape, the (normalized)
-/// centroid rows as raw f64 bits, the per-row cell assignments, then
-/// per-row provenance (source binary fingerprint, function index,
-/// symbol name). The corpus' f64 and int8 tables are *not* inlined —
-/// they live in their own `emb`/`qnt` records keyed by the corpus
-/// fingerprint, so the three records form one index segment.
-fn payload_bytes_index(t: &IndexTable) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(t.rows);
-    e.u64(t.dim);
-    e.u64(t.nlist);
-    e.u32(t.nprobe);
-    e.u64(t.seed);
-    for &c in &t.centroids {
-        e.f64(c);
-    }
-    for &a in &t.assignments {
-        e.u32(a);
-    }
-    for m in &t.meta {
-        e.u64(m.binary);
-        e.u32(m.function);
-        e.str(&m.name);
-    }
-    e.into_bytes()
-}
-
-/// Encodes an index-segment record.
+/// Encodes an index-segment record. Payload: IVF parameters and shape,
+/// the (normalized) centroid rows as raw f64 bits, the per-row cell
+/// assignments, then per-row provenance (source binary fingerprint,
+/// function index, symbol name). The corpus' f64 and int8 tables are
+/// *not* inlined — they live in their own `emb`/`qnt` records keyed by
+/// the corpus fingerprint, so the three records form one index segment.
 pub(crate) fn encode_index(tool: &str, config: u64, corpus: u64, t: &IndexTable) -> Vec<u8> {
-    encode_record(
-        KIND_INDEX,
-        &key_bytes_idx(tool, config, corpus),
-        &payload_bytes_index(t),
-    )
+    let len = 36
+        + 8 * t.centroids.len()
+        + 4 * t.assignments.len()
+        + t.meta.iter().map(|m| 12 + str_len(&m.name)).sum::<usize>();
+    encode_record(KIND_INDEX, &key_bytes_idx(tool, config, corpus), len, |e| {
+        e.u64(t.rows);
+        e.u64(t.dim);
+        e.u64(t.nlist);
+        e.u32(t.nprobe);
+        e.u64(t.seed);
+        e.f64s(&t.centroids);
+        for &a in &t.assignments {
+            e.u32(a);
+        }
+        for m in &t.meta {
+            e.u64(m.binary);
+            e.u32(m.function);
+            e.str(&m.name);
+        }
+    })
 }
 
-/// Encodes a memoized-build record.
+/// Encodes a memoized-build record. Payload: the module's text IR, then
+/// the counters as f64 bits.
 pub(crate) fn encode_build(
     source: u64,
     pipeline: u64,
@@ -498,20 +481,48 @@ pub(crate) fn encode_build(
     version: u64,
     b: &StoredBuild,
 ) -> Vec<u8> {
-    encode_record(
-        KIND_BUILD,
-        &key_bytes_bld(source, pipeline, seed, version),
-        &payload_bytes_build(b),
-    )
+    let len = str_len(&b.module) + 4 + 8 * b.stats.len();
+    let key = key_bytes_bld(source, pipeline, seed, version);
+    encode_record(KIND_BUILD, &key, len, |e| {
+        e.str(&b.module);
+        e.u32(b.stats.len() as u32);
+        e.f64s(&b.stats);
+    })
 }
 
 /// Encodes a report record.
 pub(crate) fn encode_report(r: &StoredReport) -> Vec<u8> {
-    encode_record(
-        KIND_REPORT,
-        &key_bytes_rep(r.pipeline, r.seed, &r.subject),
-        &payload_bytes_report(r),
-    )
+    let len = str_len(&r.spec)
+        + 12
+        + r.passes
+            .iter()
+            .map(|p| str_len(&p.pass) + 56)
+            .sum::<usize>()
+        + 4
+        + r.metrics
+            .iter()
+            .map(|(name, _)| str_len(name) + 8)
+            .sum::<usize>();
+    let key = key_bytes_rep(r.pipeline, r.seed, &r.subject);
+    encode_record(KIND_REPORT, &key, len, |e| {
+        e.str(&r.spec);
+        e.u64(r.total_micros);
+        e.u32(r.passes.len() as u32);
+        for p in &r.passes {
+            e.str(&p.pass);
+            e.u64(p.micros);
+            for s in [&p.before, &p.after] {
+                e.u64(s.functions);
+                e.u64(s.blocks);
+                e.u64(s.insts);
+            }
+        }
+        e.u32(r.metrics.len() as u32);
+        for (name, value) in &r.metrics {
+            e.str(name);
+            e.f64(*value);
+        }
+    })
 }
 
 fn decode_table(payload: &[u8]) -> Result<FlatTable, String> {
@@ -534,10 +545,11 @@ fn decode_table(payload: &[u8]) -> Result<FlatTable, String> {
                 d.remaining()
             )
         })?;
-    let mut data = Vec::with_capacity(cells as usize);
-    for _ in 0..cells {
-        data.push(d.f64()?);
-    }
+    let data = d
+        .take(cells as usize * 8)?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect();
     Ok(FlatTable { rows, dim, data })
 }
 
