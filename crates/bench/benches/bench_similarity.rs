@@ -552,9 +552,20 @@ fn bench_similarity(c: &mut Criterion) {
         }
         acc
     });
+    // `Binary::fingerprint` keeps its digest once computed, and the
+    // digest check above already hashed `base_bin` and `obf_bin`. A
+    // clone starts without the digest, so each timed iteration gets its
+    // own fresh pair (cloned before timing) and hashes like the seed side.
+    let fresh: Vec<_> = (0..5)
+        .map(|_| [base_bin.clone(), obf_bin.clone()])
+        .collect();
+    let mut next_fresh = fresh.iter();
     let (layout_pooled_ns, _) = time_ns(5, || {
+        let pair = next_fresh
+            .next()
+            .expect("one fresh pair per timed iteration");
         let mut acc = 0.0;
-        for b in [&base_bin, &obf_bin] {
+        for b in pair {
             acc += (b.fingerprint() & 0xff) as f64;
             acc += a2v.embed(b)[0][0];
             acc += safe.embed(b)[0][0];

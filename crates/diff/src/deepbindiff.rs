@@ -154,7 +154,7 @@ impl DeepBinDiff {
 /// themselves are not truly corresponding.
 ///
 /// Each query row is scored against every target block into one reused
-/// buffer ([`crate::kernels::dot_rows`]), and only its first maximum is
+/// buffer (`kernels::dot_rows`), and only its first maximum is
 /// kept: the `Q×T` block matrix is never built.
 pub fn deepbindiff_precision_at_1(tool: &DeepBinDiff, baseline: &Binary, obf: &Binary) -> f64 {
     let _span = khaos_obs::span("diff:deepbindiff_p1");

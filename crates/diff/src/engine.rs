@@ -37,7 +37,7 @@
 //! Every dot in this module — the matrix build, [`EmbedScorer`], the
 //! streaming top-k scans — goes through the checked entry points
 //! [`crate::kernels::dot`] and, for a whole query row against every
-//! target row, [`crate::kernels::dot_rows`], which dispatch to an explicit
+//! target row, `kernels::dot_rows`, which dispatch to an explicit
 //! `std::arch` kernel chosen once per process: AVX-512, AVX2 or the
 //! portable 8-wide blocked kernel ([`dot_blocked`] delegates to the
 //! same implementation). The choice comes from

@@ -9,8 +9,11 @@
 //!   rows (the length `debug_assert` that used to be duplicated across
 //!   `dot_scalar`/`dot_blocked` lives here, and those entry points now
 //!   delegate to the same raw kernels).
-//! * [`dot_rows`] — one query row against a packed block of rows,
-//!   bitwise one [`dot`] per row (see below).
+//! * [`dot_rows`] — one query row against a packed block of rows:
+//!   one table lookup, then the tier's own [`dot`] per row, so every
+//!   output is that row's `dot` bit for bit. (A register tile feeding
+//!   four rows from one query load was measured and left out: it did
+//!   not move end-to-end ranking time.)
 //! * [`dot_i8`] — its integer sibling for the quantized tier: an
 //!   `i32`-accumulating `i8` dot with its own per-ISA kernels.
 //! * [`KernelKind`] — `Scalar` (the 8-wide blocked kernel, always
@@ -41,27 +44,6 @@
 //! speedup comes from width + the broken accumulator dependency chain.
 //! (Equivalence to the *naive* [`crate::engine::dot_scalar`] stays
 //! 1e-12, as before — reassociation vs. one accumulator.)
-//!
-//! A NaN result leaves every kernel as the canonical quiet NaN. IEEE
-//! arithmetic on two NaNs returns one of them, chosen by operand order,
-//! and the compiler commutes adds and multiplies as register allocation
-//! suits it, differently in each kernel; only a canonical NaN keeps
-//! "bitwise" true for NaN inputs too.
-//!
-//! # The row-batched kernel
-//!
-//! [`dot_rows`] scores one query row against a packed block of target
-//! rows — one dispatch per block instead of one per dot. The SIMD tiers
-//! are register-tiled four rows deep: each step loads one 8-wide query
-//! chunk and feeds it to four rows' accumulators (AVX2: a `lo`/`hi`
-//! register pair per row; AVX-512: one register per row), so four
-//! independent add chains hide the add latency a lone dot is bound by.
-//! The tile changes only which rows share a query load. Each row still
-//! has its own accumulators with `dot`'s lanes, the same
-//! `mul`-then-`add` per chunk, the same reduction tree and the same
-//! sequential tail, so `out[r]` is bitwise `dot(q, row r)`. Rows past
-//! the last full tile run through the single-row kernel. The scalar
-//! tier loops over the blocked kernel.
 //!
 //! The `i8` kernels accumulate in integers, where every summation
 //! order is exact, so they are trivially bit-identical across ISAs;
@@ -120,7 +102,6 @@ pub struct KernelTable {
     /// Which kernel this table dispatches to.
     pub kind: KernelKind,
     dot_raw: fn(&[f64], &[f64]) -> f64,
-    dot_rows_raw: fn(&[f64], &[f64], &mut [f64]),
     dot_i8_raw: fn(&[i8], &[i8]) -> i32,
     scan_i8_raw: fn(&[i8], &[i8], &mut [i32]),
 }
@@ -136,15 +117,23 @@ impl KernelTable {
 
     /// Row-batched `f64` dot: `out[r]` becomes the [`Self::dot`] of `q`
     /// against the `r`-th row of the packed block `rows`
-    /// (`dim = q.len()`, `out.len()` consecutive rows), bit for bit.
+    /// (`dim = q.len()`, `out.len()` consecutive rows). The block shape
+    /// is checked in every build: a short block would leave outputs
+    /// unwritten.
     #[inline]
-    pub fn dot_rows(&self, q: &[f64], rows: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(
+    pub(crate) fn dot_rows(&self, q: &[f64], rows: &[f64], out: &mut [f64]) {
+        assert_eq!(
             rows.len(),
             q.len() * out.len(),
             "dot over a mismatched row block"
         );
-        (self.dot_rows_raw)(q, rows, out)
+        if q.is_empty() {
+            out.fill(0.0);
+            return;
+        }
+        for (o, row) in out.iter_mut().zip(rows.chunks_exact(q.len())) {
+            *o = self.dot(q, row);
+        }
     }
 
     /// `i8` dot product with `i32` accumulation through this table.
@@ -173,7 +162,6 @@ impl KernelTable {
 static SCALAR_TABLE: KernelTable = KernelTable {
     kind: KernelKind::Scalar,
     dot_raw: raw::dot_blocked,
-    dot_rows_raw: raw::dot_rows,
     dot_i8_raw: raw::dot_i8,
     scan_i8_raw: raw::scan_i8,
 };
@@ -182,7 +170,6 @@ static SCALAR_TABLE: KernelTable = KernelTable {
 static AVX2_TABLE: KernelTable = KernelTable {
     kind: KernelKind::Avx2,
     dot_raw: x86::dot_avx2_safe,
-    dot_rows_raw: x86::dot_rows_avx2_safe,
     dot_i8_raw: x86::dot_i8_avx2_safe,
     scan_i8_raw: x86::scan_i8_avx2_safe,
 };
@@ -191,7 +178,6 @@ static AVX2_TABLE: KernelTable = KernelTable {
 static AVX512_TABLE: KernelTable = KernelTable {
     kind: KernelKind::Avx512,
     dot_raw: x86::dot_avx512_safe,
-    dot_rows_raw: x86::dot_rows_avx512_safe,
     dot_i8_raw: x86::dot_i8_avx512_safe,
     scan_i8_raw: x86::scan_i8_avx512_safe,
 };
@@ -334,11 +320,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The dispatched row-batched dot: `out[r] = dot(q, row r of rows)`
-/// for a packed block of `out.len()` rows of `q.len()` values, every
-/// output bitwise equal to [`dot`]. One dispatch per block; the SIMD
-/// tiers load each query chunk once for four rows.
+/// for a packed block of `out.len()` rows of `q.len()` values — one
+/// table lookup per block instead of one per dot.
 #[inline]
-pub fn dot_rows(q: &[f64], rows: &[f64], out: &mut [f64]) {
+pub(crate) fn dot_rows(q: &[f64], rows: &[f64], out: &mut [f64]) {
     active_table().dot_rows(q, rows, out)
 }
 
@@ -364,25 +349,7 @@ pub(crate) mod raw {
             }
         }
         let tail = tail_dot(ca.remainder(), cb.remainder());
-        canonical_nan(
-            ((acc[0] + acc[4]) + (acc[2] + acc[6]))
-                + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
-                + tail,
-        )
-    }
-
-    /// Every f64 kernel's result passes through here: a NaN comes back
-    /// as the one canonical quiet NaN. Which NaN an IEEE add or multiply
-    /// of two NaNs yields depends on operand order, and the compiler may
-    /// commute those operands differently in each kernel, so without
-    /// this the tiers would agree on every number but not on every NaN.
-    #[inline(always)]
-    pub fn canonical_nan(x: f64) -> f64 {
-        if x.is_nan() {
-            f64::NAN
-        } else {
-            x
-        }
+        ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7])) + tail
     }
 
     /// The shared sequential tail: every variant must accumulate the
@@ -394,19 +361,6 @@ pub(crate) mod raw {
             tail += x * y;
         }
         tail
-    }
-
-    /// Row-batched [`dot_blocked`] over a packed row block
-    /// (`dim = q.len()`), one row at a time.
-    pub fn dot_rows(q: &[f64], rows: &[f64], out: &mut [f64]) {
-        let dim = q.len();
-        if dim == 0 {
-            out.fill(0.0);
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(dim)) {
-            *o = dot_blocked(q, row);
-        }
     }
 
     /// Index-order i8 dot with i32 accumulation. Integer adds are
@@ -453,12 +407,6 @@ mod x86 {
     pub fn dot_avx512_safe(a: &[f64], b: &[f64]) -> f64 {
         unsafe { dot_avx512(a, b) }
     }
-    pub fn dot_rows_avx2_safe(q: &[f64], rows: &[f64], out: &mut [f64]) {
-        unsafe { dot_rows_avx2(q, rows, out) }
-    }
-    pub fn dot_rows_avx512_safe(q: &[f64], rows: &[f64], out: &mut [f64]) {
-        unsafe { dot_rows_avx512(q, rows, out) }
-    }
     pub fn dot_i8_avx2_safe(a: &[i8], b: &[i8]) -> i32 {
         unsafe { dot_i8_avx2(a, b) }
     }
@@ -500,7 +448,7 @@ mod x86 {
         let mut l = [0.0f64; 4];
         _mm256_storeu_pd(l.as_mut_ptr(), _mm256_add_pd(acc_lo, acc_hi));
         let head = (l[0] + l[2]) + (l[1] + l[3]);
-        raw::canonical_nan(head + raw::tail_dot(&a[blocks * 8..n], &b[blocks * 8..n]))
+        head + raw::tail_dot(&a[blocks * 8..n], &b[blocks * 8..n])
     }
 
     /// AVX-512 replica: all eight accumulators in one 512-bit
@@ -525,118 +473,7 @@ mod x86 {
         let mut l = [0.0f64; 8];
         _mm512_storeu_pd(l.as_mut_ptr(), acc);
         let head = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-        raw::canonical_nan(head + raw::tail_dot(&a[blocks * 8..n], &b[blocks * 8..n]))
-    }
-
-    /// Rows per register tile of the row-batched kernels.
-    const TILE: usize = 4;
-
-    /// Row-batched AVX2 dot, register-tiled: each 8-wide query chunk
-    /// is loaded once and feeds four rows, each row keeping
-    /// [`dot_avx2`]'s own `lo`/`hi` accumulator pair (eight registers
-    /// for the tile). Per row the lanes, the `mul`-then-`add` order,
-    /// the reduction tree and the sequential tail are exactly
-    /// [`dot_avx2`]'s, so every output is bitwise its `dot`. Rows past
-    /// the last full tile go through [`dot_avx2`] itself.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx2` is available.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_rows_avx2(q: &[f64], rows: &[f64], out: &mut [f64]) {
-        let dim = q.len();
-        if dim == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let blocks = dim / 8;
-        let qp = q.as_ptr();
-        let mut tiles = out.chunks_exact_mut(TILE);
-        let mut row_tiles = rows.chunks_exact(TILE * dim);
-        for (o, tile) in (&mut tiles).zip(&mut row_tiles) {
-            // SAFETY: `tile` holds TILE rows of `dim` values and `rp[r]`
-            // starts row `r`; every load below reads `[i, i + 8)` of `q`
-            // or of one row, with `i + 8 <= blocks * 8 <= dim`.
-            let rp: [*const f64; TILE] = std::array::from_fn(|r| tile[r * dim..].as_ptr());
-            let mut lo = [_mm256_setzero_pd(); TILE];
-            let mut hi = [_mm256_setzero_pd(); TILE];
-            for blk in 0..blocks {
-                let i = blk * 8;
-                let q0 = _mm256_loadu_pd(qp.add(i));
-                let q1 = _mm256_loadu_pd(qp.add(i + 4));
-                for r in 0..TILE {
-                    let b0 = _mm256_loadu_pd(rp[r].add(i));
-                    let b1 = _mm256_loadu_pd(rp[r].add(i + 4));
-                    lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(q0, b0));
-                    hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(q1, b1));
-                }
-            }
-            for r in 0..TILE {
-                let mut l = [0.0f64; 4];
-                _mm256_storeu_pd(l.as_mut_ptr(), _mm256_add_pd(lo[r], hi[r]));
-                let head = (l[0] + l[2]) + (l[1] + l[3]);
-                let row = &tile[r * dim..(r + 1) * dim];
-                o[r] =
-                    raw::canonical_nan(head + raw::tail_dot(&q[blocks * 8..], &row[blocks * 8..]));
-            }
-        }
-        let rest = row_tiles.remainder();
-        for (o, row) in tiles
-            .into_remainder()
-            .iter_mut()
-            .zip(rest.chunks_exact(dim))
-        {
-            *o = dot_avx2(q, row);
-        }
-    }
-
-    /// Row-batched AVX-512 dot, register-tiled like
-    /// [`dot_rows_avx2`]: one 8-lane query load per step feeds the
-    /// single accumulator of each of four rows, each reduced with
-    /// [`dot_avx512`]'s tree and tail.
-    ///
-    /// # Safety
-    /// Caller must have verified `avx512f` is available.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_rows_avx512(q: &[f64], rows: &[f64], out: &mut [f64]) {
-        let dim = q.len();
-        if dim == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let blocks = dim / 8;
-        let qp = q.as_ptr();
-        let mut tiles = out.chunks_exact_mut(TILE);
-        let mut row_tiles = rows.chunks_exact(TILE * dim);
-        for (o, tile) in (&mut tiles).zip(&mut row_tiles) {
-            // SAFETY: as in `dot_rows_avx2`, every load stays within
-            // `[0, blocks * 8)` of `q` or of the row `rp[r]` starts.
-            let rp: [*const f64; TILE] = std::array::from_fn(|r| tile[r * dim..].as_ptr());
-            let mut acc = [_mm512_setzero_pd(); TILE];
-            for blk in 0..blocks {
-                let i = blk * 8;
-                let va = _mm512_loadu_pd(qp.add(i));
-                for r in 0..TILE {
-                    let vb = _mm512_loadu_pd(rp[r].add(i));
-                    acc[r] = _mm512_add_pd(acc[r], _mm512_mul_pd(va, vb));
-                }
-            }
-            for r in 0..TILE {
-                let mut l = [0.0f64; 8];
-                _mm512_storeu_pd(l.as_mut_ptr(), acc[r]);
-                let head = ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
-                let row = &tile[r * dim..(r + 1) * dim];
-                o[r] =
-                    raw::canonical_nan(head + raw::tail_dot(&q[blocks * 8..], &row[blocks * 8..]));
-            }
-        }
-        let rest = row_tiles.remainder();
-        for (o, row) in tiles
-            .into_remainder()
-            .iter_mut()
-            .zip(rest.chunks_exact(dim))
-        {
-            *o = dot_avx512(q, row);
-        }
+        head + raw::tail_dot(&a[blocks * 8..n], &b[blocks * 8..n])
     }
 
     /// AVX2 i8 dot: sign-extend 16 bytes to 16×i16, `madd` adjacent
@@ -888,7 +725,7 @@ mod tests {
 
     /// Row `r` of a hostile block: random values with NaN, ±0.0, ±inf,
     /// subnormals and huge magnitudes planted at row-dependent places,
-    /// so the rows of one tile differ in where the specials fall.
+    /// so the rows of one block differ in where the specials fall.
     fn hostile_row(seed: u64, r: usize, dim: usize) -> Vec<f64> {
         let specials = [
             f64::NAN,
@@ -912,15 +749,28 @@ mod tests {
     }
 
     /// Checks `dot_rows` against one `dot` per row on every tier, and
-    /// against the scalar tier's `dot`.
+    /// against the scalar tier's `dot`. Tiers agree on every number but
+    /// not on which NaN a NaN input yields (IEEE arithmetic on two NaNs
+    /// keeps one by operand order, which the compiler may commute per
+    /// kernel), so across tiers a NaN only has to stay a NaN.
     fn assert_rows_match(q: &[f64], rows: &[Vec<f64>], what: &str) {
         let flat: Vec<f64> = rows.concat();
         for kind in available() {
             let table = table_for(kind).expect("listed as available");
-            let mut got = vec![f64::NAN; rows.len()];
+            let mut got = vec![0.5; rows.len()];
             table.dot_rows(q, &flat, &mut got);
             for (r, row) in rows.iter().enumerate() {
-                for want in [table.dot(q, row), SCALAR_TABLE.dot(q, row)] {
+                let scalar = SCALAR_TABLE.dot(q, row);
+                assert!(
+                    got[r].is_nan() == scalar.is_nan(),
+                    "{} {what}: row {r}: {} vs scalar {scalar}",
+                    kind.name(),
+                    got[r]
+                );
+                let wants = [table.dot(q, row)]
+                    .into_iter()
+                    .chain((!scalar.is_nan()).then_some(scalar));
+                for want in wants {
                     assert_eq!(
                         got[r].to_bits(),
                         want.to_bits(),
@@ -935,8 +785,8 @@ mod tests {
         }
     }
 
-    /// Dims 0–40 and 128, row counts 0–9: empty blocks, partial
-    /// tiles, full tiles and a full tile plus a remainder all run.
+    /// Dims 0–40 and 128 (empty, sub-chunk, chunked and chunked plus a
+    /// tail), row counts 0–9.
     fn dot_rows_shapes() -> impl Iterator<Item = (usize, usize)> {
         (0..=40usize)
             .chain([128])
@@ -971,7 +821,7 @@ mod tests {
     fn dispatched_dot_rows_writes_every_output() {
         let q = rand_vec(1, 128);
         let rows: Vec<f64> = rand_vec(2, 128 * 7);
-        let mut out = vec![f64::NAN; 7];
+        let mut out = vec![0.5; 7];
         dot_rows(&q, &rows, &mut out);
         for (r, o) in out.iter().enumerate() {
             assert_eq!(
@@ -982,7 +832,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "dot over a mismatched row block")]
     fn dispatched_dot_rows_asserts_the_block_shape() {
         dot_rows(&[1.0, 2.0], &[1.0, 2.0, 3.0], &mut [0.0; 2]);

@@ -102,7 +102,7 @@ pub use engine::{
     dot_blocked, par_stream_ranks, par_stream_top_k_rows, stream_top_k, stream_top_k_blocks,
     CacheStats, EmbeddingCache, FunctionEmbeddings, RowScore, SimilarityMatrix, StreamingTopK,
 };
-pub use kernels::{dot, dot_i8, dot_rows, KernelKind};
+pub use kernels::{dot, dot_i8, KernelKind};
 pub use metrics::{
     escape_at_k, escape_profile, escape_profile_streaming, escape_profile_with, origins_match,
     precision_at_1, precision_at_1_with, rank_of_true_match, rank_of_true_match_in,

@@ -376,35 +376,35 @@ pub(crate) fn key_bytes_bld(source: u64, pipeline: u64, seed: u64, version: u64)
 }
 
 /// Writes one complete record — header, key block, length-prefixed
-/// payload, trailing checksum — into a single buffer allocated once.
-/// `payload_len` is the exact byte count `payload` writes, so the
-/// buffer never grows and the payload is never copied.
+/// payload, trailing checksum — into a single buffer. The payload is
+/// written in place after a placeholder length, which is then patched
+/// with the byte count `payload` actually wrote, so the payload is
+/// never copied. `size_hint` is the payload's bulk (a table's cells, a
+/// module's text) and only reserves room up front, with 64 bytes more
+/// for the small fields around it and the checksum: a short hint costs
+/// a reallocation, never a wrong byte.
 fn encode_record(
     kind: u8,
     key_bytes: &[u8],
-    payload_len: usize,
+    size_hint: usize,
     payload: impl FnOnce(&mut Enc),
 ) -> Vec<u8> {
-    let mut e = Enc::with_capacity(MAGIC.len() + 4 + 1 + key_bytes.len() + 8 + payload_len + 8);
+    let mut e = Enc::with_capacity(MAGIC.len() + 4 + 1 + key_bytes.len() + 8 + size_hint + 64);
     e.bytes(&MAGIC);
     e.u32(FORMAT_VERSION);
     e.u8(kind);
     e.bytes(key_bytes);
-    e.u64(payload_len as u64);
-    let start = e.buf.len();
+    let len_at = e.buf.len();
+    e.u64(0);
     payload(&mut e);
-    debug_assert_eq!(e.buf.len() - start, payload_len, "record payload size");
+    let len = (e.buf.len() - len_at - 8) as u64;
+    e.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
     e.finish()
-}
-
-/// Encoded size of a length-prefixed string.
-fn str_len(s: &str) -> usize {
-    4 + s.len()
 }
 
 /// Table payload: shape, then every cell's raw f64 bits.
 fn encode_table(kind: u8, key_bytes: &[u8], t: TableView<'_>) -> Vec<u8> {
-    encode_record(kind, key_bytes, 16 + 8 * t.data.len(), |e| {
+    encode_record(kind, key_bytes, 8 * t.data.len(), |e| {
         e.u64(t.rows);
         e.u64(t.dim);
         e.f64s(t.data);
@@ -431,16 +431,23 @@ pub(crate) fn encode_matrix(
 /// scales and offsets (raw bits, byte-exact), then the i8 codes as one
 /// raw byte run.
 pub(crate) fn encode_quantized(tool: &str, config: u64, binary: u64, q: QuantView<'_>) -> Vec<u8> {
-    let len = 16 + 8 * (q.scales.len() + q.offsets.len()) + q.data.len();
-    encode_record(KIND_QUANT, &key_bytes_emb(tool, config, binary), len, |e| {
-        e.u64(q.rows);
-        e.u64(q.dim);
-        e.f64s(q.scales);
-        e.f64s(q.offsets);
-        // i8 → u8 is a bijection on bytes; decode casts back losslessly.
-        // SAFETY: the byte view covers exactly the memory of `q.data`.
-        e.bytes(unsafe { std::slice::from_raw_parts(q.data.as_ptr() as *const u8, q.data.len()) });
-    })
+    let hint = q.data.len() + 8 * (q.scales.len() + q.offsets.len());
+    encode_record(
+        KIND_QUANT,
+        &key_bytes_emb(tool, config, binary),
+        hint,
+        |e| {
+            e.u64(q.rows);
+            e.u64(q.dim);
+            e.f64s(q.scales);
+            e.f64s(q.offsets);
+            // i8 → u8 is a bijection on bytes; decode casts back losslessly.
+            // SAFETY: the byte view covers exactly the memory of `q.data`.
+            e.bytes(unsafe {
+                std::slice::from_raw_parts(q.data.as_ptr() as *const u8, q.data.len())
+            });
+        },
+    )
 }
 
 /// Encodes an index-segment record. Payload: IVF parameters and shape,
@@ -450,26 +457,28 @@ pub(crate) fn encode_quantized(tool: &str, config: u64, binary: u64, q: QuantVie
 /// *not* inlined — they live in their own `emb`/`qnt` records keyed by
 /// the corpus fingerprint, so the three records form one index segment.
 pub(crate) fn encode_index(tool: &str, config: u64, corpus: u64, t: &IndexTable) -> Vec<u8> {
-    let len = 36
-        + 8 * t.centroids.len()
-        + 4 * t.assignments.len()
-        + t.meta.iter().map(|m| 12 + str_len(&m.name)).sum::<usize>();
-    encode_record(KIND_INDEX, &key_bytes_idx(tool, config, corpus), len, |e| {
-        e.u64(t.rows);
-        e.u64(t.dim);
-        e.u64(t.nlist);
-        e.u32(t.nprobe);
-        e.u64(t.seed);
-        e.f64s(&t.centroids);
-        for &a in &t.assignments {
-            e.u32(a);
-        }
-        for m in &t.meta {
-            e.u64(m.binary);
-            e.u32(m.function);
-            e.str(&m.name);
-        }
-    })
+    let hint = 8 * t.centroids.len() + 4 * t.assignments.len();
+    encode_record(
+        KIND_INDEX,
+        &key_bytes_idx(tool, config, corpus),
+        hint,
+        |e| {
+            e.u64(t.rows);
+            e.u64(t.dim);
+            e.u64(t.nlist);
+            e.u32(t.nprobe);
+            e.u64(t.seed);
+            e.f64s(&t.centroids);
+            for &a in &t.assignments {
+                e.u32(a);
+            }
+            for m in &t.meta {
+                e.u64(m.binary);
+                e.u32(m.function);
+                e.str(&m.name);
+            }
+        },
+    )
 }
 
 /// Encodes a memoized-build record. Payload: the module's text IR, then
@@ -481,9 +490,8 @@ pub(crate) fn encode_build(
     version: u64,
     b: &StoredBuild,
 ) -> Vec<u8> {
-    let len = str_len(&b.module) + 4 + 8 * b.stats.len();
     let key = key_bytes_bld(source, pipeline, seed, version);
-    encode_record(KIND_BUILD, &key, len, |e| {
+    encode_record(KIND_BUILD, &key, b.module.len() + 8 * b.stats.len(), |e| {
         e.str(&b.module);
         e.u32(b.stats.len() as u32);
         e.f64s(&b.stats);
@@ -492,19 +500,8 @@ pub(crate) fn encode_build(
 
 /// Encodes a report record.
 pub(crate) fn encode_report(r: &StoredReport) -> Vec<u8> {
-    let len = str_len(&r.spec)
-        + 12
-        + r.passes
-            .iter()
-            .map(|p| str_len(&p.pass) + 56)
-            .sum::<usize>()
-        + 4
-        + r.metrics
-            .iter()
-            .map(|(name, _)| str_len(name) + 8)
-            .sum::<usize>();
     let key = key_bytes_rep(r.pipeline, r.seed, &r.subject);
-    encode_record(KIND_REPORT, &key, len, |e| {
+    encode_record(KIND_REPORT, &key, 0, |e| {
         e.str(&r.spec);
         e.u64(r.total_micros);
         e.u32(r.passes.len() as u32);
