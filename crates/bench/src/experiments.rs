@@ -838,8 +838,8 @@ pub fn table3() {
     println!("total vulnerable functions: {total}");
 }
 
-/// Ablation: the data-flow reduction, parameter compression and deep
-/// fusion switches called out in DESIGN.md.
+/// Ablation: Khaos's data-flow reduction, parameter compression and
+/// deep fusion switches.
 pub fn ablations(scope: Scope) {
     use khaos_core::KhaosOptions;
     println!("# Ablations: Khaos design-choice switches");

@@ -50,10 +50,7 @@
 //! [`crate::kernels`] for the full contract. The int8 quantized tier
 //! ([`crate::quant::QuantizedEmbeddings`],
 //! [`crate::quant::stream_top_k_quantized`]) sits on the same
-//! dispatch via its integer-exact `dot_i8` kernels, and
-//! [`EmbeddingCache::get_or_quantize`] gives it the same
-//! memory → disk → compute tiering (counted separately by the
-//! `quant_*` fields of [`CacheStats`]).
+//! dispatch via its integer-exact `dot_i8` kernels.
 //!
 //! The legacy per-pair path ([`crate::Differ::similarity_matrix`],
 //! [`crate::cosine`]) is kept intact as the reference implementation;
@@ -728,18 +725,6 @@ pub struct CacheStats {
     /// `embed` — the recomputation counter a warm-start sweep asserts
     /// to be zero on its second run.
     pub embeds_computed: u64,
-    /// Quantized tables currently resident (the int8 tier's own FIFO
-    /// map, bounded by the same capacity).
-    pub quant_entries: usize,
-    /// Quantized-tier lookups answered from memory. Quantized traffic
-    /// is counted separately from the f64 counters above so a
-    /// shortlist-heavy workload can't masquerade as f64 cache health.
-    pub quant_hits: u64,
-    /// Quantized-tier memory misses (served by disk, derived from the
-    /// f64 tier, or quantized fresh).
-    pub quant_misses: u64,
-    /// Quantized records successfully written to the disk tier.
-    pub quant_writes: u64,
 }
 
 /// Matrix cache key: tool identity plus both binaries' fingerprints.
@@ -748,9 +733,9 @@ type MatrixKey = (&'static str, u64, u64, u64);
 /// Pre-resolved `khaos-obs` global-registry handles mirroring
 /// [`CacheStats`]: every cache instance increments these alongside its
 /// internal counters (one relaxed atomic add per event), so the
-/// process-wide registry — and the daemon's metrics frame — exports
-/// cache-tier effectiveness live, aggregated across instances, without
-/// any extra lock traffic. The per-instance [`EmbeddingCache::stats`]
+/// process-wide registry (`KHAOS_METRICS`) exports cache-tier
+/// effectiveness, aggregated across instances, without any extra lock
+/// traffic. The per-instance [`EmbeddingCache::stats`]
 /// numbers remain the exact source of truth for one cache.
 struct CacheObs {
     hits: Arc<khaos_obs::Counter>,
@@ -759,12 +744,8 @@ struct CacheObs {
     disk_misses: Arc<khaos_obs::Counter>,
     disk_writes: Arc<khaos_obs::Counter>,
     embeds_computed: Arc<khaos_obs::Counter>,
-    quant_hits: Arc<khaos_obs::Counter>,
-    quant_misses: Arc<khaos_obs::Counter>,
-    quant_writes: Arc<khaos_obs::Counter>,
     entries: Arc<khaos_obs::Gauge>,
     matrix_entries: Arc<khaos_obs::Gauge>,
-    quant_entries: Arc<khaos_obs::Gauge>,
 }
 
 fn cache_obs() -> &'static CacheObs {
@@ -778,12 +759,8 @@ fn cache_obs() -> &'static CacheObs {
             disk_misses: r.counter("diff.cache.disk_misses"),
             disk_writes: r.counter("diff.cache.disk_writes"),
             embeds_computed: r.counter("diff.cache.embeds_computed"),
-            quant_hits: r.counter("diff.cache.quant_hits"),
-            quant_misses: r.counter("diff.cache.quant_misses"),
-            quant_writes: r.counter("diff.cache.quant_writes"),
             entries: r.gauge("diff.cache.entries"),
             matrix_entries: r.gauge("diff.cache.matrix_entries"),
-            quant_entries: r.gauge("diff.cache.quant_entries"),
         }
     })
 }
@@ -818,8 +795,6 @@ struct CacheInner {
     order: std::collections::VecDeque<CacheKey>,
     matrices: HashMap<MatrixKey, Arc<SimilarityMatrix>>,
     matrix_order: std::collections::VecDeque<MatrixKey>,
-    quant: HashMap<CacheKey, Arc<crate::quant::QuantizedEmbeddings>>,
-    quant_order: std::collections::VecDeque<CacheKey>,
     /// The disk tier, when attached (memory → disk → compute).
     store: Option<Arc<khaos_store::Store>>,
     hits: u64,
@@ -828,9 +803,6 @@ struct CacheInner {
     disk_misses: u64,
     disk_writes: u64,
     embeds_computed: u64,
-    quant_hits: u64,
-    quant_misses: u64,
-    quant_writes: u64,
 }
 
 /// A bounded, thread-safe embedding cache keyed by
@@ -870,8 +842,6 @@ impl EmbeddingCache {
                 order: std::collections::VecDeque::new(),
                 matrices: HashMap::new(),
                 matrix_order: std::collections::VecDeque::new(),
-                quant: HashMap::new(),
-                quant_order: std::collections::VecDeque::new(),
                 store: None,
                 hits: 0,
                 misses: 0,
@@ -879,9 +849,6 @@ impl EmbeddingCache {
                 disk_misses: 0,
                 disk_writes: 0,
                 embeds_computed: 0,
-                quant_hits: 0,
-                quant_misses: 0,
-                quant_writes: 0,
             }),
             capacity: capacity.max(1),
         }
@@ -988,92 +955,6 @@ impl EmbeddingCache {
         let CacheInner { map, order, .. } = &mut *inner;
         insert_bounded(map, order, self.capacity, key, Arc::clone(&value));
         cache_obs().entries.set(map.len() as i64);
-        value
-    }
-
-    /// Looks up the **int8 quantized** embeddings for `key`: memory,
-    /// then the attached disk store's quantized records, then derived
-    /// from the f64 tier (which itself tiers memory → disk →
-    /// `embed`). Freshly derived tables are written through to disk.
-    ///
-    /// Quantized traffic is counted separately
-    /// (`quant_hits`/`quant_misses`/`quant_writes` in [`CacheStats`];
-    /// a disk-served quantized record also counts one `disk_hits`).
-    /// Quantization is deterministic and the store round-trips the i8
-    /// codes and per-row scales bit-exactly, so — as with the f64
-    /// tier — the tier a table came from is unobservable.
-    pub fn get_or_quantize(
-        &self,
-        key: CacheKey,
-        embed: impl FnOnce() -> Vec<Vec<f64>>,
-    ) -> Arc<crate::quant::QuantizedEmbeddings> {
-        let store;
-        {
-            let mut inner = self.inner.lock().expect("embedding cache poisoned");
-            if let Some(hit) = inner.quant.get(&key) {
-                let hit = Arc::clone(hit);
-                inner.quant_hits += 1;
-                cache_obs().quant_hits.inc();
-                return hit;
-            }
-            inner.quant_misses += 1;
-            cache_obs().quant_misses.inc();
-            store = inner.store.clone();
-        }
-        let disk_key = khaos_store::EmbKey {
-            tool: key.0,
-            config: key.1,
-            binary: key.2,
-        };
-        if let Some(store) = &store {
-            if let Ok(Some(table)) = store.get_quantized(&disk_key) {
-                let value = Arc::new(crate::quant::QuantizedEmbeddings::from_parts(
-                    table.rows as usize,
-                    table.dim as usize,
-                    table.data,
-                    table.scales,
-                    table.offsets,
-                ));
-                let mut inner = self.inner.lock().expect("embedding cache poisoned");
-                inner.disk_hits += 1;
-                cache_obs().disk_hits.inc();
-                let CacheInner {
-                    quant, quant_order, ..
-                } = &mut *inner;
-                insert_bounded(quant, quant_order, self.capacity, key, Arc::clone(&value));
-                cache_obs().quant_entries.set(quant.len() as i64);
-                return value;
-            }
-        }
-        // Derive from the f64 tier (shares its memory/disk/compute
-        // path and counters), then write the quantized table through.
-        let base = self.get_or_embed(key, embed);
-        let value = {
-            let _span = khaos_obs::span_with(|| format!("quantize:{}", key.0));
-            Arc::new(crate::quant::QuantizedEmbeddings::from_embeddings(&base))
-        };
-        let wrote = store.as_ref().is_some_and(|store| {
-            store
-                .put_quantized(
-                    &disk_key,
-                    khaos_store::QuantView::new(
-                        value.len(),
-                        value.dim(),
-                        value.scales(),
-                        value.offsets(),
-                        value.codes(),
-                    ),
-                )
-                .is_ok()
-        });
-        let mut inner = self.inner.lock().expect("embedding cache poisoned");
-        inner.quant_writes += wrote as u64;
-        cache_obs().quant_writes.add(wrote as u64);
-        let CacheInner {
-            quant, quant_order, ..
-        } = &mut *inner;
-        insert_bounded(quant, quant_order, self.capacity, key, Arc::clone(&value));
-        cache_obs().quant_entries.set(quant.len() as i64);
         value
     }
 
@@ -1222,10 +1103,6 @@ impl EmbeddingCache {
             disk_misses: inner.disk_misses,
             disk_writes: inner.disk_writes,
             embeds_computed: inner.embeds_computed,
-            quant_entries: inner.quant.len(),
-            quant_hits: inner.quant_hits,
-            quant_misses: inner.quant_misses,
-            quant_writes: inner.quant_writes,
         }
     }
 
@@ -1236,8 +1113,6 @@ impl EmbeddingCache {
         inner.order.clear();
         inner.matrices.clear();
         inner.matrix_order.clear();
-        inner.quant.clear();
-        inner.quant_order.clear();
     }
 
     /// The cache key for a differ/binary combination.
@@ -1611,9 +1486,6 @@ mod tests {
             // every miss must have computed.
             assert_eq!((s.disk_hits, s.disk_misses, s.disk_writes), (0, 0, 0));
             assert_eq!(s.embeds_computed, s.misses, "{s:?}");
-            // Quantized traffic is counted separately: none yet.
-            assert_eq!((s.quant_hits, s.quant_misses, s.quant_writes), (0, 0, 0));
-            assert_eq!(s.quant_entries, 0, "{s:?}");
         }
         // Capacity 2 over a 4-key working set, FIFO: every lookup
         // misses (the working set never fits).
@@ -1621,38 +1493,6 @@ mod tests {
         // Re-inserting a resident key must not inflate `entries`.
         cache.get_or_embed(("t", 0, 3), || panic!("resident"));
         assert_eq!(cache.stats().entries, 2);
-
-        // The quantized tier keeps its own FIFO map and counters under
-        // the same capacity bound, and never perturbs the f64 side's
-        // hit/miss totals.
-        let f64_lookups = cache.stats().hits + cache.stats().misses;
-        for round in 0..3u64 {
-            for b in 0..4u64 {
-                cache.get_or_quantize(("t", 0, b), embed);
-            }
-            let s = cache.stats();
-            assert!(s.quant_entries <= 2, "quant FIFO bounded: {s:?}");
-            assert_eq!(
-                s.quant_hits + s.quant_misses,
-                (round + 1) * 4,
-                "every quant lookup is either a hit or a miss: {s:?}"
-            );
-            assert_eq!(s.quant_writes, 0, "no disk tier, no quant writes: {s:?}");
-        }
-        // Every quant miss derived through the f64 tier (one
-        // get_or_embed each), so the f64 counters moved by exactly the
-        // quant-miss count — quantized traffic is visible there only
-        // as the derivations it caused, never double-counted.
-        let s = cache.stats();
-        assert_eq!(s.quant_misses, 12, "{s:?}");
-        assert_eq!(s.hits + s.misses, f64_lookups + s.quant_misses, "{s:?}");
-        // A resident quant key hits without touching the f64 tier.
-        let before = cache.stats();
-        cache.get_or_quantize(("t", 0, 3), || panic!("quant-resident"));
-        let after = cache.stats();
-        assert_eq!(after.quant_hits, before.quant_hits + 1);
-        assert_eq!(after.hits + after.misses, before.hits + before.misses);
-        assert_eq!(after.quant_entries, 2);
     }
 
     #[test]
@@ -1706,27 +1546,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        // The quantized tier rides the same store: derive + write
-        // through once, then a fresh cache serves the table from disk
-        // — i8 codes and per-row scales bit-exact, nothing recomputed.
-        let q1 = first.get_or_quantize(key, || panic!("f64 table is resident"));
-        let s = first.stats();
-        assert_eq!((s.quant_hits, s.quant_misses, s.quant_writes), (0, 1, 1));
-        let fourth = EmbeddingCache::new(8);
-        fourth.attach_store(Arc::clone(&store));
-        let q2 = fourth.get_or_quantize(key, || panic!("must come from disk"));
-        let s = fourth.stats();
-        assert_eq!((s.quant_hits, s.quant_misses, s.quant_writes), (0, 1, 0));
-        assert_eq!(s.embeds_computed, 0, "disk-served, not re-derived: {s:?}");
-        assert!(s.disk_hits >= 1, "{s:?}");
-        assert_eq!(q2.codes(), q1.codes(), "i8 payload round trip");
-        for (a, b) in q2.scales().iter().zip(q1.scales()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "scales round trip bit-exactly");
-        }
-        for (a, b) in q2.offsets().iter().zip(q1.offsets()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "offsets round trip bit-exactly");
-        }
-        assert_eq!(*q1, *q2, "derived qsums and shape agree");
         std::fs::remove_dir_all(&dir).expect("scratch dir removed");
     }
 

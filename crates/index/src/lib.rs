@@ -83,7 +83,7 @@
 use khaos_diff::engine::{EmbedScorer, FunctionEmbeddings, StreamingTopK};
 use khaos_diff::kernels;
 use khaos_diff::quant::QuantizedEmbeddings;
-use khaos_store::{codec::Enc, EmbKey, IndexKey, IndexTable, Store, StoredRowMeta, TableView};
+use khaos_store::{EmbKey, IndexKey, IndexTable, Store, StoredRowMeta, TableView};
 use std::io;
 use std::sync::{Arc, OnceLock};
 
@@ -138,8 +138,8 @@ pub const DEFAULT_SEED: u64 = 0xC60_2023;
 /// usually stops the loop much earlier.
 pub const KMEANS_MAX_ITERS: usize = 25;
 
-/// Where one corpus row came from: enough provenance for a daemon to
-/// answer "which function matched" without reloading any binary.
+/// Where one corpus row came from: enough provenance to name the
+/// function that matched without reloading any binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RowMeta {
     /// `Binary::fingerprint` of the source binary.
@@ -198,19 +198,25 @@ pub fn auto_nprobe(nlist: usize, rows: usize) -> usize {
 /// Fingerprint of an indexed corpus: FNV-1a over the tool, config,
 /// dimensionality and every row's provenance — the `corpus` component
 /// of the store key, and the link between an `idx/` segment and its
-/// `emb`/`qnt` tables.
+/// `emb`/`qnt` tables. The bytes hashed are the store's record
+/// primitives: little-endian integers, and strings as a little-endian
+/// u32 length followed by their bytes.
 pub fn corpus_fingerprint(tool: &str, config: u64, dim: usize, meta: &[RowMeta]) -> u64 {
-    let mut e = Enc::new();
-    e.str(tool);
-    e.u64(config);
-    e.u64(dim as u64);
-    e.u64(meta.len() as u64);
+    let mut b = Vec::new();
+    let put_str = |b: &mut Vec<u8>, s: &str| {
+        b.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        b.extend_from_slice(s.as_bytes());
+    };
+    put_str(&mut b, tool);
+    b.extend_from_slice(&config.to_le_bytes());
+    b.extend_from_slice(&(dim as u64).to_le_bytes());
+    b.extend_from_slice(&(meta.len() as u64).to_le_bytes());
     for m in meta {
-        e.u64(m.binary);
-        e.u32(m.function);
-        e.str(&m.name);
+        b.extend_from_slice(&m.binary.to_le_bytes());
+        b.extend_from_slice(&m.function.to_le_bytes());
+        put_str(&mut b, &m.name);
     }
-    khaos_store::fnv1a(&e.into_bytes())
+    khaos_store::fnv1a(&b)
 }
 
 /// An IVF index over one embedding corpus: coarse cells + resident
@@ -420,16 +426,6 @@ impl IvfIndex {
         }
     }
 
-    /// Differ name the corpus was embedded with.
-    pub fn tool(&self) -> &str {
-        &self.tool
-    }
-
-    /// Differ configuration fingerprint.
-    pub fn config(&self) -> u64 {
-        self.config
-    }
-
     /// Corpus fingerprint (the store-key component).
     pub fn corpus(&self) -> u64 {
         self.corpus
@@ -458,11 +454,6 @@ impl IvfIndex {
     /// Default probe width (what [`IvfIndex::query`] uses).
     pub fn default_nprobe(&self) -> usize {
         self.nprobe
-    }
-
-    /// Provenance of corpus row `i`.
-    pub fn meta(&self, i: usize) -> &RowMeta {
-        &self.meta[i]
     }
 
     /// The exact f64 corpus rows (what brute-force comparisons score).
@@ -611,23 +602,6 @@ impl IvfIndex {
         obs.rerank_pruned.add(cand.len() as u64 - scored);
         obs.shortlist_rows.record(cand.len() as u64);
         ranked
-    }
-
-    /// Batch query: ranks the given rows of `queries` concurrently via
-    /// `khaos-par` (one blocked scan per batch — the daemon's path).
-    /// Output is in input order and bit-identical to calling
-    /// [`IvfIndex::query_with`] sequentially per row at any
-    /// `KHAOS_THREADS`.
-    pub fn query_rows(
-        &self,
-        queries: &FunctionEmbeddings,
-        rows: &[usize],
-        k: usize,
-        nprobe: usize,
-    ) -> Vec<Vec<(usize, f64)>> {
-        khaos_par::par_map(rows.len(), |i| {
-            self.query_with(queries.row(rows[i]), k, nprobe)
-        })
     }
 
     /// Brute-force exact comparator: the true top-`k` by sequential
@@ -793,27 +767,6 @@ impl IvfIndex {
         else {
             return Ok(None);
         };
-        Self::load_with_table(store, tool, config, corpus, table).map(Some)
-    }
-
-    /// Every segment in the store, sorted by `(tool, config, corpus)`
-    /// — what a daemon loads at startup. Torn segments are errors
-    /// (same policy as [`IvfIndex::load`]).
-    pub fn load_all(store: &Store) -> io::Result<Vec<IvfIndex>> {
-        let mut out = Vec::new();
-        for (tool, config, corpus, table) in store.index_records()? {
-            out.push(Self::load_with_table(store, &tool, config, corpus, table)?);
-        }
-        Ok(out)
-    }
-
-    fn load_with_table(
-        store: &Store,
-        tool: &str,
-        config: u64,
-        corpus: u64,
-        table: IndexTable,
-    ) -> io::Result<IvfIndex> {
         let torn = |what: &str| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -855,7 +808,7 @@ impl IvfIndex {
         let quant = QuantizedEmbeddings::from_parts(rows, dim, qt.data, qt.scales, qt.offsets);
         let residuals = residual_norms(&exact, &quant, &perm);
         let cell_radii = cell_radii(&exact, &table.centroids, &table.assignments, nlist);
-        Ok(IvfIndex {
+        Ok(Some(IvfIndex {
             tool: tool.to_string(),
             config,
             corpus,
@@ -879,7 +832,7 @@ impl IvfIndex {
                     name: m.name,
                 })
                 .collect(),
-        })
+        }))
     }
 
     /// An [`EmbedScorer`] ranking the given queries against this
@@ -1060,6 +1013,28 @@ mod tests {
     }
 
     #[test]
+    fn corpus_fingerprint_is_pinned() {
+        // The `corpus` component of every stored segment's key: a
+        // change here orphans every saved index.
+        let meta = [
+            RowMeta {
+                binary: 0xB0,
+                function: 3,
+                name: "main".into(),
+            },
+            RowMeta {
+                binary: 0xB1,
+                function: 0,
+                name: String::new(),
+            },
+        ];
+        assert_eq!(
+            corpus_fingerprint("VulSeeker", 7, 64, &meta),
+            0x9320_25a6_6b2e_0a5a
+        );
+    }
+
+    #[test]
     fn store_round_trip_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("khaos-index-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1088,9 +1063,6 @@ mod tests {
                 assert_eq!(as_.to_bits(), bs.to_bits());
             }
         }
-        let all = IvfIndex::load_all(&store).unwrap();
-        assert_eq!(all.len(), 1);
-        assert_eq!(all[0].corpus(), idx.corpus());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

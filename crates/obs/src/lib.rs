@@ -2,10 +2,9 @@
 //!
 //! A dependency-free observability substrate for the whole workspace
 //! (offline-shim discipline, like `khaos-par`): every layer — build
-//! pipelines, the three-tier embedding cache, the artifact store, the
-//! IVF index, and the TCP daemon — reports health through one shared
-//! registry and one shared timeline instead of scattered ad-hoc
-//! structs.
+//! pipelines, the tiered embedding cache, the artifact store and the
+//! IVF index — reports health through one shared registry and one
+//! shared timeline instead of scattered ad-hoc structs.
 //!
 //! The crate has three parts (plus [`cli`], the process behaviour its
 //! command-line tools share):
@@ -20,8 +19,8 @@
 //!   [`metrics::maybe_dump`]).
 //! * [`trace`] — a span-based tracer: scoped RAII [`trace::SpanGuard`]s
 //!   form a per-thread parent/child tree (cross-thread edges are
-//!   linked explicitly, e.g. daemon request → dispatcher), stamped
-//!   with `khaos-par` worker lane ids, and exported as Chrome
+//!   linked explicitly with [`trace::span_child_of`]), stamped with
+//!   `khaos-par` worker lane ids, and exported as Chrome
 //!   trace-event JSONL when `KHAOS_TRACE=path` is set. When unset the
 //!   whole tracer collapses to a single relaxed atomic load per
 //!   span — the disabled path's overhead is bench-gated (see the
@@ -29,7 +28,7 @@
 //! * [`timer`] — the one blessed stopwatch: [`timer::Stopwatch`],
 //!   [`timer::time`], and [`timer::best_of_ns`] subsume the
 //!   hand-rolled timing idioms that used to live in `khaos-pass`
-//!   (`PassReport`), `bench_similarity`, and the serve dispatcher.
+//!   (`PassReport`) and `bench_similarity`.
 //!
 //! ## The standing invariant: observability never changes ranked bits
 //!

@@ -2,12 +2,10 @@
 //! fixed-bucket log-scale latency histograms.
 //!
 //! A [`Registry`] maps names to metric handles. The process-wide
-//! default is [`Registry::global`]; components that must not share
-//! state across instances (one daemon's request counts vs another's
-//! in the same test process) create their own [`Registry::new`] —
-//! the handles and snapshot machinery are identical, so a stats
-//! surface and a metrics surface reading the same registry cannot
-//! drift apart.
+//! default is [`Registry::global`]; code that must not share state
+//! with the rest of the process (a test asserting exact counts)
+//! creates its own [`Registry::new`] — the handles and snapshot
+//! machinery are identical.
 //!
 //! Handles are `Arc`s: resolve once (a mutex-guarded map lookup),
 //! then update forever with relaxed atomics. All updates are
@@ -244,7 +242,7 @@ impl Metric {
 }
 
 /// A snapshot value, by kind — what [`Registry::snapshot`] yields and
-/// what the daemon's metrics frame carries over the wire.
+/// what [`maybe_dump`] prints.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     /// A counter's current value.

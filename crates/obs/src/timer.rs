@@ -1,11 +1,9 @@
 //! The workspace's one blessed stopwatch.
 //!
-//! Three timing idioms used to be hand-rolled in three places — the
-//! `PassReport` stopwatch in `khaos-pass`, `time_ns_best` in
-//! `bench_similarity`, and the serve dispatcher's request timing.
-//! They now all route through here, so "how we measure" is defined
-//! once: monotonic [`std::time::Instant`], nanosecond reads, and
-//! best-of-N for benchmark repeatability.
+//! The `PassReport` stopwatch in `khaos-pass` and the timing in
+//! `bench_similarity` both route through here, so "how we measure" is
+//! defined once: monotonic [`std::time::Instant`], nanosecond reads,
+//! and best-of-N for benchmark repeatability.
 
 use std::time::{Duration, Instant};
 

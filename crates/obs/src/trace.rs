@@ -4,12 +4,10 @@
 //! drop records the end and appends one complete (`"ph":"X"`) Chrome
 //! trace event to the sink as a single JSON line. Spans form a
 //! parent/child tree: within a thread, nesting follows a thread-local
-//! stack; across threads (a daemon request handed to the dispatcher,
-//! a fan-out onto `khaos-par` workers) the parent is linked
-//! explicitly with [`span_child_of`] using the parent guard's
-//! [`SpanGuard::id`]. Timeline lanes (`tid`) are `khaos-par` worker
-//! lane ids (`1 + lane`) on pool threads and stable per-thread ids
-//! (`>= 1000`) elsewhere.
+//! stack; across threads the parent is linked explicitly with
+//! [`span_child_of`] using the parent guard's [`SpanGuard::id`].
+//! Timeline lanes (`tid`) are `khaos-par` worker lane ids (`1 + lane`)
+//! on pool threads and stable per-thread ids (`>= 1000`) elsewhere.
 //!
 //! ## Enabling
 //!

@@ -67,11 +67,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Little-endian record encoder. Public because the `khaos-serve`
-/// wire protocol reuses the record grammar (same primitives, same
-/// checksum) for its frames; re-exported as `khaos_store::codec`.
+/// Little-endian record encoder.
 #[derive(Default)]
-pub struct Enc {
+pub(crate) struct Enc {
     buf: Vec<u8>,
 }
 
@@ -146,8 +144,8 @@ impl Enc {
 
 /// Little-endian record decoder; every accessor fails loudly (with a
 /// reason string the `verify` path surfaces) instead of reading out of
-/// bounds. Public for the same reason as [`Enc`] (the wire codec).
-pub struct Dec<'a> {
+/// bounds.
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }

@@ -141,13 +141,6 @@ pub use format::{
     KIND_QUANT, KIND_REPORT, KNOWN_KINDS, MAGIC,
 };
 
-/// The little-endian encoder/decoder pair behind the record format,
-/// exported for protocols that reuse the `KHST` grammar on the wire
-/// (`khaos-serve` frames are records with an empty key block).
-pub mod codec {
-    pub use crate::format::{Dec, Enc};
-}
-
 use format::{Payload, Record};
 use std::fs;
 use std::io::{self, Write};
@@ -329,8 +322,8 @@ impl<'a> QuantView<'a> {
 }
 
 /// Per-row provenance inside a stored index segment: where the corpus
-/// row came from, so a daemon can answer "which function matched"
-/// without reloading any binary.
+/// row came from, so a hit names the function that matched without
+/// reloading any binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StoredRowMeta {
     /// `Binary::fingerprint` of the source binary.
@@ -341,7 +334,7 @@ pub struct StoredRowMeta {
     pub name: String,
 }
 
-/// An owned IVF index segment — the wire form of
+/// An owned IVF index segment — the stored form of
 /// `khaos_index::IvfIndex` minus the corpus tables (which persist as
 /// their own `emb`/`qnt` records under the corpus fingerprint).
 #[derive(Clone, Debug, PartialEq)]
@@ -1189,33 +1182,6 @@ impl Store {
         }
     }
 
-    /// Decodes every index segment in the store, sorted by
-    /// `(tool, config, corpus)` for deterministic output — what a
-    /// daemon enumerates at startup. Records that fail to decode are
-    /// skipped here; [`Store::verify`] is the tool that names them.
-    pub fn index_records(&self) -> io::Result<Vec<(String, u64, u64, IndexTable)>> {
-        let mut out = Vec::new();
-        for (path, _) in self.section_files("idx")? {
-            if let Ok(bytes) = fs::read(&path) {
-                if let Ok(Record {
-                    key:
-                        OwnedKey::Index {
-                            tool,
-                            config,
-                            corpus,
-                        },
-                    payload: Payload::Index(t),
-                    ..
-                }) = format::decode_record(&bytes)
-                {
-                    out.push((tool, config, corpus, t));
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)));
-        Ok(out)
-    }
-
     /// Decodes every report record in the store, sorted by
     /// `(subject, pipeline, seed)` for deterministic output — the query
     /// side of the report keyspace (shard merge tooling and
@@ -1920,7 +1886,7 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trip_and_listing() {
+    fn index_round_trip() {
         let dir = scratch("idx");
         let store = Store::open(&dir).unwrap();
         let t = sample_index(9, 4, 3);
@@ -1934,15 +1900,6 @@ mod tests {
         assert_eq!(store.get_index(&key).unwrap().as_ref(), Some(&t));
         assert!(store.verify().unwrap().is_empty(), "index records verify");
         assert_eq!(store.stats().unwrap().indexes.records, 1);
-        // Listing decodes the same segment with its key triple.
-        let listed = store.index_records().unwrap();
-        assert_eq!(listed.len(), 1);
-        let (tool, config, corpus, back) = &listed[0];
-        assert_eq!(
-            (tool.as_str(), *config, *corpus),
-            ("VulSeeker", 0xCF6, 0xC0DE)
-        );
-        assert_eq!(back, &t);
         // A different corpus fingerprint is a miss.
         let other = IndexKey {
             corpus: 0xC0DF,

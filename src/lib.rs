@@ -4,14 +4,15 @@
 //! substrate, the optimizer, the fission/fusion obfuscator, the O-LLVM and
 //! BinTuner baselines, the unified `khaos-pass` build-pipeline API, the
 //! synthetic binary codegen, the five binary diffing techniques, the
-//! corpus-scale ANN index tier and its socket query daemon, the
-//! benchmark workloads and the execution VM.
+//! corpus-scale ANN index tier, the benchmark workloads and the
+//! execution VM.
 //!
 //! Builds are declarative pipelines: `khaos::pass::Pipeline::parse(
 //! "fufi_all | O2+lto")` is the paper's shipped configuration, with
 //! per-pass reports and a stable provenance fingerprint.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `ROADMAP.md` for the project's aims and open items and
+//! `CHANGES.md` for what each change did.
 //!
 //! ```
 //! use khaos::prelude::*;
@@ -38,7 +39,6 @@ pub use khaos_ollvm as ollvm;
 pub use khaos_opt as opt;
 pub use khaos_par as par;
 pub use khaos_pass as pass;
-pub use khaos_serve as serve;
 pub use khaos_store as store;
 pub use khaos_vm as vm;
 pub use khaos_workloads as workloads;

@@ -10,8 +10,7 @@ use khaos_obs::cli::CLOSED_STDOUT_EXIT;
 use khaos_store::{BuildKey, Store, StoredBuild};
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Stdio};
 
 /// The directory cargo puts this profile's binaries in.
 fn bin_dir() -> PathBuf {
@@ -35,7 +34,6 @@ fn build_tools() {
         ("khaos-bench", "khaos-lint"),
         ("khaos-obs", "khaos-profile"),
         ("khaos-store", "khaos-store"),
-        ("khaos-serve", "khaos-serve"),
     ] {
         cargo.args(["-p", package, "--bin", bin]);
     }
@@ -97,16 +95,6 @@ fn assert_quiet(what: &str, cmd: Command) -> String {
         "{what}: expected the closed-stdout exit; stderr:\n{stderr}"
     );
     first
-}
-
-/// A spawned daemon, killed if the test ends before it shuts down.
-struct Daemon(Child);
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -172,56 +160,6 @@ fn tools_exit_quietly_when_stdout_closes() {
     let mut ls = tool("khaos-store");
     ls.arg("ls").arg(&store_dir);
     assert_quiet("khaos-store", ls);
-
-    // khaos-serve query: every row of a served corpus as a hit.
-    let serve_store = dir.join("serve");
-    let port_file = dir.join("port");
-    let status = tool("khaos-serve")
-        .arg("build")
-        .arg("--store")
-        .arg(&serve_store)
-        .stdout(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success(), "khaos-serve build");
-    let daemon = Daemon(
-        tool("khaos-serve")
-            .arg("serve")
-            .arg("--store")
-            .arg(&serve_store)
-            .arg("--port-file")
-            .arg(&port_file)
-            .stdout(Stdio::null())
-            .spawn()
-            .unwrap(),
-    );
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !port_file.exists() {
-        assert!(Instant::now() < deadline, "the daemon never wrote its port");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let mut query = tool("khaos-serve");
-    query
-        .arg("query")
-        .arg("--port-file")
-        .arg(&port_file)
-        .arg("--store")
-        .arg(&serve_store)
-        .args(["--k", "2000", "--nprobe", "100000"]);
-    let first = assert_quiet("khaos-serve", query);
-    assert!(
-        first.starts_with("row="),
-        "khaos-serve: first hit {first:?}"
-    );
-    let shutdown = tool("khaos-serve")
-        .arg("shutdown")
-        .arg("--port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(shutdown.success(), "khaos-serve shutdown");
-    drop(daemon);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
