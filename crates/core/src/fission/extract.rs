@@ -138,9 +138,7 @@ pub fn extract_region(
     let minimized: Vec<LocalId> = lv
         .live_in(region.root)
         .iter()
-        .filter(|l| {
-            used_in_region.contains(l) && !outputs.contains(l) && !moved_locals.contains(l)
-        })
+        .filter(|l| used_in_region.contains(l) && !outputs.contains(l) && !moved_locals.contains(l))
         .collect();
     let mut inputs: Vec<LocalId> = if ctx.options.data_flow_reduction {
         let naive_count = used_in_region
@@ -169,7 +167,10 @@ pub fn extract_region(
     let origins = f.provenance.origins.clone();
     let mut g = Function::new(format!("{orig_name}_sep_{sep_index}"), sep_ret_ty);
     g.linkage = Linkage::Internal;
-    g.provenance = Provenance { kind: ProvKind::Sep, origins };
+    g.provenance = Provenance {
+        kind: ProvKind::Sep,
+        origins,
+    };
     // Khaos schedules its passes ahead of the regular pipeline and pins
     // the separated functions so the inliner cannot stitch them back
     // (the remFunc stays inlinable — the paper's negative-overhead cases
@@ -183,7 +184,11 @@ pub fn extract_region(
         lmap.insert(l, p);
     }
     let out_slot_params: Vec<LocalId> = outputs.iter().map(|_| g.new_local(Type::Ptr)).collect();
-    let ret_slot_param = if needs_ret_slot { Some(g.new_local(Type::Ptr)) } else { None };
+    let ret_slot_param = if needs_ret_slot {
+        Some(g.new_local(Type::Ptr))
+    } else {
+        None
+    };
     g.param_count = g.locals.len() as u32;
 
     // Working locals for outputs; fresh locals for everything else the
@@ -207,9 +212,8 @@ pub fn extract_region(
         bmap.insert(b, BlockId::new(1 + i));
     }
     let stub_base = 1 + region_sorted.len();
-    let exit_code = |e: &Exit| -> i64 {
-        exits.iter().position(|x| x == e).expect("exit known") as i64
-    };
+    let exit_code =
+        |e: &Exit| -> i64 { exits.iter().position(|x| x == e).expect("exit known") as i64 };
     let stub_id = |e: &Exit| -> BlockId { BlockId::new(stub_base + exit_code(e) as usize) };
 
     // Prologue: moved allocas, then loads of output slots.
@@ -217,7 +221,11 @@ pub fn extract_region(
     for (b, i) in &moved_allocas {
         let inst = f.block(*b).insts[*i].clone();
         if let Inst::Alloca { dst, size, align } = inst {
-            prologue.push(Inst::Alloca { dst: lmap[&dst], size, align });
+            prologue.push(Inst::Alloca {
+                dst: lmap[&dst],
+                size,
+                align,
+            });
         }
     }
     for (k, &l) in outputs.iter().enumerate() {
@@ -227,7 +235,11 @@ pub fn extract_region(
             addr: Operand::local(out_slot_params[k]),
         });
     }
-    g.blocks[0] = Block { insts: prologue, term: Term::Jump(bmap[&region.root]), pad: None };
+    g.blocks[0] = Block {
+        insts: prologue,
+        term: Term::Jump(bmap[&region.root]),
+        pad: None,
+    };
 
     // Copy region blocks: remap locals first, then rewrite returns and
     // retarget exit edges (the remapped operands are g-locals, which are
@@ -238,10 +250,17 @@ pub fn extract_region(
         remap_block(&mut nb, &lmap, &id_blocks);
         if let Term::Ret(v) = nb.term.clone() {
             if let (Some(val), Some(slot)) = (v, ret_slot_param) {
-                nb.insts.push(Inst::Store { ty: ret_ty, addr: Operand::local(slot), value: val });
+                nb.insts.push(Inst::Store {
+                    ty: ret_ty,
+                    addr: Operand::local(slot),
+                    value: val,
+                });
             }
             nb.term = if multi_exit {
-                Term::Ret(Some(Operand::const_int(Type::I32, exit_code(&Exit::Return))))
+                Term::Ret(Some(Operand::const_int(
+                    Type::I32,
+                    exit_code(&Exit::Return),
+                )))
             } else {
                 Term::Ret(None)
             };
@@ -274,7 +293,11 @@ pub fn extract_region(
         } else {
             Term::Ret(None)
         };
-        g.blocks.push(Block { insts, term, pad: None });
+        g.blocks.push(Block {
+            insts,
+            term,
+            pad: None,
+        });
     }
 
     let sep_blocks = g.blocks.len();
@@ -302,12 +325,20 @@ pub fn extract_region(
     for &l in &outputs {
         let slot = f.new_local(Type::Ptr);
         let size = f.local_ty(l).size().max(1);
-        entry_prepend.push(Inst::Alloca { dst: slot, size, align: 8 });
+        entry_prepend.push(Inst::Alloca {
+            dst: slot,
+            size,
+            align: 8,
+        });
         out_slots.push(slot);
     }
     let ret_slot = if needs_ret_slot {
         let slot = f.new_local(Type::Ptr);
-        entry_prepend.push(Inst::Alloca { dst: slot, size: ret_ty.size(), align: 8 });
+        entry_prepend.push(Inst::Alloca {
+            dst: slot,
+            size: ret_ty.size(),
+            align: 8,
+        });
         Some(slot)
     } else {
         None
@@ -321,12 +352,20 @@ pub fn extract_region(
         let mut insts = Vec::new();
         let term = if let Some(slot) = ret_slot {
             let rv = f.new_local(ret_ty);
-            insts.push(Inst::Load { ty: ret_ty, dst: rv, addr: Operand::local(slot) });
+            insts.push(Inst::Load {
+                ty: ret_ty,
+                dst: rv,
+                addr: Operand::local(slot),
+            });
             Term::Ret(Some(Operand::local(rv)))
         } else {
             Term::Ret(None)
         };
-        Some(f.push_block(Block { insts, term, pad: None }))
+        Some(f.push_block(Block {
+            insts,
+            term,
+            pad: None,
+        }))
     } else {
         None
     };
@@ -346,14 +385,22 @@ pub fn extract_region(
     if let Some(slot) = ret_slot {
         args.push(Operand::local(slot));
     }
-    let call_dst = if multi_exit { Some(f.new_local(Type::I32)) } else { None };
+    let call_dst = if multi_exit {
+        Some(f.new_local(Type::I32))
+    } else {
+        None
+    };
     insts.push(Inst::Call {
         dst: call_dst,
         callee: khaos_ir::Callee::Direct(sep_func),
         args,
     });
     for (k, &l) in outputs.iter().enumerate() {
-        insts.push(Inst::Load { ty: f.local_ty(l), dst: l, addr: Operand::local(out_slots[k]) });
+        insts.push(Inst::Load {
+            ty: f.local_ty(l),
+            dst: l,
+            addr: Operand::local(out_slots[k]),
+        });
     }
     let exit_target = |e: &Exit| -> BlockId {
         match e {
@@ -365,8 +412,10 @@ pub fn extract_region(
         0 => Term::Unreachable, // the region diverges; the call never returns
         1 => Term::Jump(exit_target(&exits[0])),
         _ => {
-            let cases: Vec<(i64, BlockId)> =
-                exits.iter().map(|e| (exit_code(e), exit_target(e))).collect();
+            let cases: Vec<(i64, BlockId)> = exits
+                .iter()
+                .map(|e| (exit_code(e), exit_target(e)))
+                .collect();
             let default = cases.last().expect("non-empty").1;
             let cases = cases[..cases.len() - 1].to_vec();
             Term::Switch {
@@ -377,11 +426,18 @@ pub fn extract_region(
             }
         }
     };
-    *f.block_mut(region.root) = Block { insts, term, pad: None };
+    *f.block_mut(region.root) = Block {
+        insts,
+        term,
+        pad: None,
+    };
 
     // Drop the now-dead region bodies (all except the root).
-    let dead: Vec<BlockId> =
-        region_sorted.iter().copied().filter(|b| *b != region.root).collect();
+    let dead: Vec<BlockId> = region_sorted
+        .iter()
+        .copied()
+        .filter(|b| *b != region.root)
+        .collect();
     let block_map = remove_blocks(f, &dead);
 
     ExtractOutcome {
@@ -409,7 +465,9 @@ fn find_movable_allocas(
             continue;
         }
         'insts: for (i, inst) in block.insts.iter().enumerate() {
-            let Inst::Alloca { dst, .. } = inst else { continue };
+            let Inst::Alloca { dst, .. } = inst else {
+                continue;
+            };
             let l = *dst;
             // Scan every use and def of l across the function.
             for (ub, ublock) in f.iter_blocks() {

@@ -71,7 +71,10 @@ pub fn region_calls_setjmp(
 ) -> bool {
     blocks.iter().any(|b| {
         f.block(*b).insts.iter().any(|i| match i {
-            Inst::Call { callee: Callee::Ext(e), .. } => m.external(*e).name == "setjmp",
+            Inst::Call {
+                callee: Callee::Ext(e),
+                ..
+            } => m.external(*e).name == "setjmp",
             _ => false,
         })
     })

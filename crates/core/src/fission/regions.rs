@@ -67,7 +67,11 @@ pub fn identify_regions(m: &Module, func: FuncId, opts: &KhaosOptions) -> Vec<Re
         if value < opts.fission_min_value {
             continue;
         }
-        candidates.push(Region { root, blocks, value });
+        candidates.push(Region {
+            root,
+            blocks,
+            value,
+        });
     }
 
     // Lines 4-21: iteratively select the best tree, discard intersecting.
@@ -121,10 +125,12 @@ fn region_is_extractable(
         // setjmp call-sites must stay in the original frame (§3.2.4).
         for inst in &block.insts {
             match inst {
-                Inst::Call { callee: Callee::Ext(e), .. }
-                    if m.external(*e).name == "setjmp" => {
-                        return false;
-                    }
+                Inst::Call {
+                    callee: Callee::Ext(e),
+                    ..
+                } if m.external(*e).name == "setjmp" => {
+                    return false;
+                }
                 // An alloca whose address could outlive the sepFunc frame
                 // must not move; conservatively keep allocas out of regions.
                 Inst::Alloca { .. } => return false,
@@ -151,7 +157,12 @@ mod tests {
         let c2 = fb.new_block();
         let c3 = fb.new_block();
         let done = fb.new_block();
-        let cond = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 100));
+        let cond = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 100),
+        );
         fb.branch(Operand::local(cond), c1, done);
         fb.switch_to(c1);
         fb.jump(c2);
@@ -191,7 +202,10 @@ mod tests {
     #[test]
     fn min_blocks_respected() {
         let (m, id) = module_with_cold_region();
-        let opts = KhaosOptions { fission_min_blocks: 10, ..KhaosOptions::default() };
+        let opts = KhaosOptions {
+            fission_min_blocks: 10,
+            ..KhaosOptions::default()
+        };
         assert!(identify_regions(&m, id, &opts).is_empty());
     }
 
@@ -208,7 +222,12 @@ mod tests {
         let exit = fb.new_block();
         fb.jump(h);
         fb.switch_to(h);
-        let c = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
+        let c = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
         fb.branch(Operand::local(c), b1, exit);
         fb.switch_to(b1);
         fb.jump(b2);
@@ -239,7 +258,12 @@ mod tests {
         let c2 = fb.new_block();
         let done = fb.new_block();
         let buf = fb.alloca(8);
-        let cond = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 100));
+        let cond = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 100),
+        );
         fb.branch(Operand::local(cond), c1, done);
         fb.switch_to(c1);
         fb.call_ext(setjmp, Type::I32, vec![Operand::local(buf)]);

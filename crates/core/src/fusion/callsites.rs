@@ -37,8 +37,12 @@ pub struct TagScheme {
 }
 
 /// The paper's pair layout: flag on bit 2, `ctrl` on bit 3.
-pub const PAIR_SCHEME: TagScheme =
-    TagScheme { mask: TAG_MASK, flag: TAG_MASK, ctrl_shift: 3, ctrl_mask: 1 };
+pub const PAIR_SCHEME: TagScheme = TagScheme {
+    mask: TAG_MASK,
+    flag: TAG_MASK,
+    ctrl_shift: 3,
+    ctrl_mask: 1,
+};
 
 /// The N-way layout: flag on bit 1, `ctrl` on bits 2–3.
 pub const NWAY_SCHEME: TagScheme = TagScheme {
@@ -76,7 +80,13 @@ fn rewrite_in_function(m: &mut Module, fid: FuncId, scheme: TagScheme) -> usize 
     let mut sites: Vec<(BlockId, usize)> = Vec::new();
     for (b, block) in f.iter_blocks() {
         for (i, inst) in block.insts.iter().enumerate() {
-            if matches!(inst, Inst::Call { callee: Callee::Indirect(_), .. }) {
+            if matches!(
+                inst,
+                Inst::Call {
+                    callee: Callee::Indirect(_),
+                    ..
+                }
+            ) {
                 sites.push((b, i));
             }
         }
@@ -93,7 +103,11 @@ fn rewrite_in_function(m: &mut Module, fid: FuncId, scheme: TagScheme) -> usize 
 
 fn split_site(m: &mut Module, fid: FuncId, b: BlockId, i: usize, scheme: TagScheme) {
     let f = m.function_mut(fid);
-    let Inst::Call { dst, callee: Callee::Indirect(ptr), args } = f.blocks[b.index()].insts[i].clone()
+    let Inst::Call {
+        dst,
+        callee: Callee::Indirect(ptr),
+        args,
+    } = f.blocks[b.index()].insts[i].clone()
     else {
         panic!("split_site target is not an indirect call");
     };
@@ -101,11 +115,19 @@ fn split_site(m: &mut Module, fid: FuncId, b: BlockId, i: usize, scheme: TagSche
     // Tail of the original block becomes the join block.
     let tail: Vec<Inst> = f.blocks[b.index()].insts[i + 1..].to_vec();
     let old_term = f.blocks[b.index()].term.clone();
-    let join = f.push_block(Block { insts: tail, term: old_term, pad: None });
+    let join = f.push_block(Block {
+        insts: tail,
+        term: old_term,
+        pad: None,
+    });
 
     // Plain path: the original call, unchanged.
     let plain = f.push_block(Block {
-        insts: vec![Inst::Call { dst, callee: Callee::Indirect(ptr), args: args.clone() }],
+        insts: vec![Inst::Call {
+            dst,
+            callee: Callee::Indirect(ptr),
+            args: args.clone(),
+        }],
         term: Term::Jump(join),
         pad: None,
     });
@@ -162,7 +184,11 @@ fn split_site(m: &mut Module, fid: FuncId, b: BlockId, i: usize, scheme: TagSche
         callee: Callee::Indirect(Operand::local(base)),
         args: fused_args,
     });
-    let tagged = f.push_block(Block { insts: tagged_insts, term: Term::Jump(join), pad: None });
+    let tagged = f.push_block(Block {
+        insts: tagged_insts,
+        term: Term::Jump(join),
+        pad: None,
+    });
 
     // Head: compute the tag test and branch.
     let tag_bits = f.new_local(Type::I64);
@@ -190,7 +216,11 @@ fn split_site(m: &mut Module, fid: FuncId, b: BlockId, i: usize, scheme: TagSche
         lhs: Operand::local(tag_bits),
         rhs: Operand::const_int(Type::I64, 0),
     });
-    head.term = Term::Branch { cond: Operand::local(is_plain), then_bb: plain, else_bb: tagged };
+    head.term = Term::Branch {
+        cond: Operand::local(is_plain),
+        then_bb: plain,
+        else_bb: tagged,
+    };
 }
 
 #[cfg(test)]
@@ -209,7 +239,11 @@ mod tests {
         let mut main = FunctionBuilder::new("main", Type::I64);
         let fp = main.funcaddr(cid);
         let r1 = main
-            .call_indirect(Operand::local(fp), Type::I64, vec![Operand::const_int(Type::I64, 1)])
+            .call_indirect(
+                Operand::local(fp),
+                Type::I64,
+                vec![Operand::const_int(Type::I64, 1)],
+            )
             .unwrap();
         let r2 = main
             .call_indirect(Operand::local(fp), Type::I64, vec![Operand::local(r1)])
@@ -230,7 +264,10 @@ mod tests {
         assert_eq!(n, 2);
         khaos_ir::verify::assert_valid(&m);
         let after = khaos_vm::run_function(&m, "main", &[]).unwrap();
-        assert_eq!(before.exit_code, after.exit_code, "untagged pointers still work");
+        assert_eq!(
+            before.exit_code, after.exit_code,
+            "untagged pointers still work"
+        );
 
         // Idempotence is NOT expected (plain paths contain indirect calls);
         // the driver only calls this once per module.

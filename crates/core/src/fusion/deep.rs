@@ -63,8 +63,12 @@ pub(super) fn merge_sides(
     let f = m.function_mut(fus);
     let mut dead: Vec<BlockId> = Vec::new();
     for (alpha, beta, a_ctrl) in pairs {
-        let Term::Jump(a_target) = f.block(alpha).term else { unreachable!("checked Jump") };
-        let Term::Jump(b_target) = f.block(beta).term else { unreachable!("checked Jump") };
+        let Term::Jump(a_target) = f.block(alpha).term else {
+            unreachable!("checked Jump")
+        };
+        let Term::Jump(b_target) = f.block(beta).term else {
+            unreachable!("checked Jump")
+        };
         // The merged block runs BOTH instruction lists, then branches on
         // ctrl back into the correct constituent.
         let mut insts = f.block(alpha).insts.clone();
@@ -79,7 +83,11 @@ pub(super) fn merge_sides(
         });
         let merged = f.push_block(Block {
             insts,
-            term: Term::Branch { cond: Operand::local(is_a), then_bb: a_target, else_bb: b_target },
+            term: Term::Branch {
+                cond: Operand::local(is_a),
+                then_bb: a_target,
+                else_bb: b_target,
+            },
             pad: None,
         });
         retarget_edges(f, alpha, merged);
@@ -173,7 +181,12 @@ mod tests {
     fn register_arithmetic_is_innocuous() {
         let f = block_of(|fb| {
             let a = fb.iconst(Type::I64, 1);
-            let _ = fb.bin(BinOp::Add, Type::I64, Operand::local(a), Operand::const_int(Type::I64, 2));
+            let _ = fb.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(a),
+                Operand::const_int(Type::I64, 2),
+            );
         });
         assert!(block_is_innocuous(&f.blocks[0]));
     }
@@ -193,7 +206,11 @@ mod tests {
         let g = m.push_global(khaos_ir::Global::zeroed("g", 8));
         let f = block_of(|fb| {
             let p = fb.globaladdr(g);
-            fb.store(Type::I64, Operand::const_int(Type::I64, 1), Operand::local(p));
+            fb.store(
+                Type::I64,
+                Operand::const_int(Type::I64, 1),
+                Operand::local(p),
+            );
         });
         assert!(!block_is_innocuous(&f.blocks[0]));
     }

@@ -5,7 +5,7 @@ use super::prefix_compatible;
 use crate::KhaosContext;
 use khaos_ir::rewrite::{import_locals, remap_block};
 use khaos_ir::{
-    Block, BlockId, Callee, CallGraph, CastKind, CmpPred, FuncId, Function, GInit, Inst, Linkage,
+    Block, BlockId, CallGraph, Callee, CastKind, CmpPred, FuncId, Function, GInit, Inst, Linkage,
     LocalId, Module, Operand, ProvKind, Provenance, Term, Type,
 };
 use std::collections::HashMap;
@@ -97,14 +97,21 @@ fn merge_params(fa: &Function, fb: &Function, compression: bool) -> ParamLayout 
             slots.push(t);
         }
     }
-    ParamLayout { slots, a_map, b_map, compressed }
+    ParamLayout {
+        slots,
+        a_map,
+        b_map,
+        compressed,
+    }
 }
 
 fn merged_ret(fa: &Function, fb: &Function) -> Type {
     match (fa.ret_ty, fb.ret_ty) {
         (Type::Void, Type::Void) => Type::Void,
         (Type::Void, t) | (t, Type::Void) => t,
-        (a, b) => a.merged(b).expect("selection guarantees compatible returns"),
+        (a, b) => a
+            .merged(b)
+            .expect("selection guarantees compatible returns"),
     }
 }
 
@@ -112,14 +119,22 @@ pub(super) fn widen_cast(from: Type, to: Type) -> Option<CastKind> {
     if from == to {
         return None;
     }
-    Some(if from.is_float() { CastKind::FpExt } else { CastKind::SExt })
+    Some(if from.is_float() {
+        CastKind::FpExt
+    } else {
+        CastKind::SExt
+    })
 }
 
 pub(super) fn narrow_cast(from: Type, to: Type) -> Option<CastKind> {
     if from == to {
         return None;
     }
-    Some(if from.is_float() { CastKind::FpTrunc } else { CastKind::Trunc })
+    Some(if from.is_float() {
+        CastKind::FpTrunc
+    } else {
+        CastKind::Trunc
+    })
 }
 
 /// Fuses `a` and `b` into a new `fusFunc`; rewrites every reference in the
@@ -150,7 +165,12 @@ pub fn fuse_pair(
             .cloned()
             .collect(),
     };
-    fus.annotations = fa.annotations.iter().chain(fb.annotations.iter()).cloned().collect();
+    fus.annotations = fa
+        .annotations
+        .iter()
+        .chain(fb.annotations.iter())
+        .cloned()
+        .collect();
     if !fus.annotations.iter().any(|a| a == "noinline") {
         // Keep the aggregation intact through later optimization.
         fus.annotations.push("noinline".to_string());
@@ -180,7 +200,11 @@ pub fn fuse_pair(
             lhs: Operand::local(ctrl),
             rhs: Operand::const_int(Type::I32, 0),
         }],
-        term: Term::Branch { cond: Operand::local(is_a), then_bb: adapter_a, else_bb: adapter_b },
+        term: Term::Branch {
+            cond: Operand::local(is_a),
+            then_bb: adapter_a,
+            else_bb: adapter_b,
+        },
         pad: None,
     };
 
@@ -204,54 +228,58 @@ pub fn fuse_pair(
                     from: slot_ty,
                     to: ty,
                 }),
-                None => insts.push(Inst::Copy { ty, dst, src: Operand::local(slot_local) }),
+                None => insts.push(Inst::Copy {
+                    ty,
+                    dst,
+                    src: Operand::local(slot_local),
+                }),
             }
         }
-        Block { insts, term: Term::Jump(entry_target), pad: None }
+        Block {
+            insts,
+            term: Term::Jump(entry_target),
+            pad: None,
+        }
     };
-    let adapter_a_block =
-        build_adapter(&mut fus, &fa, &amap, &layout.a_map, BlockId::new(a_base));
-    let adapter_b_block =
-        build_adapter(&mut fus, &fb, &bmap, &layout.b_map, BlockId::new(b_base));
+    let adapter_a_block = build_adapter(&mut fus, &fa, &amap, &layout.a_map, BlockId::new(a_base));
+    let adapter_b_block = build_adapter(&mut fus, &fb, &bmap, &layout.b_map, BlockId::new(b_base));
     fus.push_block(adapter_a_block);
     fus.push_block(adapter_b_block);
     debug_assert_eq!(fus.blocks.len(), a_base);
 
     // Copy the bodies, rewriting returns to the merged type.
-    let copy_body = |fus: &mut Function,
-                         orig: &Function,
-                         map: &HashMap<LocalId, LocalId>,
-                         base: usize| {
-        let bmap_blocks: HashMap<BlockId, BlockId> = (0..orig.blocks.len())
-            .map(|i| (BlockId::new(i), BlockId::new(base + i)))
-            .collect();
-        for ob in &orig.blocks {
-            let mut nb = ob.clone();
-            remap_block(&mut nb, map, &bmap_blocks);
-            if let Term::Ret(v) = nb.term.clone() {
-                nb.term = match (v, fus_ret, orig.ret_ty) {
-                    (_, Type::Void, _) => Term::Ret(None),
-                    (None, t, Type::Void) => Term::Ret(Some(Operand::zero(t))),
-                    (Some(val), want, have) => match widen_cast(have, want) {
-                        None => Term::Ret(Some(val)),
-                        Some(kind) => {
-                            let w = fus.new_local(want);
-                            nb.insts.push(Inst::Cast {
-                                kind,
-                                dst: w,
-                                src: val,
-                                from: have,
-                                to: want,
-                            });
-                            Term::Ret(Some(Operand::local(w)))
-                        }
-                    },
-                    (None, _, _) => unreachable!("void return in non-void function"),
-                };
+    let copy_body =
+        |fus: &mut Function, orig: &Function, map: &HashMap<LocalId, LocalId>, base: usize| {
+            let bmap_blocks: HashMap<BlockId, BlockId> = (0..orig.blocks.len())
+                .map(|i| (BlockId::new(i), BlockId::new(base + i)))
+                .collect();
+            for ob in &orig.blocks {
+                let mut nb = ob.clone();
+                remap_block(&mut nb, map, &bmap_blocks);
+                if let Term::Ret(v) = nb.term.clone() {
+                    nb.term = match (v, fus_ret, orig.ret_ty) {
+                        (_, Type::Void, _) => Term::Ret(None),
+                        (None, t, Type::Void) => Term::Ret(Some(Operand::zero(t))),
+                        (Some(val), want, have) => match widen_cast(have, want) {
+                            None => Term::Ret(Some(val)),
+                            Some(kind) => {
+                                let w = fus.new_local(want);
+                                nb.insts.push(Inst::Cast {
+                                    kind,
+                                    dst: w,
+                                    src: val,
+                                    from: have,
+                                    to: want,
+                                });
+                                Term::Ret(Some(Operand::local(w)))
+                            }
+                        },
+                        (None, _, _) => unreachable!("void return in non-void function"),
+                    };
+                }
+                fus.push_block(nb);
             }
-            fus.push_block(nb);
-        }
-    };
+        };
     copy_body(&mut fus, &fa, &amap, a_base);
     copy_body(&mut fus, &fb, &bmap, b_base);
 
@@ -259,8 +287,18 @@ pub fn fuse_pair(
 
     // ---- Rewrite every direct call/invoke to a or b. ----
     let specs = [
-        CallSpec { target: a, ctrl: 0, map: layout.a_map.clone(), orig_ret: fa.ret_ty },
-        CallSpec { target: b, ctrl: 1, map: layout.b_map.clone(), orig_ret: fb.ret_ty },
+        CallSpec {
+            target: a,
+            ctrl: 0,
+            map: layout.a_map.clone(),
+            orig_ret: fa.ret_ty,
+        },
+        CallSpec {
+            target: b,
+            ctrl: 1,
+            map: layout.b_map.clone(),
+            orig_ret: fb.ret_ty,
+        },
     ];
     let slots = layout.slots.clone();
     for fi in 0..m.functions.len() {
@@ -272,9 +310,8 @@ pub fn fuse_pair(
     }
 
     // ---- Pointer references: tags or trampolines. ----
-    let can_tag = ctx.options.parameter_compression
-        && !has_indirect_invoke
-        && prefix_compatible(&fa, &fb);
+    let can_tag =
+        ctx.options.parameter_compression && !has_indirect_invoke && prefix_compatible(&fa, &fb);
     let mut used_tags = false;
     for spec in &specs {
         let x = spec.target;
@@ -344,7 +381,13 @@ pub(super) fn build_fused_args(
             None => *arg,
             Some(kind) => {
                 let w = f.new_local(slot_ty);
-                pre.push(Inst::Cast { kind, dst: w, src: *arg, from: have, to: slot_ty });
+                pre.push(Inst::Cast {
+                    kind,
+                    dst: w,
+                    src: *arg,
+                    from: have,
+                    to: slot_ty,
+                });
                 Operand::local(w)
             }
         });
@@ -386,16 +429,19 @@ pub(super) fn rewrite_calls_in(
         let mut new_insts = Vec::with_capacity(old.len());
         for inst in old {
             let spec = match &inst {
-                Inst::Call { callee: Callee::Direct(t), .. } => {
-                    specs.iter().find(|s| s.target == *t)
-                }
+                Inst::Call {
+                    callee: Callee::Direct(t),
+                    ..
+                } => specs.iter().find(|s| s.target == *t),
                 _ => None,
             };
             let Some(spec) = spec else {
                 new_insts.push(inst);
                 continue;
             };
-            let Inst::Call { dst, args, .. } = inst else { unreachable!() };
+            let Inst::Call { dst, args, .. } = inst else {
+                unreachable!()
+            };
             let f = m.function_mut(fid);
             let mut pre = Vec::new();
             let new_args = build_fused_args(f, &mut pre, slots, spec, &args);
@@ -417,7 +463,11 @@ pub(super) fn rewrite_calls_in(
                     });
                 }
                 (d, _) => {
-                    new_insts.push(Inst::Call { dst: d, callee: Callee::Direct(fus_id), args: new_args });
+                    new_insts.push(Inst::Call {
+                        dst: d,
+                        callee: Callee::Direct(fus_id),
+                        args: new_args,
+                    });
                 }
             }
         }
@@ -425,8 +475,17 @@ pub(super) fn rewrite_calls_in(
 
         // --- invoke terminator ---
         let term = m.function_mut(fid).blocks[bi].term.clone();
-        if let Term::Invoke { dst, callee: Callee::Direct(t), args, normal, unwind } = term {
-            let Some(spec) = specs.iter().find(|s| s.target == t) else { continue };
+        if let Term::Invoke {
+            dst,
+            callee: Callee::Direct(t),
+            args,
+            normal,
+            unwind,
+        } = term
+        {
+            let Some(spec) = specs.iter().find(|s| s.target == t) else {
+                continue;
+            };
             let f = m.function_mut(fid);
             let mut pre = Vec::new();
             let new_args = build_fused_args(f, &mut pre, slots, spec, &args);
@@ -476,7 +535,10 @@ pub(super) fn rewrite_funcaddrs(m: &mut Module, x: FuncId, fus_id: FuncId, tag: 
                         f.locals.push(Type::I64);
                         let tagged = LocalId::new(f.locals.len());
                         f.locals.push(Type::I64);
-                        new_insts.push(Inst::FuncAddr { dst: raw, func: fus_id });
+                        new_insts.push(Inst::FuncAddr {
+                            dst: raw,
+                            func: fus_id,
+                        });
                         new_insts.push(Inst::Cast {
                             kind: CastKind::PtrToInt,
                             dst: as_int,
@@ -532,34 +594,61 @@ pub(super) fn install_trampoline(
     }
     nf.param_count = params.len() as u32;
     nf.linkage = linkage;
-    nf.provenance = Provenance { kind: ProvKind::Trampoline, origins };
+    nf.provenance = Provenance {
+        kind: ProvKind::Trampoline,
+        origins,
+    };
     nf.annotations = annotations;
 
     let mut insts = Vec::new();
-    let args: Vec<Operand> = (0..params.len()).map(|i| Operand::local(LocalId::new(i))).collect();
+    let args: Vec<Operand> = (0..params.len())
+        .map(|i| Operand::local(LocalId::new(i)))
+        .collect();
     let mut pre = Vec::new();
     let new_args = build_fused_args(&mut nf, &mut pre, slots, spec, &args);
     insts.extend(pre);
     let term = if ret == Type::Void {
-        insts.push(Inst::Call { dst: None, callee: Callee::Direct(fus_id), args: new_args });
+        insts.push(Inst::Call {
+            dst: None,
+            callee: Callee::Direct(fus_id),
+            args: new_args,
+        });
         Term::Ret(None)
     } else {
         match narrow_cast(fus_ret, ret) {
             None => {
                 let r = nf.new_local(ret);
-                insts.push(Inst::Call { dst: Some(r), callee: Callee::Direct(fus_id), args: new_args });
+                insts.push(Inst::Call {
+                    dst: Some(r),
+                    callee: Callee::Direct(fus_id),
+                    args: new_args,
+                });
                 Term::Ret(Some(Operand::local(r)))
             }
             Some(kind) => {
                 let w = nf.new_local(fus_ret);
                 let r = nf.new_local(ret);
-                insts.push(Inst::Call { dst: Some(w), callee: Callee::Direct(fus_id), args: new_args });
-                insts.push(Inst::Cast { kind, dst: r, src: Operand::local(w), from: fus_ret, to: ret });
+                insts.push(Inst::Call {
+                    dst: Some(w),
+                    callee: Callee::Direct(fus_id),
+                    args: new_args,
+                });
+                insts.push(Inst::Cast {
+                    kind,
+                    dst: r,
+                    src: Operand::local(w),
+                    from: fus_ret,
+                    to: ret,
+                });
                 Term::Ret(Some(Operand::local(r)))
             }
         }
     };
-    nf.blocks[0] = Block { insts, term, pad: None };
+    nf.blocks[0] = Block {
+        insts,
+        term,
+        pad: None,
+    };
     *m.function_mut(x) = nf;
 }
 
@@ -572,7 +661,11 @@ pub(super) fn stub_function(m: &mut Module, x: FuncId) {
         Type::Void => Term::Ret(None),
         t => Term::Ret(Some(Operand::zero(t))),
     };
-    f.blocks = vec![Block { insts: Vec::new(), term, pad: None }];
+    f.blocks = vec![Block {
+        insts: Vec::new(),
+        term,
+        pad: None,
+    }];
 }
 
 #[cfg(test)]
@@ -671,7 +764,12 @@ mod tests {
         let p = fb.add_param(Type::I64);
         let t = fb.new_block();
         let e = fb.new_block();
-        let c = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::zero(Type::I64));
+        let c = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::zero(Type::I64),
+        );
         fb.branch(Operand::local(c), t, e);
         fb.switch_to(t);
         fb.ret(Some(Operand::local(p)));
@@ -684,7 +782,11 @@ mod tests {
         stub_function(&mut m, id);
         let f = m.function(id);
         assert_eq!(f.blocks.len(), 1);
-        assert_eq!(f.linkage, Linkage::Internal, "stub is internal so DFE sweeps it");
+        assert_eq!(
+            f.linkage,
+            Linkage::Internal,
+            "stub is internal so DFE sweeps it"
+        );
         assert!(matches!(f.blocks[0].term, Term::Ret(Some(_))));
         khaos_ir::verify::assert_valid(&m);
     }
@@ -699,7 +801,12 @@ mod tests {
         let ctrl = fus.add_param(Type::I32);
         let x = fus.add_param(Type::I64);
         let c = fus.cast(CastKind::SExt, Operand::local(ctrl), Type::I32, Type::I64);
-        let s = fus.bin(khaos_ir::BinOp::Add, Type::I64, Operand::local(x), Operand::local(c));
+        let s = fus.bin(
+            khaos_ir::BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::local(c),
+        );
         fus.ret(Some(Operand::local(s)));
         let fus_id = m.push_function(fus.finish());
 

@@ -11,7 +11,7 @@ pub use merge::{fuse_pair, FusedInfo};
 pub use nway::{fuse_group, NwayInfo, MAX_ARITY};
 
 use crate::KhaosContext;
-use khaos_ir::{Callee, CallGraph, FuncId, Function, Module, ProvKind, Term, Type};
+use khaos_ir::{CallGraph, Callee, FuncId, Function, Module, ProvKind, Term, Type};
 use rand::seq::SliceRandom;
 
 /// Runs fusion over the functions of `m` selected by `filter`.
@@ -44,15 +44,17 @@ pub fn run(m: &mut Module, ctx: &mut KhaosContext, filter: impl Fn(&Function) ->
     // pair the leftovers arbitrarily.
     let mut pairs: Vec<(FuncId, FuncId)> = Vec::new();
     let mut remaining = eligible;
-    let passes: &[bool] =
-        if ctx.options.prefer_register_args { &[true, false] } else { &[false] };
+    let passes: &[bool] = if ctx.options.prefer_register_args {
+        &[true, false]
+    } else {
+        &[false]
+    };
     for &require_reg in passes {
         let mut next_remaining = Vec::new();
         while let Some(a) = remaining.first().copied() {
             remaining.remove(0);
             let partner = remaining.iter().position(|&b| {
-                compatible_pair(m, &cg, a, b)
-                    && (!require_reg || fits_register_budget(m, a, b))
+                compatible_pair(m, &cg, a, b) && (!require_reg || fits_register_budget(m, a, b))
             });
             match partner {
                 Some(j) => {
@@ -86,9 +88,15 @@ pub fn run(m: &mut Module, ctx: &mut KhaosContext, filter: impl Fn(&Function) ->
 
 fn module_has_indirect_invoke(m: &Module) -> bool {
     m.functions.iter().any(|f| {
-        f.blocks
-            .iter()
-            .any(|b| matches!(&b.term, Term::Invoke { callee: Callee::Indirect(_), .. }))
+        f.blocks.iter().any(|b| {
+            matches!(
+                &b.term,
+                Term::Invoke {
+                    callee: Callee::Indirect(_),
+                    ..
+                }
+            )
+        })
     })
 }
 
@@ -96,9 +104,8 @@ fn module_has_indirect_invoke(m: &Module) -> bool {
 fn compatible_pair(m: &Module, cg: &CallGraph, a: FuncId, b: FuncId) -> bool {
     let fa = m.function(a);
     let fb = m.function(b);
-    let ret_ok = fa.ret_ty == Type::Void
-        || fb.ret_ty == Type::Void
-        || fa.ret_ty.compatible(fb.ret_ty);
+    let ret_ok =
+        fa.ret_ty == Type::Void || fb.ret_ty == Type::Void || fa.ret_ty.compatible(fb.ret_ty);
     ret_ok && !cg.directly_related(a, b)
 }
 
@@ -166,7 +173,10 @@ mod tests {
         fb.ret(Some(Operand::const_float(Type::F64, 0.0)));
         let y = m.push_function(fb.finish());
         let cg = CallGraph::compute(&m);
-        assert!(!compatible_pair(&m, &cg, x, y), "int/float returns lose precision");
+        assert!(
+            !compatible_pair(&m, &cg, x, y),
+            "int/float returns lose precision"
+        );
     }
 
     #[test]

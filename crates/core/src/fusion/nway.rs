@@ -89,8 +89,10 @@ struct GroupLayout {
 /// later groups are deferred to fresh trailing slots.
 fn merge_params_n(funcs: &[&Function], compression: bool) -> GroupLayout {
     let mut slots: Vec<Type> = Vec::new();
-    let mut maps: Vec<Vec<usize>> =
-        funcs.iter().map(|f| vec![usize::MAX; f.param_count as usize]).collect();
+    let mut maps: Vec<Vec<usize>> = funcs
+        .iter()
+        .map(|f| vec![usize::MAX; f.param_count as usize])
+        .collect();
     let mut compressed = 0usize;
 
     if !compression {
@@ -100,10 +102,18 @@ fn merge_params_n(funcs: &[&Function], compression: bool) -> GroupLayout {
                 slots.push(t);
             }
         }
-        return GroupLayout { slots, maps, compressed };
+        return GroupLayout {
+            slots,
+            maps,
+            compressed,
+        };
     }
 
-    let max_params = funcs.iter().map(|f| f.param_count as usize).max().unwrap_or(0);
+    let max_params = funcs
+        .iter()
+        .map(|f| f.param_count as usize)
+        .max()
+        .unwrap_or(0);
     let mut deferred: Vec<(Type, Vec<(usize, usize)>)> = Vec::new();
     // `pos` walks parameter positions (it indexes into each constituent's
     // own map row, so enumerate() has nothing to offer here).
@@ -112,8 +122,13 @@ fn merge_params_n(funcs: &[&Function], compression: bool) -> GroupLayout {
         // Greedy grouping of this position's types.
         let mut groups: Vec<(Type, Vec<usize>)> = Vec::new();
         for (fi, f) in funcs.iter().enumerate() {
-            let Some(&t) = f.param_types().get(pos) else { continue };
-            match groups.iter_mut().find_map(|g| g.0.merged(t).map(|m| (g, m))) {
+            let Some(&t) = f.param_types().get(pos) else {
+                continue;
+            };
+            match groups
+                .iter_mut()
+                .find_map(|g| g.0.merged(t).map(|m| (g, m)))
+            {
                 Some((g, merged)) => {
                     g.0 = merged;
                     g.1.push(fi);
@@ -144,7 +159,11 @@ fn merge_params_n(funcs: &[&Function], compression: bool) -> GroupLayout {
         }
         slots.push(ty);
     }
-    GroupLayout { slots, maps, compressed }
+    GroupLayout {
+        slots,
+        maps,
+        compressed,
+    }
 }
 
 /// Folds the constituents' return types under the paper's
@@ -175,7 +194,10 @@ pub fn fuse_group(
     ctx: &mut KhaosContext,
 ) -> NwayInfo {
     let k = ids.len();
-    assert!((2..=MAX_ARITY).contains(&k), "N-way fusion arity must be 2..=4, got {k}");
+    assert!(
+        (2..=MAX_ARITY).contains(&k),
+        "N-way fusion arity must be 2..=4, got {k}"
+    );
     let origs: Vec<Function> = ids.iter().map(|&id| m.function(id).clone()).collect();
     let orig_refs: Vec<&Function> = origs.iter().collect();
     let layout = merge_params_n(&orig_refs, ctx.options.parameter_compression);
@@ -192,9 +214,15 @@ pub fn fuse_group(
     let mut fus = Function::new(name, fus_ret);
     fus.provenance = Provenance {
         kind: ProvKind::Fused,
-        origins: origs.iter().flat_map(|f| f.provenance.origins.iter().cloned()).collect(),
+        origins: origs
+            .iter()
+            .flat_map(|f| f.provenance.origins.iter().cloned())
+            .collect(),
     };
-    fus.annotations = origs.iter().flat_map(|f| f.annotations.iter().cloned()).collect();
+    fus.annotations = origs
+        .iter()
+        .flat_map(|f| f.annotations.iter().cloned())
+        .collect();
     if !fus.annotations.iter().any(|a| a == "noinline") {
         fus.annotations.push("noinline".to_string());
     }
@@ -265,11 +293,18 @@ pub fn fuse_group(
                     from: slot_ty,
                     to: ty,
                 }),
-                None => insts.push(Inst::Copy { ty, dst, src: Operand::local(slot_local) }),
+                None => insts.push(Inst::Copy {
+                    ty,
+                    dst,
+                    src: Operand::local(slot_local),
+                }),
             }
         }
-        let adapter =
-            Block { insts, term: Term::Jump(BlockId::new(body_base[fi])), pad: None };
+        let adapter = Block {
+            insts,
+            term: Term::Jump(BlockId::new(body_base[fi])),
+            pad: None,
+        };
         fus.push_block(adapter);
     }
     debug_assert_eq!(fus.blocks.len(), 1 + k);
@@ -364,7 +399,9 @@ pub fn fuse_group(
     NwayInfo {
         fus: fus_id,
         used_tags,
-        sides: (0..k).map(|i| body_base[i]..body_base[i] + origs[i].blocks.len()).collect(),
+        sides: (0..k)
+            .map(|i| body_base[i]..body_base[i] + origs[i].blocks.len())
+            .collect(),
         ctrl,
     }
 }
@@ -382,13 +419,7 @@ fn pairwise_prefix_compatible(funcs: &[&Function]) -> bool {
 
 /// Whether `b` can join `group` (return fold succeeds, no direct call
 /// relation with any member, optional register-budget preference).
-fn joins_group(
-    m: &Module,
-    cg: &CallGraph,
-    group: &[FuncId],
-    b: FuncId,
-    require_reg: bool,
-) -> bool {
+fn joins_group(m: &Module, cg: &CallGraph, group: &[FuncId], b: FuncId, require_reg: bool) -> bool {
     let mut members: Vec<&Function> = group.iter().map(|&id| m.function(id)).collect();
     let fb = m.function(b);
     members.push(fb);
@@ -401,7 +432,11 @@ fn joins_group(
     if require_reg {
         // ctrl + merged params must stay within six register slots; the
         // positional merge needs at most the max param count.
-        let max = members.iter().map(|f| f.param_count as usize).max().unwrap_or(0);
+        let max = members
+            .iter()
+            .map(|f| f.param_count as usize)
+            .max()
+            .unwrap_or(0);
         if max >= 6 {
             return false;
         }
@@ -438,8 +473,11 @@ pub fn run_n(
     // Greedy group building; two passes when register-args are preferred.
     let mut groups: Vec<Vec<FuncId>> = Vec::new();
     let mut remaining = eligible;
-    let passes: &[bool] =
-        if ctx.options.prefer_register_args { &[true, false] } else { &[false] };
+    let passes: &[bool] = if ctx.options.prefer_register_args {
+        &[true, false]
+    } else {
+        &[false]
+    };
     for &require_reg in passes {
         let mut next_remaining = Vec::new();
         while let Some(a) = remaining.first().copied() {
@@ -489,8 +527,10 @@ pub fn run_n(
     // Dead originals were stubbed by `fuse_group`; sweep them. Function
     // ids shift, so re-resolve each info's fus by name; a fused function
     // that itself became unreachable is dropped from the result.
-    let fus_names: Vec<String> =
-        infos.iter().map(|i| m.function(i.fus).name.clone()).collect();
+    let fus_names: Vec<String> = infos
+        .iter()
+        .map(|i| m.function(i.fus).name.clone())
+        .collect();
     khaos_opt::dfe::run_module(m);
     let mut live = Vec::with_capacity(infos.len());
     for (mut info, name) in infos.into_iter().zip(fus_names) {
@@ -514,7 +554,11 @@ mod tests {
             let t = nway_tag(ctrl);
             assert_eq!(t & 1, 0, "bit 0 stays reserved");
             assert_eq!(t & !NWAY_MASK, 0, "tag inside the mask");
-            assert_eq!((t >> NWAY_CTRL_SHIFT) & NWAY_CTRL_MASK, ctrl, "ctrl roundtrips");
+            assert_eq!(
+                (t >> NWAY_CTRL_SHIFT) & NWAY_CTRL_MASK,
+                ctrl,
+                "ctrl roundtrips"
+            );
             assert_ne!(t & NWAY_FLAG, 0, "flag set");
         }
     }
@@ -593,7 +637,11 @@ mod tests {
         let f64_ = mk("f", Type::F64);
         assert_eq!(group_ret(&[&v, &v, &v]), Some(Type::Void));
         assert_eq!(group_ret(&[&v, &i32_, &i64_]), Some(Type::I64));
-        assert_eq!(group_ret(&[&i32_, &f64_]), None, "int/float loses precision");
+        assert_eq!(
+            group_ret(&[&i32_, &f64_]),
+            None,
+            "int/float loses precision"
+        );
         assert_eq!(group_ret(&[&v, &f64_]), Some(Type::F64));
     }
 
@@ -604,7 +652,12 @@ mod tests {
         for (name, mul) in [("f1", 3i64), ("f2", 5), ("f3", 7)] {
             let mut fb = FunctionBuilder::new(name, Type::I64);
             let p = fb.add_param(Type::I64);
-            let r = fb.bin(BinOp::Mul, Type::I64, Operand::local(p), Operand::const_int(Type::I64, mul));
+            let r = fb.bin(
+                BinOp::Mul,
+                Type::I64,
+                Operand::local(p),
+                Operand::const_int(Type::I64, mul),
+            );
             fb.ret(Some(Operand::local(r)));
             fns.push(m.push_function(fb.finish()));
         }
@@ -612,9 +665,18 @@ mod tests {
         let mut acc = main.iconst(Type::I64, 0);
         for (i, &f) in fns.iter().enumerate() {
             let r = main
-                .call(f, Type::I64, vec![Operand::const_int(Type::I64, i as i64 + 1)])
+                .call(
+                    f,
+                    Type::I64,
+                    vec![Operand::const_int(Type::I64, i as i64 + 1)],
+                )
                 .unwrap();
-            let n = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+            let n = main.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(acc),
+                Operand::local(r),
+            );
             acc = n;
         }
         main.ret(Some(Operand::local(acc)));
@@ -647,7 +709,12 @@ mod tests {
         for (name, add) in [("g1", 10i64), ("g2", 20), ("g3", 30), ("g4", 40)] {
             let mut fb = FunctionBuilder::new(name, Type::I64);
             let p = fb.add_param(Type::I64);
-            let r = fb.bin(BinOp::Add, Type::I64, Operand::local(p), Operand::const_int(Type::I64, add));
+            let r = fb.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(p),
+                Operand::const_int(Type::I64, add),
+            );
             fb.ret(Some(Operand::local(r)));
             fns.push(m.push_function(fb.finish()));
         }
@@ -685,7 +752,12 @@ mod tests {
         for (name, mul) in [("h1", 2i64), ("h2", 3), ("h3", 4)] {
             let mut fb = FunctionBuilder::new(name, Type::I64);
             let p = fb.add_param(Type::I64);
-            let r = fb.bin(BinOp::Mul, Type::I64, Operand::local(p), Operand::const_int(Type::I64, mul));
+            let r = fb.bin(
+                BinOp::Mul,
+                Type::I64,
+                Operand::local(p),
+                Operand::const_int(Type::I64, mul),
+            );
             fb.ret(Some(Operand::local(r)));
             fns.push(m.push_function(fb.finish()));
         }
@@ -700,7 +772,12 @@ mod tests {
                     vec![Operand::const_int(Type::I64, i as i64 + 1)],
                 )
                 .unwrap();
-            let n = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+            let n = main.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(acc),
+                Operand::local(r),
+            );
             acc = n;
         }
         main.ret(Some(Operand::local(acc)));
@@ -711,7 +788,10 @@ mod tests {
         let mut ctx = KhaosContext::new(0xC3);
         let infos = run_n(&mut m, &mut ctx, 3, |_| true);
         assert_eq!(infos.len(), 1);
-        assert!(infos[0].used_tags, "address-taken constituents must be tagged");
+        assert!(
+            infos[0].used_tags,
+            "address-taken constituents must be tagged"
+        );
         khaos_ir::verify::assert_valid(&m);
         let got = khaos_vm::run_function(&m, "main", &[]).unwrap().exit_code;
         assert_eq!(want, got);
@@ -725,7 +805,12 @@ mod tests {
         for (name, c) in [("p", 11i64), ("q", 13), ("r", 17), ("s", 19)] {
             let mut fb = FunctionBuilder::new(name, Type::I64);
             let x = fb.add_param(Type::I64);
-            let v = fb.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, c));
+            let v = fb.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(x),
+                Operand::const_int(Type::I64, c),
+            );
             fb.ret(Some(Operand::local(v)));
             m.push_function(fb.finish());
         }

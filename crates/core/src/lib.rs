@@ -195,7 +195,9 @@ pub fn fission(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError>
 /// Returns [`KhaosError::InvalidResult`] if the transformed module fails
 /// verification.
 pub fn fusion(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError> {
-    fusion::run(m, ctx, |f| f.provenance.kind != khaos_ir::ProvKind::Trampoline);
+    fusion::run(m, ctx, |f| {
+        f.provenance.kind != khaos_ir::ProvKind::Trampoline
+    });
     check(m)
 }
 
@@ -238,7 +240,10 @@ pub fn fufi_n(m: &mut Module, ctx: &mut KhaosContext, arity: usize) -> Result<()
     }
     fission::run(m, ctx);
     fusion::nway::run_n(m, ctx, arity, |f| {
-        matches!(f.provenance.kind, khaos_ir::ProvKind::Sep | khaos_ir::ProvKind::Original)
+        matches!(
+            f.provenance.kind,
+            khaos_ir::ProvKind::Sep | khaos_ir::ProvKind::Original
+        )
     });
     check(m)
 }
@@ -263,7 +268,9 @@ pub fn fufi_sep(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError
 /// Returns [`KhaosError::InvalidResult`] on verifier failure.
 pub fn fufi_ori(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError> {
     fission::run(m, ctx);
-    fusion::run(m, ctx, |f| f.provenance.kind == khaos_ir::ProvKind::Original);
+    fusion::run(m, ctx, |f| {
+        f.provenance.kind == khaos_ir::ProvKind::Original
+    });
     check(m)
 }
 
@@ -275,7 +282,10 @@ pub fn fufi_ori(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError
 pub fn fufi_all(m: &mut Module, ctx: &mut KhaosContext) -> Result<(), KhaosError> {
     fission::run(m, ctx);
     fusion::run(m, ctx, |f| {
-        matches!(f.provenance.kind, khaos_ir::ProvKind::Sep | khaos_ir::ProvKind::Original)
+        matches!(
+            f.provenance.kind,
+            khaos_ir::ProvKind::Sep | khaos_ir::ProvKind::Original
+        )
     });
     check(m)
 }

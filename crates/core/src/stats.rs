@@ -175,8 +175,16 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = FissionStats { ori_funcs: 1, sep_funcs: 2, ..Default::default() };
-        let b = FissionStats { ori_funcs: 3, sep_funcs: 4, ..Default::default() };
+        let mut a = FissionStats {
+            ori_funcs: 1,
+            sep_funcs: 2,
+            ..Default::default()
+        };
+        let b = FissionStats {
+            ori_funcs: 3,
+            sep_funcs: 4,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.ori_funcs, 4);
         assert_eq!(a.sep_funcs, 6);

@@ -29,14 +29,29 @@ fn fission_multi_exit_region_dispatch() {
     let out_a = fb.new_block();
     let out_b = fb.new_block();
     let out_c = fb.new_block();
-    let big = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 100));
+    let big = fb.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 100),
+    );
     fb.branch(Operand::local(big), cold1, out_a);
     // Region {cold1, cold2}: switch exits to three outside blocks.
     fb.switch_to(cold1);
-    let y = fb.bin(BinOp::And, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 3));
+    let y = fb.bin(
+        BinOp::And,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 3),
+    );
     fb.jump(cold2);
     fb.switch_to(cold2);
-    fb.switch(Type::I64, Operand::local(y), vec![(0, out_a), (1, out_b)], out_c);
+    fb.switch(
+        Type::I64,
+        Operand::local(y),
+        vec![(0, out_a), (1, out_b)],
+        out_c,
+    );
     fb.switch_to(out_a);
     fb.ret(Some(Operand::const_int(Type::I64, 10)));
     fb.switch_to(out_b);
@@ -48,9 +63,16 @@ fn fission_multi_exit_region_dispatch() {
     let mut main = FunctionBuilder::new("main", Type::I64);
     let mut acc = main.iconst(Type::I64, 0);
     for arg in [5i64, 104, 101, 102, 103] {
-        let r = main.call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)]).unwrap();
+        let r = main
+            .call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)])
+            .unwrap();
         main.call_ext(p, Type::Void, vec![Operand::local(r)]);
-        acc = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        acc = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
     }
     main.ret(Some(Operand::local(acc)));
     m.push_function(main.finish());
@@ -59,7 +81,10 @@ fn fission_multi_exit_region_dispatch() {
 
     let mut ctx = KhaosContext::with_options(
         1,
-        KhaosOptions { fission_min_value: 0.0, ..KhaosOptions::default() },
+        KhaosOptions {
+            fission_min_value: 0.0,
+            ..KhaosOptions::default()
+        },
     );
     fission(&mut m, &mut ctx).unwrap();
     assert!(ctx.fission_stats.sep_funcs >= 1);
@@ -77,7 +102,12 @@ fn fission_multiple_regions_per_function() {
     // Three parallel cold diamonds off a switch.
     let arms: Vec<_> = (0..3).map(|_| (fb.new_block(), fb.new_block())).collect();
     let join = fb.new_block();
-    let sel = fb.bin(BinOp::And, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 3));
+    let sel = fb.bin(
+        BinOp::And,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 3),
+    );
     let out = fb.new_local(Type::I64);
     fb.switch(
         Type::I64,
@@ -95,7 +125,12 @@ fn fission_multiple_regions_per_function() {
         );
         fb.jump(*b);
         fb.switch_to(*b);
-        let w = fb.bin(BinOp::Xor, Type::I64, Operand::local(v), Operand::const_int(Type::I64, 0x1f));
+        let w = fb.bin(
+            BinOp::Xor,
+            Type::I64,
+            Operand::local(v),
+            Operand::const_int(Type::I64, 0x1f),
+        );
         fb.copy_to(out, Operand::local(w));
         fb.jump(join);
     }
@@ -106,8 +141,15 @@ fn fission_multiple_regions_per_function() {
     let mut main = FunctionBuilder::new("main", Type::I64);
     let mut acc = main.iconst(Type::I64, 0);
     for arg in [0i64, 1, 2, 3, 7] {
-        let r = main.call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)]).unwrap();
-        acc = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        let r = main
+            .call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)])
+            .unwrap();
+        acc = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
     }
     main.ret(Some(Operand::local(acc)));
     m.push_function(main.finish());
@@ -115,7 +157,11 @@ fn fission_multiple_regions_per_function() {
 
     let mut ctx = KhaosContext::with_options(
         2,
-        KhaosOptions { fission_min_value: 0.0, fission_max_regions: 8, ..KhaosOptions::default() },
+        KhaosOptions {
+            fission_min_value: 0.0,
+            fission_max_regions: 8,
+            ..KhaosOptions::default()
+        },
     );
     fission(&mut m, &mut ctx).unwrap();
     assert!(
@@ -123,7 +169,10 @@ fn fission_multiple_regions_per_function() {
         "expected several regions, got {}",
         ctx.fission_stats.sep_funcs
     );
-    assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, want.exit_code);
+    assert_eq!(
+        run_to_completion(&m, &[]).unwrap().exit_code,
+        want.exit_code
+    );
 }
 
 /// Fusion must handle self-recursive constituents: the recursive call is
@@ -135,26 +184,50 @@ fn fusion_of_recursive_function() {
     let n = rec.add_param(Type::I64);
     let base = rec.new_block();
     let step = rec.new_block();
-    let c = rec.cmp(CmpPred::Sle, Type::I64, Operand::local(n), Operand::const_int(Type::I64, 0));
+    let c = rec.cmp(
+        CmpPred::Sle,
+        Type::I64,
+        Operand::local(n),
+        Operand::const_int(Type::I64, 0),
+    );
     rec.branch(Operand::local(c), base, step);
     rec.switch_to(base);
     rec.ret(Some(Operand::const_int(Type::I64, 0)));
     rec.switch_to(step);
-    let nm1 = rec.bin(BinOp::Sub, Type::I64, Operand::local(n), Operand::const_int(Type::I64, 1));
-    let inner = rec.call(FuncId(0), Type::I64, vec![Operand::local(nm1)]).unwrap();
-    let s = rec.bin(BinOp::Add, Type::I64, Operand::local(inner), Operand::local(n));
+    let nm1 = rec.bin(
+        BinOp::Sub,
+        Type::I64,
+        Operand::local(n),
+        Operand::const_int(Type::I64, 1),
+    );
+    let inner = rec
+        .call(FuncId(0), Type::I64, vec![Operand::local(nm1)])
+        .unwrap();
+    let s = rec.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(inner),
+        Operand::local(n),
+    );
     rec.ret(Some(Operand::local(s)));
     let rid = m.push_function(rec.finish());
     assert_eq!(rid, FuncId(0));
 
     let mut other = FunctionBuilder::new("shift", Type::I64);
     let v = other.add_param(Type::I64);
-    let r = other.bin(BinOp::Shl, Type::I64, Operand::local(v), Operand::const_int(Type::I64, 1));
+    let r = other.bin(
+        BinOp::Shl,
+        Type::I64,
+        Operand::local(v),
+        Operand::const_int(Type::I64, 1),
+    );
     other.ret(Some(Operand::local(r)));
     let oid = m.push_function(other.finish());
 
     let mut main = FunctionBuilder::new("main", Type::I64);
-    let a = main.call(rid, Type::I64, vec![Operand::const_int(Type::I64, 10)]).unwrap();
+    let a = main
+        .call(rid, Type::I64, vec![Operand::const_int(Type::I64, 10)])
+        .unwrap();
     let b = main.call(oid, Type::I64, vec![Operand::local(a)]).unwrap();
     main.ret(Some(Operand::local(b)));
     m.push_function(main.finish());
@@ -164,10 +237,18 @@ fn fusion_of_recursive_function() {
     let mut ctx = KhaosContext::new(3);
     fusion(&mut m, &mut ctx).unwrap();
     assert_eq!(ctx.fusion_stats.fus_funcs, 1);
-    assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, 110, "recursion survives fusion");
+    assert_eq!(
+        run_to_completion(&m, &[]).unwrap().exit_code,
+        110,
+        "recursion survives fusion"
+    );
     // The fused function calls itself (recursive fusFunc, as the paper
     // notes for 502.gcc_r).
-    let fus = m.functions.iter().find(|f| f.provenance.kind == ProvKind::Fused).unwrap();
+    let fus = m
+        .functions
+        .iter()
+        .find(|f| f.provenance.kind == ProvKind::Fused)
+        .unwrap();
     assert!(fus.provenance.has_origin("sum_to") && fus.provenance.has_origin("shift"));
 }
 
@@ -190,9 +271,17 @@ fn fusion_compresses_pointer_params() {
 
     let mut main = FunctionBuilder::new("main", Type::I64);
     let ga = main.globaladdr(g);
-    main.store(Type::I64, Operand::const_int(Type::I64, 7), Operand::local(ga));
+    main.store(
+        Type::I64,
+        Operand::const_int(Type::I64, 7),
+        Operand::local(ga),
+    );
     let hi = main.ptradd(Operand::local(ga), Operand::const_int(Type::I64, 8));
-    main.store(Type::I64, Operand::const_int(Type::I64, 35), Operand::local(hi));
+    main.store(
+        Type::I64,
+        Operand::const_int(Type::I64, 35),
+        Operand::local(hi),
+    );
     let a = main.call(f1, Type::I64, vec![Operand::local(ga)]).unwrap();
     let b = main.call(f2, Type::I64, vec![Operand::local(ga)]).unwrap();
     let s = main.bin(BinOp::Add, Type::I64, Operand::local(a), Operand::local(b));
@@ -201,8 +290,15 @@ fn fusion_compresses_pointer_params() {
     let mut ctx = KhaosContext::new(4);
     fusion(&mut m, &mut ctx).unwrap();
     assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, 42);
-    assert_eq!(ctx.fusion_stats.params_removed, 1, "ptr params share a slot");
-    let fus = m.functions.iter().find(|f| f.provenance.kind == ProvKind::Fused).unwrap();
+    assert_eq!(
+        ctx.fusion_stats.params_removed, 1,
+        "ptr params share a slot"
+    );
+    let fus = m
+        .functions
+        .iter()
+        .find(|f| f.provenance.kind == ProvKind::Fused)
+        .unwrap();
     assert_eq!(fus.param_count, 2, "ctrl + one compressed ptr");
 }
 
@@ -214,7 +310,12 @@ fn fusion_without_compression_uses_trampolines_for_pointers() {
     let mk = |m: &mut Module, name: &str, k: i64| -> FuncId {
         let mut f = FunctionBuilder::new(name, Type::I64);
         let x = f.add_param(Type::I64);
-        let r = f.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, k));
+        let r = f.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, k),
+        );
         f.ret(Some(Operand::local(r)));
         m.push_function(f.finish())
     };
@@ -223,19 +324,32 @@ fn fusion_without_compression_uses_trampolines_for_pointers() {
     let mut main = FunctionBuilder::new("main", Type::I64);
     let p1 = main.funcaddr(f1);
     let r1 = main
-        .call_indirect(Operand::local(p1), Type::I64, vec![Operand::const_int(Type::I64, 10)])
+        .call_indirect(
+            Operand::local(p1),
+            Type::I64,
+            vec![Operand::const_int(Type::I64, 10)],
+        )
         .unwrap();
     let r2 = main.call(f2, Type::I64, vec![Operand::local(r1)]).unwrap();
     main.ret(Some(Operand::local(r2)));
     m.push_function(main.finish());
     let mut ctx = KhaosContext::with_options(
         5,
-        KhaosOptions { parameter_compression: false, ..KhaosOptions::default() },
+        KhaosOptions {
+            parameter_compression: false,
+            ..KhaosOptions::default()
+        },
     );
     fusion(&mut m, &mut ctx).unwrap();
     assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, 13);
-    assert!(ctx.fusion_stats.trampolines >= 1, "pointer went through a trampoline");
-    assert_eq!(ctx.fusion_stats.indirect_sites_rewritten, 0, "no tags => no decode rewrite");
+    assert!(
+        ctx.fusion_stats.trampolines >= 1,
+        "pointer went through a trampoline"
+    );
+    assert_eq!(
+        ctx.fusion_stats.indirect_sites_rewritten, 0,
+        "no tags => no decode rewrite"
+    );
 }
 
 /// Functions pinned into global vtables keep working after fusion via
@@ -246,7 +360,12 @@ fn fusion_handles_global_function_tables() {
     let mk = |m: &mut Module, name: &str, k: i64| -> FuncId {
         let mut f = FunctionBuilder::new(name, Type::I64);
         let x = f.add_param(Type::I64);
-        let r = f.bin(BinOp::Mul, Type::I64, Operand::local(x), Operand::const_int(Type::I64, k));
+        let r = f.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, k),
+        );
         f.ret(Some(Operand::local(r)));
         m.push_function(f.finish())
     };
@@ -255,8 +374,14 @@ fn fusion_handles_global_function_tables() {
     let tbl = m.push_global(khaos_ir::Global {
         name: "vtable".into(),
         init: vec![
-            khaos_ir::GInit::FuncPtr { func: f1, addend: 0 },
-            khaos_ir::GInit::FuncPtr { func: f2, addend: 0 },
+            khaos_ir::GInit::FuncPtr {
+                func: f1,
+                addend: 0,
+            },
+            khaos_ir::GInit::FuncPtr {
+                func: f2,
+                addend: 0,
+            },
         ],
         align: 8,
         exported: false,
@@ -269,9 +394,18 @@ fn fusion_handles_global_function_tables() {
         let p = main.ptradd(Operand::local(ga), Operand::const_int(Type::I64, slot * 8));
         let fp = main.load(Type::Ptr, Operand::local(p));
         let r = main
-            .call_indirect(Operand::local(fp), Type::I64, vec![Operand::const_int(Type::I64, 10)])
+            .call_indirect(
+                Operand::local(fp),
+                Type::I64,
+                vec![Operand::const_int(Type::I64, 10)],
+            )
             .unwrap();
-        acc = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        acc = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
     }
     main.ret(Some(Operand::local(acc)));
     m.push_function(main.finish());
@@ -298,7 +432,12 @@ fn fission_leaves_escaping_allocas_alone() {
     let cold2 = fb.new_block();
     let merge = fb.new_block();
     let slot = fb.new_local(Type::Ptr);
-    let c = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 50));
+    let c = fb.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 50),
+    );
     fb.branch(Operand::local(c), cold, merge);
     // The region allocates and the pointer flows OUT of the region.
     fb.switch_to(cold);
@@ -319,19 +458,27 @@ fn fission_leaves_escaping_allocas_alone() {
     fb.ret(Some(Operand::local(x)));
     let f = m.push_function(fb.finish());
     let mut main = FunctionBuilder::new("main", Type::I64);
-    let r = main.call(f, Type::I64, vec![Operand::const_int(Type::I64, 60)]).unwrap();
+    let r = main
+        .call(f, Type::I64, vec![Operand::const_int(Type::I64, 60)])
+        .unwrap();
     main.ret(Some(Operand::local(r)));
     m.push_function(main.finish());
     let want = run_to_completion(&m, &[]).unwrap();
 
     let mut ctx = KhaosContext::with_options(
         7,
-        KhaosOptions { fission_min_value: 0.0, ..KhaosOptions::default() },
+        KhaosOptions {
+            fission_min_value: 0.0,
+            ..KhaosOptions::default()
+        },
     );
     fission(&mut m, &mut ctx).unwrap();
     // Whatever was or wasn't extracted, behaviour holds (the alloca
     // region must have been rejected).
-    assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, want.exit_code);
+    assert_eq!(
+        run_to_completion(&m, &[]).unwrap().exit_code,
+        want.exit_code
+    );
 }
 
 /// N-way fusion of a group containing an exported function: the export
@@ -342,7 +489,12 @@ fn nway_fusion_trampolines_exported_constituent() {
     let mut m = Module::new("t");
     let mut api = FunctionBuilder::new("public_api", Type::I64);
     let p = api.add_param(Type::I64);
-    let r = api.bin(BinOp::Mul, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 2));
+    let r = api.bin(
+        BinOp::Mul,
+        Type::I64,
+        Operand::local(p),
+        Operand::const_int(Type::I64, 2),
+    );
     api.ret(Some(Operand::local(r)));
     api.set_exported();
     let api_id = m.push_function(api.finish());
@@ -350,7 +502,12 @@ fn nway_fusion_trampolines_exported_constituent() {
     for (name, c) in [("inner1", 5i64), ("inner2", 9)] {
         let mut fb = FunctionBuilder::new(name, Type::I64);
         let x = fb.add_param(Type::I64);
-        let v = fb.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, c));
+        let v = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, c),
+        );
         fb.ret(Some(Operand::local(v)));
         m.push_function(fb.finish());
     }
@@ -358,7 +515,9 @@ fn nway_fusion_trampolines_exported_constituent() {
     let (i2, _) = m.function_by_name("inner2").unwrap();
 
     let mut main = FunctionBuilder::new("main", Type::I64);
-    let a = main.call(api_id, Type::I64, vec![Operand::const_int(Type::I64, 10)]).unwrap();
+    let a = main
+        .call(api_id, Type::I64, vec![Operand::const_int(Type::I64, 10)])
+        .unwrap();
     let b = main.call(i1, Type::I64, vec![Operand::local(a)]).unwrap();
     let c = main.call(i2, Type::I64, vec![Operand::local(b)]).unwrap();
     main.ret(Some(Operand::local(c)));
@@ -392,13 +551,22 @@ fn nway_fusion_mixes_void_and_value_returns() {
     let mut bump = FunctionBuilder::new("bump", Type::Void);
     let addr = bump.globaladdr(g);
     let old = bump.load(Type::I64, Operand::local(addr));
-    let new = bump.bin(BinOp::Add, Type::I64, Operand::local(old), Operand::const_int(Type::I64, 1));
+    let new = bump.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(old),
+        Operand::const_int(Type::I64, 1),
+    );
     bump.store(Type::I64, Operand::local(new), Operand::local(addr));
     bump.ret(None);
     let bump_id = m.push_function(bump.finish());
 
     for (name, c) in [("val32", 100i64), ("val64", 1000)] {
-        let ty = if name == "val32" { Type::I32 } else { Type::I64 };
+        let ty = if name == "val32" {
+            Type::I32
+        } else {
+            Type::I64
+        };
         let mut fb = FunctionBuilder::new(name, ty);
         fb.ret(Some(Operand::const_int(ty, c)));
         m.push_function(fb.finish());
@@ -410,12 +578,22 @@ fn nway_fusion_mixes_void_and_value_returns() {
     main.call(bump_id, Type::Void, vec![]);
     main.call(bump_id, Type::Void, vec![]);
     let a = main.call(v32, Type::I32, vec![]).unwrap();
-    let aw = main.cast(khaos_ir::CastKind::SExt, Operand::local(a), Type::I32, Type::I64);
+    let aw = main.cast(
+        khaos_ir::CastKind::SExt,
+        Operand::local(a),
+        Type::I32,
+        Type::I64,
+    );
     let b = main.call(v64, Type::I64, vec![]).unwrap();
     let gaddr = main.globaladdr(g);
     let cnt = main.load(Type::I64, Operand::local(gaddr));
     let s1 = main.bin(BinOp::Add, Type::I64, Operand::local(aw), Operand::local(b));
-    let s2 = main.bin(BinOp::Add, Type::I64, Operand::local(s1), Operand::local(cnt));
+    let s2 = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(s1),
+        Operand::local(cnt),
+    );
     main.ret(Some(Operand::local(s2)));
     m.push_function(main.finish());
     let want = run_to_completion(&m, &[]).unwrap();
@@ -446,7 +624,12 @@ fn nway_fusion_handles_stack_passed_parameters() {
                 Operand::local(p),
                 Operand::const_int(Type::I64, mul + k as i64),
             );
-            let n = fb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(scaled));
+            let n = fb.bin(
+                BinOp::Add,
+                Type::I64,
+                Operand::local(acc),
+                Operand::local(scaled),
+            );
             acc = n;
         }
         fb.ret(Some(Operand::local(acc)));
@@ -456,10 +639,16 @@ fn nway_fusion_handles_stack_passed_parameters() {
     let mut main = FunctionBuilder::new("main", Type::I64);
     let mut total = main.iconst(Type::I64, 0);
     for (j, &f) in ids.iter().enumerate() {
-        let args: Vec<Operand> =
-            (0..4).map(|k| Operand::const_int(Type::I64, (j as i64 + 1) * 10 + k)).collect();
+        let args: Vec<Operand> = (0..4)
+            .map(|k| Operand::const_int(Type::I64, (j as i64 + 1) * 10 + k))
+            .collect();
         let r = main.call(f, Type::I64, args).unwrap();
-        let n = main.bin(BinOp::Add, Type::I64, Operand::local(total), Operand::local(r));
+        let n = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(total),
+            Operand::local(r),
+        );
         total = n;
     }
     main.ret(Some(Operand::local(total)));
@@ -477,7 +666,11 @@ fn nway_fusion_handles_stack_passed_parameters() {
     let infos = khaos_core::fusion::nway::run_n(&mut m, &mut ctx, 3, |_| true);
     assert_eq!(infos.len(), 1);
     let fus = m.function(infos[0].fus);
-    assert_eq!(fus.param_count, 1 + 12, "no compression: every param gets a slot");
+    assert_eq!(
+        fus.param_count,
+        1 + 12,
+        "no compression: every param gets a slot"
+    );
     khaos_ir::verify::assert_valid(&m);
     let got = run_to_completion(&m, &[]).unwrap();
     assert_eq!(want.exit_code, got.exit_code);

@@ -8,9 +8,7 @@
 
 use khaos_core::{fission, fufi_all, fufi_ori, fufi_sep, fusion, KhaosContext, KhaosOptions};
 use khaos_ir::builder::FunctionBuilder;
-use khaos_ir::{
-    BinOp, Callee, CmpPred, ExtFunc, ExtId, FuncId, Module, Operand, ProvKind, Type,
-};
+use khaos_ir::{BinOp, Callee, CmpPred, ExtFunc, ExtId, FuncId, Module, Operand, ProvKind, Type};
 use khaos_vm::{run_function, run_to_completion};
 
 fn print_ext(m: &mut Module) -> ExtId {
@@ -40,7 +38,12 @@ fn cal_file_like(m: &mut Module) -> FuncId {
     let value = fb.new_local(Type::I64);
 
     // entry: if (arg < 0) goto cold; i = arg; value = 0;
-    let neg = fb.cmp(CmpPred::Slt, Type::I64, Operand::local(arg), Operand::const_int(Type::I64, 0));
+    let neg = fb.cmp(
+        CmpPred::Slt,
+        Type::I64,
+        Operand::local(arg),
+        Operand::const_int(Type::I64, 0),
+    );
     fb.copy_to(i, Operand::local(arg));
     fb.copy_to(value, Operand::const_int(Type::I64, 0));
     fb.branch(Operand::local(neg), cold1, loop_h);
@@ -56,12 +59,27 @@ fn cal_file_like(m: &mut Module) -> FuncId {
 
     // loop: value += i--; until i == 0
     fb.switch_to(loop_h);
-    let cont = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 0));
+    let cont = fb.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 0),
+    );
     fb.branch(Operand::local(cont), loop_b, done);
     fb.switch_to(loop_b);
-    let nv = fb.bin(BinOp::Add, Type::I64, Operand::local(value), Operand::local(i));
+    let nv = fb.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(value),
+        Operand::local(i),
+    );
     fb.copy_to(value, Operand::local(nv));
-    let ni = fb.bin(BinOp::Sub, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+    let ni = fb.bin(
+        BinOp::Sub,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 1),
+    );
     fb.copy_to(i, Operand::local(ni));
     fb.jump(loop_h);
 
@@ -75,9 +93,16 @@ fn main_calling(m: &mut Module, target: FuncId, args: &[i64]) {
     let mut fb = FunctionBuilder::new("main", Type::I64);
     let mut acc = fb.iconst(Type::I64, 0);
     for &a in args {
-        let r = fb.call(target, Type::I64, vec![Operand::const_int(Type::I64, a)]).unwrap();
+        let r = fb
+            .call(target, Type::I64, vec![Operand::const_int(Type::I64, a)])
+            .unwrap();
         fb.call_ext(p, Type::Void, vec![Operand::local(r)]);
-        let na = fb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        let na = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
         acc = na;
     }
     fb.ret(Some(Operand::local(acc)));
@@ -98,9 +123,15 @@ fn fission_preserves_behaviour_and_splits() {
     assert_eq!(before.output, after.output);
     assert_eq!(before.exit_code, after.exit_code);
 
-    assert!(ctx.fission_stats.sep_funcs >= 1, "at least one region separated");
-    let seps: Vec<_> =
-        m.functions.iter().filter(|f| f.provenance.kind == ProvKind::Sep).collect();
+    assert!(
+        ctx.fission_stats.sep_funcs >= 1,
+        "at least one region separated"
+    );
+    let seps: Vec<_> = m
+        .functions
+        .iter()
+        .filter(|f| f.provenance.kind == ProvKind::Sep)
+        .collect();
     assert_eq!(seps.len(), ctx.fission_stats.sep_funcs);
     for s in &seps {
         assert!(s.provenance.has_origin("cal_file"));
@@ -135,7 +166,10 @@ fn fission_respects_disabled_data_flow_reduction() {
     fission(&mut m1, &mut on).unwrap();
     let mut off = KhaosContext::with_options(
         3,
-        KhaosOptions { data_flow_reduction: false, ..KhaosOptions::default() },
+        KhaosOptions {
+            data_flow_reduction: false,
+            ..KhaosOptions::default()
+        },
     );
     fission(&mut m2, &mut off).unwrap();
     assert_eq!(off.fission_stats.params_reduced, 0);
@@ -150,7 +184,12 @@ fn two_fusable_functions(m: &mut Module) -> (FuncId, FuncId) {
     let mut bar = FunctionBuilder::new("bar", Type::I32);
     let a = bar.add_param(Type::I32);
     let b = bar.add_param(Type::F32);
-    let bi = bar.cast(khaos_ir::CastKind::FpToSi, Operand::local(b), Type::F32, Type::I32);
+    let bi = bar.cast(
+        khaos_ir::CastKind::FpToSi,
+        Operand::local(b),
+        Type::F32,
+        Type::I32,
+    );
     let s = bar.bin(BinOp::Add, Type::I32, Operand::local(a), Operand::local(bi));
     bar.ret(Some(Operand::local(s)));
     let bar = m.push_function(bar.finish());
@@ -159,10 +198,20 @@ fn two_fusable_functions(m: &mut Module) -> (FuncId, FuncId) {
     let x = foo.add_param(Type::I64);
     let t = foo.new_block();
     let e = foo.new_block();
-    let c = foo.cmp(CmpPred::Sgt, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 10));
+    let c = foo.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 10),
+    );
     foo.branch(Operand::local(c), t, e);
     foo.switch_to(t);
-    let d = foo.bin(BinOp::Mul, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 3));
+    let d = foo.bin(
+        BinOp::Mul,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 3),
+    );
     foo.ret(Some(Operand::local(d)));
     foo.switch_to(e);
     foo.ret(Some(Operand::local(x)));
@@ -177,13 +226,32 @@ fn fusion_merges_pair_and_preserves_behaviour() {
     let (bar, foo) = two_fusable_functions(&mut m);
     let mut main = FunctionBuilder::new("main", Type::I64);
     let r1 = main
-        .call(bar, Type::I32, vec![Operand::const_int(Type::I32, 4), Operand::const_float(Type::F32, 2.0)])
+        .call(
+            bar,
+            Type::I32,
+            vec![
+                Operand::const_int(Type::I32, 4),
+                Operand::const_float(Type::F32, 2.0),
+            ],
+        )
         .unwrap();
-    let r1w = main.cast(khaos_ir::CastKind::SExt, Operand::local(r1), Type::I32, Type::I64);
+    let r1w = main.cast(
+        khaos_ir::CastKind::SExt,
+        Operand::local(r1),
+        Type::I32,
+        Type::I64,
+    );
     main.call_ext(p, Type::Void, vec![Operand::local(r1w)]);
-    let r2 = main.call(foo, Type::I64, vec![Operand::const_int(Type::I64, 20)]).unwrap();
+    let r2 = main
+        .call(foo, Type::I64, vec![Operand::const_int(Type::I64, 20)])
+        .unwrap();
     main.call_ext(p, Type::Void, vec![Operand::local(r2)]);
-    let s = main.bin(BinOp::Add, Type::I64, Operand::local(r1w), Operand::local(r2));
+    let s = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(r1w),
+        Operand::local(r2),
+    );
     main.ret(Some(Operand::local(s)));
     m.push_function(main.finish());
     khaos_ir::verify::assert_valid(&m);
@@ -196,7 +264,11 @@ fn fusion_merges_pair_and_preserves_behaviour() {
     assert_eq!(before.exit_code, after.exit_code);
 
     assert_eq!(ctx.fusion_stats.fus_funcs, 1);
-    let fus = m.functions.iter().find(|f| f.provenance.kind == ProvKind::Fused).unwrap();
+    let fus = m
+        .functions
+        .iter()
+        .find(|f| f.provenance.kind == ProvKind::Fused)
+        .unwrap();
     assert!(fus.provenance.has_origin("bar") && fus.provenance.has_origin("foo"));
     assert!(fus.name.contains("fusion"));
     // The originals are gone (stubbed + swept).
@@ -217,7 +289,12 @@ fn fusion_handles_indirect_calls_with_tagged_pointers() {
     let mk = |m: &mut Module, name: &str, k: i64| -> FuncId {
         let mut f = FunctionBuilder::new(name, Type::I64);
         let x = f.add_param(Type::I64);
-        let r = f.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, k));
+        let r = f.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, k),
+        );
         f.ret(Some(Operand::local(r)));
         m.push_function(f.finish())
     };
@@ -230,7 +307,12 @@ fn fusion_handles_indirect_calls_with_tagged_pointers() {
     let e = main.new_block();
     let j = main.new_block();
     // Select a pointer based on a runtime-ish condition (constant here).
-    let c = main.cmp(CmpPred::Sgt, Type::I64, Operand::const_int(Type::I64, 1), Operand::const_int(Type::I64, 0));
+    let c = main.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::const_int(Type::I64, 1),
+        Operand::const_int(Type::I64, 0),
+    );
     main.branch(Operand::local(c), t, e);
     main.switch_to(t);
     let p1 = main.funcaddr(f1);
@@ -242,11 +324,17 @@ fn fusion_handles_indirect_calls_with_tagged_pointers() {
     main.jump(j);
     main.switch_to(j);
     let r = main
-        .call_indirect(Operand::local(sel), Type::I64, vec![Operand::const_int(Type::I64, 7)])
+        .call_indirect(
+            Operand::local(sel),
+            Type::I64,
+            vec![Operand::const_int(Type::I64, 7)],
+        )
         .unwrap();
     main.call_ext(p, Type::Void, vec![Operand::local(r)]);
     // Also call both directly so the pair is exercised both ways.
-    let d1 = main.call(f1, Type::I64, vec![Operand::const_int(Type::I64, 1)]).unwrap();
+    let d1 = main
+        .call(f1, Type::I64, vec![Operand::const_int(Type::I64, 1)])
+        .unwrap();
     let d2 = main.call(f2, Type::I64, vec![Operand::local(d1)]).unwrap();
     main.ret(Some(Operand::local(d2)));
     m.push_function(main.finish());
@@ -261,7 +349,10 @@ fn fusion_handles_indirect_calls_with_tagged_pointers() {
     assert_eq!(before.output, after.output);
     assert_eq!(before.exit_code, after.exit_code);
     assert_eq!(ctx.fusion_stats.fus_funcs, 1);
-    assert!(ctx.fusion_stats.indirect_sites_rewritten >= 1, "decode sequence inserted");
+    assert!(
+        ctx.fusion_stats.indirect_sites_rewritten >= 1,
+        "decode sequence inserted"
+    );
 }
 
 #[test]
@@ -270,19 +361,33 @@ fn fusion_exported_function_gets_trampoline() {
     let mut api = FunctionBuilder::new("api_entry", Type::I64);
     api.set_exported();
     let x = api.add_param(Type::I64);
-    let r = api.bin(BinOp::Mul, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 2));
+    let r = api.bin(
+        BinOp::Mul,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 2),
+    );
     api.ret(Some(Operand::local(r)));
     let api = m.push_function(api.finish());
 
     let mut other = FunctionBuilder::new("worker", Type::I64);
     let y = other.add_param(Type::I64);
-    let r2 = other.bin(BinOp::Add, Type::I64, Operand::local(y), Operand::const_int(Type::I64, 5));
+    let r2 = other.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(y),
+        Operand::const_int(Type::I64, 5),
+    );
     other.ret(Some(Operand::local(r2)));
     let worker = m.push_function(other.finish());
 
     let mut main = FunctionBuilder::new("main", Type::I64);
-    let a = main.call(api, Type::I64, vec![Operand::const_int(Type::I64, 21)]).unwrap();
-    let b = main.call(worker, Type::I64, vec![Operand::local(a)]).unwrap();
+    let a = main
+        .call(api, Type::I64, vec![Operand::const_int(Type::I64, 21)])
+        .unwrap();
+    let b = main
+        .call(worker, Type::I64, vec![Operand::local(a)])
+        .unwrap();
     main.ret(Some(Operand::local(b)));
     m.push_function(main.finish());
     let before = run_to_completion(&m, &[]).unwrap();
@@ -293,7 +398,9 @@ fn fusion_exported_function_gets_trampoline() {
     assert_eq!(before.exit_code, after.exit_code);
 
     // The exported name survives as a trampoline with the same signature.
-    let (_, tramp) = m.function_by_name("api_entry").expect("name kept for external callers");
+    let (_, tramp) = m
+        .function_by_name("api_entry")
+        .expect("name kept for external callers");
     assert_eq!(tramp.provenance.kind, ProvKind::Trampoline);
     assert_eq!(tramp.linkage, khaos_ir::Linkage::Exported);
     assert_eq!(tramp.param_count, 1);
@@ -314,8 +421,18 @@ fn deep_fusion_keeps_behaviour() {
         let out = f.new_block();
         f.jump(work);
         f.switch_to(work);
-        let a = f.bin(BinOp::Mul, Type::I64, Operand::local(x), Operand::const_int(Type::I64, mul));
-        let b = f.bin(BinOp::Xor, Type::I64, Operand::local(a), Operand::const_int(Type::I64, 0x5a));
+        let a = f.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, mul),
+        );
+        let b = f.bin(
+            BinOp::Xor,
+            Type::I64,
+            Operand::local(a),
+            Operand::const_int(Type::I64, 0x5a),
+        );
         let c = f.bin(BinOp::Add, Type::I64, Operand::local(b), Operand::local(x));
         f.jump(out);
         f.switch_to(out);
@@ -325,9 +442,18 @@ fn deep_fusion_keeps_behaviour() {
     let f1 = mk(&mut m, "alpha", 3);
     let f2 = mk(&mut m, "beta", 7);
     let mut main = FunctionBuilder::new("main", Type::I64);
-    let r1 = main.call(f1, Type::I64, vec![Operand::const_int(Type::I64, 11)]).unwrap();
-    let r2 = main.call(f2, Type::I64, vec![Operand::const_int(Type::I64, 13)]).unwrap();
-    let s = main.bin(BinOp::Add, Type::I64, Operand::local(r1), Operand::local(r2));
+    let r1 = main
+        .call(f1, Type::I64, vec![Operand::const_int(Type::I64, 11)])
+        .unwrap();
+    let r2 = main
+        .call(f2, Type::I64, vec![Operand::const_int(Type::I64, 13)])
+        .unwrap();
+    let s = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(r1),
+        Operand::local(r2),
+    );
     main.ret(Some(Operand::local(s)));
     m.push_function(main.finish());
     let before = run_to_completion(&m, &[]).unwrap();
@@ -336,8 +462,14 @@ fn deep_fusion_keeps_behaviour() {
     fusion(&mut m, &mut ctx).unwrap();
     let after = run_to_completion(&m, &[]).unwrap();
     assert_eq!(before.exit_code, after.exit_code);
-    assert!(ctx.fusion_stats.innocuous_blocks >= 2, "work blocks are innocuous");
-    assert!(ctx.fusion_stats.deep_fused_pairs >= 1, "deep fusion merged a pair");
+    assert!(
+        ctx.fusion_stats.innocuous_blocks >= 2,
+        "work blocks are innocuous"
+    );
+    assert!(
+        ctx.fusion_stats.deep_fused_pairs >= 1,
+        "deep fusion merged a pair"
+    );
 }
 
 #[test]
@@ -346,20 +478,38 @@ fn deep_fusion_off_still_works() {
     let (bar, foo) = two_fusable_functions(&mut m);
     let mut main = FunctionBuilder::new("main", Type::I64);
     let r1 = main
-        .call(bar, Type::I32, vec![Operand::const_int(Type::I32, 1), Operand::const_float(Type::F32, 1.0)])
+        .call(
+            bar,
+            Type::I32,
+            vec![
+                Operand::const_int(Type::I32, 1),
+                Operand::const_float(Type::F32, 1.0),
+            ],
+        )
         .unwrap();
-    let w = main.cast(khaos_ir::CastKind::SExt, Operand::local(r1), Type::I32, Type::I64);
+    let w = main.cast(
+        khaos_ir::CastKind::SExt,
+        Operand::local(r1),
+        Type::I32,
+        Type::I64,
+    );
     let r2 = main.call(foo, Type::I64, vec![Operand::local(w)]).unwrap();
     main.ret(Some(Operand::local(r2)));
     m.push_function(main.finish());
     let before = run_to_completion(&m, &[]).unwrap();
     let mut ctx = KhaosContext::with_options(
         8,
-        KhaosOptions { deep_fusion: false, ..KhaosOptions::default() },
+        KhaosOptions {
+            deep_fusion: false,
+            ..KhaosOptions::default()
+        },
     );
     fusion(&mut m, &mut ctx).unwrap();
     assert_eq!(ctx.fusion_stats.deep_fused_pairs, 0);
-    assert_eq!(run_to_completion(&m, &[]).unwrap().exit_code, before.exit_code);
+    assert_eq!(
+        run_to_completion(&m, &[]).unwrap().exit_code,
+        before.exit_code
+    );
 }
 
 fn mixed_module() -> Module {
@@ -370,7 +520,12 @@ fn mixed_module() -> Module {
     for (name, k) in [("tiny1", 2i64), ("tiny2", 9)] {
         let mut t = FunctionBuilder::new(name, Type::I64);
         let x = t.add_param(Type::I64);
-        let r = t.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, k));
+        let r = t.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, k),
+        );
         t.ret(Some(Operand::local(r)));
         m.push_function(t.finish());
     }
@@ -383,16 +538,40 @@ fn mixed_module() -> Module {
     let mut main = FunctionBuilder::new("main", Type::I64);
     let mut acc = main.iconst(Type::I64, 0);
     for (func, arg) in [(f, 6i64), (t1, 1), (t2, 2), (foo, 30)] {
-        let r = main.call(func, Type::I64, vec![Operand::const_int(Type::I64, arg)]).unwrap();
+        let r = main
+            .call(func, Type::I64, vec![Operand::const_int(Type::I64, arg)])
+            .unwrap();
         main.call_ext(p, Type::Void, vec![Operand::local(r)]);
-        let na = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        let na = main.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
         acc = na;
     }
     let br = main
-        .call(bar, Type::I32, vec![Operand::const_int(Type::I32, 3), Operand::const_float(Type::F32, 4.0)])
+        .call(
+            bar,
+            Type::I32,
+            vec![
+                Operand::const_int(Type::I32, 3),
+                Operand::const_float(Type::F32, 4.0),
+            ],
+        )
         .unwrap();
-    let brw = main.cast(khaos_ir::CastKind::SExt, Operand::local(br), Type::I32, Type::I64);
-    let fin = main.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(brw));
+    let brw = main.cast(
+        khaos_ir::CastKind::SExt,
+        Operand::local(br),
+        Type::I32,
+        Type::I64,
+    );
+    let fin = main.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(acc),
+        Operand::local(brw),
+    );
     main.ret(Some(Operand::local(fin)));
     m.push_function(main.finish());
     khaos_ir::verify::assert_valid(&m);
@@ -451,7 +630,12 @@ fn fission_handles_eh_regions() {
     let tx = thrower.add_param(Type::I64);
     let yes = thrower.new_block();
     let no = thrower.new_block();
-    let c = thrower.cmp(CmpPred::Sgt, Type::I64, Operand::local(tx), Operand::const_int(Type::I64, 0));
+    let c = thrower.cmp(
+        CmpPred::Sgt,
+        Type::I64,
+        Operand::local(tx),
+        Operand::const_int(Type::I64, 0),
+    );
     thrower.branch(Operand::local(c), yes, no);
     thrower.switch_to(yes);
     thrower.call_ext(throw_ext, Type::Void, vec![Operand::local(tx)]);
@@ -468,12 +652,23 @@ fn fission_handles_eh_regions() {
     let pad = f.new_pad_block(Some(exc_local));
     let join = f.new_block();
     let out = f.new_local(Type::I64);
-    let c2 = f.cmp(CmpPred::Slt, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 0));
+    let c2 = f.cmp(
+        CmpPred::Slt,
+        Type::I64,
+        Operand::local(x),
+        Operand::const_int(Type::I64, 0),
+    );
     f.copy_to(out, Operand::const_int(Type::I64, 0));
     f.branch(Operand::local(c2), cold, join);
     // cold region: invoke thrower; catch sets out = exc; normal sets out = 1.
     f.switch_to(cold);
-    f.invoke(Callee::Direct(thrower), Type::Void, vec![Operand::local(x)], normal, pad);
+    f.invoke(
+        Callee::Direct(thrower),
+        Type::Void,
+        vec![Operand::local(x)],
+        normal,
+        pad,
+    );
     f.switch_to(normal);
     f.copy_to(out, Operand::const_int(Type::I64, 1));
     f.jump(join);
@@ -486,7 +681,9 @@ fn fission_handles_eh_regions() {
 
     let mut main = FunctionBuilder::new("main", Type::I64);
     for arg in [-5i64, 3, -1] {
-        let r = main.call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)]).unwrap();
+        let r = main
+            .call(f, Type::I64, vec![Operand::const_int(Type::I64, arg)])
+            .unwrap();
         main.call_ext(p, Type::Void, vec![Operand::local(r)]);
     }
     main.ret(Some(Operand::const_int(Type::I64, 0)));
@@ -497,7 +694,10 @@ fn fission_handles_eh_regions() {
     let mut ctx = KhaosContext::new(12);
     fission(&mut m, &mut ctx).unwrap();
     let after = run_to_completion(&m, &[]).unwrap();
-    assert_eq!(before.output, after.output, "EH behaviour preserved across fission");
+    assert_eq!(
+        before.output, after.output,
+        "EH behaviour preserved across fission"
+    );
 }
 
 #[test]
@@ -510,7 +710,12 @@ fn fusion_of_void_functions() {
         let mut f = FunctionBuilder::new(name, Type::Void);
         let ga = f.globaladdr(g);
         let v = f.load(Type::I64, Operand::local(ga));
-        let nv = f.bin(BinOp::Add, Type::I64, Operand::local(v), Operand::const_int(Type::I64, k));
+        let nv = f.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(v),
+            Operand::const_int(Type::I64, k),
+        );
         f.store(Type::I64, Operand::local(nv), Operand::local(ga));
         f.ret(None);
         m.push_function(f.finish())

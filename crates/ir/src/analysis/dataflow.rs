@@ -797,6 +797,20 @@ mod tests {
     }
 
     #[test]
+    fn flat_cfg_and_liveness_match_the_references() {
+        // `tests/flat_analyses_quick.rs` runs the same check over the
+        // `--quick` programs, raw and after each Fig. 7 atom.
+        for f in &[
+            diamond_assign(),
+            half_diamond_assign().0,
+            wide_loop_with_pad_and_unreachable(),
+        ] {
+            crate::analysis::cfg::reference::assert_matches(f, "hand-built");
+            crate::analysis::liveness::reference::assert_matches(f, "hand-built");
+        }
+    }
+
+    #[test]
     fn live_variables_matches_liveness() {
         // `tests/liveness_quick.rs` runs the same check over the `--quick`
         // programs after `fufi_all` and after `fla`.

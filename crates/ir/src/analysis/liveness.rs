@@ -3,11 +3,43 @@
 //! Fission uses liveness to compute the inputs and outputs of a separated
 //! region (paper §3.2.2); the code generator uses it for register
 //! allocation; dead-code elimination uses the def/use sets.
+//!
+//! ## Layout
+//!
+//! A function's four sets — `live_in`, `live_out`, `gen` and `def` — are
+//! each one flat buffer of `blocks × words` 64-bit words, where `words`
+//! is the number of words a [`LocalSet`] over the function's locals
+//! takes. Block `b`'s set is row `b`, the words `b * words ..
+//! (b + 1) * words`. Solving allocates those four buffers and one
+//! scratch row, whatever the number of blocks. The accessors return a
+//! borrowed [`LocalRow`], which reads like a `&LocalSet` and compares
+//! equal to the [`LocalSet`] with the same members.
+//! [`Liveness::block_sets_into`] computes one block's `gen` and `def`
+//! into buffers the caller owns, so a pass that re-derives them per
+//! block allocates nothing.
+//!
+//! ## Definitions
+//!
+//! A landing pad's bound local is a definition at the top of the pad
+//! block. An invoke's destination is a definition of the invoking block,
+//! after the invoke's own uses, on both outgoing edges: the analysis
+//! does not split it into the normal edge, which defines it, and the
+//! unwind edge, which does not.
 
 use crate::analysis::cfg::Cfg;
 use crate::function::{Block, Function};
 use crate::ids::{BlockId, LocalId};
 use crate::inst::Operand;
+use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod reference;
+
+/// Word index and bit mask of `l` in a word-per-64-locals bitset.
+#[inline]
+fn bit(l: LocalId) -> (usize, u64) {
+    (l.index() / 64, 1 << (l.index() % 64))
+}
 
 /// Fixed-size bitset over locals.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,22 +83,21 @@ impl LocalSet {
 
     /// Inserts `l`; returns true if newly inserted.
     pub fn insert(&mut self, l: LocalId) -> bool {
-        let (w, b) = (l.index() / 64, l.index() % 64);
-        let had = self.bits[w] & (1 << b) != 0;
-        self.bits[w] |= 1 << b;
+        let (w, m) = bit(l);
+        let had = self.bits[w] & m != 0;
+        self.bits[w] |= m;
         !had
     }
 
     /// Removes `l`.
     pub fn remove(&mut self, l: LocalId) {
-        let (w, b) = (l.index() / 64, l.index() % 64);
-        self.bits[w] &= !(1 << b);
+        let (w, m) = bit(l);
+        self.bits[w] &= !m;
     }
 
     /// Membership test.
     pub fn contains(&self, l: LocalId) -> bool {
-        let (w, b) = (l.index() / 64, l.index() % 64);
-        self.bits.get(w).is_some_and(|x| x & (1 << b) != 0)
+        self.row().contains(l)
     }
 
     /// Unions `other` into `self`; returns true if `self` changed.
@@ -82,9 +113,48 @@ impl LocalSet {
         changed
     }
 
+    /// Makes `self` a copy of `row`, reusing its buffer.
+    pub fn copy_from(&mut self, row: LocalRow<'_>) {
+        self.bits.clear();
+        self.bits.extend_from_slice(row.words);
+    }
+
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = LocalId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+        self.row().iter()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.row().len()
+    }
+
+    /// True if no members.
+    pub fn is_empty(&self) -> bool {
+        self.row().is_empty()
+    }
+
+    fn row(&self) -> LocalRow<'_> {
+        LocalRow { words: &self.bits }
+    }
+}
+
+/// A borrowed, read-only [`LocalSet`]: one row of a [`Liveness`] buffer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LocalRow<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> LocalRow<'a> {
+    /// Membership test.
+    pub fn contains(&self, l: LocalId) -> bool {
+        let (w, m) = bit(l);
+        self.words.get(w).is_some_and(|x| x & m != 0)
+    }
+
+    /// Iterates over members in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = LocalId> + 'a {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
                 if rest == 0 {
@@ -99,68 +169,87 @@ impl LocalSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if no members.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The backing words, 64 locals each (local `l` is bit `l % 64` of
+    /// word `l / 64`).
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
 }
 
-/// Per-block liveness facts.
+impl fmt::Debug for LocalRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LocalSet")
+            .field("bits", &self.words)
+            .finish()
+    }
+}
+
+impl PartialEq<LocalRow<'_>> for &LocalSet {
+    fn eq(&self, other: &LocalRow<'_>) -> bool {
+        self.bits.as_slice() == other.words
+    }
+}
+
+/// Per-block liveness facts, one flat `blocks × words` buffer per set.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    live_in: Vec<LocalSet>,
-    live_out: Vec<LocalSet>,
+    /// Words per row.
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
     /// Locals read in the block before any redefinition (upward-exposed uses).
-    gen: Vec<LocalSet>,
+    gen: Vec<u64>,
     /// Locals defined in the block.
-    def: Vec<LocalSet>,
+    def: Vec<u64>,
 }
 
 impl Liveness {
     /// Runs the classic backward dataflow to a fixed point.
     ///
-    /// A landing pad's bound local counts as a definition at the top of the
-    /// pad block. Invoke destinations are treated as defined on the normal
-    /// edge only; for simplicity (and conservatively for liveness) we treat
-    /// them as block-level defs of the invoking block.
-    ///
     /// Blocks are swept in postorder, each computing `out = ∪ in[succ]`
-    /// into one reused word buffer and then `in = gen | (out & !def)` a
-    /// word at a time. Unreachable blocks are never swept: their sets stay
-    /// empty.
+    /// into one reused scratch row and then `in = gen | (out & !def)` a
+    /// word at a time. Unreachable blocks are never swept: their
+    /// `live_in` and `live_out` stay empty.
     pub fn compute(f: &Function, cfg: &Cfg) -> Self {
         let n = f.blocks.len();
-        let nl = f.locals.len();
-        let (gen, def): (Vec<LocalSet>, Vec<LocalSet>) = f
-            .blocks
-            .iter()
-            .map(|block| Self::block_sets(block, nl))
-            .unzip();
+        let w = f.locals.len().div_ceil(64);
+        let mut gen = vec![0u64; n * w];
+        let mut def = vec![0u64; n * w];
+        for (b, block) in f.blocks.iter().enumerate() {
+            let row = b * w..(b + 1) * w;
+            Self::block_sets_into(block, &mut gen[row.clone()], &mut def[row]);
+        }
 
-        let mut live_in = vec![LocalSet::new(nl); n];
-        let mut live_out = vec![LocalSet::new(nl); n];
-        let mut out = vec![0u64; nl.div_ceil(64)];
+        let mut live_in = vec![0u64; n * w];
+        let mut live_out = vec![0u64; n * w];
+        let mut out = vec![0u64; w];
         let mut changed = true;
         while changed {
             changed = false;
             // Postorder (reverse of RPO) converges fastest for backward flow.
             for &b in cfg.rpo().iter().rev() {
-                let bi = b.index();
+                let row = b.index() * w..(b.index() + 1) * w;
                 out.fill(0);
                 f.block(b).term.for_each_successor(|s| {
-                    for (o, w) in out.iter_mut().zip(&live_in[s.index()].bits) {
-                        *o |= w;
+                    let succ = &live_in[s.index() * w..(s.index() + 1) * w];
+                    for (o, x) in out.iter_mut().zip(succ) {
+                        *o |= x;
                     }
                 });
-                if out != live_out[bi].bits {
-                    live_out[bi].bits.copy_from_slice(&out);
+                if out[..] != live_out[row.clone()] {
+                    live_out[row.clone()].copy_from_slice(&out);
                     changed = true;
                 }
-                let (g, d) = (&gen[bi].bits, &def[bi].bits);
-                for (i, slot) in live_in[bi].bits.iter_mut().enumerate() {
+                let (g, d) = (&gen[row.clone()], &def[row.clone()]);
+                for (i, slot) in live_in[row].iter_mut().enumerate() {
                     let nv = g[i] | (out[i] & !d[i]);
                     if nv != *slot {
                         *slot = nv;
@@ -170,6 +259,7 @@ impl Liveness {
             }
         }
         Liveness {
+            words: w,
             live_in,
             live_out,
             gen,
@@ -177,53 +267,68 @@ impl Liveness {
         }
     }
 
-    /// The upward-exposed uses (`gen`) and the definitions (`def`) of one
-    /// block of a function with `num_locals` locals — the per-block sets
-    /// [`Liveness::compute`] solves over.
-    pub fn block_sets(block: &Block, num_locals: usize) -> (LocalSet, LocalSet) {
-        let mut gen = LocalSet::new(num_locals);
-        let mut def = LocalSet::new(num_locals);
-        if let Some(d) = block.pad.as_ref().and_then(|pad| pad.dst) {
-            def.insert(d);
+    /// Computes the upward-exposed uses (`gen`) and the definitions
+    /// (`def`) of one block into the caller's buffers — the per-block
+    /// sets [`Liveness::compute`] solves over. Both buffers are laid out
+    /// as [`LocalRow::words`], one word per 64 of the function's locals,
+    /// and are overwritten.
+    ///
+    /// # Panics
+    /// Panics if a local of `block` is beyond the buffers.
+    pub fn block_sets_into(block: &Block, gen: &mut [u64], def: &mut [u64]) {
+        fn define(def: &mut [u64], l: LocalId) {
+            let (w, m) = bit(l);
+            def[w] |= m;
         }
-        let mut expose = |o: &Operand, def: &LocalSet| {
+        gen.fill(0);
+        def.fill(0);
+        let mut expose = |o: &Operand, def: &[u64]| {
             if let Some(l) = o.as_local() {
-                if !def.contains(l) {
-                    gen.insert(l);
+                let (w, m) = bit(l);
+                if def[w] & m == 0 {
+                    gen[w] |= m;
                 }
             }
         };
+        if let Some(d) = block.pad.as_ref().and_then(|pad| pad.dst) {
+            define(def, d);
+        }
         for inst in &block.insts {
-            inst.for_each_use(|o| expose(o, &def));
+            inst.for_each_use(|o| expose(o, def));
             if let Some(d) = inst.def() {
-                def.insert(d);
+                define(def, d);
             }
         }
-        block.term.for_each_use(|o| expose(o, &def));
+        block.term.for_each_use(|o| expose(o, def));
         if let Some(d) = block.term.def() {
-            def.insert(d);
+            define(def, d);
         }
-        (gen, def)
+    }
+
+    fn row<'a>(&self, buf: &'a [u64], b: BlockId) -> LocalRow<'a> {
+        LocalRow {
+            words: &buf[b.index() * self.words..(b.index() + 1) * self.words],
+        }
     }
 
     /// Locals live on entry to `b`.
-    pub fn live_in(&self, b: BlockId) -> &LocalSet {
-        &self.live_in[b.index()]
+    pub fn live_in(&self, b: BlockId) -> LocalRow<'_> {
+        self.row(&self.live_in, b)
     }
 
     /// Locals live on exit from `b`.
-    pub fn live_out(&self, b: BlockId) -> &LocalSet {
-        &self.live_out[b.index()]
+    pub fn live_out(&self, b: BlockId) -> LocalRow<'_> {
+        self.row(&self.live_out, b)
     }
 
     /// Upward-exposed uses of `b`.
-    pub fn gen_set(&self, b: BlockId) -> &LocalSet {
-        &self.gen[b.index()]
+    pub fn gen_set(&self, b: BlockId) -> LocalRow<'_> {
+        self.row(&self.gen, b)
     }
 
     /// Locals defined in `b`.
-    pub fn def_set(&self, b: BlockId) -> &LocalSet {
-        &self.def[b.index()]
+    pub fn def_set(&self, b: BlockId) -> LocalRow<'_> {
+        self.row(&self.def, b)
     }
 }
 

@@ -17,7 +17,10 @@ pub fn bogus_control_flow(m: &mut Module, ctx: &mut OllvmContext, ratio: f64) {
     // One opaque-state global for the whole module.
     let opaque = m.push_global(Global {
         name: format!("__opq_state_{}", m.globals.len()),
-        init: vec![GInit::Int { value: ctx.rng.gen_range(1..1000), ty: Type::I64 }],
+        init: vec![GInit::Int {
+            value: ctx.rng.gen_range(1..1000),
+            ty: Type::I64,
+        }],
         align: 8,
         exported: false,
     });
@@ -35,12 +38,13 @@ pub fn bogus_control_flow(m: &mut Module, ctx: &mut OllvmContext, ratio: f64) {
                 continue;
             }
             // Move the real body out.
-            let body = std::mem::replace(
-                f.block_mut(bid),
-                Block::with_term(Term::Unreachable),
-            );
+            let body = std::mem::replace(f.block_mut(bid), Block::with_term(Term::Unreachable));
             let pad = body.pad;
-            let real = f.push_block(Block { insts: body.insts.clone(), term: body.term.clone(), pad: None });
+            let real = f.push_block(Block {
+                insts: body.insts.clone(),
+                term: body.term.clone(),
+                pad: None,
+            });
 
             // Junk clone: perturb constants and swap add/sub, then fall
             // into the real block (never executed).
@@ -66,13 +70,20 @@ pub fn bogus_control_flow(m: &mut Module, ctx: &mut OllvmContext, ratio: f64) {
             // dissolving the clone, mirroring how O-LLVM's altered blocks
             // survive in real binaries.
             let jga = f.new_local(Type::Ptr);
-            junk_insts.push(Inst::GlobalAddr { dst: jga, global: opaque });
+            junk_insts.push(Inst::GlobalAddr {
+                dst: jga,
+                global: opaque,
+            });
             junk_insts.push(Inst::Store {
                 ty: Type::I64,
                 addr: Operand::local(jga),
                 value: Operand::const_int(Type::I64, ctx.rng.gen_range(1..1 << 20)),
             });
-            let junk = f.push_block(Block { insts: junk_insts, term: Term::Jump(real), pad: None });
+            let junk = f.push_block(Block {
+                insts: junk_insts,
+                term: Term::Jump(real),
+                pad: None,
+            });
 
             // Guard: x = load opaque; x*(x+1) % 2 == 0  (always true).
             // Computed once per function, in the entry block.
@@ -86,8 +97,15 @@ pub fn bogus_control_flow(m: &mut Module, ctx: &mut OllvmContext, ratio: f64) {
                     let rem = f.new_local(Type::I64);
                     let cond = f.new_local(Type::I1);
                     let pred_insts = vec![
-                        Inst::GlobalAddr { dst: ga, global: opaque },
-                        Inst::Load { ty: Type::I64, dst: x, addr: Operand::local(ga) },
+                        Inst::GlobalAddr {
+                            dst: ga,
+                            global: opaque,
+                        },
+                        Inst::Load {
+                            ty: Type::I64,
+                            dst: x,
+                            addr: Operand::local(ga),
+                        },
                         Inst::Bin {
                             op: BinOp::Add,
                             ty: Type::I64,
@@ -139,7 +157,11 @@ pub fn bogus_control_flow(m: &mut Module, ctx: &mut OllvmContext, ratio: f64) {
                 // opaque condition already lives in the entry block.
                 guard.insts = Vec::new();
             }
-            guard.term = Term::Branch { cond: Operand::local(cond), then_bb: real, else_bb: junk };
+            guard.term = Term::Branch {
+                cond: Operand::local(cond),
+                then_bb: real,
+                else_bb: junk,
+            };
         }
     }
 }
@@ -156,10 +178,20 @@ mod tests {
         let p = fb.add_param(Type::I64);
         let t = fb.new_block();
         let e = fb.new_block();
-        let c = fb.cmp(CmpPred::Sgt, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 0));
+        let c = fb.cmp(
+            CmpPred::Sgt,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 0),
+        );
         fb.branch(Operand::local(c), t, e);
         fb.switch_to(t);
-        let a = fb.bin(BinOp::Mul, Type::I64, Operand::local(p), Operand::const_int(Type::I64, 3));
+        let a = fb.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(p),
+            Operand::const_int(Type::I64, 3),
+        );
         fb.ret(Some(Operand::local(a)));
         fb.switch_to(e);
         fb.ret(Some(Operand::const_int(Type::I64, -1)));
@@ -176,8 +208,12 @@ mod tests {
             bogus_control_flow(&mut m, &mut ctx, 1.0);
             khaos_ir::verify::assert_valid(&m);
             for arg in [-2i64, 0, 7] {
-                let want = vm_run(&base, "main", &[khaos_vm::Value::Int(arg)]).unwrap().exit_code;
-                let got = vm_run(&m, "main", &[khaos_vm::Value::Int(arg)]).unwrap().exit_code;
+                let want = vm_run(&base, "main", &[khaos_vm::Value::Int(arg)])
+                    .unwrap()
+                    .exit_code;
+                let got = vm_run(&m, "main", &[khaos_vm::Value::Int(arg)])
+                    .unwrap()
+                    .exit_code;
                 assert_eq!(want, got, "seed {seed} arg {arg}");
             }
         }
@@ -213,7 +249,9 @@ mod tests {
         );
         // And the program still works.
         assert_eq!(
-            vm_run(&m, "main", &[khaos_vm::Value::Int(4)]).unwrap().exit_code,
+            vm_run(&m, "main", &[khaos_vm::Value::Int(4)])
+                .unwrap()
+                .exit_code,
             12
         );
     }

@@ -61,7 +61,11 @@ fn flatten_function(f: &mut Function, ctx: &mut OllvmContext) {
                 });
                 Term::Jump(dispatch)
             }
-            Term::Branch { cond, then_bb, else_bb } => {
+            Term::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
                 f.blocks[bi].insts.push(Inst::Select {
                     ty: Type::I32,
                     dst: state,
@@ -71,7 +75,12 @@ fn flatten_function(f: &mut Function, ctx: &mut OllvmContext) {
                 });
                 Term::Jump(dispatch)
             }
-            Term::Switch { ty, value, cases, default: d } => {
+            Term::Switch {
+                ty,
+                value,
+                cases,
+                default: d,
+            } => {
                 // Encode through a small chain of selects.
                 f.blocks[bi].insts.push(Inst::Copy {
                     ty: Type::I32,
@@ -109,7 +118,12 @@ fn flatten_function(f: &mut Function, ctx: &mut OllvmContext) {
         .collect();
     f.blocks.push(Block {
         insts: Vec::new(),
-        term: Term::Switch { ty: Type::I32, value: Operand::local(state), cases, default },
+        term: Term::Switch {
+            ty: Type::I32,
+            value: Operand::local(state),
+            cases,
+            default,
+        },
         pad: None,
     });
     debug_assert_eq!(f.blocks.len() - 1, dispatch.index());
@@ -137,8 +151,7 @@ fn flatten_function(f: &mut Function, ctx: &mut OllvmContext) {
 /// True if `f` is in flattened (dispatch) form — used by tests and stats.
 pub fn looks_flattened(f: &Function) -> bool {
     f.blocks.iter().any(|b| {
-        matches!(&b.term, Term::Switch { cases, .. } if cases.len() >= 3)
-            && b.insts.is_empty()
+        matches!(&b.term, Term::Switch { cases, .. } if cases.len() >= 3) && b.insts.is_empty()
     })
 }
 
@@ -165,22 +178,52 @@ mod tests {
         fb.copy_to(acc, Operand::const_int(Type::I64, 0));
         fb.jump(h);
         fb.switch_to(h);
-        let c = fb.cmp(CmpPred::Slt, Type::I64, Operand::local(i), Operand::local(p));
+        let c = fb.cmp(
+            CmpPred::Slt,
+            Type::I64,
+            Operand::local(i),
+            Operand::local(p),
+        );
         fb.branch(Operand::local(c), body, exit);
         fb.switch_to(body);
-        let bit = fb.bin(BinOp::And, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
-        let isodd = fb.cmp(CmpPred::Eq, Type::I64, Operand::local(bit), Operand::const_int(Type::I64, 1));
+        let bit = fb.bin(
+            BinOp::And,
+            Type::I64,
+            Operand::local(i),
+            Operand::const_int(Type::I64, 1),
+        );
+        let isodd = fb.cmp(
+            CmpPred::Eq,
+            Type::I64,
+            Operand::local(bit),
+            Operand::const_int(Type::I64, 1),
+        );
         fb.branch(Operand::local(isodd), odd, even);
         fb.switch_to(odd);
-        let a1 = fb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(i));
+        let a1 = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(i),
+        );
         fb.copy_to(acc, Operand::local(a1));
         fb.jump(next);
         fb.switch_to(even);
-        let a2 = fb.bin(BinOp::Sub, Type::I64, Operand::local(acc), Operand::local(i));
+        let a2 = fb.bin(
+            BinOp::Sub,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(i),
+        );
         fb.copy_to(acc, Operand::local(a2));
         fb.jump(next);
         fb.switch_to(next);
-        let ni = fb.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+        let ni = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(i),
+            Operand::const_int(Type::I64, 1),
+        );
         fb.copy_to(i, Operand::local(ni));
         fb.jump(h);
         fb.switch_to(exit);
@@ -229,8 +272,12 @@ mod tests {
         khaos_ir::verify::assert_valid(&m);
         for arg in [0i64, 5, 99] {
             assert_eq!(
-                vm_run(&base, "main", &[khaos_vm::Value::Int(arg)]).unwrap().exit_code,
-                vm_run(&m, "main", &[khaos_vm::Value::Int(arg)]).unwrap().exit_code,
+                vm_run(&base, "main", &[khaos_vm::Value::Int(arg)])
+                    .unwrap()
+                    .exit_code,
+                vm_run(&m, "main", &[khaos_vm::Value::Int(arg)])
+                    .unwrap()
+                    .exit_code,
             );
         }
     }

@@ -77,8 +77,11 @@ pub enum OllvmMode {
 impl OllvmMode {
     /// The paper's standard configurations: Sub/Bog at 100%, Fla at 10%
     /// (Fla-100 is used only in the vulnerable-code experiment).
-    pub const STANDARD: [OllvmMode; 3] =
-        [OllvmMode::Sub(1.0), OllvmMode::Bog(1.0), OllvmMode::Fla(0.1)];
+    pub const STANDARD: [OllvmMode; 3] = [
+        OllvmMode::Sub(1.0),
+        OllvmMode::Bog(1.0),
+        OllvmMode::Fla(0.1),
+    ];
 
     /// Display name matching the paper's legends.
     pub fn name(self) -> String {

@@ -22,9 +22,13 @@ fn run_function(f: &mut Function, ctx: &mut OllvmContext, ratio: f64) {
         let mut out = Vec::with_capacity(old.len());
         for inst in old {
             match &inst {
-                Inst::Bin { op, ty, dst, lhs, rhs }
-                    if ty.is_int() && *ty != Type::I1 && ctx.rng.gen_bool(ratio) =>
-                {
+                Inst::Bin {
+                    op,
+                    ty,
+                    dst,
+                    lhs,
+                    rhs,
+                } if ty.is_int() && *ty != Type::I1 && ctx.rng.gen_bool(ratio) => {
                     if !substitute_one(&mut f.locals, &mut out, *op, *ty, *dst, *lhs, *rhs, ctx) {
                         out.push(inst);
                     }
@@ -61,8 +65,20 @@ fn substitute_one(
             0 => {
                 // a + b == a - (0 - b)
                 let t = l(locals);
-                out.push(Inst::Bin { op: BinOp::Sub, ty, dst: t, lhs: Operand::zero(ty), rhs });
-                out.push(Inst::Bin { op: BinOp::Sub, ty, dst, lhs, rhs: Operand::local(t) });
+                out.push(Inst::Bin {
+                    op: BinOp::Sub,
+                    ty,
+                    dst: t,
+                    lhs: Operand::zero(ty),
+                    rhs,
+                });
+                out.push(Inst::Bin {
+                    op: BinOp::Sub,
+                    ty,
+                    dst,
+                    lhs,
+                    rhs: Operand::local(t),
+                });
                 true
             }
             1 => {
@@ -70,8 +86,20 @@ fn substitute_one(
                 let x = l(locals);
                 let a = l(locals);
                 let a2 = l(locals);
-                out.push(Inst::Bin { op: BinOp::Xor, ty, dst: x, lhs, rhs });
-                out.push(Inst::Bin { op: BinOp::And, ty, dst: a, lhs, rhs });
+                out.push(Inst::Bin {
+                    op: BinOp::Xor,
+                    ty,
+                    dst: x,
+                    lhs,
+                    rhs,
+                });
+                out.push(Inst::Bin {
+                    op: BinOp::And,
+                    ty,
+                    dst: a,
+                    lhs,
+                    rhs,
+                });
                 out.push(Inst::Bin {
                     op: BinOp::Shl,
                     ty,
@@ -92,17 +120,45 @@ fn substitute_one(
                 // a + b == -(-a - b)
                 let na = l(locals);
                 let s = l(locals);
-                out.push(Inst::Un { op: UnOp::Neg, ty, dst: na, src: lhs });
-                out.push(Inst::Bin { op: BinOp::Sub, ty, dst: s, lhs: Operand::local(na), rhs });
-                out.push(Inst::Un { op: UnOp::Neg, ty, dst, src: Operand::local(s) });
+                out.push(Inst::Un {
+                    op: UnOp::Neg,
+                    ty,
+                    dst: na,
+                    src: lhs,
+                });
+                out.push(Inst::Bin {
+                    op: BinOp::Sub,
+                    ty,
+                    dst: s,
+                    lhs: Operand::local(na),
+                    rhs,
+                });
+                out.push(Inst::Un {
+                    op: UnOp::Neg,
+                    ty,
+                    dst,
+                    src: Operand::local(s),
+                });
                 true
             }
         },
         BinOp::Sub => {
             // a - b == a + (0 - b)
             let t = l(locals);
-            out.push(Inst::Bin { op: BinOp::Sub, ty, dst: t, lhs: Operand::zero(ty), rhs });
-            out.push(Inst::Bin { op: BinOp::Add, ty, dst, lhs, rhs: Operand::local(t) });
+            out.push(Inst::Bin {
+                op: BinOp::Sub,
+                ty,
+                dst: t,
+                lhs: Operand::zero(ty),
+                rhs,
+            });
+            out.push(Inst::Bin {
+                op: BinOp::Add,
+                ty,
+                dst,
+                lhs,
+                rhs: Operand::local(t),
+            });
             true
         }
         BinOp::Xor => {
@@ -110,9 +166,26 @@ fn substitute_one(
             let o = l(locals);
             let a = l(locals);
             let na = l(locals);
-            out.push(Inst::Bin { op: BinOp::Or, ty, dst: o, lhs, rhs });
-            out.push(Inst::Bin { op: BinOp::And, ty, dst: a, lhs, rhs });
-            out.push(Inst::Un { op: UnOp::Not, ty, dst: na, src: Operand::local(a) });
+            out.push(Inst::Bin {
+                op: BinOp::Or,
+                ty,
+                dst: o,
+                lhs,
+                rhs,
+            });
+            out.push(Inst::Bin {
+                op: BinOp::And,
+                ty,
+                dst: a,
+                lhs,
+                rhs,
+            });
+            out.push(Inst::Un {
+                op: UnOp::Not,
+                ty,
+                dst: na,
+                src: Operand::local(a),
+            });
             out.push(Inst::Bin {
                 op: BinOp::And,
                 ty,
@@ -126,8 +199,20 @@ fn substitute_one(
             // a & b == (a | b) ^ (a ^ b)
             let o = l(locals);
             let x = l(locals);
-            out.push(Inst::Bin { op: BinOp::Or, ty, dst: o, lhs, rhs });
-            out.push(Inst::Bin { op: BinOp::Xor, ty, dst: x, lhs, rhs });
+            out.push(Inst::Bin {
+                op: BinOp::Or,
+                ty,
+                dst: o,
+                lhs,
+                rhs,
+            });
+            out.push(Inst::Bin {
+                op: BinOp::Xor,
+                ty,
+                dst: x,
+                lhs,
+                rhs,
+            });
             out.push(Inst::Bin {
                 op: BinOp::Xor,
                 ty,
@@ -141,8 +226,20 @@ fn substitute_one(
             // a | b == (a & b) ^ (a ^ b)
             let a = l(locals);
             let x = l(locals);
-            out.push(Inst::Bin { op: BinOp::And, ty, dst: a, lhs, rhs });
-            out.push(Inst::Bin { op: BinOp::Xor, ty, dst: x, lhs, rhs });
+            out.push(Inst::Bin {
+                op: BinOp::And,
+                ty,
+                dst: a,
+                lhs,
+                rhs,
+            });
+            out.push(Inst::Bin {
+                op: BinOp::Xor,
+                ty,
+                dst: x,
+                lhs,
+                rhs,
+            });
             out.push(Inst::Bin {
                 op: BinOp::Xor,
                 ty,
@@ -174,7 +271,12 @@ mod tests {
             (BinOp::Or, 0x1010),
             (BinOp::Add, -99),
         ] {
-            acc = fb.bin(op, Type::I64, Operand::local(acc), Operand::const_int(Type::I64, k));
+            acc = fb.bin(
+                op,
+                Type::I64,
+                Operand::local(acc),
+                Operand::const_int(Type::I64, k),
+            );
         }
         fb.ret(Some(Operand::local(acc)));
         m.push_function(fb.finish());
@@ -190,7 +292,11 @@ mod tests {
             let mut ctx = OllvmContext::new(seed);
             substitution(&mut m, &mut ctx, 1.0);
             khaos_ir::verify::assert_valid(&m);
-            assert_eq!(vm_run(&m, "main", &[]).unwrap().exit_code, expected, "seed {seed}");
+            assert_eq!(
+                vm_run(&m, "main", &[]).unwrap().exit_code,
+                expected,
+                "seed {seed}"
+            );
         }
     }
 
@@ -200,7 +306,10 @@ mod tests {
         let mut m = base.clone();
         let mut ctx = OllvmContext::new(1);
         substitution(&mut m, &mut ctx, 1.0);
-        assert!(m.inst_count() > base.inst_count(), "substitution expands instructions");
+        assert!(
+            m.inst_count() > base.inst_count(),
+            "substitution expands instructions"
+        );
     }
 
     #[test]

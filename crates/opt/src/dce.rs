@@ -18,6 +18,7 @@ pub fn run_function(f: &mut Function) -> usize {
     let cfg = Cfg::compute(f);
     let nl = f.locals.len();
     let mut live = LocalSet::new(nl);
+    let (mut gen, mut def) = (vec![0; nl.div_ceil(64)], vec![0; nl.div_ceil(64)]);
     let mut keep = Vec::new();
     let mut removed = 0;
     loop {
@@ -25,11 +26,14 @@ pub fn run_function(f: &mut Function) -> usize {
         let mut gen_changed = false;
         for (b, block) in f.blocks.iter_mut().enumerate() {
             let bid = BlockId::new(b);
-            live.clone_from(lv.live_out(bid));
+            live.copy_from(lv.live_out(bid));
             let dropped = sweep_block(block, &mut live, &mut keep);
             if dropped > 0 {
                 removed += dropped;
-                gen_changed = gen_changed || Liveness::block_sets(block, nl).0 != *lv.gen_set(bid);
+                if !gen_changed {
+                    Liveness::block_sets_into(block, &mut gen, &mut def);
+                    gen_changed = gen != lv.gen_set(bid).words();
+                }
             }
         }
         if !gen_changed {

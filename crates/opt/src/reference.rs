@@ -31,7 +31,8 @@ fn dce(f: &mut Function) -> usize {
         let mut round = 0;
         for (b, block) in f.blocks.iter_mut().enumerate() {
             let bid = BlockId::new(b);
-            let mut live: LocalSet = lv.live_out(bid).clone();
+            let mut live = LocalSet::new(0);
+            live.copy_from(lv.live_out(bid));
             block.term.for_each_use(|o| {
                 if let Some(l) = o.as_local() {
                     live.insert(l);

@@ -65,6 +65,23 @@
 //! suffices and one less stops it, wherever the budget ends; a run that
 //! traps reports no counters.
 //!
+//! ## Memory
+//!
+//! The data arena ([`RunConfig::data_size`] bytes, from address `0x1000`)
+//! holds the globals and the heap from its base and the alloca stack
+//! from its middle. [`Memory`] commits it on demand in those two regions:
+//! each holds bytes from its base up to the highest byte written so far,
+//! at least doubling as it grows, and a byte never written reads as zero.
+//! [`Vm::new`] therefore allocates the globals' initialized bytes and
+//! nothing else; it no longer zero-fills the whole arena. An access
+//! inside one region's committed bytes costs one range compare per
+//! region; an access that straddles the two regions or reaches
+//! uncommitted bytes takes a cold path. Addresses, bounds, traps and
+//! trap messages are those of a zero-filled arena, kept as the test
+//! oracle in `src/memory/reference.rs`. A module whose
+//! initialized globals do not fit in the arena traps before its first
+//! step.
+//!
 //! ## Where each cost is charged
 //!
 //! | event | cycles |

@@ -55,7 +55,9 @@ pub struct RunConfig {
     pub inputs: Vec<i64>,
     /// Maximum interpreter steps before [`VmError::OutOfFuel`].
     pub max_steps: u64,
-    /// Size of the data arena in bytes (globals + heap + stack).
+    /// Size of the data arena in bytes (globals + heap + stack). It
+    /// bounds every address; the bytes themselves are committed as
+    /// writes reach them, so a large arena costs nothing until used.
     pub data_size: usize,
     /// Cycle cost model.
     pub cost: CostModel,
@@ -1247,8 +1249,13 @@ impl<'m> Vm<'m> {
     /// Runs `entry` with `args` until completion.
     ///
     /// # Errors
-    /// Propagates traps, fuel exhaustion and uncaught exceptions.
+    /// Propagates traps, fuel exhaustion and uncaught exceptions. A
+    /// module whose initialized globals do not fit in the data arena
+    /// traps before its first step.
     pub fn run(&mut self, entry: FuncId, args: &[Value]) -> Result<RunResult, VmError> {
+        if let Some(e) = self.mem.layout_error() {
+            return Err(mem_trap("globals", e.clone()));
+        }
         self.push_frame(entry, args, true)?;
         loop {
             let flow = match self.chain()? {

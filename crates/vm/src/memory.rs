@@ -1,7 +1,22 @@
-//! The flat memory arena: globals, heap and alloca stack.
+//! The data arena: globals, heap and alloca stack.
+//!
+//! The arena spans `[DATA_BASE, DATA_BASE + data_size)` and is committed
+//! on demand in two regions: `[DATA_BASE, stack_base)` for the globals
+//! and the heap, and `[stack_base, limit)` for the stack. A region holds
+//! bytes only from its base up to the highest byte written so far
+//! (rounded up as it grows); a byte never written reads as zero, as it
+//! did in the zero-filled arena this replaces. An access that lies in one
+//! region's committed bytes takes the fast path, one range compare per
+//! region. An access that straddles the two regions or reaches
+//! uncommitted bytes takes a cold path with the same bounds, results and
+//! trap messages. A run that touches a few kilobytes of a 4 MiB arena
+//! allocates and zero-fills a few kilobytes.
 
 use crate::value::Value;
 use khaos_ir::{FuncId, GInit, Module, Type};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Base of the synthetic code address space. Function `i` lives at
 /// `FUNC_SPACE_BASE + i * FUNC_SPACE_STRIDE`.
@@ -15,6 +30,9 @@ pub const FUNC_SPACE_STRIDE: u64 = 16;
 /// tagged-pointer dereferences).
 const DATA_BASE: u64 = 0x1000;
 
+/// The fewest bytes a region commits when it grows.
+const MIN_COMMIT: usize = 4096;
+
 /// A memory access failure.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemError {
@@ -24,25 +42,100 @@ pub struct MemError {
     pub message: String,
 }
 
-/// Flat little-endian memory with three bump regions: globals (fixed after
-/// load), heap (grows only) and the alloca stack (grows per frame, restored
-/// on return/unwind).
+/// One region of the arena: `bytes` holds the committed addresses
+/// `[base, base + bytes.len())`, which never pass `end`.
+#[derive(Debug)]
+struct Region {
+    base: u64,
+    end: u64,
+    bytes: Vec<u8>,
+}
+
+impl Region {
+    fn new(base: u64, end: u64) -> Self {
+        Region {
+            base,
+            end: end.max(base),
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Offset of `[addr, addr + size)` in `bytes` if it is committed.
+    #[inline(always)]
+    fn offset(&self, addr: u64, size: u64) -> Option<usize> {
+        let off = addr.wrapping_sub(self.base);
+        match off.checked_add(size) {
+            Some(end) if end <= self.bytes.len() as u64 => Some(off as usize),
+            _ => None,
+        }
+    }
+
+    /// The part of `[addr, addr + size)` inside this region, as offsets
+    /// from `base`; empty if they do not meet.
+    fn overlap(&self, addr: u64, size: u64) -> std::ops::Range<usize> {
+        let lo = addr.clamp(self.base, self.end);
+        let hi = (addr + size).clamp(self.base, self.end);
+        (lo - self.base) as usize..(hi - self.base) as usize
+    }
+
+    /// Commits the region's bytes up to offset `need`: at least doubling
+    /// what is committed, never past `end`.
+    fn commit(&mut self, need: usize) {
+        if need > self.bytes.len() {
+            let cap = (self.end - self.base) as usize;
+            let grown = need.max(2 * self.bytes.len()).max(MIN_COMMIT).min(cap);
+            self.bytes.resize(grown, 0);
+        }
+    }
+}
+
+/// Little-endian memory with three bump regions: globals (fixed after
+/// load), heap (grows only) and the alloca stack (grows per frame,
+/// restored on return/unwind). The globals and the heap share the lower
+/// committed region, the stack the upper one.
 #[derive(Debug)]
 pub struct Memory {
-    bytes: Vec<u8>,
+    /// `[DATA_BASE, stack_base)` (capped at `limit`) and `[stack_base, limit)`.
+    regions: [Region; 2],
     global_addrs: Vec<u64>,
     heap_sp: u64,
     stack_sp: u64,
     stack_base: u64,
     limit: u64,
+    /// Set when an initialized global does not fit in the arena.
+    layout_error: Option<MemError>,
 }
 
 impl Memory {
     /// Lays out `m`'s globals (applying function-pointer relocations with
     /// addends) and sets up heap/stack regions of `data_size` bytes total.
+    ///
+    /// A global whose initializer does not fit in the arena is recorded
+    /// rather than written: [`Vm::run`](crate::Vm::run) reports it as a
+    /// trap before running anything.
     pub fn new(m: &Module, data_size: usize) -> Self {
         let limit = DATA_BASE + data_size as u64;
-        let mut bytes = vec![0u8; limit as usize];
+        // Initializers are written at increasing addresses, so the lower
+        // region's bytes are appended in order: alignment and `zero`
+        // gaps are zero-extended when the next initialized byte follows.
+        let mut low = Vec::new();
+        let mut layout_error = None;
+        let mut put = |at: u64, b: &[u8], name: &str| {
+            if layout_error.is_some() {
+                return;
+            }
+            if at + b.len() as u64 > limit {
+                layout_error = Some(MemError {
+                    addr: at,
+                    message: format!(
+                        "global `{name}` does not fit in the {data_size}-byte data arena"
+                    ),
+                });
+                return;
+            }
+            low.resize((at - DATA_BASE) as usize, 0);
+            low.extend_from_slice(b);
+        };
         let mut cursor = DATA_BASE;
         let mut global_addrs = Vec::with_capacity(m.globals.len());
         for g in &m.globals {
@@ -53,23 +146,20 @@ impl Memory {
             for init in &g.init {
                 match init {
                     GInit::Bytes(b) => {
-                        bytes[at as usize..at as usize + b.len()].copy_from_slice(b);
+                        put(at, b, &g.name);
                         at += b.len() as u64;
                     }
                     GInit::Int { value, ty } => {
                         let sz = ty.size() as usize;
-                        bytes[at as usize..at as usize + sz]
-                            .copy_from_slice(&value.to_le_bytes()[..sz]);
+                        put(at, &value.to_le_bytes()[..sz], &g.name);
                         at += sz as u64;
                     }
                     GInit::Float { value, ty } => {
                         let sz = ty.size() as usize;
                         if *ty == Type::F32 {
-                            bytes[at as usize..at as usize + 4]
-                                .copy_from_slice(&(*value as f32).to_le_bytes());
+                            put(at, &(*value as f32).to_le_bytes(), &g.name);
                         } else {
-                            bytes[at as usize..at as usize + 8]
-                                .copy_from_slice(&value.to_le_bytes());
+                            put(at, &value.to_le_bytes(), &g.name);
                         }
                         at += sz as u64;
                     }
@@ -78,7 +168,7 @@ impl Memory {
                         // The relocation: function address + addend. The
                         // addend carries the fusion tag bits.
                         let v = func_addr(*func).wrapping_add(*addend as u64);
-                        bytes[at as usize..at as usize + 8].copy_from_slice(&v.to_le_bytes());
+                        put(at, &v.to_le_bytes(), &g.name);
                         at += 8;
                     }
                 }
@@ -89,14 +179,22 @@ impl Memory {
         let heap_sp = cursor.div_ceil(16) * 16;
         let stack_base = DATA_BASE + (data_size as u64) / 2;
         let stack_base = stack_base.max(heap_sp + 64);
+        let mut lower = Region::new(DATA_BASE, stack_base.min(limit));
+        lower.bytes = low;
         Memory {
-            bytes,
+            regions: [lower, Region::new(stack_base, limit)],
             global_addrs,
             heap_sp,
             stack_sp: stack_base,
             stack_base,
             limit,
+            layout_error,
         }
+    }
+
+    /// Why the globals could not be laid out, if they could not.
+    pub(crate) fn layout_error(&self) -> Option<&MemError> {
+        self.layout_error.as_ref()
     }
 
     /// Address of global `i`.
@@ -113,8 +211,10 @@ impl Memory {
     }
 
     /// Restores the alloca stack pointer (frame exit / unwind / longjmp).
+    /// When the globals leave no room for a stack, `stack_base` lies past
+    /// `limit` and the only mark is `stack_base` itself.
     pub fn stack_release(&mut self, mark: u64) {
-        debug_assert!(mark >= self.stack_base && mark <= self.limit);
+        debug_assert!(mark >= self.stack_base && mark <= self.limit.max(self.stack_base));
         self.stack_sp = mark;
     }
 
@@ -159,6 +259,66 @@ impl Memory {
         }
     }
 
+    /// The region and offset of `[addr, addr + size)` if it lies in one
+    /// region's committed bytes (committed bytes are always in bounds).
+    #[inline(always)]
+    fn locate(&self, addr: u64, size: u64) -> Option<(usize, usize)> {
+        if let Some(off) = self.regions[0].offset(addr, size) {
+            return Some((0, off));
+        }
+        self.regions[1].offset(addr, size).map(|off| (1, off))
+    }
+
+    /// The committed bytes `[addr, addr + size)`, if they are in one region.
+    #[inline(always)]
+    fn committed(&self, addr: u64, size: usize) -> Option<&[u8]> {
+        let (r, off) = self.locate(addr, size as u64)?;
+        Some(&self.regions[r].bytes[off..off + size])
+    }
+
+    /// Reads `buf.len()` bytes at a checked address: committed bytes as
+    /// stored, uncommitted ones as zero.
+    #[cold]
+    fn gather(&self, addr: u64, buf: &mut [u8]) {
+        buf.fill(0);
+        for r in &self.regions {
+            let part = r.overlap(addr, buf.len() as u64);
+            let have = part.start..part.end.min(r.bytes.len());
+            if have.start < have.end {
+                let at = (r.base + have.start as u64 - addr) as usize;
+                buf[at..at + have.len()].copy_from_slice(&r.bytes[have]);
+            }
+        }
+    }
+
+    /// Writes `bytes` at a checked address, committing what they reach.
+    #[cold]
+    fn scatter(&mut self, addr: u64, bytes: &[u8]) {
+        for r in &mut self.regions {
+            let part = r.overlap(addr, bytes.len() as u64);
+            if part.start < part.end {
+                r.commit(part.end);
+                let at = (r.base + part.start as u64 - addr) as usize;
+                r.bytes[part.clone()].copy_from_slice(&bytes[at..at + part.len()]);
+            }
+        }
+    }
+
+    /// Writes `bytes` at `addr`, or fails if any of them is out of bounds.
+    #[inline(always)]
+    fn put_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
+        match self.locate(addr, bytes.len() as u64) {
+            Some((r, off)) => {
+                self.regions[r].bytes[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+            None => {
+                self.check(addr, bytes.len() as u64)?;
+                self.scatter(addr, bytes);
+            }
+        }
+        Ok(())
+    }
+
     /// Reads a typed value.
     ///
     /// # Errors
@@ -171,20 +331,23 @@ impl Memory {
     /// sign-extended to `i64` (`i1` masked to its low bit), floats as
     /// `f64` bits (an `f32` widened).
     pub(crate) fn load(&self, addr: u64, ty: Type) -> Result<u64, MemError> {
-        self.check(addr, ty.size() as u64)?;
-        let at = addr as usize;
-        let b = &self.bytes;
+        let size = ty.size() as usize;
+        let mut buf = [0u8; 8];
+        let b = match self.committed(addr, size) {
+            Some(b) => b,
+            None => {
+                self.check(addr, size as u64)?;
+                self.gather(addr, &mut buf[..size]);
+                &buf[..size]
+            }
+        };
         Ok(match ty {
-            Type::I1 => (b[at] & 1) as u64,
-            Type::I8 => b[at] as i8 as u64,
-            Type::I16 => i16::from_le_bytes(b[at..at + 2].try_into().expect("size")) as u64,
-            Type::I32 => i32::from_le_bytes(b[at..at + 4].try_into().expect("size")) as u64,
-            Type::I64 | Type::Ptr | Type::F64 => {
-                u64::from_le_bytes(b[at..at + 8].try_into().expect("size"))
-            }
-            Type::F32 => {
-                (f32::from_le_bytes(b[at..at + 4].try_into().expect("size")) as f64).to_bits()
-            }
+            Type::I1 => (b[0] & 1) as u64,
+            Type::I8 => b[0] as i8 as u64,
+            Type::I16 => i16::from_le_bytes(b.try_into().expect("size")) as u64,
+            Type::I32 => i32::from_le_bytes(b.try_into().expect("size")) as u64,
+            Type::I64 | Type::Ptr | Type::F64 => u64::from_le_bytes(b.try_into().expect("size")),
+            Type::F32 => (f32::from_le_bytes(b.try_into().expect("size")) as f64).to_bits(),
             Type::Void => {
                 return Err(MemError {
                     addr,
@@ -197,11 +360,10 @@ impl Memory {
     /// Reads 8 bytes (an `i64` or pointer) as slot bits.
     #[inline(always)]
     pub(crate) fn load64(&self, addr: u64) -> Result<u64, MemError> {
-        self.check(addr, 8)?;
-        let at = addr as usize;
-        Ok(u64::from_le_bytes(
-            self.bytes[at..at + 8].try_into().expect("size"),
-        ))
+        match self.committed(addr, 8) {
+            Some(b) => Ok(u64::from_le_bytes(b.try_into().expect("size"))),
+            None => self.load(addr, Type::I64),
+        }
     }
 
     /// Writes a typed value.
@@ -220,58 +382,49 @@ impl Memory {
                 message: format!("type mismatch {ty} vs {v:?}"),
             });
         }
-        self.put(addr, ty, v.to_bits());
-        Ok(())
+        self.store(addr, ty, v.to_bits())
     }
 
     /// Writes slot bits as a value of type `ty`: integers truncated to
     /// the type's width, an `f32` narrowed.
     pub(crate) fn store(&mut self, addr: u64, ty: Type, bits: u64) -> Result<(), MemError> {
-        self.check(addr, ty.size() as u64)?;
+        let bytes = match ty {
+            Type::F32 => ((f64::from_bits(bits) as f32).to_bits() as u64).to_le_bytes(),
+            _ => bits.to_le_bytes(),
+        };
         if ty == Type::Void {
+            self.check(addr, 0)?;
             return Err(MemError {
                 addr,
                 message: "write of void".into(),
             });
         }
-        self.put(addr, ty, bits);
-        Ok(())
+        self.put_bytes(addr, &bytes[..ty.size() as usize])
     }
 
     /// Writes 8 bytes (an `i64` or pointer) from slot bits.
     #[inline(always)]
     pub(crate) fn store64(&mut self, addr: u64, bits: u64) -> Result<(), MemError> {
-        self.check(addr, 8)?;
-        let at = addr as usize;
-        self.bytes[at..at + 8].copy_from_slice(&bits.to_le_bytes());
-        Ok(())
+        self.put_bytes(addr, &bits.to_le_bytes())
     }
 
-    /// Writes `bits` at a checked address.
-    fn put(&mut self, addr: u64, ty: Type, bits: u64) {
-        let at = addr as usize;
-        let b = &mut self.bytes;
-        match ty {
-            Type::I1 | Type::I8 => b[at] = bits as u8,
-            Type::I16 => b[at..at + 2].copy_from_slice(&(bits as u16).to_le_bytes()),
-            Type::I32 => b[at..at + 4].copy_from_slice(&(bits as u32).to_le_bytes()),
-            Type::I64 | Type::Ptr | Type::F64 => b[at..at + 8].copy_from_slice(&bits.to_le_bytes()),
-            Type::F32 => {
-                b[at..at + 4].copy_from_slice(&(f64::from_bits(bits) as f32).to_le_bytes())
-            }
-            Type::Void => {}
-        }
-    }
-
-    /// Raw byte copy (`memcpy`).
+    /// Raw byte copy (`memcpy`; the ranges may overlap).
     ///
     /// # Errors
     /// Fails if either range is unmapped.
     pub fn copy(&mut self, dst: u64, src: u64, n: u64) -> Result<(), MemError> {
-        self.check(dst, n)?;
-        self.check(src, n)?;
-        self.bytes
-            .copy_within(src as usize..(src + n) as usize, dst as usize);
+        match (self.locate(dst, n), self.locate(src, n)) {
+            (Some((rd, d)), Some((rs, s))) if rd == rs => {
+                self.regions[rd].bytes.copy_within(s..s + n as usize, d);
+            }
+            _ => {
+                self.check(dst, n)?;
+                self.check(src, n)?;
+                let mut buf = vec![0; n as usize];
+                self.gather(src, &mut buf);
+                self.scatter(dst, &buf);
+            }
+        }
         Ok(())
     }
 
@@ -281,7 +434,18 @@ impl Memory {
     /// Fails if the range is unmapped.
     pub fn fill(&mut self, dst: u64, byte: u8, n: u64) -> Result<(), MemError> {
         self.check(dst, n)?;
-        self.bytes[dst as usize..(dst + n) as usize].fill(byte);
+        for r in &mut self.regions {
+            let mut part = r.overlap(dst, n);
+            if byte == 0 {
+                // Uncommitted bytes already read as zero.
+                part.end = part.end.min(r.bytes.len());
+            } else {
+                r.commit(part.end);
+            }
+            if part.start < part.end {
+                r.bytes[part].fill(byte);
+            }
+        }
         Ok(())
     }
 
@@ -294,7 +458,10 @@ impl Memory {
         let mut out = Vec::new();
         let mut at = addr;
         while at < self.limit && out.len() < 4096 {
-            let b = self.bytes[at as usize];
+            let b = match self.locate(at, 1) {
+                Some((r, off)) => self.regions[r].bytes[off],
+                None => 0,
+            };
             if b == 0 {
                 return Ok(out);
             }
@@ -441,5 +608,122 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(mem.read_cstr(a).unwrap(), b"hi".to_vec());
+    }
+
+    #[test]
+    fn random_accesses_match_the_eager_arena() {
+        use reference::EagerMemory;
+        let mut m = Module::new("m");
+        m.push_global(Global {
+            name: "s".into(),
+            init: vec![GInit::Bytes(b"abc\0".to_vec()), GInit::Zero(9)],
+            align: 4,
+            exported: false,
+        });
+        let size = 1 << 14;
+        let mut lazy = Memory::new(&m, size);
+        let mut eager = EagerMemory::new(&m, size);
+        let (stack_base, limit) = (lazy.stack_base, lazy.limit);
+        assert_eq!(
+            lazy.global_addr(GlobalId(0)),
+            eager.global_addr(GlobalId(0))
+        );
+        let anchors = [
+            0,
+            DATA_BASE,
+            lazy.global_addr(GlobalId(0)),
+            lazy.heap_sp,
+            stack_base - 64,
+            stack_base,
+            stack_base + 4000,
+            stack_base + 4096,
+            limit - 64,
+            limit,
+            FUNC_SPACE_BASE,
+            u64::MAX - 4,
+        ];
+        let tys = [
+            Type::I1,
+            Type::I8,
+            Type::I16,
+            Type::I32,
+            Type::I64,
+            Type::F32,
+            Type::F64,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let fault = |e: MemError| (e.addr, e.message);
+        let old = |e: reference::Fault| (e.addr, e.message);
+        // Values compare by class and bits, so NaNs compare too.
+        let bits = |v: Value| (matches!(v, Value::Float(_)), v.to_bits());
+        for step in 0..20_000 {
+            let r = next();
+            let addr = anchors[(r % anchors.len() as u64) as usize]
+                .wrapping_add((r >> 8) % 160)
+                .wrapping_sub(80);
+            let ty = tys[((r >> 16) % tys.len() as u64) as usize];
+            let n = (r >> 24) % 200;
+            let other =
+                anchors[((r >> 32) % anchors.len() as u64) as usize].wrapping_add((r >> 40) % 64);
+            let v = if ty.is_float() {
+                Value::Float((r >> 48) as f64 / 7.0)
+            } else {
+                Value::Int((r >> 40) as i64 - 0x80_0000)
+            };
+            let what = format!("step {step}: {ty} at {addr:#x}, n {n}, other {other:#x}");
+            match r >> 61 {
+                0 | 1 => assert_eq!(
+                    lazy.write(addr, ty, v).map_err(fault),
+                    eager.write(addr, ty, v).map_err(old),
+                    "{what}"
+                ),
+                2 | 3 => assert_eq!(
+                    lazy.read(addr, ty).map(bits).map_err(fault),
+                    eager.read(addr, ty).map(bits).map_err(old),
+                    "{what}"
+                ),
+                4 => assert_eq!(
+                    lazy.copy(addr, other, n).map_err(fault),
+                    eager.copy(addr, other, n).map_err(old),
+                    "{what}"
+                ),
+                5 => assert_eq!(
+                    lazy.fill(addr, (r >> 12) as u8 & 3, n).map_err(fault),
+                    eager.fill(addr, (r >> 12) as u8 & 3, n).map_err(old),
+                    "{what}"
+                ),
+                6 => assert_eq!(
+                    lazy.read_cstr(addr).map_err(fault),
+                    eager.read_cstr(addr).map_err(old),
+                    "{what}"
+                ),
+                _ => {
+                    assert_eq!(
+                        lazy.heap_alloc(n).map_err(fault),
+                        eager.heap_alloc(n).map_err(old),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        lazy.stack_alloc(n as u32, 8).map_err(fault),
+                        eager.stack_alloc(n as u32, 8).map_err(old),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        // Every byte of the arena ends up the same.
+        for at in DATA_BASE..limit {
+            assert_eq!(
+                lazy.read(at, Type::I8).map_err(fault),
+                eager.read(at, Type::I8).map_err(old),
+                "byte {at:#x}"
+            );
+        }
     }
 }

@@ -79,7 +79,12 @@ struct Externs {
 
 fn declare_externs(m: &mut Module) -> Externs {
     let e = |m: &mut Module, name: &str, params: Vec<Type>, ret: Type, variadic: bool| {
-        m.declare_external(ExtFunc { name: name.into(), params, ret_ty: ret, variadic })
+        m.declare_external(ExtFunc {
+            name: name.into(),
+            params,
+            ret_ty: ret,
+            variadic,
+        })
     };
     Externs {
         print_i64: e(m, "print_i64", vec![Type::I64], Type::Void, false),
@@ -153,7 +158,9 @@ impl<'a> BodyGen<'a> {
     fn division(&mut self) {
         let a = self.int_operand();
         let d0 = self.int_operand();
-        let odd = self.fb.bin(BinOp::Or, Type::I64, d0, Operand::const_int(Type::I64, 1));
+        let odd = self
+            .fb
+            .bin(BinOp::Or, Type::I64, d0, Operand::const_int(Type::I64, 1));
         let r = self.fb.bin(BinOp::SDiv, Type::I64, a, Operand::local(odd));
         self.ints.push(r);
     }
@@ -170,22 +177,39 @@ impl<'a> BodyGen<'a> {
 
     /// Read-modify-write on the stack buffer at a masked offset.
     fn memory_op(&mut self) {
-        let Some((buf, size)) = self.buffer else { return };
+        let Some((buf, size)) = self.buffer else {
+            return;
+        };
         let slots = (size / 8) as i64;
         if self.rng.gen_bool(0.5) {
             // Constant offset.
             let off = self.rng.gen_range(0..slots) * 8;
-            let p = self.fb.ptradd(Operand::local(buf), Operand::const_int(Type::I64, off));
+            let p = self
+                .fb
+                .ptradd(Operand::local(buf), Operand::const_int(Type::I64, off));
             let v = self.fb.load(Type::I64, Operand::local(p));
             let addend = self.int_operand();
-            let w = self.fb.bin(BinOp::Add, Type::I64, Operand::local(v), addend);
-            self.fb.store(Type::I64, Operand::local(w), Operand::local(p));
+            let w = self
+                .fb
+                .bin(BinOp::Add, Type::I64, Operand::local(v), addend);
+            self.fb
+                .store(Type::I64, Operand::local(w), Operand::local(p));
             self.ints.push(w);
         } else {
             // Dynamic masked index.
             let i = self.int_operand();
-            let masked = self.fb.bin(BinOp::And, Type::I64, i, Operand::const_int(Type::I64, slots - 1));
-            let off = self.fb.bin(BinOp::Shl, Type::I64, Operand::local(masked), Operand::const_int(Type::I64, 3));
+            let masked = self.fb.bin(
+                BinOp::And,
+                Type::I64,
+                i,
+                Operand::const_int(Type::I64, slots - 1),
+            );
+            let off = self.fb.bin(
+                BinOp::Shl,
+                Type::I64,
+                Operand::local(masked),
+                Operand::const_int(Type::I64, 3),
+            );
             let p = self.fb.ptradd(Operand::local(buf), Operand::local(off));
             let v = self.fb.load(Type::I64, Operand::local(p));
             let value = self.int_operand();
@@ -203,11 +227,14 @@ impl<'a> BodyGen<'a> {
         let slots = (size / 8).max(1) as i64;
         let off = self.rng.gen_range(0..slots) * 8;
         let ga = self.fb.globaladdr(g);
-        let p = self.fb.ptradd(Operand::local(ga), Operand::const_int(Type::I64, off));
+        let p = self
+            .fb
+            .ptradd(Operand::local(ga), Operand::const_int(Type::I64, off));
         let v = self.fb.load(Type::I64, Operand::local(p));
         let mask = self.int_operand();
         let w = self.fb.bin(BinOp::Xor, Type::I64, Operand::local(v), mask);
-        self.fb.store(Type::I64, Operand::local(w), Operand::local(p));
+        self.fb
+            .store(Type::I64, Operand::local(w), Operand::local(p));
         self.ints.push(v);
     }
 
@@ -223,7 +250,10 @@ impl<'a> BodyGen<'a> {
         self.fb.branch(Operand::local(c), then_bb, else_bb);
 
         self.fb.switch_to(then_bb);
-        { let n = self.rng.gen_range(1..3); self.arith(n); }
+        {
+            let n = self.rng.gen_range(1..3);
+            self.arith(n);
+        }
         if depth > 0 && self.rng.gen_bool(0.3) {
             self.if_else(ret_ty, depth - 1);
         }
@@ -235,7 +265,10 @@ impl<'a> BodyGen<'a> {
         }
 
         self.fb.switch_to(else_bb);
-        { let n = self.rng.gen_range(1..3); self.arith(n); }
+        {
+            let n = self.rng.gen_range(1..3);
+            self.arith(n);
+        }
         self.fb.jump(join);
         self.fb.switch_to(join);
     }
@@ -250,11 +283,19 @@ impl<'a> BodyGen<'a> {
         let exit = self.fb.new_block();
         self.fb.jump(head);
         self.fb.switch_to(head);
-        let c = self.fb.cmp(CmpPred::Slt, Type::I64, Operand::local(i), Operand::const_int(Type::I64, bound));
+        let c = self.fb.cmp(
+            CmpPred::Slt,
+            Type::I64,
+            Operand::local(i),
+            Operand::const_int(Type::I64, bound),
+        );
         self.fb.branch(Operand::local(c), body, exit);
         self.fb.switch_to(body);
         self.ints.push(i);
-        { let n = self.rng.gen_range(1..4); self.arith(n); }
+        {
+            let n = self.rng.gen_range(1..4);
+            self.arith(n);
+        }
         // Real hot loops are memory-bound; keep the simulated ones so too.
         self.memory_op();
         if self.rng.gen_bool(0.5) {
@@ -266,7 +307,12 @@ impl<'a> BodyGen<'a> {
         if depth > 0 && self.rng.gen_bool(0.25) {
             self.bounded_loop(depth - 1);
         }
-        let ni = self.fb.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+        let ni = self.fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(i),
+            Operand::const_int(Type::I64, 1),
+        );
         self.fb.copy_to(i, Operand::local(ni));
         self.fb.jump(head);
         self.fb.switch_to(exit);
@@ -275,7 +321,9 @@ impl<'a> BodyGen<'a> {
     /// Multi-way dispatch.
     fn switch_construct(&mut self) {
         let v = self.int_operand();
-        let masked = self.fb.bin(BinOp::And, Type::I64, v, Operand::const_int(Type::I64, 3));
+        let masked = self
+            .fb
+            .bin(BinOp::And, Type::I64, v, Operand::const_int(Type::I64, 3));
         let cases = self.rng.gen_range(2..=3usize);
         let blocks: Vec<_> = (0..cases).map(|_| self.fb.new_block()).collect();
         let default = self.fb.new_block();
@@ -283,12 +331,19 @@ impl<'a> BodyGen<'a> {
         self.fb.switch(
             Type::I64,
             Operand::local(masked),
-            blocks.iter().enumerate().map(|(k, b)| (k as i64, *b)).collect(),
+            blocks
+                .iter()
+                .enumerate()
+                .map(|(k, b)| (k as i64, *b))
+                .collect(),
             default,
         );
         for b in &blocks {
             self.fb.switch_to(*b);
-            { let n = self.rng.gen_range(1..3); self.arith(n); }
+            {
+                let n = self.rng.gen_range(1..3);
+                self.arith(n);
+            }
             self.fb.jump(join);
         }
         self.fb.switch_to(default);
@@ -345,7 +400,13 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let size = [8u32, 16, 32, 64][rng.gen_range(0..4)];
         let id = m.push_global(Global {
             name: format!("g_state_{gi}"),
-            init: vec![GInit::Int { value: rng.gen_range(0..100), ty: Type::I64 }, GInit::Zero(size.saturating_sub(8))],
+            init: vec![
+                GInit::Int {
+                    value: rng.gen_range(0..100),
+                    ty: Type::I64,
+                },
+                GInit::Zero(size.saturating_sub(8)),
+            ],
             align: 8,
             exported: false,
         });
@@ -364,7 +425,9 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
     let mut plans: Vec<FnPlan> = Vec::with_capacity(total);
     // Table members need a uniform (i64) -> i64 signature.
     let table_members: Vec<usize> = if profile.table_size > 0 {
-        (0..profile.table_size.min(total / 2).max(1)).map(|k| k * 2).collect()
+        (0..profile.table_size.min(total / 2).max(1))
+            .map(|k| k * 2)
+            .collect()
     } else {
         Vec::new()
     };
@@ -372,7 +435,11 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let in_table = table_members.contains(&i);
         let vulnerable_name = vulnerable.get(i).copied();
         let float_flavoured = !in_table && rng.gen_bool(profile.float_rate);
-        let nparams = if in_table { 1 } else { rng.gen_range(1..=4usize) };
+        let nparams = if in_table {
+            1
+        } else {
+            rng.gen_range(1..=4usize)
+        };
         let mut params = vec![Type::I64];
         for _ in 1..nparams {
             params.push(if float_flavoured && rng.gen_bool(0.5) {
@@ -440,7 +507,12 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
                 Type::I64 => g.ints.push(param_ids[k]),
                 Type::F64 => g.floats.push(param_ids[k]),
                 Type::I32 => {
-                    let w = g.fb.cast(CastKind::SExt, Operand::local(param_ids[k]), Type::I32, Type::I64);
+                    let w = g.fb.cast(
+                        CastKind::SExt,
+                        Operand::local(param_ids[k]),
+                        Type::I32,
+                        Type::I64,
+                    );
                     g.ints.push(w);
                 }
                 _ => {}
@@ -454,8 +526,13 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
             // (and thus on code layout), breaking differential testing.
             g.fb.store(Type::I64, Operand::local(param_ids[0]), Operand::local(buf));
             for slot in 1..(size / 8) as i64 {
-                let p = g.fb.ptradd(Operand::local(buf), Operand::const_int(Type::I64, slot * 8));
-                g.fb.store(Type::I64, Operand::const_int(Type::I64, slot), Operand::local(p));
+                let p =
+                    g.fb.ptradd(Operand::local(buf), Operand::const_int(Type::I64, slot * 8));
+                g.fb.store(
+                    Type::I64,
+                    Operand::const_int(Type::I64, slot),
+                    Operand::local(p),
+                );
             }
             g.buffer = Some((buf, size));
         }
@@ -471,12 +548,22 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
             let base = g.fb.new_block();
             let rec = g.fb.new_block();
             let cont = g.fb.new_block();
-            let c = g.fb.cmp(CmpPred::Sle, Type::I64, Operand::local(d), Operand::const_int(Type::I64, 0));
+            let c = g.fb.cmp(
+                CmpPred::Sle,
+                Type::I64,
+                Operand::local(d),
+                Operand::const_int(Type::I64, 0),
+            );
             g.fb.branch(Operand::local(c), base, rec);
             g.fb.switch_to(base);
             g.fb.jump(cont);
             g.fb.switch_to(rec);
-            let dm1 = g.fb.bin(BinOp::Sub, Type::I64, Operand::local(d), Operand::const_int(Type::I64, 1));
+            let dm1 = g.fb.bin(
+                BinOp::Sub,
+                Type::I64,
+                Operand::local(d),
+                Operand::const_int(Type::I64, 1),
+            );
             let mut args: Vec<Operand> = vec![Operand::local(dm1)];
             for &t in plan.params.iter().skip(1) {
                 args.push(Operand::Const(khaos_ir::Const::zero(t)));
@@ -548,7 +635,9 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
                 _ => g.arith(2),
             }
             // Calls into later functions (forward DAG, no accidental cycles).
-            if g.rng.gen_bool((profile.call_density / constructs as f64).min(0.9)) && i + 1 < total
+            if g.rng
+                .gen_bool((profile.call_density / constructs as f64).min(0.9))
+                && i + 1 < total
             {
                 let callee = g.rng.gen_range(i + 1..total);
                 let cp = plans[callee].clone();
@@ -580,7 +669,8 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
                 match (r, cp.ret) {
                     (Some(r), Type::I64) => g.ints.push(r),
                     (Some(r), Type::I32) => {
-                        let w = g.fb.cast(CastKind::SExt, Operand::local(r), Type::I32, Type::I64);
+                        let w =
+                            g.fb.cast(CastKind::SExt, Operand::local(r), Type::I32, Type::I64);
                         g.ints.push(w);
                     }
                     (Some(r), Type::F64) => g.floats.push(r),
@@ -594,7 +684,12 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let folds = g.ints.len().min(4);
         for k in 0..folds {
             let v = g.ints[g.ints.len() - 1 - k];
-            acc = g.fb.bin(BinOp::Xor, Type::I64, Operand::local(acc), Operand::local(v));
+            acc = g.fb.bin(
+                BinOp::Xor,
+                Type::I64,
+                Operand::local(acc),
+                Operand::local(v),
+            );
         }
         if !g.floats.is_empty() && plan.ret == Type::F64 {
             let v = g.float_operand();
@@ -604,11 +699,13 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
                 Type::Void => g.fb.ret(None),
                 Type::I64 => g.fb.ret(Some(Operand::local(acc))),
                 Type::I32 => {
-                    let t = g.fb.cast(CastKind::Trunc, Operand::local(acc), Type::I64, Type::I32);
+                    let t =
+                        g.fb.cast(CastKind::Trunc, Operand::local(acc), Type::I64, Type::I32);
                     g.fb.ret(Some(Operand::local(t)));
                 }
                 Type::F64 => {
-                    let f = g.fb.cast(CastKind::SiToFp, Operand::local(acc), Type::I64, Type::F64);
+                    let f =
+                        g.fb.cast(CastKind::SiToFp, Operand::local(acc), Type::I64, Type::F64);
                     g.fb.ret(Some(Operand::local(f)));
                 }
                 other => unreachable!("unsupported return type {other}"),
@@ -625,7 +722,10 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
             name: "fn_table".into(),
             init: table_members
                 .iter()
-                .map(|&k| GInit::FuncPtr { func: ids[k], addend: 0 })
+                .map(|&k| GInit::FuncPtr {
+                    func: ids[k],
+                    addend: 0,
+                })
                 .collect(),
             align: 8,
             exported: false,
@@ -636,10 +736,25 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let ga = fb.globaladdr(tbl);
         // Power-of-two table? Use modulo via masked compare chain instead:
         // idx = sel % n  (n odd-safe via srem; n > 0 constant).
-        let idx = fb.bin(BinOp::SRem, Type::I64, Operand::local(sel), Operand::const_int(Type::I64, n));
-        let pos = fb.bin(BinOp::Mul, Type::I64, Operand::local(idx), Operand::const_int(Type::I64, 8));
+        let idx = fb.bin(
+            BinOp::SRem,
+            Type::I64,
+            Operand::local(sel),
+            Operand::const_int(Type::I64, n),
+        );
+        let pos = fb.bin(
+            BinOp::Mul,
+            Type::I64,
+            Operand::local(idx),
+            Operand::const_int(Type::I64, 8),
+        );
         // srem can be negative; take abs via masking to [0, n): add n, rem again.
-        let shifted = fb.bin(BinOp::Add, Type::I64, Operand::local(pos), Operand::const_int(Type::I64, (n - 1) * 8));
+        let shifted = fb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(pos),
+            Operand::const_int(Type::I64, (n - 1) * 8),
+        );
         let wrapped = fb.bin(
             BinOp::SRem,
             Type::I64,
@@ -648,8 +763,15 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         );
         let p = fb.ptradd(Operand::local(ga), Operand::local(wrapped));
         let fp = fb.load(Type::Ptr, Operand::local(p));
-        let arg = fb.bin(BinOp::And, Type::I64, Operand::local(sel), Operand::const_int(Type::I64, 31));
-        let r = fb.call_indirect(Operand::local(fp), Type::I64, vec![Operand::local(arg)]).expect("i64 ret");
+        let arg = fb.bin(
+            BinOp::And,
+            Type::I64,
+            Operand::local(sel),
+            Operand::const_int(Type::I64, 31),
+        );
+        let r = fb
+            .call_indirect(Operand::local(fp), Type::I64, vec![Operand::local(arg)])
+            .expect("i64 ret");
         fb.ret(Some(Operand::local(r)));
         dispatcher = Some(m.push_function(fb.finish()));
     }
@@ -661,8 +783,18 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let x = th.add_param(Type::I64);
         let yes = th.new_block();
         let no = th.new_block();
-        let masked = th.bin(BinOp::And, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 15));
-        let c = th.cmp(CmpPred::Eq, Type::I64, Operand::local(masked), Operand::const_int(Type::I64, 3));
+        let masked = th.bin(
+            BinOp::And,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, 15),
+        );
+        let c = th.cmp(
+            CmpPred::Eq,
+            Type::I64,
+            Operand::local(masked),
+            Operand::const_int(Type::I64, 3),
+        );
         th.branch(Operand::local(c), yes, no);
         th.switch_to(yes);
         th.call_ext(ext.throw_exc, Type::Void, vec![Operand::local(x)]);
@@ -676,9 +808,20 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let exc = gd.new_local(Type::I64);
         let normal = gd.new_block();
         let pad = gd.new_pad_block(Some(exc));
-        gd.invoke(Callee::Direct(thrower), Type::Void, vec![Operand::local(x)], normal, pad);
+        gd.invoke(
+            Callee::Direct(thrower),
+            Type::Void,
+            vec![Operand::local(x)],
+            normal,
+            pad,
+        );
         gd.switch_to(normal);
-        let ok = gd.bin(BinOp::Add, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 1));
+        let ok = gd.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, 1),
+        );
         gd.ret(Some(Operand::local(ok)));
         gd.switch_to(pad);
         let neg = gd.un(khaos_ir::UnOp::Neg, Type::I64, Operand::local(exc));
@@ -695,13 +838,32 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let x = jp.add_param(Type::I64);
         let yes = jp.new_block();
         let no = jp.new_block();
-        let masked = jp.bin(BinOp::And, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 7));
-        let c = jp.cmp(CmpPred::Eq, Type::I64, Operand::local(masked), Operand::const_int(Type::I64, 5));
+        let masked = jp.bin(
+            BinOp::And,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, 7),
+        );
+        let c = jp.cmp(
+            CmpPred::Eq,
+            Type::I64,
+            Operand::local(masked),
+            Operand::const_int(Type::I64, 5),
+        );
         jp.branch(Operand::local(c), yes, no);
         jp.switch_to(yes);
-        let val = jp.bin(BinOp::Or, Type::I64, Operand::local(x), Operand::const_int(Type::I64, 1));
+        let val = jp.bin(
+            BinOp::Or,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, 1),
+        );
         let v32 = jp.cast(CastKind::Trunc, Operand::local(val), Type::I64, Type::I32);
-        jp.call_ext(ext.longjmp, Type::Void, vec![Operand::local(buf), Operand::local(v32)]);
+        jp.call_ext(
+            ext.longjmp,
+            Type::Void,
+            vec![Operand::local(buf), Operand::local(v32)],
+        );
         jp.ret(None);
         jp.switch_to(no);
         jp.ret(None);
@@ -710,13 +872,24 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let mut sj = FunctionBuilder::new("checkpoint", Type::I64);
         let x = sj.add_param(Type::I64);
         let buf = sj.alloca(8);
-        let r = sj.call_ext(ext.setjmp, Type::I32, vec![Operand::local(buf)]).expect("i32");
+        let r = sj
+            .call_ext(ext.setjmp, Type::I32, vec![Operand::local(buf)])
+            .expect("i32");
         let first = sj.new_block();
         let resumed = sj.new_block();
-        let c = sj.cmp(CmpPred::Eq, Type::I32, Operand::local(r), Operand::const_int(Type::I32, 0));
+        let c = sj.cmp(
+            CmpPred::Eq,
+            Type::I32,
+            Operand::local(r),
+            Operand::const_int(Type::I32, 0),
+        );
         sj.branch(Operand::local(c), first, resumed);
         sj.switch_to(first);
-        sj.call(jumper, Type::Void, vec![Operand::local(buf), Operand::local(x)]);
+        sj.call(
+            jumper,
+            Type::Void,
+            vec![Operand::local(buf), Operand::local(x)],
+        );
         sj.ret(Some(Operand::const_int(Type::I64, 0)));
         sj.switch_to(resumed);
         let w = sj.cast(CastKind::SExt, Operand::local(r), Type::I32, Type::I64);
@@ -747,7 +920,12 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
     mb.switch_to(body);
     // Rotate over the first few workers.
     let roots: Vec<usize> = (0..total.min(4)).collect();
-    let mixed = mb.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::local(seed_in));
+    let mixed = mb.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(i),
+        Operand::local(seed_in),
+    );
     for &r in &roots {
         let plan = &plans[r];
         let mut args = Vec::new();
@@ -767,7 +945,12 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
                     args.push(Operand::local(a));
                 }
                 Type::F64 => {
-                    let a = mb.cast(CastKind::SiToFp, Operand::local(mixed), Type::I64, Type::F64);
+                    let a = mb.cast(
+                        CastKind::SiToFp,
+                        Operand::local(mixed),
+                        Type::I64,
+                        Type::F64,
+                    );
                     args.push(Operand::local(a));
                 }
                 other => unreachable!("unplanned param type {other}"),
@@ -776,44 +959,89 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
         let ret = mb.call(ids[r], plan.ret, args);
         match (ret, plan.ret) {
             (Some(v), Type::I64) => {
-                let nx = mb.bin(BinOp::Xor, Type::I64, Operand::local(acc), Operand::local(v));
+                let nx = mb.bin(
+                    BinOp::Xor,
+                    Type::I64,
+                    Operand::local(acc),
+                    Operand::local(v),
+                );
                 mb.copy_to(acc, Operand::local(nx));
             }
             (Some(v), Type::I32) => {
                 let w = mb.cast(CastKind::SExt, Operand::local(v), Type::I32, Type::I64);
-                let nx = mb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(w));
+                let nx = mb.bin(
+                    BinOp::Add,
+                    Type::I64,
+                    Operand::local(acc),
+                    Operand::local(w),
+                );
                 mb.copy_to(acc, Operand::local(nx));
             }
             (Some(v), Type::F64) => {
                 let w = mb.cast(CastKind::FpToSi, Operand::local(v), Type::F64, Type::I64);
-                let nx = mb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(w));
+                let nx = mb.bin(
+                    BinOp::Add,
+                    Type::I64,
+                    Operand::local(acc),
+                    Operand::local(w),
+                );
                 mb.copy_to(acc, Operand::local(nx));
             }
             _ => {}
         }
     }
     if let Some(d) = dispatcher {
-        let r = mb.call(d, Type::I64, vec![Operand::local(mixed)]).expect("i64");
-        let nx = mb.bin(BinOp::Xor, Type::I64, Operand::local(acc), Operand::local(r));
+        let r = mb
+            .call(d, Type::I64, vec![Operand::local(mixed)])
+            .expect("i64");
+        let nx = mb.bin(
+            BinOp::Xor,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
         mb.copy_to(acc, Operand::local(nx));
     }
     if let Some(gd) = guard {
-        let r = mb.call(gd, Type::I64, vec![Operand::local(mixed)]).expect("i64");
-        let nx = mb.bin(BinOp::Add, Type::I64, Operand::local(acc), Operand::local(r));
+        let r = mb
+            .call(gd, Type::I64, vec![Operand::local(mixed)])
+            .expect("i64");
+        let nx = mb.bin(
+            BinOp::Add,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
         mb.copy_to(acc, Operand::local(nx));
     }
     if let Some(sj) = sj_entry {
-        let r = mb.call(sj, Type::I64, vec![Operand::local(mixed)]).expect("i64");
-        let nx = mb.bin(BinOp::Xor, Type::I64, Operand::local(acc), Operand::local(r));
+        let r = mb
+            .call(sj, Type::I64, vec![Operand::local(mixed)])
+            .expect("i64");
+        let nx = mb.bin(
+            BinOp::Xor,
+            Type::I64,
+            Operand::local(acc),
+            Operand::local(r),
+        );
         mb.copy_to(acc, Operand::local(nx));
     }
-    let ni = mb.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+    let ni = mb.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 1),
+    );
     mb.copy_to(i, Operand::local(ni));
     mb.jump(head);
     mb.switch_to(tail);
     mb.call_ext(ext.print_i64, Type::Void, vec![Operand::local(acc)]);
     let fp = mb.globaladdr(fmt);
-    mb.call_ext(ext.printf, Type::I32, vec![Operand::local(fp), Operand::local(acc)]);
+    mb.call_ext(
+        ext.printf,
+        Type::I32,
+        vec![Operand::local(fp), Operand::local(acc)],
+    );
     mb.ret(Some(Operand::local(acc)));
     m.push_function(mb.finish());
 
@@ -831,14 +1059,13 @@ pub fn generate_with_vulnerable(profile: &ProgramProfile, vulnerable: &[&str]) -
 /// hard or easy).
 fn realistic_name(rng: &mut StdRng, index: usize) -> String {
     const VERBS: [&str; 24] = [
-        "parse", "read", "write", "init", "update", "compute", "hash", "alloc", "release",
-        "check", "scan", "emit", "load", "store", "merge", "split", "encode", "decode", "open",
-        "find", "insert", "remove", "copy", "flush",
+        "parse", "read", "write", "init", "update", "compute", "hash", "alloc", "release", "check",
+        "scan", "emit", "load", "store", "merge", "split", "encode", "decode", "open", "find",
+        "insert", "remove", "copy", "flush",
     ];
     const NOUNS: [&str; 20] = [
-        "buffer", "node", "table", "state", "block", "header", "record", "queue", "tree",
-        "cache", "stream", "chunk", "page", "index", "token", "frame", "entry", "list", "map",
-        "field",
+        "buffer", "node", "table", "state", "block", "header", "record", "queue", "tree", "cache",
+        "stream", "chunk", "page", "index", "token", "frame", "entry", "list", "map", "field",
     ];
     let v = VERBS[rng.gen_range(0..VERBS.len())];
     let n = NOUNS[rng.gen_range(0..NOUNS.len())];
@@ -862,7 +1089,10 @@ mod tests {
     #[test]
     fn vulnerable_functions_are_planted() {
         let m = generate_with_vulnerable(
-            &ProgramProfile { name: "vuln".into(), ..Default::default() },
+            &ProgramProfile {
+                name: "vuln".into(),
+                ..Default::default()
+            },
             &["bad_memcpy", "bad_parse"],
         );
         for n in ["bad_memcpy", "bad_parse"] {
@@ -873,7 +1103,11 @@ mod tests {
 
     #[test]
     fn setjmp_profile_runs() {
-        let p = ProgramProfile { setjmp: true, seed: 5, ..Default::default() };
+        let p = ProgramProfile {
+            setjmp: true,
+            seed: 5,
+            ..Default::default()
+        };
         let m = generate(&p);
         khaos_ir::verify::assert_valid(&m);
         run_to_completion(&m, &[3]).expect("setjmp workload runs");
@@ -881,17 +1115,34 @@ mod tests {
 
     #[test]
     fn work_scale_scales_cycles() {
-        let small = generate(&ProgramProfile { work_scale: 10, ..Default::default() });
-        let big = generate(&ProgramProfile { work_scale: 100, ..Default::default() });
+        let small = generate(&ProgramProfile {
+            work_scale: 10,
+            ..Default::default()
+        });
+        let big = generate(&ProgramProfile {
+            work_scale: 100,
+            ..Default::default()
+        });
         let rs = run_to_completion(&small, &[1]).unwrap();
         let rb = run_to_completion(&big, &[1]).unwrap();
-        assert!(rb.cycles > rs.cycles * 5, "{} !> {}", rb.cycles, rs.cycles * 5);
+        assert!(
+            rb.cycles > rs.cycles * 5,
+            "{} !> {}",
+            rb.cycles,
+            rs.cycles * 5
+        );
     }
 
     #[test]
     fn different_seeds_different_programs() {
-        let a = generate(&ProgramProfile { seed: 1, ..Default::default() });
-        let b = generate(&ProgramProfile { seed: 2, ..Default::default() });
+        let a = generate(&ProgramProfile {
+            seed: 1,
+            ..Default::default()
+        });
+        let b = generate(&ProgramProfile {
+            seed: 2,
+            ..Default::default()
+        });
         assert_ne!(a, b);
     }
 }

@@ -51,7 +51,10 @@ mod tests {
                 let (_, f) = module
                     .function_by_name(fname)
                     .unwrap_or_else(|| panic!("{prog}: function {fname} missing"));
-                assert!(f.has_annotation("vulnerable"), "{prog}:{fname} must be marked");
+                assert!(
+                    f.has_annotation("vulnerable"),
+                    "{prog}:{fname} must be marked"
+                );
                 found += 1;
             }
         }

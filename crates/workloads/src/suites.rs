@@ -4,7 +4,11 @@ use crate::generator::{generate, generate_with_vulnerable, ProgramProfile};
 use khaos_ir::Module;
 
 fn profile(name: &str, seed: u64) -> ProgramProfile {
-    ProgramProfile { name: name.into(), seed, ..ProgramProfile::default() }
+    ProgramProfile {
+        name: name.into(),
+        seed,
+        ..ProgramProfile::default()
+    }
 }
 
 /// T-I part 1: the 19 SPEC CPU 2006 C/C++ programs of Figure 6, with
@@ -115,7 +119,10 @@ pub fn spec2017() -> Vec<Module> {
             p.loop_rate = loop_rate;
             p.float_rate = float_rate;
             p.work_scale = work;
-            p.exceptions = matches!(family, "parest" | "povray" | "omnetpp" | "xalancbmk" | "blender" | "leela");
+            p.exceptions = matches!(
+                family,
+                "parest" | "povray" | "omnetpp" | "xalancbmk" | "blender" | "leela"
+            );
             generate(&p)
         })
         .collect()
@@ -123,23 +130,122 @@ pub fn spec2017() -> Vec<Module> {
 
 /// The 108 CoreUtils 8.32 tool names (T-II).
 pub const COREUTILS_NAMES: [&str; 108] = [
-    "arch", "b2sum", "base32", "base64", "basename", "basenc", "cat", "chcon", "chgrp", "chmod",
-    "chown", "chroot", "cksum", "comm", "cp", "csplit", "cut", "date", "dd", "df", "dir",
-    "dircolors", "dirname", "du", "echo", "env", "expand", "expr", "factor", "false", "fmt",
-    "fold", "groups", "head", "hostid", "id", "install", "join", "kill", "link", "ln", "logname",
-    "ls", "md5sum", "mkdir", "mkfifo", "mknod", "mktemp", "mv", "nice", "nl", "nohup", "nproc",
-    "numfmt", "od", "paste", "pathchk", "pinky", "pr", "printenv", "printf", "ptx", "pwd",
-    "readlink", "realpath", "rm", "rmdir", "runcon", "seq", "sha1sum", "sha224sum", "sha256sum",
-    "sha384sum", "sha512sum", "shred", "shuf", "sleep", "sort", "split", "stat", "stdbuf", "stty",
-    "sum", "sync", "tac", "tail", "tee", "test", "timeout", "touch", "tr", "true", "truncate",
-    "tsort", "tty", "uname", "unexpand", "uniq", "unlink", "uptime", "users", "vdir", "wc", "who",
-    "whoami", "yes", "shuffle_mix", "digest_mix",
+    "arch",
+    "b2sum",
+    "base32",
+    "base64",
+    "basename",
+    "basenc",
+    "cat",
+    "chcon",
+    "chgrp",
+    "chmod",
+    "chown",
+    "chroot",
+    "cksum",
+    "comm",
+    "cp",
+    "csplit",
+    "cut",
+    "date",
+    "dd",
+    "df",
+    "dir",
+    "dircolors",
+    "dirname",
+    "du",
+    "echo",
+    "env",
+    "expand",
+    "expr",
+    "factor",
+    "false",
+    "fmt",
+    "fold",
+    "groups",
+    "head",
+    "hostid",
+    "id",
+    "install",
+    "join",
+    "kill",
+    "link",
+    "ln",
+    "logname",
+    "ls",
+    "md5sum",
+    "mkdir",
+    "mkfifo",
+    "mknod",
+    "mktemp",
+    "mv",
+    "nice",
+    "nl",
+    "nohup",
+    "nproc",
+    "numfmt",
+    "od",
+    "paste",
+    "pathchk",
+    "pinky",
+    "pr",
+    "printenv",
+    "printf",
+    "ptx",
+    "pwd",
+    "readlink",
+    "realpath",
+    "rm",
+    "rmdir",
+    "runcon",
+    "seq",
+    "sha1sum",
+    "sha224sum",
+    "sha256sum",
+    "sha384sum",
+    "sha512sum",
+    "shred",
+    "shuf",
+    "sleep",
+    "sort",
+    "split",
+    "stat",
+    "stdbuf",
+    "stty",
+    "sum",
+    "sync",
+    "tac",
+    "tail",
+    "tee",
+    "test",
+    "timeout",
+    "touch",
+    "tr",
+    "true",
+    "truncate",
+    "tsort",
+    "tty",
+    "uname",
+    "unexpand",
+    "uniq",
+    "unlink",
+    "uptime",
+    "users",
+    "vdir",
+    "wc",
+    "who",
+    "whoami",
+    "yes",
+    "shuffle_mix",
+    "digest_mix",
 ];
 
 /// One CoreUtils-sized program.
 pub fn coreutils_program(name: &str, seed: u64) -> Module {
     let mut p = profile(name, 0xC0DE + seed);
-    let h = name.bytes().fold(7u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64));
+    let h = name
+        .bytes()
+        .fold(7u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64));
     p.functions = 8 + (h % 12) as usize; // 8..19 functions
     p.constructs = 4 + (h % 3) as usize;
     p.loop_rate = 0.35;
@@ -163,15 +269,24 @@ pub fn coreutils() -> Vec<Module> {
 
 /// Table 3: program → (vulnerable function, CVE) list.
 pub const TIII_CVES: &[(&str, &[(&str, &str)])] = &[
-    ("jerryscript", &[("opfunc_spread_arguments", "CVE-2020-13991")]),
+    (
+        "jerryscript",
+        &[("opfunc_spread_arguments", "CVE-2020-13991")],
+    ),
     ("quickjs", &[("compute_stack_size_rec", "CVE-2020-22876")]),
     (
         "busybox-1.33.1",
-        &[("getvar_s", "CVE-2021-42382"), ("handle_special", "CVE-2021-42384")],
+        &[
+            ("getvar_s", "CVE-2021-42382"),
+            ("handle_special", "CVE-2021-42384"),
+        ],
     ),
     (
         "openssl-1.1.1",
-        &[("init_sig_algs", "CVE-2021-3449"), ("EC_GROUP_set_generator", "CVE-2019-1547")],
+        &[
+            ("init_sig_algs", "CVE-2021-3449"),
+            ("EC_GROUP_set_generator", "CVE-2019-1547"),
+        ],
     ),
     (
         "libcurl-7.34.0",
@@ -183,7 +298,10 @@ pub const TIII_CVES: &[(&str, &[(&str, &str)])] = &[
             ("ftp_state_list", "CVE-2018-1000120"),
             ("alloc_addbyter", "CVE-2016-8618"),
             ("Curl_cookie_getlist", "CVE-2016-8623"),
-            ("ConnectionExists", "CVE-2016-8616,CVE-2016-0755,CVE-2014-0138,CVE-2015-3143"),
+            (
+                "ConnectionExists",
+                "CVE-2016-8616,CVE-2016-0755,CVE-2014-0138,CVE-2015-3143",
+            ),
         ],
     ),
 ];

@@ -21,7 +21,11 @@ use khaos::workloads;
 fn main() {
     // The attacker's reference: the open-source library at O2+LTO.
     let mut reference = workloads::tiii().swap_remove(3); // openssl stand-in
-    println!("program: {} ({} functions)", reference.name, reference.functions.len());
+    println!(
+        "program: {} ({} functions)",
+        reference.name,
+        reference.functions.len()
+    );
     Pipeline::parse("O2+lto")
         .unwrap()
         .run(&mut reference, &mut PassCtx::new(0xC60))

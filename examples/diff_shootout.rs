@@ -34,7 +34,11 @@ fn main() {
         .run(&mut base, &mut PassCtx::new(0xC60))
         .expect("baseline build");
     let base_bin = lower_module(&base);
-    println!("program: {} ({} functions)\n", base.name, base.functions.len());
+    println!(
+        "program: {} ({} functions)\n",
+        base.name,
+        base.functions.len()
+    );
 
     println!(
         "{:<10} {:>9} {:>11} {:>9} {:>7} {:>13}",

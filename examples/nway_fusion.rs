@@ -37,7 +37,12 @@ fn build_demo() -> Module {
     ] {
         let mut f = FunctionBuilder::new(name, Type::I64);
         let x = f.add_param(Type::I64);
-        let r = f.bin(op, Type::I64, Operand::local(x), Operand::const_int(Type::I64, k));
+        let r = f.bin(
+            op,
+            Type::I64,
+            Operand::local(x),
+            Operand::const_int(Type::I64, k),
+        );
         f.ret(Some(Operand::local(r)));
         handlers.push(m.push_function(f.finish()));
     }
@@ -45,7 +50,10 @@ fn build_demo() -> Module {
     // Applet table: four slots holding the handlers' addresses.
     let table = m.push_global(Global {
         name: "applet_table".into(),
-        init: handlers.iter().map(|&h| GInit::FuncPtr { func: h, addend: 0 }).collect(),
+        init: handlers
+            .iter()
+            .map(|&h| GInit::FuncPtr { func: h, addend: 0 })
+            .collect(),
         align: 8,
         exported: false,
     });
@@ -61,18 +69,33 @@ fn build_demo() -> Module {
     f.copy_to(acc, Operand::const_int(Type::I64, 7));
     f.jump(loop_h);
     f.switch_to(loop_h);
-    let more = f.cmp(CmpPred::Slt, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 4));
+    let more = f.cmp(
+        CmpPred::Slt,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 4),
+    );
     f.branch(Operand::local(more), loop_b, done);
     f.switch_to(loop_b);
     let base = f.globaladdr(table);
-    let off = f.bin(BinOp::Shl, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 3));
+    let off = f.bin(
+        BinOp::Shl,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 3),
+    );
     let slot = f.ptradd(Operand::local(base), Operand::local(off));
     let fp = f.load(Type::Ptr, Operand::local(slot));
     let r = f
         .call_indirect(Operand::local(fp), Type::I64, vec![Operand::local(acc)])
         .expect("handler returns a value");
     f.copy_to(acc, Operand::local(r));
-    let ni = f.bin(BinOp::Add, Type::I64, Operand::local(i), Operand::const_int(Type::I64, 1));
+    let ni = f.bin(
+        BinOp::Add,
+        Type::I64,
+        Operand::local(i),
+        Operand::const_int(Type::I64, 1),
+    );
     f.copy_to(i, Operand::local(ni));
     f.jump(loop_h);
     f.switch_to(done);
@@ -99,7 +122,10 @@ fn main() {
         .expect("arity-4 fusion");
 
     let after = run_to_completion(&m, &[]).expect("fused build runs");
-    println!("== after arity-4 fusion: {} functions ==", m.functions.len());
+    println!(
+        "== after arity-4 fusion: {} functions ==",
+        m.functions.len()
+    );
     for f in &m.functions {
         println!("  {} ({} blocks)", f.name, f.blocks.len());
     }
@@ -109,7 +135,10 @@ fn main() {
         ctx.fusion_stats.indirect_sites_rewritten,
         ctx.fusion_stats.trampolines,
     );
-    println!("exit code: {} (must equal {})", after.exit_code, before.exit_code);
+    println!(
+        "exit code: {} (must equal {})",
+        after.exit_code, before.exit_code
+    );
     assert_eq!(before.output, after.output);
     assert_eq!(before.exit_code, after.exit_code);
 

@@ -15,7 +15,10 @@ use khaos::vm::{run_with_config, RunConfig};
 use khaos::workloads;
 
 fn cycles(m: &khaos_ir::Module) -> u64 {
-    let cfg = RunConfig { inputs: vec![3, 7, 11], ..RunConfig::default() };
+    let cfg = RunConfig {
+        inputs: vec![3, 7, 11],
+        ..RunConfig::default()
+    };
     run_with_config(m, cfg).expect("program runs").cycles
 }
 

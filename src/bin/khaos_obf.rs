@@ -98,7 +98,10 @@ fn load_module(args: &Args) -> Result<Module, String> {
     if let Some(name) = &args.demo {
         return Ok(khaos::workloads::coreutils_program(name, args.seed));
     }
-    let path = args.input.as_ref().ok_or("missing input file (or use --demo NAME)")?;
+    let path = args
+        .input
+        .as_ref()
+        .ok_or("missing input file (or use --demo NAME)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parser::parse_module(&text).map_err(|e| format!("{path}: {e}"))
 }

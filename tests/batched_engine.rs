@@ -45,8 +45,11 @@ fn five_tools() -> Vec<Box<dyn Differ>> {
 
 #[test]
 fn batched_matrix_matches_per_pair_path_for_all_tools() {
-    for (seed, mode) in [(7, KhaosMode::FuFiAll), (21, KhaosMode::Fission), (33, KhaosMode::Fusion)]
-    {
+    for (seed, mode) in [
+        (7, KhaosMode::FuFiAll),
+        (21, KhaosMode::Fission),
+        (33, KhaosMode::Fusion),
+    ] {
         let (base_bin, obf_bin) = obfuscated_pair(seed, mode);
         let cache = EmbeddingCache::new(16);
         for tool in five_tools() {
@@ -125,10 +128,12 @@ fn metric_wrappers_match_seed_semantics() {
         for (k, got) in ks.iter().zip(&profile) {
             let escaped = vulnerable
                 .iter()
-                .filter(|&&qi| match seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi) {
-                    Some(r) => r > *k,
-                    None => true,
-                })
+                .filter(
+                    |&&qi| match seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi) {
+                        Some(r) => r > *k,
+                        None => true,
+                    },
+                )
                 .count();
             let want = escaped as f64 / vulnerable.len() as f64;
             assert!(
@@ -372,7 +377,10 @@ fn escape_profile_edge_cases() {
         escape_profile_streaming(&tool, &base_bin, &obf_bin, &[t, t + 1, 10 * t], &cache),
     ] {
         for got in profile {
-            assert!((got - want).abs() <= 1e-12, "k >= T escape: {got} vs {want}");
+            assert!(
+                (got - want).abs() <= 1e-12,
+                "k >= T escape: {got} vs {want}"
+            );
         }
     }
 
@@ -406,15 +414,11 @@ fn escape_profile_edge_cases() {
     let mut tied = solo_clean.clone();
     let mut decoy = solo_clean.functions[0].clone();
     decoy.provenance.origins = vec!["decoy".into()];
-    tied.functions = vec![
-        decoy.clone(),
-        decoy,
-        {
-            let mut t = solo_clean.functions[0].clone();
-            t.provenance.origins = solo.functions[0].provenance.origins.clone();
-            t
-        },
-    ];
+    tied.functions = vec![decoy.clone(), decoy, {
+        let mut t = solo_clean.functions[0].clone();
+        t.provenance.origins = solo.functions[0].provenance.origins.clone();
+        t
+    }];
     let cache = EmbeddingCache::new(4);
     assert_eq!(
         rank_of_true_match_streaming(&tool, &solo, &tied, 0, &cache),
@@ -486,11 +490,7 @@ fn assert_ranked_bits_equal(a: &[Vec<(usize, f64)>], b: &[Vec<(usize, f64)>], wh
         assert_eq!(ra.len(), rb.len(), "{what}: row {row} length");
         for ((ja, sa), (jb, sb)) in ra.iter().zip(rb) {
             assert_eq!(ja, jb, "{what}: row {row} index order");
-            assert_eq!(
-                sa.to_bits(),
-                sb.to_bits(),
-                "{what}: row {row} score bits"
-            );
+            assert_eq!(sa.to_bits(), sb.to_bits(), "{what}: row {row} score bits");
         }
     }
 }
@@ -593,7 +593,7 @@ proptest! {
         }
         let scorer = FlatScorer { q, t, data };
         let queries: Vec<usize> = (0..q).collect();
-        let is_match = |qi: usize, j: usize| (j + qi) % 3 == 0;
+        let is_match = |qi: usize, j: usize| (j + qi).is_multiple_of(3);
         let runs = at_thread_counts(&["1", "2", "7"], || {
             let topk = par_stream_top_k_rows(&scorer, &queries, k);
             let blocked: Vec<_> = (0..q)
@@ -724,15 +724,8 @@ fn quantized_shortlist_reranks_to_exact_top_k_for_all_five_differs() {
         for qi in 0..qe.len() {
             for k in [1usize, 10, 50] {
                 let exact = stream_top_k(&scorer, qi, k);
-                let approx = stream_top_k_quantized(
-                    &qq,
-                    &tq,
-                    &scorer,
-                    qi,
-                    k,
-                    QUANT_SHORTLIST_FACTOR,
-                    true,
-                );
+                let approx =
+                    stream_top_k_quantized(&qq, &tq, &scorer, qi, k, QUANT_SHORTLIST_FACTOR, true);
                 // recall@k over the exact top-k index set…
                 let exact_set: std::collections::HashSet<usize> =
                     exact.iter().map(|&(j, _)| j).collect();
@@ -824,7 +817,10 @@ proptest! {
 #[test]
 fn embedding_cache_shares_across_metrics() {
     let (mut base_bin, obf_bin) = obfuscated_pair(41, KhaosMode::FuFiAll);
-    base_bin.functions[0].provenance.annotations.push("vulnerable".into());
+    base_bin.functions[0]
+        .provenance
+        .annotations
+        .push("vulnerable".into());
     let tool = Safe::default();
     let before = EmbeddingCache::global().stats();
     let _ = precision_at_1(&tool, &base_bin, &obf_bin);

@@ -76,5 +76,8 @@ fn unstamped_binaries_keep_their_legacy_fingerprint_behaviour() {
     // pair share cache entries.
     let m = khaos::workloads::coreutils_program("ls", 1);
     assert_eq!(lower_module(&m).build_provenance, 0);
-    assert_eq!(lower_module(&m).fingerprint(), lower_module(&m).fingerprint());
+    assert_eq!(
+        lower_module(&m).fingerprint(),
+        lower_module(&m).fingerprint()
+    );
 }

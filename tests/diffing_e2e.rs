@@ -85,7 +85,10 @@ fn vulseeker_is_most_sensitive_to_call_graph_changes() {
     let obf_bin = lower_module(&khaos_build(&base, KhaosMode::FuFiAll));
     let vs = precision_at_1(&VulSeeker::default(), &base_bin, &obf_bin);
     let a2v = precision_at_1(&Asm2Vec::default(), &base_bin, &obf_bin);
-    assert!(vs < a2v, "VulSeeker ({vs:.3}) should fall below Asm2Vec ({a2v:.3})");
+    assert!(
+        vs < a2v,
+        "VulSeeker ({vs:.3}) should fall below Asm2Vec ({a2v:.3})"
+    );
 }
 
 #[test]
@@ -117,7 +120,10 @@ fn escape_ratio_increases_with_khaos_vs_sub() {
         khaos_escape >= sub_escape,
         "FuFi.all escape@10 ({khaos_escape:.2}) must be >= Sub ({sub_escape:.2})"
     );
-    assert!(khaos_escape > 0.5, "most vulnerable functions escape the top-10");
+    assert!(
+        khaos_escape > 0.5,
+        "most vulnerable functions escape the top-10"
+    );
 }
 
 #[test]
@@ -125,10 +131,14 @@ fn opcode_histograms_shift_most_under_fufi() {
     use khaos::binary::{histogram_distance, opcode_histogram};
     let base = baseline(workloads::spec2006().swap_remove(3));
     let h0 = opcode_histogram(&lower_module(&base));
-    let d_fusion =
-        histogram_distance(&h0, &opcode_histogram(&lower_module(&khaos_build(&base, KhaosMode::Fusion))));
-    let d_fufi =
-        histogram_distance(&h0, &opcode_histogram(&lower_module(&khaos_build(&base, KhaosMode::FuFiAll))));
+    let d_fusion = histogram_distance(
+        &h0,
+        &opcode_histogram(&lower_module(&khaos_build(&base, KhaosMode::Fusion))),
+    );
+    let d_fufi = histogram_distance(
+        &h0,
+        &opcode_histogram(&lower_module(&khaos_build(&base, KhaosMode::FuFiAll))),
+    );
     assert!(
         d_fufi > d_fusion,
         "FuFi.all distance ({d_fufi:.1}) must exceed plain Fusion ({d_fusion:.1})"

@@ -42,8 +42,16 @@ fn nway_fusion_preserves_behaviour_at_every_arity() {
             khaos_ir::verify::assert_valid(&m);
             let got = run_to_completion(&m, &[3, 7])
                 .unwrap_or_else(|e| panic!("{} arity {arity}: {e}", src.name));
-            assert_eq!(want.output, got.output, "{} arity {arity}: output", src.name);
-            assert_eq!(want.exit_code, got.exit_code, "{} arity {arity}: exit", src.name);
+            assert_eq!(
+                want.output, got.output,
+                "{} arity {arity}: output",
+                src.name
+            );
+            assert_eq!(
+                want.exit_code, got.exit_code,
+                "{} arity {arity}: exit",
+                src.name
+            );
         }
     }
 }
@@ -74,8 +82,14 @@ fn fufi_n_preserves_behaviour_and_mixes_provenance() {
 fn nway_rejects_out_of_budget_arities() {
     let mut m = workloads::coreutils_program("true", 1);
     let mut ctx = KhaosContext::new(1);
-    assert_eq!(fusion_n(&mut m, &mut ctx, 1), Err(KhaosError::UnsupportedArity(1)));
-    assert_eq!(fusion_n(&mut m, &mut ctx, 5), Err(KhaosError::UnsupportedArity(5)));
+    assert_eq!(
+        fusion_n(&mut m, &mut ctx, 1),
+        Err(KhaosError::UnsupportedArity(1))
+    );
+    assert_eq!(
+        fusion_n(&mut m, &mut ctx, 5),
+        Err(KhaosError::UnsupportedArity(5))
+    );
     // The error formats usefully.
     let msg = KhaosError::UnsupportedArity(5).to_string();
     assert!(msg.contains('5') && msg.contains("2..=4"), "{msg}");
@@ -96,8 +110,14 @@ fn higher_arity_aggregates_into_fewer_functions() {
     }
     // More constituents per fusFunc => fewer fused functions and a
     // smaller module overall.
-    assert!(counts[2].1 < counts[0].1, "arity 4 forms fewer fusFuncs: {counts:?}");
-    assert!(counts[2].0 <= counts[0].0, "arity 4 leaves fewer functions: {counts:?}");
+    assert!(
+        counts[2].1 < counts[0].1,
+        "arity 4 forms fewer fusFuncs: {counts:?}"
+    );
+    assert!(
+        counts[2].0 <= counts[0].0,
+        "arity 4 leaves fewer functions: {counts:?}"
+    );
 }
 
 #[test]
@@ -115,10 +135,16 @@ fn nway_arity_two_consistent_with_pair_fusion_effect() {
     let mut nway_ctx = KhaosContext::new(3);
     fusion_n(&mut nway, &mut nway_ctx, 2).unwrap();
 
-    assert_eq!(pair_ctx.fusion_stats.eligible_funcs, nway_ctx.fusion_stats.eligible_funcs);
+    assert_eq!(
+        pair_ctx.fusion_stats.eligible_funcs,
+        nway_ctx.fusion_stats.eligible_funcs
+    );
     let pr = pair_ctx.fusion_stats.ratio();
     let nr = nway_ctx.fusion_stats.ratio();
-    assert!((pr - nr).abs() < 0.25, "aggregation ratios comparable: pair {pr} vs nway {nr}");
+    assert!(
+        (pr - nr).abs() < 0.25,
+        "aggregation ratios comparable: pair {pr} vs nway {nr}"
+    );
 }
 
 #[test]

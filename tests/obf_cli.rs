@@ -1,7 +1,8 @@
 //! `khaos-obf` refuses the removed static sharding options, naming the
 //! replacement (one process per input), with exit 2 and no panic; and it
 //! answers malformed input modules with exit 1 and the parse error's line,
-//! never a panic.
+//! and modules whose globals overflow the VM's data arena with exit 1 and
+//! the trap, never a panic.
 
 use std::process::Command;
 
@@ -70,4 +71,26 @@ fn malformed_input_is_a_parse_error_naming_the_line() {
         );
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
+}
+
+#[test]
+fn globals_past_the_data_arena_are_a_trap_not_a_panic() {
+    // 5,000,000 zero bytes and then an initialized word: the word lies
+    // past the default 4 MiB data arena.
+    let text = "module big\nglobal g align 8 {\n  zero 5000000\n  int i64 1\n}\n\n\
+                func main(0) -> i64 {\n  prov original main\n  locals i64\nbb0:\n  ret i64:0\n}\n";
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("big_globals.kir");
+    std::fs::write(&path, text).expect("write the input");
+    let out = Command::new(env!("CARGO_BIN_EXE_khaos_obf"))
+        .args(["fission", "--run"])
+        .arg(&path)
+        .output()
+        .expect("khaos-obf runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("execution failed: trap: globals: global `g` does not fit"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

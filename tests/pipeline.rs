@@ -14,10 +14,15 @@ fn baseline(m: &Module) -> RunResult {
 }
 
 fn assert_same_behaviour(name: &str, cfg: &str, want: &RunResult, m: &Module) {
-    let got =
-        run_to_completion(m, &[3, 7]).unwrap_or_else(|e| panic!("{name} under {cfg}: {e}"));
-    assert_eq!(want.output, got.output, "{name} under {cfg}: output diverged");
-    assert_eq!(want.exit_code, got.exit_code, "{name} under {cfg}: exit code diverged");
+    let got = run_to_completion(m, &[3, 7]).unwrap_or_else(|e| panic!("{name} under {cfg}: {e}"));
+    assert_eq!(
+        want.output, got.output,
+        "{name} under {cfg}: output diverged"
+    );
+    assert_eq!(
+        want.exit_code, got.exit_code,
+        "{name} under {cfg}: exit code diverged"
+    );
 }
 
 /// A small cross-section of the suites, kept quick for CI.
@@ -57,8 +62,12 @@ fn ollvm_modes_preserve_behaviour_on_optimized_workloads() {
         optimize(&mut opt, &OptOptions::baseline());
         let want = baseline(&opt);
 
-        for mode in [OllvmMode::Sub(1.0), OllvmMode::Bog(1.0), OllvmMode::Fla(0.1), OllvmMode::Fla(1.0)]
-        {
+        for mode in [
+            OllvmMode::Sub(1.0),
+            OllvmMode::Bog(1.0),
+            OllvmMode::Fla(0.1),
+            OllvmMode::Fla(1.0),
+        ] {
             let mut m = opt.clone();
             mode.apply(&mut m, 0xCAFE);
             khaos_ir::verify::assert_valid(&m);
@@ -108,7 +117,10 @@ fn fission_fusion_change_function_counts_as_expected() {
         fused.functions.len()
     );
     assert!(ctx.fusion_stats.fus_funcs > 0);
-    assert!(ctx.fusion_stats.ratio() > 0.5, "most eligible functions aggregate");
+    assert!(
+        ctx.fusion_stats.ratio() > 0.5,
+        "most eligible functions aggregate"
+    );
 }
 
 #[test]

@@ -5,9 +5,7 @@
 //! must produce identical metrics with `CacheStats` showing disk hits
 //! and **zero recomputed embeddings**.
 
-use khaos::diff::{
-    escape_profile_with, extended_differs, precision_at_1_with, EmbeddingCache,
-};
+use khaos::diff::{escape_profile_with, extended_differs, precision_at_1_with, EmbeddingCache};
 use khaos::prelude::*;
 use khaos_binary::Binary;
 use khaos_store::Store;
@@ -99,12 +97,7 @@ fn escape_profile_warm_starts_across_processes_bit_identically() {
     for (ti, tool) in tools.iter().enumerate() {
         // Identical — not close: the escape fractions are ratios of
         // rank comparisons over bit-identical similarity scores.
-        assert_eq!(
-            cold[ti],
-            warm[ti],
-            "{}: cold vs warm profiles",
-            tool.name()
-        );
+        assert_eq!(cold[ti], warm[ti], "{}: cold vs warm profiles", tool.name());
         assert_eq!(
             reference[ti],
             warm[ti],
