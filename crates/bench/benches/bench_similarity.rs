@@ -9,19 +9,17 @@
 //! `escape@k`; the JSON records the measured factor per tool, plus a
 //! `kernels` section (which SIMD dispatch won, per-kernel ns/dot and
 //! speedup over the naive scalar loop, with a hard forced-scalar-vs-
-//! dispatched ranked-bit-equivalence gate) and a `quantized` section
-//! (int8 shortlist scan cost per candidate, bytes per function, and
-//! the recall-1.0-after-exact-re-rank gate).
+//! dispatched bit-equivalence gate on the scorer's matrix and ranks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use khaos_bench::{build_baseline, khaos_apply, SEED};
 use khaos_binary::{lower_module, Binary};
 use khaos_core::KhaosMode;
-use khaos_diff::engine::{dot_scalar, stream_top_k, EmbedScorer, FunctionEmbeddings};
+use khaos_diff::engine::{dot_scalar, FunctionEmbeddings};
 use khaos_diff::kernels::{self, KernelKind};
 use khaos_diff::{
-    escape_at_k, escape_profile_with, stream_top_k_quantized, Asm2Vec, BinDiff, DataFlowDiff,
-    Differ, EmbeddingCache, QuantizedEmbeddings, Safe, VulSeeker, QUANT_SHORTLIST_FACTOR,
+    escape_profile, escape_profile_streaming, escape_profile_with, origins_match, par_stream_ranks,
+    Asm2Vec, BinDiff, DataFlowDiff, Differ, EmbeddingCache, Safe, SimilarityMatrix, VulSeeker,
 };
 use khaos_pass::{PassCtx, Pipeline, VerifyPolicy};
 use khaos_workloads::{generate, ProgramProfile};
@@ -454,8 +452,8 @@ fn bench_similarity(c: &mut Criterion) {
 
     // The acceptance measurement: the Figure-10 escape protocol —
     // escape@{1,10,50} over ~20 vulnerable functions — seed path vs
-    // batched path, per tool. The seed fig10 driver called
-    // `escape_at_k` once per threshold, each call rebuilding the
+    // batched path, per tool. The seed fig10 driver called its
+    // escape@k once per threshold, each call rebuilding the
     // matrix per vulnerable query; the engine's `escape_profile`
     // answers all three thresholds from one rank pass. The headline
     // "cold" number uses a **fresh cache per call** — every iteration
@@ -484,8 +482,8 @@ fn bench_similarity(c: &mut Criterion) {
                 .sum()
         });
         let (warm_ns, warm_v) = time_ns(5, || {
-            KS.iter()
-                .map(|&k| escape_at_k(tool.as_ref(), &base_bin, &obf_bin, k))
+            escape_profile(tool.as_ref(), &base_bin, &obf_bin, &KS)
+                .iter()
                 .sum()
         });
         let (seed_ns, seed_v) = time_ns(1, || {
@@ -590,9 +588,9 @@ fn bench_similarity(c: &mut Criterion) {
     // One untimed call warms the embedding cache so the measurement is
     // rank work only, as labeled.
     let stream_cache = EmbeddingCache::new(8);
-    let _ = khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
+    let _ = escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
     let (streaming_ns, _) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache)
+        escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache)
             .iter()
             .sum()
     });
@@ -609,9 +607,9 @@ fn bench_similarity(c: &mut Criterion) {
     // -----------------------------------------------------------------
     // Parallel streaming rank path: the same rank-only escape with
     // EVERY query function vulnerable (the widest row fan-out the pair
-    // offers), multi-threaded vs KHAOS_THREADS=1. The ranked output is
-    // hard-asserted bit-identical between the two — indices and score
-    // bits — at a forced thread count of 7, so the equivalence claim is
+    // offers), multi-threaded vs KHAOS_THREADS=1. The scorer's matrix,
+    // the ranks and the escape profile are hard-asserted bit-identical
+    // between the two at a forced thread count of 7, so the claim is
     // exercised even on single-core machines; the ≥2× wall-clock bar is
     // enforced wherever the hardware can physically parallelize.
     // -----------------------------------------------------------------
@@ -620,7 +618,7 @@ fn bench_similarity(c: &mut Criterion) {
         f.provenance.annotations.push("vulnerable".into());
     }
     let par_cache = EmbeddingCache::new(8);
-    let _ = khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+    let _ = escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
     let queries: Vec<usize> = (0..all_vuln.functions.len()).collect();
 
     // An operator-provided KHAOS_THREADS cap is restored after every
@@ -632,34 +630,35 @@ fn bench_similarity(c: &mut Criterion) {
         None => std::env::remove_var("KHAOS_THREADS"),
     };
 
+    // What both bit-equivalence gates compare: the scorer's matrix
+    // (`from_scorer`, rows filled in parallel), every query's rank
+    // through `par_stream_ranks`, and the escape profile — as bits.
+    let rank_outputs = || {
+        let scorer = a2v.row_scorer(&all_vuln, &obf_bin, &par_cache);
+        let matrix = SimilarityMatrix::from_scorer(scorer.as_ref());
+        let ranks = par_stream_ranks(scorer.as_ref(), &queries, |qi, j| {
+            origins_match(
+                &all_vuln.functions[qi].provenance,
+                &obf_bin.functions[j].provenance,
+            )
+        });
+        let escape = escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        (bits(matrix.as_flat()), ranks, bits(&escape))
+    };
+
     // Bit-equivalence first (KHAOS_THREADS=1 vs a forced 7 workers).
     let ranked_at = |threads: &str| {
         std::env::set_var("KHAOS_THREADS", threads);
-        let scorer = a2v.row_scorer(&all_vuln, &obf_bin, &par_cache);
-        let ranked = khaos_diff::par_stream_top_k_rows(scorer.as_ref(), &queries, 50);
-        let escape =
-            khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+        let out = rank_outputs();
         restore_threads();
-        (ranked, escape)
+        out
     };
-    let (seq_ranked, seq_escape) = ranked_at("1");
-    let (par_ranked, par_escape) = ranked_at("7");
-    let mut ranked_bits_equal = seq_ranked.len() == par_ranked.len();
-    for (ra, rb) in seq_ranked.iter().zip(&par_ranked) {
-        ranked_bits_equal &= ra.len() == rb.len()
-            && ra
-                .iter()
-                .zip(rb)
-                .all(|(&(ja, sa), &(jb, sb))| ja == jb && sa.to_bits() == sb.to_bits());
-    }
-    ranked_bits_equal &= seq_escape
-        .iter()
-        .zip(&par_escape)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
+    let ranked_bits_equal = ranked_at("1") == ranked_at("7");
     assert!(
         ranked_bits_equal,
-        "parallel streaming rank output diverged from KHAOS_THREADS=1 — \
-         ranked indices/score bits must be thread-count-independent"
+        "parallel matrix rows, ranks or escape bits diverged from KHAOS_THREADS=1 — \
+         they must be thread-count-independent"
     );
 
     // Then the wall-clock comparison: forced single thread vs the
@@ -667,14 +666,14 @@ fn bench_similarity(c: &mut Criterion) {
     // KHAOS_THREADS cap when set, machine parallelism otherwise).
     std::env::set_var("KHAOS_THREADS", "1");
     let (par_seq_ns, seq_v) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
+        escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
             .iter()
             .sum()
     });
     restore_threads();
     let threads = khaos_par::max_threads();
     let (par_mt_ns, par_v) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
+        escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
             .iter()
             .sum()
     });
@@ -713,9 +712,9 @@ fn bench_similarity(c: &mut Criterion) {
     // -----------------------------------------------------------------
     // Runtime-dispatched dot kernels: per-kernel ns/dot on real
     // embedding rows vs the naive scalar loop, plus a hard bitwise
-    // equivalence gate — the dispatched ranked output (forced scalar vs
-    // whatever dispatch picked) must match bit for bit, mirroring the
-    // KHAOS_THREADS gate above.
+    // equivalence gate — the scorer's matrix, ranks and escape profile
+    // under forced scalar vs whatever dispatch picked must match bit
+    // for bit, mirroring the KHAOS_THREADS gate above.
     // -----------------------------------------------------------------
     let qe = Arc::new(FunctionEmbeddings::from_rows(a2v.embed(&base_bin)));
     let te = Arc::new(FunctionEmbeddings::from_rows(a2v.embed(&obf_bin)));
@@ -788,114 +787,22 @@ fn bench_similarity(c: &mut Criterion) {
         );
     }
 
-    // Forced-scalar vs dispatched ranked output, bit for bit.
+    // Forced-scalar vs dispatched matrix, ranks and escape, bit for bit.
     let kernel_ranked_at = |kind: Option<KernelKind>| {
         kernels::force_kernel(kind);
-        let scorer = a2v.row_scorer(&all_vuln, &obf_bin, &par_cache);
-        let ranked = khaos_diff::par_stream_top_k_rows(scorer.as_ref(), &queries, 50);
-        let escape =
-            khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+        let out = rank_outputs();
         kernels::force_kernel(None);
-        (ranked, escape)
+        out
     };
-    let (scalar_ranked, scalar_escape) = kernel_ranked_at(Some(KernelKind::Scalar));
-    let (auto_ranked, auto_escape) = kernel_ranked_at(None);
-    let mut kernel_bits_equal = scalar_ranked.len() == auto_ranked.len();
-    for (ra, rb) in scalar_ranked.iter().zip(&auto_ranked) {
-        kernel_bits_equal &= ra.len() == rb.len()
-            && ra
-                .iter()
-                .zip(rb)
-                .all(|(&(ja, sa), &(jb, sb))| ja == jb && sa.to_bits() == sb.to_bits());
-    }
-    kernel_bits_equal &= scalar_escape
-        .iter()
-        .zip(&auto_escape)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
+    let kernel_bits_equal = kernel_ranked_at(Some(KernelKind::Scalar)) == kernel_ranked_at(None);
     assert!(
         kernel_bits_equal,
-        "dispatched kernel ranked output diverged from forced-scalar — \
-         ranked indices/score bits must be dispatch-independent"
+        "dispatched kernel matrix, ranks or escape bits diverged from forced-scalar — \
+         they must be dispatch-independent"
     );
     println!(
         "# kernels: forced-scalar vs dispatched ({}) ranked output bit-equal: {kernel_bits_equal}",
         active.name()
-    );
-
-    // -----------------------------------------------------------------
-    // Quantized shortlist tier: int8 candidate scan vs the exact f64
-    // scan, per candidate, plus the recall gate — shortlist + exact
-    // re-rank must reproduce the exact top-k bit for bit at the fig10
-    // thresholds.
-    // -----------------------------------------------------------------
-    let qq = QuantizedEmbeddings::from_embeddings(&qe);
-    let tq = QuantizedEmbeddings::from_embeddings(&te);
-    let (approx_total_ns, _) = time_ns(3, || {
-        let mut acc = 0.0;
-        for i in 0..qq.len() {
-            qq.approx_scan(i, &tq, |_, s| acc += s);
-        }
-        acc
-    });
-    let (disp_total_ns, _) = time_ns(3, || scan_f64(&khaos_diff::dot));
-    let approx_ns = approx_total_ns / n_dots;
-    let disp_ns = disp_total_ns / n_dots;
-    let quant_speedup_scalar = naive_dot_ns / approx_ns;
-    let quant_speedup_disp = disp_ns / approx_ns;
-    println!(
-        "# quantized: approx scan {approx_ns:.1} ns/candidate vs f64 scalar {naive_dot_ns:.1} \
-         ({quant_speedup_scalar:.2}x, bar: >= 4x with SIMD) / dispatched {disp_ns:.1} \
-         ({quant_speedup_disp:.2}x); {} bytes/function vs {} f64",
-        qq.bytes_per_function(),
-        qe.dim() * 8
-    );
-    if available.contains(&KernelKind::Avx2) {
-        assert!(
-            quant_speedup_scalar >= 4.0,
-            "quantized scan regression: int8 candidate scan only {quant_speedup_scalar:.2}x \
-             over the scalar f64 scan on a SIMD host (bar: >= 4x)"
-        );
-    }
-    // Recall + bit-identity of the re-ranked shortlist at the fig10
-    // thresholds, over every query row.
-    let exact_scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-    let mut recalls = Vec::new();
-    let mut rerank_bits_equal = true;
-    for &k in &KS {
-        let mut hit = 0usize;
-        let mut want = 0usize;
-        for qi in 0..qe.len() {
-            let exact = stream_top_k(&exact_scorer, qi, k);
-            let approx = stream_top_k_quantized(
-                &qq,
-                &tq,
-                &exact_scorer,
-                qi,
-                k,
-                QUANT_SHORTLIST_FACTOR,
-                true,
-            );
-            rerank_bits_equal &= approx.len() == exact.len()
-                && approx
-                    .iter()
-                    .zip(&exact)
-                    .all(|(&(ja, sa), &(jb, sb))| ja == jb && sa.to_bits() == sb.to_bits());
-            want += exact.len();
-            let exact_set: std::collections::HashSet<usize> =
-                exact.iter().map(|&(j, _)| j).collect();
-            hit += approx.iter().filter(|(j, _)| exact_set.contains(j)).count();
-        }
-        recalls.push(hit as f64 / want.max(1) as f64);
-    }
-    assert!(
-        rerank_bits_equal && recalls.iter().all(|&r| r == 1.0),
-        "quantized shortlist (factor {QUANT_SHORTLIST_FACTOR}) failed the recall gate: \
-         recall@{{1,10,50}} = {recalls:?}, rerank bit-equal: {rerank_bits_equal}"
-    );
-    println!(
-        "# quantized: shortlist factor {QUANT_SHORTLIST_FACTOR}, recall@{{1,10,50}} = \
-         [{:.2}, {:.2}, {:.2}], re-ranked output bit-equal: {rerank_bits_equal}",
-        recalls[0], recalls[1], recalls[2]
     );
 
     // -----------------------------------------------------------------
@@ -1080,8 +987,7 @@ fn bench_similarity(c: &mut Criterion) {
             &obf_bin.functions[meta.function as usize].provenance,
         )
     });
-    let stream_escape =
-        khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
+    let stream_escape = escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
     let escape_via_index_equal = index_escape
         .iter()
         .zip(&stream_escape)
@@ -1308,24 +1214,6 @@ fn bench_similarity(c: &mut Criterion) {
             .join(", "),
         kernel_entries.join(",\n"),
     );
-    let quant_json = format!(
-        "  \"quantized\": {{\"what\": \"int8 shortlist scan vs exact f64 scan, per candidate, \
-         + recall of shortlist factor {QUANT_SHORTLIST_FACTOR} after exact re-rank\", \
-         \"approx_scan_ns_per_candidate\": {approx_ns:.1}, \
-         \"f64_scalar_scan_ns_per_candidate\": {naive_dot_ns:.1}, \
-         \"f64_dispatched_scan_ns_per_candidate\": {disp_ns:.1}, \
-         \"speedup_vs_scalar_scan\": {quant_speedup_scalar:.2}, \
-         \"speedup_vs_dispatched_scan\": {quant_speedup_disp:.2}, \
-         \"bytes_per_function\": {}, \"f64_bytes_per_function\": {}, \
-         \"recall_at_1\": {:.2}, \"recall_at_10\": {:.2}, \"recall_at_50\": {:.2}, \
-         \"rerank_bits_equal\": {rerank_bits_equal}}}",
-        qq.bytes_per_function(),
-        qe.dim() * 8,
-        recalls[0],
-        recalls[1],
-        recalls[2],
-    );
-
     let json = format!(
         "{{\n  \"bench\": \"escape_profile_fig10\",\n  \"functions\": {},\n  \"vulnerable\": {},\n  \
          \"ks\": [1, 10, 50],\n  \"worst_speedup\": {:.2},\n  \"tools\": [\n{}\n  ],\n  \
@@ -1337,7 +1225,7 @@ fn bench_similarity(c: &mut Criterion) {
          \"parallel_streaming\": {{\"what\": \"row-parallel rank-only escape@{{1,10,50}}, all {} \
          functions vulnerable, multi-thread vs KHAOS_THREADS=1\", \"threads\": {threads}, \
          \"single_thread_ns\": {:.0}, \"multi_thread_ns\": {:.0}, \"speedup\": {par_speedup:.2}, \
-         \"ranked_bits_equal\": {ranked_bits_equal}}},\n{kernels_json},\n{quant_json},\n{index_json},\n{audit_json},\n{obs_json}\n}}\n",
+         \"ranked_bits_equal\": {ranked_bits_equal}}},\n{kernels_json},\n{index_json},\n{audit_json},\n{obs_json}\n}}\n",
         base_bin.functions.len(),
         base_bin
             .functions

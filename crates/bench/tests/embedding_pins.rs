@@ -68,7 +68,7 @@ fn binary_digests(bin: &Binary) -> Vec<u64> {
     let dataflow = DataFlowDiff::default();
     let cache = EmbeddingCache::new(4);
     let fp = bin.fingerprint();
-    dataflow.batched_similarity_keyed(bin, bin, &cache, fp, fp);
+    dataflow.batched_similarity(bin, bin, &cache);
     let prop = cache.get_or_embed(
         ("DataFlowDiff#prop", dataflow.config_fingerprint(), fp),
         || panic!("the batched path caches the #prop view"),

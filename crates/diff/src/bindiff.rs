@@ -6,8 +6,8 @@
 //! basic-block count, edge count, call-site count, degree in the call
 //! graph — refine the rest.
 
-use crate::engine::EmbeddingCache;
-use crate::{Differ, SimilarityMatrix};
+use crate::engine::{EmbeddingCache, RowScore};
+use crate::Differ;
 use khaos_binary::{BinFunction, Binary};
 
 /// BinDiff stand-in. See the module docs.
@@ -17,7 +17,7 @@ pub struct BinDiff {
     pub ignore_names: bool,
 }
 
-fn fingerprint(f: &BinFunction) -> [f64; 4] {
+pub(crate) fn fingerprint(f: &BinFunction) -> [f64; 4] {
     [
         f.blocks.len() as f64,
         f.edge_count() as f64,
@@ -60,7 +60,7 @@ fn name_similarity(a: &BinFunction, b: &BinFunction) -> Option<f64> {
 impl BinDiff {
     /// One similarity cell: structural closeness fused with name
     /// similarity when names are available and honoured.
-    fn pair_similarity(
+    pub(crate) fn pair_similarity(
         &self,
         fa: &BinFunction,
         qf: &[f64; 4],
@@ -110,44 +110,15 @@ impl Differ for BinDiff {
     }
 
     /// BinDiff's similarity is symbol + structural-fingerprint matching,
-    /// not an embedding dot product, so the batched path computes the
-    /// flat matrix directly (parallel rows) rather than going through
-    /// the embedding cache; the per-function fingerprints it needs are
-    /// four counters — cheaper to recompute than to cache.
-    fn batched_similarity_keyed(
-        &self,
-        query: &Binary,
-        target: &Binary,
-        _cache: &EmbeddingCache,
-        _query_fingerprint: u64,
-        _target_fingerprint: u64,
-    ) -> SimilarityMatrix {
-        let qf: Vec<[f64; 4]> = query.functions.iter().map(fingerprint).collect();
-        let tf: Vec<[f64; 4]> = target.functions.iter().map(fingerprint).collect();
-        let (q, t) = (query.functions.len(), target.functions.len());
-        let mut data = vec![0.0f64; q * t];
-        if t > 0 {
-            khaos_par::par_chunks_mut(&mut data, t, |i, row| {
-                let fa = &query.functions[i];
-                for (j, slot) in row.iter_mut().enumerate() {
-                    *slot = self.pair_similarity(fa, &qf[i], &target.functions[j], &tf[j]);
-                }
-            });
-        }
-        SimilarityMatrix::from_flat(q, t, data)
-    }
-
-    /// Streaming scorer matching the batched matrix cell for cell: one
-    /// `pair_similarity` evaluation per query/candidate, over the same
-    /// precomputed four-counter fingerprints.
-    fn row_scorer_keyed<'a>(
+    /// not an embedding dot product, so it bypasses the embedding
+    /// cache: the per-function fingerprints are four counters, cheaper
+    /// to recompute than to cache.
+    fn row_scorer<'a>(
         &'a self,
         query: &'a Binary,
         target: &'a Binary,
         _cache: &EmbeddingCache,
-        _query_fingerprint: u64,
-        _target_fingerprint: u64,
-    ) -> Box<dyn crate::engine::RowScore + 'a> {
+    ) -> Box<dyn RowScore + 'a> {
         Box::new(BinDiffScorer {
             tool: self,
             query,
@@ -158,8 +129,8 @@ impl Differ for BinDiff {
     }
 }
 
-/// [`crate::engine::RowScore`] over BinDiff's symbol + structural
-/// matching.
+/// [`RowScore`] over BinDiff's symbol + structural matching: one
+/// `pair_similarity` evaluation per query/candidate.
 struct BinDiffScorer<'a> {
     tool: &'a BinDiff,
     query: &'a Binary,
@@ -168,7 +139,7 @@ struct BinDiffScorer<'a> {
     tf: Vec<[f64; 4]>,
 }
 
-impl crate::engine::RowScore for BinDiffScorer<'_> {
+impl RowScore for BinDiffScorer<'_> {
     fn rows(&self) -> usize {
         self.query.functions.len()
     }

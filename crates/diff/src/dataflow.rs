@@ -35,11 +35,12 @@
 //! paper tools (extension E11; ROADMAP.md, open item 5, tracks checking
 //! such verdicts against the paper).
 
+use crate::engine::{EmbedScorer, EmbeddingCache, FunctionEmbeddings, RowScore};
 use crate::tokens::{opcode_class_index, IdSet, OPCODE_CLASSES};
 use crate::vector::{TokenHasher, EMB_DIM};
 use crate::Differ;
 use khaos_binary::{BinBlock, BinFunction, Binary, MOperand, Opcode};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 #[cfg(test)]
 mod reference;
@@ -418,19 +419,16 @@ fn propagate(bin: &Binary, raw: &[Vec<f64>], weight: f64) -> Vec<Vec<f64>> {
 
 impl DataFlowDiff {
     /// The callee-propagated target view, derived from the (already
-    /// normalized) raw target rows and cached under its own tool name.
-    /// The single source of the `"DataFlowDiff#prop"` cache entry —
-    /// both the batched matrix and the streaming scorer fetch through
-    /// here, so the two paths can never diverge on what the key holds.
-    fn propagated_target(
+    /// normalized) raw target rows and cached under its own tool name:
+    /// the single source of the `"DataFlowDiff#prop"` cache entry.
+    pub(crate) fn propagated_target(
         &self,
-        cache: &crate::EmbeddingCache,
-        te: &crate::FunctionEmbeddings,
+        cache: &EmbeddingCache,
+        te: &FunctionEmbeddings,
         target: &Binary,
-        target_fingerprint: u64,
-    ) -> std::sync::Arc<crate::FunctionEmbeddings> {
-        let cfg = self.config_fingerprint();
-        cache.get_or_embed(("DataFlowDiff#prop", cfg, target_fingerprint), || {
+    ) -> Arc<FunctionEmbeddings> {
+        let key = EmbeddingCache::key("DataFlowDiff#prop", self.config_fingerprint(), target);
+        cache.get_or_embed(key, || {
             let t_raw: Vec<Vec<f64>> = (0..te.len()).map(|i| te.row(i).to_vec()).collect();
             propagate(target, &t_raw, self.callee_weight)
         })
@@ -484,80 +482,60 @@ impl Differ for DataFlowDiff {
             .collect()
     }
 
-    /// Batched form of the asymmetric two-view matching above: one
-    /// matrix per target view (raw, callee-propagated) from cached
-    /// normalized embeddings, merged elementwise. Clamping commutes
-    /// with the elementwise max, so this matches the legacy path.
-    fn batched_similarity_keyed(
-        &self,
-        query: &khaos_binary::Binary,
-        target: &khaos_binary::Binary,
-        cache: &crate::EmbeddingCache,
-        query_fingerprint: u64,
-        target_fingerprint: u64,
-    ) -> crate::SimilarityMatrix {
-        use crate::SimilarityMatrix;
-        let cfg = self.config_fingerprint();
-        let qe = cache.get_or_embed((self.name(), cfg, query_fingerprint), || self.embed(query));
-        let te = cache.get_or_embed((self.name(), cfg, target_fingerprint), || {
-            self.embed(target)
-        });
-        let mut m = SimilarityMatrix::from_embeddings(&qe, &te);
-        if self.callee_weight != 0.0 {
-            let tp = self.propagated_target(cache, &te, target, target_fingerprint);
-            m.merge_max(&SimilarityMatrix::from_embeddings(&qe, &tp));
-        }
-        m
-    }
-
-    /// Streaming form of the two-view matching: per cell, the max of
-    /// the raw and callee-propagated clamped dot products — exactly the
-    /// `merge_max` of the two matrices the batched path builds.
-    fn row_scorer_keyed<'a>(
+    /// The asymmetric two-view matching above over cached normalized
+    /// embeddings: per cell, the better of the raw and the
+    /// callee-propagated target view. Clamping commutes with the
+    /// maximum, so this matches the legacy path.
+    fn row_scorer<'a>(
         &'a self,
-        query: &'a khaos_binary::Binary,
-        target: &'a khaos_binary::Binary,
-        cache: &crate::EmbeddingCache,
-        query_fingerprint: u64,
-        target_fingerprint: u64,
-    ) -> Box<dyn crate::engine::RowScore + 'a> {
-        use crate::engine::EmbedScorer;
-        let cfg = self.config_fingerprint();
-        let qe = cache.get_or_embed((self.name(), cfg, query_fingerprint), || self.embed(query));
-        let te = cache.get_or_embed((self.name(), cfg, target_fingerprint), || {
-            self.embed(target)
-        });
+        query: &'a Binary,
+        target: &'a Binary,
+        cache: &EmbeddingCache,
+    ) -> Box<dyn RowScore + 'a> {
+        let qe = cache.embeddings_of(self, query);
+        let te = cache.embeddings_of(self, target);
         if self.callee_weight == 0.0 {
             return Box::new(EmbedScorer::new(qe, te, true));
         }
-        let tp = self.propagated_target(cache, &te, target, target_fingerprint);
+        let tp = self.propagated_target(cache, &te, target);
         Box::new(TwoViewScorer {
-            raw: EmbedScorer::new(std::sync::Arc::clone(&qe), te, true),
+            raw: EmbedScorer::new(Arc::clone(&qe), te, true),
             propagated: EmbedScorer::new(qe, tp, true),
         })
     }
 }
 
-/// Best-of-two-views [`crate::engine::RowScore`]: raw vs
-/// callee-propagated target embeddings.
-struct TwoViewScorer {
-    raw: crate::engine::EmbedScorer,
-    propagated: crate::engine::EmbedScorer,
+/// Best-of-two-views [`RowScore`]: each cell keeps the raw view's score
+/// unless the propagated view's is strictly greater, so a tie (`-0.0`
+/// against `+0.0` included) keeps the raw bits.
+pub(crate) struct TwoViewScorer<S> {
+    pub(crate) raw: S,
+    pub(crate) propagated: S,
 }
 
-impl crate::engine::RowScore for TwoViewScorer {
+impl<S: RowScore> RowScore for TwoViewScorer<S> {
     fn rows(&self) -> usize {
-        crate::engine::RowScore::rows(&self.raw)
+        self.raw.rows()
     }
     fn cols(&self) -> usize {
-        crate::engine::RowScore::cols(&self.raw)
+        self.raw.cols()
     }
     fn score(&self, qi: usize, j: usize) -> f64 {
-        crate::engine::RowScore::score(&self.raw, qi, j).max(crate::engine::RowScore::score(
-            &self.propagated,
-            qi,
-            j,
-        ))
+        let (r, p) = (self.raw.score(qi, j), self.propagated.score(qi, j));
+        if p > r {
+            p
+        } else {
+            r
+        }
+    }
+    fn fill_row(&self, qi: usize, out: &mut [f64]) {
+        self.raw.fill_row(qi, out);
+        for (j, r) in out.iter_mut().enumerate() {
+            let p = self.propagated.score(qi, j);
+            if p > *r {
+                *r = p;
+            }
+        }
     }
 }
 

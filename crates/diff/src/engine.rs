@@ -11,31 +11,32 @@
 //!   row-major buffer, **L2-normalized at construction**. The
 //!   normalization invariant makes cosine similarity a pure dot
 //!   product: no per-pair norms, no per-pair `sqrt`.
-//! * [`SimilarityMatrix`] — the full query×target similarity matrix in
-//!   flat storage, built once per binary pair with parallel rows
-//!   (`khaos-par`), with `O(T)` ranked retrieval ([`SimilarityMatrix::top_k`]
-//!   via partial selection, [`SimilarityMatrix::argmax_row`]) instead
-//!   of full sorts.
+//! * [`RowScore`] — a tool's scores for one binary pair, one query row
+//!   at a time. It is the single definition of what a tool scores:
+//!   [`EmbedScorer`] for the embedding tools, a tool's own scorer
+//!   otherwise ([`crate::Differ::row_scorer`]).
+//! * [`SimilarityMatrix`] — the full query×target matrix in flat
+//!   storage, derived from a scorer with parallel rows
+//!   ([`SimilarityMatrix::from_scorer`]), and a [`RowScore`] itself, so
+//!   a resident matrix ranks through the same driver as a live scorer.
+//! * the **rank drivers** — [`par_stream_ranks`] (1-based rank of the
+//!   first match per query row, rows in parallel, one `O(T)` scratch
+//!   row per worker) and [`stream_top_k`] over [`StreamingTopK`]
+//!   (`O(k)`-memory ranked selection). Both run on any [`RowScore`], so
+//!   rank-only metrics never allocate the `Q×T` matrix.
 //! * [`EmbeddingCache`] — a bounded, thread-safe cache keyed by
-//!   `(tool name, tool configuration, binary fingerprint)` so
-//!   `precision_at_1`, `rank_of_true_match`, `escape_at_k` and
-//!   `binary_similarity` share embeddings instead of each re-embedding
-//!   the same binaries from scratch. With a persistent `khaos-store`
-//!   attached (the `KHAOS_STORE` environment variable for the global
-//!   instance), lookups tier **memory → disk → compute** and artifacts
-//!   survive the process — cross-process sweeps and CI runs warm-start,
-//!   served bit-identical to a fresh computation.
-//! * the **streaming rank layer** — [`RowScore`] (per-tool cell
-//!   scorers over cached embeddings), [`StreamingTopK`]
-//!   (`O(k)`-memory ranked selection) and the
-//!   [`stream_top_k`]/[`stream_rank_of_first_match`] drivers. Rank-only
-//!   metrics use these to answer `top_k`, `rank_of_true_match` and
-//!   `escape_profile` without ever allocating the `Q×T` matrix.
+//!   `(tool name, tool configuration, binary fingerprint)` so every
+//!   metric shares embeddings and matrices instead of recomputing them.
+//!   With a persistent `khaos-store` attached (the `KHAOS_STORE`
+//!   environment variable for the global instance), lookups tier
+//!   **memory → disk → compute** and artifacts survive the process —
+//!   cross-process sweeps and CI runs warm-start, served bit-identical
+//!   to a fresh computation.
 //!
 //! # Dot-product dispatch
 //!
-//! Every dot in this module — the matrix build, [`EmbedScorer`], the
-//! streaming top-k scans — goes through the checked entry points
+//! Every dot in this module — [`EmbedScorer`]'s rows and cells, hence
+//! every embedding matrix — goes through the checked entry points
 //! [`crate::kernels::dot`] and, for a whole query row against every
 //! target row, `kernels::dot_rows`, which dispatch to an explicit
 //! `std::arch` kernel chosen once per process: AVX-512, AVX2 or the
@@ -48,19 +49,21 @@
 //! — they compute the same blocked reduction, deliberately without
 //! FMA — so ranked artifacts never depend on the dispatch choice; see
 //! [`crate::kernels`] for the full contract. The int8 quantized tier
-//! ([`crate::quant::QuantizedEmbeddings`],
-//! [`crate::quant::stream_top_k_quantized`]) sits on the same
-//! dispatch via its integer-exact `dot_i8` kernels.
+//! ([`crate::quant::QuantizedEmbeddings`]) sits on the same dispatch
+//! via its integer-exact `dot_i8` kernels.
 //!
 //! The legacy per-pair path ([`crate::Differ::similarity_matrix`],
 //! [`crate::cosine`]) is kept intact as the reference implementation;
-//! equivalence of every path — per-pair, batched matrix, streaming —
-//! to 1e-12 is asserted by this module's tests and
+//! equivalence of the matrix and the rank drivers to it (1e-12) and to
+//! the seed metrics ([`crate::reference`]) is asserted by
 //! `tests/batched_engine.rs` at the workspace root.
 
 use khaos_binary::Binary;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+
+#[cfg(test)]
+mod reference;
 
 /// Per-function embeddings in flat row-major storage, each row
 /// L2-normalized at construction (all-zero rows stay all-zero).
@@ -157,7 +160,7 @@ impl FunctionEmbeddings {
 /// ordering: the only pairs `total_cmp` would order differently are
 /// `±0.0`, and those are already handled as equal by the ordered arm.
 #[inline]
-pub(crate) fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
+fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
     b.partial_cmp(&a).unwrap_or_else(|| b.total_cmp(&a))
 }
 
@@ -199,52 +202,40 @@ pub struct SimilarityMatrix {
 }
 
 impl SimilarityMatrix {
-    /// Builds the matrix from normalized embeddings; similarities are
-    /// clamped into `[0, 1]`, mirroring the legacy
-    /// [`crate::Differ::similarity_matrix`] default. Rows are computed
-    /// in parallel.
-    pub fn from_embeddings(qe: &FunctionEmbeddings, te: &FunctionEmbeddings) -> Self {
-        Self::build(qe, te, true)
+    /// The clamped cosine matrix of two normalized embedding tables:
+    /// similarities in `[0, 1]`, mirroring the legacy
+    /// [`crate::Differ::similarity_matrix`] default.
+    pub fn from_embeddings(qe: &Arc<FunctionEmbeddings>, te: &Arc<FunctionEmbeddings>) -> Self {
+        Self::from_scorer(&EmbedScorer::new(Arc::clone(qe), Arc::clone(te), true))
     }
 
     /// As [`SimilarityMatrix::from_embeddings`] but without the clamp
     /// at zero — raw cosine in `[-1, 1]`, used by the block-granularity
     /// DeepBinDiff judgment whose legacy path never clamped.
-    pub fn from_embeddings_signed(qe: &FunctionEmbeddings, te: &FunctionEmbeddings) -> Self {
-        Self::build(qe, te, false)
+    pub fn from_embeddings_signed(
+        qe: &Arc<FunctionEmbeddings>,
+        te: &Arc<FunctionEmbeddings>,
+    ) -> Self {
+        Self::from_scorer(&EmbedScorer::new(Arc::clone(qe), Arc::clone(te), false))
     }
 
-    fn build(qe: &FunctionEmbeddings, te: &FunctionEmbeddings, clamp: bool) -> Self {
-        // An empty side has dimensionality 0 by construction; the
-        // matrix is then a degenerate q×0 / 0×t shape (rank queries
-        // return `None`, exactly as the legacy path behaved), so the
-        // dimension invariant only binds when both sides have rows.
-        if !qe.is_empty() && !te.is_empty() {
-            assert_eq!(
-                qe.dim(),
-                te.dim(),
-                "query and target embeddings must share a dimensionality"
-            );
-        }
-        let (q, t) = (qe.len(), te.len());
+    /// Materializes every row of `scorer`, rows in parallel
+    /// (`khaos-par`). Each cell holds exactly what the scorer's
+    /// [`RowScore::fill_row`] writes, so the matrix and the rank
+    /// drivers over the scorer can never disagree. An empty side gives
+    /// a degenerate `q×0` / `0×t` matrix (rank queries then find
+    /// nothing, as the legacy path did).
+    pub fn from_scorer(scorer: &dyn RowScore) -> Self {
+        let (q, t) = (scorer.rows(), scorer.cols());
         let mut data = vec![0.0f64; q * t];
-        if t > 0 && q > 0 {
-            let targets = te.as_flat();
-            khaos_par::par_chunks_mut(&mut data, t, |i, row| {
-                crate::kernels::dot_rows(qe.row(i), targets, row);
-                if clamp {
-                    for s in row.iter_mut() {
-                        *s = s.max(0.0);
-                    }
-                }
-            });
+        if q > 0 && t > 0 {
+            khaos_par::par_chunks_mut(&mut data, t, |i, row| scorer.fill_row(i, row));
         }
         SimilarityMatrix { q, t, data }
     }
 
-    /// Wraps an already-computed flat matrix (used by tools whose
-    /// similarity is not an embedding dot product, e.g. BinDiff's
-    /// symbol matching).
+    /// Wraps an already-computed flat matrix (the disk tier's load
+    /// path).
     ///
     /// # Panics
     /// Panics when `data.len() != q * t`.
@@ -280,62 +271,6 @@ impl SimilarityMatrix {
         argmax(self.row(i))
     }
 
-    /// The `k` best candidates for query `i` in ranked order
-    /// (descending similarity, ties broken by lower index — the exact
-    /// order [`crate::rank_of_true_match`] ranks in), found by partial
-    /// selection instead of a full sort: `O(T + k log k)` rather than
-    /// `O(T log T)`.
-    ///
-    /// Scores are ordered by the NaN-total [`cmp_scores_desc`]
-    /// ordering, so a NaN produced by a buggy scorer degrades
-    /// deterministically (positive NaN ranks above `+inf`, negative NaN
-    /// below `-inf`) instead of panicking mid-rank, while ordered
-    /// scores keep the seed's exact tie-break (`-0.0` ties `+0.0`).
-    pub fn top_k(&self, i: usize, k: usize) -> Vec<(usize, f64)> {
-        let row = self.row(i);
-        let k = k.min(row.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        let rank_order = |&a: &usize, &b: &usize| cmp_scores_desc(row[a], row[b]).then(a.cmp(&b));
-        let mut idx: Vec<usize> = (0..row.len()).collect();
-        if k < idx.len() {
-            idx.select_nth_unstable_by(k - 1, rank_order);
-            idx.truncate(k);
-        }
-        idx.sort_unstable_by(rank_order);
-        idx.into_iter().map(|j| (j, row[j])).collect()
-    }
-
-    /// 1-based rank of the best-ranked target accepted by `is_match`,
-    /// under the same ordering as [`SimilarityMatrix::top_k`], or
-    /// `None` when no target matches. Runs in `O(T)` — no sort.
-    pub fn rank_of_first_match(
-        &self,
-        i: usize,
-        is_match: impl FnMut(usize) -> bool,
-    ) -> Option<usize> {
-        rank_of_first_match_in_row(self.row(i), is_match)
-    }
-
-    /// Elementwise maximum with a same-shaped matrix (the best-of-two-
-    /// views matching of `DataFlowDiff`).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn merge_max(&mut self, other: &SimilarityMatrix) {
-        assert_eq!(
-            (self.q, self.t),
-            (other.q, other.t),
-            "matrix shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            if *b > *a {
-                *a = *b;
-            }
-        }
-    }
-
     /// Copies into the legacy nested-`Vec` representation.
     pub fn to_nested(&self) -> Vec<Vec<f64>> {
         (0..self.q).map(|i| self.row(i).to_vec()).collect()
@@ -344,6 +279,23 @@ impl SimilarityMatrix {
     /// The whole flat row-major buffer — what the disk tier persists.
     pub fn as_flat(&self) -> &[f64] {
         &self.data
+    }
+}
+
+/// A resident matrix scores by lookup, so a metric that finds one in
+/// the cache ranks through the same drivers as a live scorer.
+impl RowScore for SimilarityMatrix {
+    fn rows(&self) -> usize {
+        self.q
+    }
+    fn cols(&self) -> usize {
+        self.t
+    }
+    fn score(&self, qi: usize, j: usize) -> f64 {
+        self.get(qi, j)
+    }
+    fn fill_row(&self, qi: usize, out: &mut [f64]) {
+        out.copy_from_slice(self.row(qi));
     }
 }
 
@@ -369,10 +321,9 @@ pub(crate) fn argmax(row: &[f64]) -> Option<usize> {
 
 /// 1-based rank of the best-ranked candidate accepted by `is_match`
 /// in one similarity row (descending similarity, ties broken by lower
-/// index), or `None` when nothing matches. Shared by the matrix path
-/// ([`SimilarityMatrix::rank_of_first_match`]) and the streaming path
-/// ([`stream_rank_of_first_match`]), so both rank under one pinned
-/// tie-break.
+/// index), or `None` when nothing matches — the one rank primitive:
+/// [`par_stream_ranks`] ranks every scored row through it, whether the
+/// row comes from a resident [`SimilarityMatrix`] or a live scorer.
 pub fn rank_of_first_match_in_row(
     row: &[f64],
     mut is_match: impl FnMut(usize) -> bool,
@@ -395,10 +346,9 @@ pub fn rank_of_first_match_in_row(
 }
 
 /// Bounded top-`k` selection over a stream of `(index, score)`
-/// candidates, keeping the same ranked order as
-/// [`SimilarityMatrix::top_k`] (descending score, ties broken by lower
-/// index) in `O(k)` memory — the selection half of the rank-only path
-/// that never materializes a similarity matrix.
+/// candidates in ranked order (descending score, ties broken by lower
+/// index) in `O(k)` memory — the selection half of [`stream_top_k`]
+/// and of the IVF index's re-rank.
 ///
 /// Internally a binary min-heap under the rank order: the root is the
 /// *worst* retained candidate, so each offer is `O(1)` when it does not
@@ -411,9 +361,9 @@ pub struct StreamingTopK {
 
 /// `a` ranks strictly worse than `b`: lower score, or equal score with
 /// higher index — under the same NaN-total [`cmp_scores_desc`] order
-/// the ranked sorts use, so the candidates [`StreamingTopK`] *retains*
-/// under capacity pressure match [`SimilarityMatrix::top_k`] even when
-/// a buggy scorer emits NaN.
+/// the final sort uses, so the candidates [`StreamingTopK`] *retains*
+/// under capacity pressure are the true top `k` even when a buggy
+/// scorer emits NaN.
 #[inline]
 fn ranks_worse(a: (f64, usize), b: (f64, usize)) -> bool {
     cmp_scores_desc(a.0, b.0).then(a.1.cmp(&b.1)) == std::cmp::Ordering::Greater
@@ -482,49 +432,25 @@ impl StreamingTopK {
     }
 
     /// The retained candidates in ranked order (descending score, ties
-    /// by lower index) — exactly the order [`SimilarityMatrix::top_k`]
-    /// returns. NaN scores sort under the same NaN-total ordering as
-    /// `top_k` ([`cmp_scores_desc`]): deterministic, never a panic.
+    /// by lower index). NaN scores sort deterministically (a positive
+    /// NaN above `+inf`, a negative NaN below `-inf`), never a panic.
     pub fn into_ranked(self) -> Vec<(usize, f64)> {
         let mut v: Vec<(usize, f64)> = self.heap.into_iter().map(|(s, j)| (j, s)).collect();
         v.sort_unstable_by(|a, b| cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// Absorbs every candidate retained by `other`, keeping this
-    /// selector's capacity `k` — the combining step of the parallel
-    /// streaming path, where each worker selects over a disjoint block
-    /// of candidate indices and the blocks are merged afterwards.
-    ///
-    /// The retained *set* is offer-order-independent: retention
-    /// decisions compare candidates under the total
-    /// `(score descending, index ascending)` order ([`cmp_scores_desc`]
-    /// then index), so the survivors of any merge sequence are exactly
-    /// the true top `k` of the union — including the documented
-    /// tie-breaks (`-0.0` ties `+0.0` and falls to the lower index; NaN
-    /// ranks deterministically). [`StreamingTopK::into_ranked`] then
-    /// sorts the survivors, so merged output is bit-identical to a
-    /// single sequential scan (pinned by this module's tests and the
-    /// `batched_engine` suite).
-    pub fn merge(&mut self, other: StreamingTopK) {
-        for (s, j) in other.heap {
-            self.offer(j, s);
-        }
-    }
 }
 
-/// One side of the rank-only streaming path: similarity of a query
-/// function against target candidates, computed cell by cell instead of
-/// as a materialized `Q×T` matrix. Implementations must score exactly
-/// what the tool's batched [`SimilarityMatrix`] would hold at `(qi, j)`
-/// (the streaming/matrix equivalence is pinned by
-/// `tests/batched_engine.rs`).
+/// A tool's similarity scores for one binary pair: the **single
+/// definition** of what the tool scores. [`SimilarityMatrix::from_scorer`]
+/// materializes it, and the rank drivers ([`par_stream_ranks`],
+/// [`stream_top_k`]) read it one row at a time without ever allocating
+/// the `Q×T` matrix, so the matrix and every rank metric agree by
+/// construction.
 ///
 /// Scorers are `Sync`: scoring is a pure read of the pair's cached
-/// embeddings/fingerprints, and the parallel rank drivers
-/// ([`par_stream_top_k_rows`], [`par_stream_ranks`]) share one scorer
-/// across `khaos-par` workers — each query row is independent, so the
-/// streaming metrics parallelize across rows without any per-row setup.
+/// embeddings or fingerprints, and the matrix build and
+/// [`par_stream_ranks`] share one scorer across `khaos-par` workers.
 pub trait RowScore: Sync {
     /// Number of query functions.
     fn rows(&self) -> usize;
@@ -533,20 +459,18 @@ pub trait RowScore: Sync {
     /// Similarity of query `qi` vs target `j`.
     fn score(&self, qi: usize, j: usize) -> f64;
 
-    /// Writes query `qi`'s full similarity row into `out` (reused
-    /// scratch, `O(T)` — the only buffer the rank path ever allocates).
-    fn fill_row(&self, qi: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.cols());
-        for j in 0..self.cols() {
-            out.push(self.score(qi, j));
+    /// Writes query `qi`'s full similarity row into `out`
+    /// (`out.len() == cols()`). Overrides must write exactly
+    /// [`RowScore::score`]'s bits in every cell.
+    fn fill_row(&self, qi: usize, out: &mut [f64]) {
+        for (j, s) in out.iter_mut().enumerate() {
+            *s = self.score(qi, j);
         }
     }
 }
 
-/// The default [`RowScore`]: blocked dot products over two normalized
-/// embedding tables, clamped at zero exactly like
-/// [`SimilarityMatrix::from_embeddings`].
+/// The embedding tools' [`RowScore`]: dot products over two normalized
+/// embedding tables (cosine), optionally clamped at zero.
 pub struct EmbedScorer {
     qe: Arc<FunctionEmbeddings>,
     te: Arc<FunctionEmbeddings>,
@@ -555,7 +479,8 @@ pub struct EmbedScorer {
 
 impl EmbedScorer {
     /// Builds the scorer; panics when both sides are non-empty with
-    /// mismatched dimensionalities (mirroring the matrix constructor).
+    /// mismatched dimensionalities. An empty side has dimensionality 0
+    /// by construction, so the check only binds when both have rows.
     pub fn new(qe: Arc<FunctionEmbeddings>, te: Arc<FunctionEmbeddings>, clamp: bool) -> Self {
         if !qe.is_empty() && !te.is_empty() {
             assert_eq!(
@@ -584,112 +509,52 @@ impl RowScore for EmbedScorer {
             s
         }
     }
+    /// One dispatched `dot_rows` call against the whole packed target
+    /// table, bit-identical to [`RowScore::score`] per cell.
+    fn fill_row(&self, qi: usize, out: &mut [f64]) {
+        crate::kernels::dot_rows(self.qe.row(qi), self.te.as_flat(), out);
+        if self.clamp {
+            for s in out.iter_mut() {
+                *s = s.max(0.0);
+            }
+        }
+    }
 }
 
-/// Candidate-count threshold below which [`stream_top_k`] scans
-/// sequentially: a few thousand dot products finish faster than a
-/// thread spawn, and the blocked path's result is identical anyway.
-const STREAM_PAR_MIN_COLS: usize = 8192;
-
-/// Streaming [`SimilarityMatrix::top_k`]: the `k` best candidates for
-/// query `qi` in ranked order, computed in `O(k)` extra memory per
-/// worker from a [`RowScore`] — no matrix, no full row.
-///
-/// On wide candidate pools the scan parallelizes over contiguous
-/// column blocks ([`stream_top_k_blocks`]); output is bit-identical to
-/// the sequential scan at any `KHAOS_THREADS` (and inside a `khaos-par`
-/// worker — the row-parallel drivers — the nested fan-out degrades to
-/// sequential).
+/// The `k` best candidates for query `qi` in ranked order (descending
+/// score, ties broken by lower index), in `O(k)` extra memory from a
+/// [`RowScore`] — no matrix, no full row.
 pub fn stream_top_k(scorer: &dyn RowScore, qi: usize, k: usize) -> Vec<(usize, f64)> {
     let _span = khaos_obs::span("stream_top_k");
-    let cols = scorer.cols();
-    if cols < STREAM_PAR_MIN_COLS {
-        let mut sel = StreamingTopK::new(k);
-        for j in 0..cols {
-            sel.offer(j, scorer.score(qi, j));
-        }
-        return sel.into_ranked();
-    }
-    stream_top_k_blocks(
-        scorer,
-        qi,
-        k,
-        cols.div_ceil(khaos_par::max_threads() * 4).max(1),
-    )
-}
-
-/// [`stream_top_k`] with an explicit column block size: workers select
-/// each block's top `k` independently ([`StreamingTopK`] per block) and
-/// the per-block selectors are merged ([`StreamingTopK::merge`]) —
-/// the retained set equals the true top `k` of the whole row under the
-/// pinned total order, so the ranked result is **bit-identical** to the
-/// sequential scan for every block size and thread count (pinned by
-/// this module's tests and `tests/batched_engine.rs`).
-pub fn stream_top_k_blocks(
-    scorer: &dyn RowScore,
-    qi: usize,
-    k: usize,
-    block: usize,
-) -> Vec<(usize, f64)> {
-    assert!(block > 0, "block size must be positive");
-    let cols = scorer.cols();
-    let n_blocks = cols.div_ceil(block);
     let mut sel = StreamingTopK::new(k);
-    for part in khaos_par::par_map(n_blocks, |b| {
-        let mut part = StreamingTopK::new(k);
-        for j in b * block..((b + 1) * block).min(cols) {
-            part.offer(j, scorer.score(qi, j));
-        }
-        part
-    }) {
-        sel.merge(part);
+    for j in 0..scorer.cols() {
+        sel.offer(j, scorer.score(qi, j));
     }
     sel.into_ranked()
 }
 
-/// Row-parallel [`stream_top_k`]: ranks many query rows concurrently
-/// (each row is an independent scan — the §4.2 fan-out axis the paper's
-/// protocol exposes), returning one ranked candidate list per entry of
-/// `rows`, in input order. Bit-identical to calling [`stream_top_k`]
-/// sequentially per row at any `KHAOS_THREADS`.
-pub fn par_stream_top_k_rows(
-    scorer: &dyn RowScore,
-    rows: &[usize],
-    k: usize,
-) -> Vec<Vec<(usize, f64)>> {
-    khaos_par::par_map(rows.len(), |i| stream_top_k(scorer, rows[i], k))
-}
-
-/// Row-parallel [`stream_rank_of_first_match`]: computes the 1-based
-/// rank of the first `is_match(qi, j)`-accepted candidate for every
-/// query in `rows`, in input order. Each `khaos-par` worker reuses one
-/// `O(T)` scratch row ([`khaos_par::par_map_with`]), so memory stays
-/// `O(threads × T)` for arbitrarily many queries. Bit-identical to the
-/// sequential loop at any `KHAOS_THREADS` (pinned by
-/// `tests/batched_engine.rs`).
+/// The rank driver: the 1-based rank of the first `is_match(qi,
+/// j)`-accepted candidate ([`rank_of_first_match_in_row`]) for every
+/// query in `rows`, in input order. Rows rank in parallel
+/// ([`khaos_par::par_map_with`]), each worker filling one reused
+/// `O(T)` scratch row, so memory stays `O(threads × T)` for
+/// arbitrarily many queries. Bit-identical to the sequential loop at
+/// any `KHAOS_THREADS` (pinned by `tests/batched_engine.rs`).
 pub fn par_stream_ranks(
     scorer: &dyn RowScore,
     rows: &[usize],
     is_match: impl Fn(usize, usize) -> bool + Sync,
 ) -> Vec<Option<usize>> {
-    khaos_par::par_map_with(rows.len(), Vec::new, |scratch, i| {
-        let qi = rows[i];
-        stream_rank_of_first_match(scorer, qi, scratch, |j| is_match(qi, j))
-    })
-}
-
-/// Streaming [`SimilarityMatrix::rank_of_first_match`]: computes one
-/// similarity row into `scratch` (reused across queries) and ranks in
-/// it — `O(T)` memory for arbitrarily many queries, instead of the
-/// `O(Q×T)` matrix.
-pub fn stream_rank_of_first_match(
-    scorer: &dyn RowScore,
-    qi: usize,
-    scratch: &mut Vec<f64>,
-    is_match: impl FnMut(usize) -> bool,
-) -> Option<usize> {
-    scorer.fill_row(qi, scratch);
-    rank_of_first_match_in_row(scratch, is_match)
+    let cols = scorer.cols();
+    khaos_par::par_map_with(
+        rows.len(),
+        || vec![0.0f64; cols],
+        |row, i| {
+            let qi = rows[i];
+            scorer.fill_row(qi, row);
+            rank_of_first_match_in_row(row, |j| is_match(qi, j))
+        },
+    )
 }
 
 /// Cache key: tool identity (name + configuration fingerprint) and
@@ -729,6 +594,15 @@ pub struct CacheStats {
 
 /// Matrix cache key: tool identity plus both binaries' fingerprints.
 type MatrixKey = (&'static str, u64, u64, u64);
+
+fn matrix_key(tool: &dyn crate::Differ, query: &Binary, target: &Binary) -> MatrixKey {
+    (
+        tool.name(),
+        tool.config_fingerprint(),
+        query.fingerprint(),
+        target.fingerprint(),
+    )
+}
 
 /// Pre-resolved `khaos-obs` global-registry handles mirroring
 /// [`CacheStats`]: every cache instance increments these alongside its
@@ -972,12 +846,7 @@ impl EmbeddingCache {
         query: &Binary,
         target: &Binary,
     ) -> Arc<SimilarityMatrix> {
-        let key: MatrixKey = (
-            tool.name(),
-            tool.config_fingerprint(),
-            query.fingerprint(),
-            target.fingerprint(),
-        );
+        let key = matrix_key(tool, query, target);
         let store;
         {
             let mut inner = self.inner.lock().expect("embedding cache poisoned");
@@ -1023,11 +892,10 @@ impl EmbeddingCache {
                 return value;
             }
         }
-        // Built outside the lock; embeddings come from this same cache,
-        // reusing the fingerprints already computed for the matrix key.
+        // Built outside the lock; embeddings come from this same cache.
         let value = {
             let _span = khaos_obs::span_with(|| format!("matrix:{}", key.0));
-            Arc::new(tool.batched_similarity_keyed(query, target, self, key.2, key.3))
+            Arc::new(tool.batched_similarity(query, target, self))
         };
         let wrote = store.as_ref().is_some_and(|store| {
             store
@@ -1066,22 +934,17 @@ impl EmbeddingCache {
     /// `Q×T` allocation and disk I/O; streaming off cached embeddings
     /// is cheaper than deserializing a full matrix it would use once).
     /// The rank-only metric path uses this to reuse a matrix some
-    /// earlier metric already paid for, falling back to the streaming
+    /// earlier metric already paid for, falling back to the tool's
     /// scorer (which never allocates `Q×T`) when nothing is cached. A
     /// hit counts in [`EmbeddingCache::stats`]; a miss is not charged
     /// (nothing is embedded or built on this path).
     pub fn peek_matrix(
         &self,
         tool: &dyn crate::Differ,
-        query_fingerprint: u64,
-        target_fingerprint: u64,
+        query: &Binary,
+        target: &Binary,
     ) -> Option<Arc<SimilarityMatrix>> {
-        let key: MatrixKey = (
-            tool.name(),
-            tool.config_fingerprint(),
-            query_fingerprint,
-            target_fingerprint,
-        );
+        let key = matrix_key(tool, query, target);
         let mut inner = self.inner.lock().expect("embedding cache poisoned");
         let hit = inner.matrices.get(&key).map(Arc::clone);
         if hit.is_some() {
@@ -1118,6 +981,18 @@ impl EmbeddingCache {
     /// The cache key for a differ/binary combination.
     pub fn key(name: &'static str, config_fingerprint: u64, bin: &Binary) -> CacheKey {
         (name, config_fingerprint, bin.fingerprint())
+    }
+
+    /// `tool`'s embedding table for `bin`, through this cache.
+    pub(crate) fn embeddings_of<D: crate::Differ + ?Sized>(
+        &self,
+        tool: &D,
+        bin: &Binary,
+    ) -> Arc<FunctionEmbeddings> {
+        self.get_or_embed(
+            Self::key(tool.name(), tool.config_fingerprint(), bin),
+            || tool.embed(bin),
+        )
     }
 }
 
@@ -1172,8 +1047,7 @@ mod tests {
 
     #[test]
     fn streaming_top_k_is_deterministic_on_ties() {
-        // Pinned tie-break: equal scores rank by lower index, exactly
-        // like SimilarityMatrix::top_k.
+        // Pinned tie-break: equal scores rank by lower index.
         let row = [0.5, 0.9, 0.5, 0.9, 0.1, 0.9, 0.0];
         let mut sel = StreamingTopK::new(4);
         for (j, &s) in row.iter().enumerate() {
@@ -1188,101 +1062,6 @@ mod tests {
         assert!(empty.into_ranked().is_empty());
     }
 
-    /// Satellite regression for the parallel path's combining step:
-    /// merging per-block heaps must preserve the documented tie-break —
-    /// `-0.0` ties `+0.0`, equal scores rank by lower index — even when
-    /// the duplicates straddle the merge boundary, and must equal a
-    /// single sequential scan bit for bit.
-    #[test]
-    fn streaming_top_k_merge_preserves_tie_break_across_boundaries() {
-        // Duplicate scores placed so every tie spans the block split:
-        // 0.9 at {1, 6}, 0.5 at {2, 5}, and a -0.0/+0.0 pair at {3, 4}.
-        let row = [0.1, 0.9, 0.5, -0.0, 0.0, 0.5, 0.9, -1.0];
-        for split in 0..=row.len() {
-            for k in 0..=row.len() + 1 {
-                // Sequential reference.
-                let mut seq = StreamingTopK::new(k);
-                for (j, &s) in row.iter().enumerate() {
-                    seq.offer(j, s);
-                }
-                let want = seq.into_ranked();
-                // Two per-block selectors merged at `split`.
-                let mut left = StreamingTopK::new(k);
-                for (j, &s) in row.iter().enumerate().take(split) {
-                    left.offer(j, s);
-                }
-                let mut right = StreamingTopK::new(k);
-                for (j, &s) in row.iter().enumerate().skip(split) {
-                    right.offer(j, s);
-                }
-                left.merge(right);
-                let got = left.into_ranked();
-                assert_eq!(got.len(), want.len(), "split={split} k={k}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0, "split={split} k={k}: index order diverged");
-                    assert_eq!(
-                        g.1.to_bits(),
-                        w.1.to_bits(),
-                        "split={split} k={k}: score bits diverged (±0.0 must survive merge)"
-                    );
-                }
-            }
-        }
-        // The ±0.0 tie itself: +0.0 at index 4 must NOT outrank -0.0 at
-        // index 3 (they compare equal; the lower index wins), and each
-        // keeps its own sign bit through the merge.
-        let mut a = StreamingTopK::new(2);
-        a.offer(3, -0.0);
-        let mut b = StreamingTopK::new(2);
-        b.offer(4, 0.0);
-        a.merge(b);
-        let ranked = a.into_ranked();
-        assert_eq!(ranked[0].0, 3);
-        assert_eq!(ranked[0].1.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(ranked[1].0, 4);
-        assert_eq!(ranked[1].1.to_bits(), 0.0f64.to_bits());
-    }
-
-    /// The block-parallel scan is bit-identical to the sequential one
-    /// for every block size, including NaN rows (the NaN-total order
-    /// governs retention in every block).
-    #[test]
-    fn stream_top_k_blocks_matches_sequential_for_all_block_sizes() {
-        let row = vec![0.5, f64::NAN, 0.9, 0.5, -0.0, 0.0, -f64::NAN, 0.7, 0.9];
-        let m = SimilarityMatrix::from_flat(1, row.len(), row.clone());
-        struct MatScorer(SimilarityMatrix);
-        impl RowScore for MatScorer {
-            fn rows(&self) -> usize {
-                self.0.rows()
-            }
-            fn cols(&self) -> usize {
-                self.0.cols()
-            }
-            fn score(&self, qi: usize, j: usize) -> f64 {
-                self.0.get(qi, j)
-            }
-        }
-        let scorer = MatScorer(m.clone());
-        for k in 0..=row.len() + 1 {
-            let want = stream_top_k(&scorer, 0, k);
-            for block in 1..=row.len() + 1 {
-                let got = stream_top_k_blocks(&scorer, 0, k, block);
-                assert_eq!(got.len(), want.len(), "k={k} block={block}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(
-                        (g.0, g.1.to_bits()),
-                        (w.0, w.1.to_bits()),
-                        "k={k} block={block}"
-                    );
-                }
-            }
-            // And both agree with the matrix's partial selection.
-            let matrix: Vec<usize> = m.top_k(0, k).into_iter().map(|(j, _)| j).collect();
-            let streamed: Vec<usize> = want.iter().map(|&(j, _)| j).collect();
-            assert_eq!(streamed, matrix, "k={k}");
-        }
-    }
-
     #[test]
     fn matrix_matches_per_pair_cosine() {
         let rows_a = vec![
@@ -1291,8 +1070,8 @@ mod tests {
             vec![-1.0, 0.5, 2.0],
         ];
         let rows_b = vec![vec![2.0, 4.0, 6.0], vec![1.0, -1.0, 0.0]];
-        let qe = FunctionEmbeddings::from_rows(rows_a.clone());
-        let te = FunctionEmbeddings::from_rows(rows_b.clone());
+        let qe = Arc::new(FunctionEmbeddings::from_rows(rows_a.clone()));
+        let te = Arc::new(FunctionEmbeddings::from_rows(rows_b.clone()));
         let m = SimilarityMatrix::from_embeddings(&qe, &te);
         assert_eq!((m.rows(), m.cols()), (3, 2));
         for (i, ra) in rows_a.iter().enumerate() {
@@ -1310,8 +1089,8 @@ mod tests {
 
     #[test]
     fn signed_matrix_keeps_negative_cosines() {
-        let qe = FunctionEmbeddings::from_rows(vec![vec![1.0, 0.0]]);
-        let te = FunctionEmbeddings::from_rows(vec![vec![-1.0, 0.0]]);
+        let qe = Arc::new(FunctionEmbeddings::from_rows(vec![vec![1.0, 0.0]]));
+        let te = Arc::new(FunctionEmbeddings::from_rows(vec![vec![-1.0, 0.0]]));
         assert_eq!(SimilarityMatrix::from_embeddings(&qe, &te).get(0, 0), 0.0);
         assert!((SimilarityMatrix::from_embeddings_signed(&qe, &te).get(0, 0) + 1.0).abs() < 1e-15);
     }
@@ -1324,13 +1103,13 @@ mod tests {
         let mut full: Vec<usize> = (0..row.len()).collect();
         full.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap().then(a.cmp(&b)));
         for k in 0..=row.len() + 2 {
-            let got: Vec<usize> = m.top_k(0, k).into_iter().map(|(j, _)| j).collect();
+            let got: Vec<usize> = stream_top_k(&m, 0, k).into_iter().map(|(j, _)| j).collect();
             let want: Vec<usize> = full.iter().copied().take(k).collect();
             assert_eq!(got, want, "k={k}");
         }
         // Sanity on the tie order itself.
         assert_eq!(
-            m.top_k(0, 4)
+            stream_top_k(&m, 0, 4)
                 .into_iter()
                 .map(|(j, _)| j)
                 .collect::<Vec<_>>(),
@@ -1349,24 +1128,35 @@ mod tests {
         for target in 0..row.len() {
             let want = order.iter().position(|&j| j == target).unwrap() + 1;
             assert_eq!(
-                m.rank_of_first_match(0, |j| j == target),
+                rank_of_first_match_in_row(m.row(0), |j| j == target),
                 Some(want),
                 "target {target}"
             );
         }
         // Multi-candidate predicate: the earliest-sorted match counts.
-        assert_eq!(m.rank_of_first_match(0, |j| j == 0 || j == 3), Some(2));
-        assert_eq!(m.rank_of_first_match(0, |_| false), None);
+        assert_eq!(
+            rank_of_first_match_in_row(m.row(0), |j| j == 0 || j == 3),
+            Some(2)
+        );
+        assert_eq!(rank_of_first_match_in_row(m.row(0), |_| false), None);
+        // The rank driver over the matrix agrees with the primitive.
+        assert_eq!(
+            par_stream_ranks(&m, &[0, 0], |_, j| j == 0 || j == 3),
+            vec![Some(2), Some(2)]
+        );
     }
 
     #[test]
     fn empty_sides_yield_degenerate_matrices_not_panics() {
-        let some = FunctionEmbeddings::from_rows(vec![vec![1.0, 0.0], vec![0.5, 0.5]]);
-        let none = FunctionEmbeddings::from_rows(vec![]);
+        let some = Arc::new(FunctionEmbeddings::from_rows(vec![
+            vec![1.0, 0.0],
+            vec![0.5, 0.5],
+        ]));
+        let none = Arc::new(FunctionEmbeddings::from_rows(vec![]));
         let m = SimilarityMatrix::from_embeddings(&some, &none);
         assert_eq!((m.rows(), m.cols()), (2, 0));
-        assert_eq!(m.rank_of_first_match(0, |_| true), None);
-        assert!(m.top_k(0, 5).is_empty());
+        assert_eq!(par_stream_ranks(&m, &[0, 1], |_, _| true), vec![None, None]);
+        assert!(stream_top_k(&m, 0, 5).is_empty());
         let m = SimilarityMatrix::from_embeddings(&none, &some);
         assert_eq!((m.rows(), m.cols()), (0, 2));
     }
@@ -1383,8 +1173,16 @@ mod tests {
         let mut empty = small_binary("e2");
         empty.functions.clear();
         let tool = crate::Safe::default();
-        assert_eq!(crate::escape_at_k(&tool, &marked, &empty, 10), 1.0);
-        assert_eq!(crate::rank_of_true_match(&tool, &marked, &empty, 0), None);
+        let cache = EmbeddingCache::new(4);
+        assert_eq!(
+            crate::escape_profile_with(&tool, &marked, &empty, &[10], &cache),
+            vec![1.0]
+        );
+        let scorer = tool.row_scorer(&marked, &empty, &cache);
+        assert_eq!(
+            par_stream_ranks(scorer.as_ref(), &[0], |_, _| true),
+            vec![None]
+        );
     }
 
     #[test]
@@ -1425,21 +1223,12 @@ mod tests {
         // and a negative NaN below -inf.
         let row = vec![0.5, f64::NAN, 0.9, 0.5, -f64::NAN, 0.7];
         let m = SimilarityMatrix::from_flat(1, row.len(), row.clone());
-        let want = vec![1usize, 2, 5, 0, 3, 4];
-        let got: Vec<usize> = m.top_k(0, row.len()).into_iter().map(|(j, _)| j).collect();
-        assert_eq!(got, want);
-        // StreamingTopK matches the matrix ranking at every k —
-        // including under capacity pressure (k < len), where the
-        // retention decision itself must honour the NaN-total order,
-        // not just the final sort.
+        let want = [1usize, 2, 5, 0, 3, 4];
+        // At every k — including under capacity pressure (k < len),
+        // where the retention decision itself must honour the NaN-total
+        // order, not just the final sort.
         for k in 0..=row.len() {
-            let mut sel = StreamingTopK::new(k);
-            for (j, &s) in row.iter().enumerate() {
-                sel.offer(j, s);
-            }
-            let ranked: Vec<usize> = sel.into_ranked().into_iter().map(|(j, _)| j).collect();
-            let matrix: Vec<usize> = m.top_k(0, k).into_iter().map(|(j, _)| j).collect();
-            assert_eq!(ranked, matrix, "k={k}");
+            let ranked: Vec<usize> = stream_top_k(&m, 0, k).into_iter().map(|(j, _)| j).collect();
             assert_eq!(ranked, want[..k], "k={k}");
         }
     }
@@ -1547,6 +1336,185 @@ mod tests {
         }
 
         std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+    }
+
+    fn bits(m: &SimilarityMatrix) -> Vec<u64> {
+        m.as_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_bits(got: &SimilarityMatrix, want: &SimilarityMatrix, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}: shape"
+        );
+        assert_eq!(bits(got), bits(want), "{what}: cell bits");
+    }
+
+    /// Normalized pseudo-random rows (xorshift), for shapes the tools
+    /// do not produce.
+    fn rand_embeddings(seed: u64, n: usize, dim: usize) -> Arc<FunctionEmbeddings> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
+        };
+        Arc::new(FunctionEmbeddings::from_rows(
+            (0..n).map(|_| (0..dim).map(|_| next()).collect()).collect(),
+        ))
+    }
+
+    /// Every tool's scorer-derived matrix reproduces the builder it
+    /// replaced (`reference.rs`) bit for bit: BinDiff's and
+    /// DataFlowDiff's own builders (propagation on and off), the
+    /// embedding build for the rest, over reordered, identical and
+    /// empty sides. Each side of a comparison embeds through its own
+    /// cache.
+    #[test]
+    fn batched_similarity_matches_the_replaced_builders_bit_for_bit() {
+        let base = small_binary("o");
+        let mut obf = small_binary("o");
+        obf.functions.reverse();
+        obf.functions[0].name = Some("renamed".into());
+        let mut empty = small_binary("o");
+        empty.functions.clear();
+        let pairs = [
+            (&base, &obf),
+            (&obf, &base),
+            (&base, &base),
+            (&empty, &obf),
+            (&obf, &empty),
+            (&empty, &empty),
+        ];
+        for (pi, (q, t)) in pairs.into_iter().enumerate() {
+            let (cache, oracle_cache) = (EmbeddingCache::new(16), EmbeddingCache::new(16));
+            for tool in [
+                crate::BinDiff::default(),
+                crate::BinDiff { ignore_names: true },
+            ] {
+                assert_same_bits(
+                    &tool.batched_similarity(q, t, &cache),
+                    &reference::bindiff_matrix(&tool, q, t),
+                    &format!("pair {pi} BinDiff{{ignore_names: {}}}", tool.ignore_names),
+                );
+            }
+            let embedders: [Box<dyn Differ>; 3] = [
+                Box::new(crate::VulSeeker::default()),
+                Box::new(crate::Asm2Vec::default()),
+                Box::new(crate::Safe::default()),
+            ];
+            for tool in &embedders {
+                assert_same_bits(
+                    &tool.batched_similarity(q, t, &cache),
+                    &reference::embedding_matrix(tool.as_ref(), q, t, &oracle_cache),
+                    &format!("pair {pi} {}", tool.name()),
+                );
+            }
+            for callee_weight in [0.6, 0.0] {
+                let tool = crate::DataFlowDiff { callee_weight };
+                assert_same_bits(
+                    &tool.batched_similarity(q, t, &cache),
+                    &reference::dataflow_matrix(&tool, q, t, &oracle_cache),
+                    &format!("pair {pi} DataFlowDiff{{callee_weight: {callee_weight}}}"),
+                );
+            }
+        }
+    }
+
+    /// The two-view combine keeps the raw score unless the propagated
+    /// one is strictly greater — `merge_max`'s rule — so a `-0.0` /
+    /// `+0.0` tie keeps the raw sign bit in the matrix and in every
+    /// cell score.
+    #[test]
+    fn two_view_ties_keep_the_raw_bits_like_merge_max() {
+        use crate::dataflow::TwoViewScorer;
+        let raw = SimilarityMatrix::from_flat(2, 3, vec![-0.0, 0.0, 0.5, 0.25, -0.0, 0.0]);
+        let prop = SimilarityMatrix::from_flat(2, 3, vec![0.0, -0.0, 0.5, 0.75, -0.0, 0.1]);
+        let mut want = raw.clone();
+        reference::merge_max(&mut want, &prop);
+        assert_eq!(want.get(0, 0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(want.get(0, 1).to_bits(), 0.0f64.to_bits());
+        let two = TwoViewScorer {
+            raw,
+            propagated: prop,
+        };
+        assert_same_bits(&SimilarityMatrix::from_scorer(&two), &want, "two views");
+        for qi in 0..2 {
+            for j in 0..3 {
+                assert_eq!(two.score(qi, j).to_bits(), want.get(qi, j).to_bits());
+            }
+        }
+    }
+
+    /// [`EmbedScorer`]'s rows (one `dot_rows` call) hold exactly the
+    /// per-cell `dot` of every available kernel, clamped or not, on
+    /// tool tables, random rows, an empty side and hostile values; the
+    /// matrices built from it equal the replaced flat build.
+    #[test]
+    fn embed_scorer_rows_equal_per_cell_dots_under_every_kernel() {
+        let tool = crate::Asm2Vec::default();
+        let bin = small_binary("k");
+        let mut obf = small_binary("k");
+        obf.functions.reverse();
+        let hostile = [
+            f64::NAN,
+            -0.0,
+            1e-310,
+            f64::INFINITY,
+            -1.0,
+            0.5,
+            f64::MAX,
+            -f64::NAN,
+            3.0,
+        ];
+        let hostile = |n: usize, shift: usize| {
+            let data = (0..n * 9).map(|i| hostile[(i + shift) % 9]).collect();
+            Arc::new(FunctionEmbeddings::from_flat_normalized(n, 9, data))
+        };
+        let sets = [
+            (
+                Arc::new(FunctionEmbeddings::from_rows(tool.embed(&bin))),
+                Arc::new(FunctionEmbeddings::from_rows(tool.embed(&obf))),
+            ),
+            (rand_embeddings(1, 5, 37), rand_embeddings(2, 11, 37)),
+            (rand_embeddings(3, 4, 8), rand_embeddings(4, 0, 8)),
+            (hostile(3, 0), hostile(5, 4)),
+        ];
+        for (si, (qe, te)) in sets.iter().enumerate() {
+            for clamp in [true, false] {
+                let scorer = EmbedScorer::new(Arc::clone(qe), Arc::clone(te), clamp);
+                let mut row = vec![0.25; te.len()];
+                for qi in 0..qe.len() {
+                    scorer.fill_row(qi, &mut row);
+                    for kind in crate::kernels::available() {
+                        let table = crate::kernels::table_for(kind).expect("available");
+                        for (j, got) in row.iter().enumerate() {
+                            let d = table.dot(qe.row(qi), te.row(j));
+                            let want = if clamp { d.max(0.0) } else { d };
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "set {si} clamp {clamp} ({qi},{j}) under {}",
+                                kind.name()
+                            );
+                            assert_eq!(scorer.score(qi, j).to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+            assert_same_bits(
+                &SimilarityMatrix::from_embeddings(qe, te),
+                &reference::build(qe, te, true),
+                &format!("set {si} clamped"),
+            );
+            assert_same_bits(
+                &SimilarityMatrix::from_embeddings_signed(qe, te),
+                &reference::build(qe, te, false),
+                &format!("set {si} signed"),
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The evaluation metrics implement the paper's §4.2 protocol: relaxed
 //! pairing success through provenance ground truth ([`origins_match`]),
 //! `Precision@1` ([`precision_at_1`]), whole-binary BinDiff similarity
-//! ([`binary_similarity`]) and `escape@k` ([`escape_at_k`]).
+//! ([`binary_similarity`]) and `escape@k` ([`escape_profile`]).
 //!
 //! ## The batched similarity engine
 //!
@@ -46,39 +46,29 @@
 //!   portable 8-wide [`dot_blocked`] kernel (naive-scalar-reference
 //!   equivalence pinned at 1e-12);
 //! * an **int8 quantized tier** ([`QuantizedEmbeddings`], ~7× smaller
-//!   rows, integer-exact `dot_i8` kernels) generates shortlists that
-//!   [`stream_top_k_quantized`] re-ranks exactly, bit-identical to the
-//!   f64 streaming path at recall 1.0;
-//! * each binary pair yields one [`SimilarityMatrix`] (flat storage,
-//!   parallel row construction via `khaos-par`, `top_k` by partial
-//!   selection, `O(T)` rank queries) shared by every metric that needs
-//!   it;
-//! * **rank-only queries never materialize that matrix**: `escape@k`
-//!   and the `*_streaming` rank metrics run on a per-tool [`RowScore`]
-//!   scorer — one `O(T)` row of similarities at a time (or `O(k)` via
-//!   [`StreamingTopK`] for ranked retrieval), off the same cached
-//!   embeddings, so 1000+-function binaries rank memory-flat;
+//!   rows, integer-exact `dot_i8` kernels) is the candidate scan of the
+//!   `khaos-index` IVF index;
 //! * embeddings are memoized in the process-wide [`EmbeddingCache`],
 //!   keyed by `(tool name, tool config fingerprint,`
 //!   [`khaos_binary::Binary::fingerprint`]`)`, so a sweep scoring many
 //!   metrics over the same pair embeds each side exactly once.
 //!
-//! **When to use which API:** existing `Differ`-taking signatures
-//! ([`precision_at_1`], [`escape_at_k`], [`rank_of_true_match`],
-//! [`binary_similarity`]) are thin wrappers over the batched engine and
-//! remain the convenient entry points; [`escape_profile`] answers
-//! `escape@k` at several `k` from one rank pass, reusing a cached
-//! matrix when some other metric already built one and streaming
-//! otherwise. Reach for [`Differ::batched_similarity`] plus the matrix
-//! accessors when several metrics need one pair, and for
-//! [`Differ::row_scorer`] / [`engine::stream_top_k`] /
-//! [`escape_profile_streaming`] / [`rank_of_true_match_streaming`] when
-//! ranks are all you need and the matrix should never be allocated. The
-//! legacy per-pair [`Differ::similarity_matrix`] default is kept
-//! unchanged as the *reference implementation*; the equivalence of all
-//! paths — per-pair vs batched matrix vs streaming — to 1e-12 is
-//! pinned by `engine` unit tests and the `batched_engine` integration
-//! suite.
+//! **One scorer, one rank path.** A tool defines its scores once, as
+//! the [`RowScore`] its [`Differ::row_scorer`] returns; everything else
+//! derives from it. [`Differ::batched_similarity`] materializes it as a
+//! [`SimilarityMatrix`] (flat storage, parallel rows), which
+//! [`EmbeddingCache::matrix_for`] memoizes per pair for the metrics
+//! that read every cell ([`precision_at_1`], [`binary_similarity`]).
+//! Rank metrics go through one driver, [`par_stream_ranks`], over a
+//! scorer: [`escape_profile`] ranks in a resident matrix when some
+//! other metric already built one (a matrix is a [`RowScore`] too) and
+//! streams the tool's scorer otherwise, one `O(T)` row per query and no
+//! `Q×T` allocation; [`escape_profile_streaming`] always streams.
+//! Ranked retrieval is [`stream_top_k`] over a scorer. The legacy
+//! per-pair [`Differ::similarity_matrix`] and the seed metrics in
+//! [`mod@reference`] are kept unchanged as the *reference
+//! implementations*: the matrix and the rank drivers are pinned to
+//! them by `tests/batched_engine.rs`.
 
 mod asm2vec;
 mod bindiff;
@@ -99,18 +89,15 @@ pub use bindiff::{binary_similarity, binary_similarity_with, BinDiff};
 pub use dataflow::DataFlowDiff;
 pub use deepbindiff::{deepbindiff_precision_at_1, DeepBinDiff};
 pub use engine::{
-    dot_blocked, par_stream_ranks, par_stream_top_k_rows, stream_top_k, stream_top_k_blocks,
-    CacheStats, EmbeddingCache, FunctionEmbeddings, RowScore, SimilarityMatrix, StreamingTopK,
+    dot_blocked, par_stream_ranks, stream_top_k, CacheStats, EmbeddingCache, FunctionEmbeddings,
+    RowScore, SimilarityMatrix, StreamingTopK,
 };
 pub use kernels::{dot, dot_i8, KernelKind};
 pub use metrics::{
-    escape_at_k, escape_profile, escape_profile_streaming, escape_profile_with, origins_match,
-    precision_at_1, precision_at_1_with, rank_of_true_match, rank_of_true_match_in,
-    rank_of_true_match_streaming, ranks_of_true_match_streaming,
+    escape_profile, escape_profile_streaming, escape_profile_with, origins_match, precision_at_1,
+    precision_at_1_with,
 };
-pub use quant::{
-    stream_top_k_quantized, QuantizedEmbeddings, QUANT_SHORTLIST_FACTOR, QUANT_SHORTLIST_MIN,
-};
+pub use quant::QuantizedEmbeddings;
 pub use safe::Safe;
 pub use tokens::{opcode_class, operand_class};
 pub use vector::{
@@ -124,13 +111,13 @@ use khaos_binary::Binary;
 /// A function-granularity binary diffing technique.
 ///
 /// Implementations compute a per-function embedding; similarity defaults
-/// to cosine. [`BinDiff`] overrides the matrix to use symbol names, as the
-/// real tool does on un-stripped binaries.
+/// to cosine. [`BinDiff`] overrides the scores to use symbol names, as
+/// the real tool does on un-stripped binaries.
 ///
-/// [`Differ::similarity_matrix`] is the legacy per-pair reference path;
-/// the metrics layer runs on [`Differ::batched_similarity`], which
-/// normalizes embeddings once, caches them per binary, and builds the
-/// flat matrix with parallel rows.
+/// A tool's scores are defined once, by [`Differ::row_scorer`]; the
+/// metrics layer ranks through it and [`Differ::batched_similarity`]
+/// materializes it. [`Differ::similarity_matrix`] is the legacy
+/// per-pair reference path.
 pub trait Differ {
     /// Tool name as used in the paper's figures.
     fn name(&self) -> &'static str;
@@ -159,90 +146,37 @@ pub trait Differ {
             .collect()
     }
 
-    /// Batched similarity matrix: embeddings are fetched through
-    /// `cache` (embedding each side at most once per process for
-    /// deterministic tools), normalized once, and combined with
-    /// parallel dot-product rows. Matches
-    /// [`Differ::similarity_matrix`] to 1e-12.
+    /// The tool's scores for the pair — the single definition of what
+    /// it scores. Scores any `(qi, j)` cell or whole query row on
+    /// demand, holding nothing beyond cached embeddings (fetched
+    /// through `cache`) or per-function fingerprints, so rank-only
+    /// metrics ([`escape_profile`]) never materialize the `Q×T`
+    /// matrix. Must match [`Differ::similarity_matrix`] to 1e-12
+    /// (pinned by `tests/batched_engine.rs`). The default is the
+    /// clamped cosine of the tool's normalized embeddings.
+    fn row_scorer<'a>(
+        &'a self,
+        query: &'a Binary,
+        target: &'a Binary,
+        cache: &EmbeddingCache,
+    ) -> Box<dyn RowScore + 'a> {
+        Box::new(engine::EmbedScorer::new(
+            cache.embeddings_of(self, query),
+            cache.embeddings_of(self, target),
+            true,
+        ))
+    }
+
+    /// The pair's full similarity matrix: [`Differ::row_scorer`]
+    /// materialized with parallel rows. [`EmbeddingCache::matrix_for`]
+    /// memoizes it per pair.
     fn batched_similarity(
         &self,
         query: &Binary,
         target: &Binary,
         cache: &EmbeddingCache,
     ) -> SimilarityMatrix {
-        self.batched_similarity_keyed(
-            query,
-            target,
-            cache,
-            query.fingerprint(),
-            target.fingerprint(),
-        )
-    }
-
-    /// As [`Differ::batched_similarity`], with the two binaries'
-    /// fingerprints supplied by the caller. [`EmbeddingCache::matrix_for`]
-    /// already fingerprints both sides for its own key and passes the
-    /// values through here — fingerprinting is a whole-binary pass,
-    /// expensive enough that paying it twice per lookup is measurable.
-    /// Tools overriding the batched path should override **this**
-    /// method (and ignore the fingerprints if they don't use `cache`).
-    fn batched_similarity_keyed(
-        &self,
-        query: &Binary,
-        target: &Binary,
-        cache: &EmbeddingCache,
-        query_fingerprint: u64,
-        target_fingerprint: u64,
-    ) -> SimilarityMatrix {
-        let cfg = self.config_fingerprint();
-        let qe = cache.get_or_embed((self.name(), cfg, query_fingerprint), || self.embed(query));
-        let te = cache.get_or_embed((self.name(), cfg, target_fingerprint), || {
-            self.embed(target)
-        });
-        SimilarityMatrix::from_embeddings(&qe, &te)
-    }
-
-    /// A streaming row scorer for the pair: scores any `(qi, j)` cell
-    /// on demand, holding `O(1)` state beyond the cached embeddings —
-    /// the rank-only metrics ([`escape_profile`],
-    /// [`rank_of_true_match_streaming`], [`engine::stream_top_k`]) run
-    /// on this instead of materializing the `Q×T`
-    /// [`SimilarityMatrix`]. Must score exactly what
-    /// [`Differ::batched_similarity_keyed`]'s matrix holds (pinned by
-    /// `tests/batched_engine.rs`); tools overriding the batched matrix
-    /// must override this too.
-    fn row_scorer_keyed<'a>(
-        &'a self,
-        query: &'a Binary,
-        target: &'a Binary,
-        cache: &EmbeddingCache,
-        query_fingerprint: u64,
-        target_fingerprint: u64,
-    ) -> Box<dyn engine::RowScore + 'a> {
-        let cfg = self.config_fingerprint();
-        let qe = cache.get_or_embed((self.name(), cfg, query_fingerprint), || self.embed(query));
-        let te = cache.get_or_embed((self.name(), cfg, target_fingerprint), || {
-            self.embed(target)
-        });
-        let _ = (query, target);
-        Box::new(engine::EmbedScorer::new(qe, te, true))
-    }
-
-    /// As [`Differ::row_scorer_keyed`], fingerprinting both sides
-    /// itself.
-    fn row_scorer<'a>(
-        &'a self,
-        query: &'a Binary,
-        target: &'a Binary,
-        cache: &EmbeddingCache,
-    ) -> Box<dyn engine::RowScore + 'a> {
-        self.row_scorer_keyed(
-            query,
-            target,
-            cache,
-            query.fingerprint(),
-            target.fingerprint(),
-        )
+        SimilarityMatrix::from_scorer(&*self.row_scorer(query, target, cache))
     }
 }
 

@@ -1,15 +1,19 @@
 //! Evaluation metrics — the paper's §4.2 protocol.
 //!
-//! Every metric runs on the batched similarity engine
-//! ([`crate::engine`]): the similarity matrix for a binary pair is
-//! computed **once** (with cached, pre-normalized embeddings) and all
-//! rank queries are answered against it. The seed implementation
-//! rebuilt the full matrix per call — `escape@k` even rebuilt it per
-//! vulnerable query function — which made the §4.2 inner loop
-//! quadratic in redundant work.
+//! Every metric is a client of the tool's scorer
+//! ([`Differ::row_scorer`], the single definition of its scores).
+//! `Precision@1` reads every cell, so it takes the pair's matrix from
+//! [`EmbeddingCache::matrix_for`] (built once per pair, shared with
+//! `binary_similarity`). Rank metrics go through the one driver,
+//! [`par_stream_ranks`]: a resident matrix when some earlier metric
+//! paid for one, the scorer's rows otherwise — never a `Q×T`
+//! allocation of their own. The seed implementation rebuilt the full
+//! matrix per call — `escape@k` even rebuilt it per vulnerable query
+//! function — which made the §4.2 inner loop quadratic in redundant
+//! work.
 
-use crate::engine::{par_stream_ranks, stream_rank_of_first_match, EmbeddingCache};
-use crate::{Differ, SimilarityMatrix};
+use crate::engine::{par_stream_ranks, EmbeddingCache, RowScore};
+use crate::Differ;
 use khaos_binary::{BinProvenance, Binary};
 
 /// Indices of the query binary's `vulnerable`-annotated functions —
@@ -66,91 +70,11 @@ pub fn precision_at_1_with(
     hits as f64 / baseline.functions.len() as f64
 }
 
-/// 1-based rank of the first true match for query `qi` in `matrix`'s
-/// candidate ranking (descending similarity, ties by lower index), or
-/// `None` when no candidate matches at all.
-pub fn rank_of_true_match_in(
-    matrix: &SimilarityMatrix,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-) -> Option<usize> {
-    let qprov = &baseline.functions[qi].provenance;
-    matrix.rank_of_first_match(qi, |j| origins_match(qprov, &obf.functions[j].provenance))
-}
-
-/// 1-based rank of the first true match for query function `qi` in the
-/// candidate ranking, or `None` when no candidate matches at all.
-///
-/// Convenience wrapper that builds (or fetches from cache) the matrix
-/// for one query; rank many queries via [`rank_of_true_match_in`] on a
-/// shared [`SimilarityMatrix`] instead, or via
-/// [`rank_of_true_match_streaming`] when no matrix should be built at
-/// all.
-pub fn rank_of_true_match(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-) -> Option<usize> {
-    let matrix = EmbeddingCache::global().matrix_for(tool, baseline, obf);
-    rank_of_true_match_in(&matrix, baseline, obf, qi)
-}
-
-/// [`rank_of_true_match`] on the streaming path: scores query `qi`
-/// against the candidates row-wise off cached embeddings and ranks in
-/// that single `O(T)` row — the full `Q×T` [`SimilarityMatrix`] is
-/// never allocated. Equivalent to the matrix path (pinned by
-/// `tests/batched_engine.rs`).
-pub fn rank_of_true_match_streaming(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-    cache: &EmbeddingCache,
-) -> Option<usize> {
-    let scorer = tool.row_scorer(baseline, obf, cache);
-    let qprov = &baseline.functions[qi].provenance;
-    let mut scratch = Vec::new();
-    stream_rank_of_first_match(scorer.as_ref(), qi, &mut scratch, |j| {
-        origins_match(qprov, &obf.functions[j].provenance)
-    })
-}
-
-/// [`rank_of_true_match_streaming`] for many query functions at once,
-/// parallelized across query rows (each row is an independent `O(T)`
-/// scan — the embarrassingly parallel axis of the §4.2 protocol).
-/// Returns one rank per entry of `queries`, in input order,
-/// bit-identical to per-query sequential calls at any `KHAOS_THREADS`
-/// (pinned by `tests/batched_engine.rs`). Memory stays
-/// `O(threads × T)`: each worker reuses one scratch row.
-pub fn ranks_of_true_match_streaming(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    queries: &[usize],
-    cache: &EmbeddingCache,
-) -> Vec<Option<usize>> {
-    let scorer = tool.row_scorer(baseline, obf, cache);
-    par_stream_ranks(scorer.as_ref(), queries, |qi, j| {
-        origins_match(
-            &baseline.functions[qi].provenance,
-            &obf.functions[j].provenance,
-        )
-    })
-}
-
-/// `escape@k` over the vulnerable functions of the baseline binary: the
-/// fraction whose true match ranks *worse* than `k` (higher = better
-/// hiding). Functions are "vulnerable" when annotated as such.
-pub fn escape_at_k(tool: &dyn Differ, baseline: &Binary, obf: &Binary, k: usize) -> f64 {
-    escape_profile(tool, baseline, obf, &[k])[0]
-}
-
-/// `escape@k` at several `k` thresholds from **one** similarity matrix
-/// and one rank pass per vulnerable query — the batched form of
-/// [`escape_at_k`] (the seed implementation rebuilt the full matrix for
-/// every vulnerable query of every threshold).
+/// `escape@k` at each threshold of `ks` over the vulnerable functions
+/// of the baseline binary: the fraction whose true match ranks *worse*
+/// than `k` (higher = better hiding), all thresholds from one rank pass.
+/// Functions are "vulnerable" when annotated as such; without any, every
+/// threshold reads 0.
 pub fn escape_profile(
     tool: &dyn Differ,
     baseline: &Binary,
@@ -163,14 +87,13 @@ pub fn escape_profile(
 /// [`escape_profile`] against an explicit embedding cache.
 ///
 /// Rank-only: when the pair's similarity matrix is already resident
-/// (some earlier metric paid for it), ranks are answered from it; when
-/// it is not, the ranks stream off the tool's [`crate::RowScore`] —
-/// one `O(T)` row per vulnerable query, cached embeddings, and **no
-/// `Q×T` matrix allocation ever** (on large binaries with few
-/// vulnerable functions this is also far less dot-product work than a
-/// matrix build). The streaming rank pass runs **in parallel across
-/// vulnerable query rows** ([`par_stream_ranks`]), bit-identical to the
-/// sequential scan at any `KHAOS_THREADS`.
+/// (some earlier metric paid for it), ranks are read from it; when it
+/// is not, they stream off the tool's [`crate::RowScore`] — one `O(T)`
+/// row per vulnerable query, cached embeddings, and **no `Q×T` matrix
+/// allocation ever** (on large binaries with few vulnerable functions
+/// this is also far less scoring work than a matrix build). Either way
+/// the rows rank **in parallel** through [`par_stream_ranks`],
+/// bit-identical to the sequential scan at any `KHAOS_THREADS`.
 pub fn escape_profile_with(
     tool: &dyn Differ,
     baseline: &Binary,
@@ -182,34 +105,21 @@ pub fn escape_profile_with(
     if vulnerable.is_empty() {
         return vec![0.0; ks.len()];
     }
-    let qfp = baseline.fingerprint();
-    let tfp = obf.fingerprint();
-    let ranks: Vec<Option<usize>> = match cache.peek_matrix(tool, qfp, tfp) {
-        Some(matrix) => vulnerable
-            .iter()
-            .map(|&qi| rank_of_true_match_in(&matrix, baseline, obf, qi))
-            .collect(),
+    let ranks = match cache.peek_matrix(tool, baseline, obf) {
+        Some(matrix) => true_match_ranks(matrix.as_ref(), baseline, obf, &vulnerable),
         None => {
-            let scorer = tool.row_scorer_keyed(baseline, obf, cache, qfp, tfp);
-            par_stream_ranks(scorer.as_ref(), &vulnerable, |qi, j| {
-                origins_match(
-                    &baseline.functions[qi].provenance,
-                    &obf.functions[j].provenance,
-                )
-            })
+            let scorer = tool.row_scorer(baseline, obf, cache);
+            true_match_ranks(scorer.as_ref(), baseline, obf, &vulnerable)
         }
     };
     escape_from_ranks(&ranks, ks)
 }
 
-/// [`escape_profile`] forced onto the streaming path: never touches a
+/// [`escape_profile`] forced onto the tool's scorer: never touches a
 /// cached matrix, never builds one. The memory guarantee is
 /// unconditional (`O(threads × T)` scratch regardless of how many
 /// thresholds or queries), at the cost of re-scoring even when a matrix
-/// is resident. Vulnerable query rows rank **in parallel**
-/// ([`par_stream_ranks`]; each worker reuses one scratch row),
-/// bit-identical to the sequential scan at any `KHAOS_THREADS` (pinned
-/// by `tests/batched_engine.rs`).
+/// is resident.
 pub fn escape_profile_streaming(
     tool: &dyn Differ,
     baseline: &Binary,
@@ -221,8 +131,27 @@ pub fn escape_profile_streaming(
     if vulnerable.is_empty() {
         return vec![0.0; ks.len()];
     }
-    let ranks = ranks_of_true_match_streaming(tool, baseline, obf, &vulnerable, cache);
-    escape_from_ranks(&ranks, ks)
+    let scorer = tool.row_scorer(baseline, obf, cache);
+    escape_from_ranks(
+        &true_match_ranks(scorer.as_ref(), baseline, obf, &vulnerable),
+        ks,
+    )
+}
+
+/// 1-based rank of each query's first true match in `scorer`'s rows
+/// (`None` when no candidate matches at all).
+fn true_match_ranks(
+    scorer: &dyn RowScore,
+    baseline: &Binary,
+    obf: &Binary,
+    queries: &[usize],
+) -> Vec<Option<usize>> {
+    par_stream_ranks(scorer, queries, |qi, j| {
+        origins_match(
+            &baseline.functions[qi].provenance,
+            &obf.functions[j].provenance,
+        )
+    })
 }
 
 /// Escape fractions at each threshold from per-query ranks (`None` =
@@ -288,9 +217,11 @@ mod tests {
     fn rank_of_true_match_is_one_on_identity() {
         let b = small_binary("m");
         let tool = Asm2Vec::default();
-        for qi in 0..b.functions.len() {
-            assert_eq!(rank_of_true_match(&tool, &b, &b, qi), Some(1));
-        }
+        let queries: Vec<usize> = (0..b.functions.len()).collect();
+        let cache = EmbeddingCache::new(4);
+        let scorer = tool.row_scorer(&b, &b, &cache);
+        let ranks = true_match_ranks(scorer.as_ref(), &b, &b, &queries);
+        assert_eq!(ranks, vec![Some(1); queries.len()]);
     }
 
     #[test]
@@ -298,14 +229,14 @@ mod tests {
         let b = small_binary("m");
         let tool = Asm2Vec::default();
         // No annotations: degenerate 0.0.
-        assert_eq!(escape_at_k(&tool, &b, &b, 1), 0.0);
+        assert_eq!(escape_profile(&tool, &b, &b, &[1]), vec![0.0]);
         // Mark alpha vulnerable: identity diff ranks it first => no escape.
         let mut marked = b.clone();
         marked.functions[0]
             .provenance
             .annotations
             .push("vulnerable".into());
-        assert_eq!(escape_at_k(&tool, &marked, &b, 1), 0.0);
+        assert_eq!(escape_profile(&tool, &marked, &b, &[1]), vec![0.0]);
     }
 
     #[test]
@@ -322,6 +253,6 @@ mod tests {
             f.provenance.origins = vec!["unrelated".into()];
         }
         let tool = Asm2Vec::default();
-        assert_eq!(escape_at_k(&tool, &marked, &hidden, 50), 1.0);
+        assert_eq!(escape_profile(&tool, &marked, &hidden, &[50]), vec![1.0]);
     }
 }

@@ -9,15 +9,13 @@
 //! functions per GB" layout).
 //!
 //! The quantized tier is a *candidate generator*, never a scorer of
-//! record: [`stream_top_k_quantized`] scans approximate dots over the
-//! i8 codes (via the dispatched [`crate::kernels::dot_i8`]) to
-//! shortlist `max(c·k, QUANT_SHORTLIST_MIN)` candidates, then
-//! re-ranks the shortlist with the
-//! exact f64 scorer and the pinned `(score desc, index asc)` order.
-//! Whenever the shortlist contains the true top-k (the recall gates
-//! pin `recall@{1,10,50} = 1.0` on the fig10 workload), the ranked
-//! output is **bit-identical** to the exact streaming path — same
-//! scores, same tie-breaks, same bits.
+//! record: the `khaos-index` IVF index scans approximate dots over the
+//! i8 codes (via the dispatched [`crate::kernels::dot_i8`],
+//! [`QuantizedEmbeddings::approx_scan_block`]) to shortlist candidates,
+//! then re-ranks the shortlist with exact f64 scores under the pinned
+//! `(score desc, index asc)` order, so its ranked output is
+//! bit-identical to the exact scan whenever the shortlist covers the
+//! true top-k.
 //!
 //! Quantization is deterministic (round-to-nearest on finite inputs,
 //! exact for constant rows) and the i8 dot is integer-exact, so the
@@ -25,20 +23,8 @@
 //! choices, thread counts and cache tiers — the same invariant the
 //! f64 path keeps.
 
-use crate::engine::{cmp_scores_desc, FunctionEmbeddings, RowScore, StreamingTopK};
+use crate::engine::FunctionEmbeddings;
 use crate::kernels;
-
-/// Default shortlist factor `c`: [`stream_top_k_quantized`] scans for
-/// `c·k` candidates before the exact re-rank.
-pub const QUANT_SHORTLIST_FACTOR: usize = 4;
-
-/// Shortlist floor: the shortlist never holds fewer than this many
-/// candidates (capped at the column count). At small `k` the `c·k`
-/// budget is tighter than the quantization error — on the
-/// 200-function bench pair a 4-candidate shortlist at `k = 1` loses
-/// the true top-1 behind near-ties — so small queries widen to the
-/// floor while large `k` keeps the linear `c·k` budget.
-pub const QUANT_SHORTLIST_MIN: usize = 32;
 
 /// Per-function embeddings quantized to one i8 code per dimension
 /// with a per-row affine `(scale, offset)` pair.
@@ -291,58 +277,9 @@ impl QuantizedEmbeddings {
     }
 }
 
-/// Ranked top-`k` for query row `qi`: shortlist
-/// `max(factor·k, QUANT_SHORTLIST_MIN)` candidates by quantized
-/// approximate score, then score **only the shortlist** with the
-/// exact f64 scorer and re-rank under the pinned
-/// `(score desc, index asc)` order.
-///
-/// `clamp` must mirror the exact scorer's clamp-at-zero so approximate
-/// and exact scores tie the same way (a clamped exact path breaks
-/// zero-score ties by index; the approximate scan must shortlist those
-/// same lowest indices, not the "least negative" raw dots).
-///
-/// Whenever the shortlist covers the true top-k — guaranteed when
-/// `factor·k ≥ cols`, and pinned at recall 1.0 on the fig10 workload —
-/// the result is bit-identical to [`crate::engine::stream_top_k`].
-pub fn stream_top_k_quantized(
-    qq: &QuantizedEmbeddings,
-    tq: &QuantizedEmbeddings,
-    exact: &dyn RowScore,
-    qi: usize,
-    k: usize,
-    factor: usize,
-    clamp: bool,
-) -> Vec<(usize, f64)> {
-    assert_eq!(exact.rows(), qq.len(), "query shape mismatch");
-    assert_eq!(exact.cols(), tq.len(), "target shape mismatch");
-    let cols = tq.len();
-    if k == 0 || cols == 0 {
-        return Vec::new();
-    }
-    let cap = k
-        .saturating_mul(factor.max(1))
-        .max(QUANT_SHORTLIST_MIN)
-        .min(cols);
-    let mut shortlist = StreamingTopK::new(cap);
-    qq.approx_scan(qi, tq, |j, s| {
-        shortlist.offer(j, if clamp { s.max(0.0) } else { s });
-    });
-    let mut out: Vec<(usize, f64)> = shortlist
-        .into_ranked()
-        .into_iter()
-        .map(|(j, _)| (j, exact.score(qi, j)))
-        .collect();
-    out.sort_unstable_by(|x, y| cmp_scores_desc(x.1, y.1).then(x.0.cmp(&y.0)));
-    out.truncate(k);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{stream_top_k, EmbedScorer};
-    use std::sync::Arc;
 
     fn rand_rows(seed: u64, n: usize, dim: usize) -> Vec<Vec<f64>> {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -408,59 +345,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn full_shortlist_reproduces_exact_stream_bitwise() {
-        let qe = Arc::new(FunctionEmbeddings::from_rows(rand_rows(31, 9, 64)));
-        let te = Arc::new(FunctionEmbeddings::from_rows(rand_rows(32, 23, 64)));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        for qi in 0..qe.len() {
-            for k in [1usize, 3, 23, 100] {
-                // factor·k ≥ cols ⇒ the shortlist is the whole row and
-                // bit-identity is unconditional.
-                let got = stream_top_k_quantized(&qq, &tq, &scorer, qi, k, 30, true);
-                let want = stream_top_k(&scorer, qi, k);
-                assert_eq!(got.len(), want.len(), "qi={qi} k={k}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0, "qi={qi} k={k}: index order");
-                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "qi={qi} k={k}: score bits");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ties_and_degenerate_shapes_match_exact_path() {
-        // Identical rows everywhere: every score ties, so ranking is
-        // pure index tie-breaking — the hardest case for a shortlist.
-        let row = vec![1.0; 32];
-        let qe = Arc::new(FunctionEmbeddings::from_rows(vec![row.clone(); 2]));
-        let te = Arc::new(FunctionEmbeddings::from_rows(vec![row; 7]));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        for k in [1usize, 5, 7, 50] {
-            let got = stream_top_k_quantized(&qq, &tq, &scorer, 0, k, 1, true);
-            let want = stream_top_k(&scorer, 0, k);
-            assert_eq!(got, want, "k={k}: tied scores break by lowest index");
-        }
-        // Single-function target and k > T.
-        let te1 = Arc::new(FunctionEmbeddings::from_rows(rand_rows(77, 1, 32)));
-        let tq1 = QuantizedEmbeddings::from_embeddings(&te1);
-        let s1 = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te1), true);
-        assert_eq!(
-            stream_top_k_quantized(&qq, &tq1, &s1, 1, 50, 4, true),
-            stream_top_k(&s1, 1, 50)
-        );
-        // k = 0 and empty target are empty.
-        assert!(stream_top_k_quantized(&qq, &tq, &scorer, 0, 0, 4, true).is_empty());
-        let te0 = Arc::new(FunctionEmbeddings::from_rows(vec![]));
-        let tq0 = QuantizedEmbeddings::from_embeddings(&te0);
-        let s0 = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te0), true);
-        assert!(stream_top_k_quantized(&qq, &tq0, &s0, 0, 5, 4, true).is_empty());
     }
 
     #[test]

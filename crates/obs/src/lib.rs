@@ -18,9 +18,8 @@
 //!   selects an end-of-run dump target (see
 //!   [`metrics::maybe_dump`]).
 //! * [`trace`] — a span-based tracer: scoped RAII [`trace::SpanGuard`]s
-//!   form a per-thread parent/child tree (cross-thread edges are
-//!   linked explicitly with [`trace::span_child_of`]), stamped with
-//!   `khaos-par` worker lane ids, and exported as Chrome
+//!   form a per-thread parent/child tree, stamped with `khaos-par`
+//!   worker lane ids, and exported as Chrome
 //!   trace-event JSONL when `KHAOS_TRACE=path` is set. When unset the
 //!   whole tracer collapses to a single relaxed atomic load per
 //!   span — the disabled path's overhead is bench-gated (see the
@@ -70,4 +69,4 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry};
 pub use timer::Stopwatch;
-pub use trace::{span, span_child_of, span_with, SpanGuard};
+pub use trace::{span, span_with, SpanGuard};

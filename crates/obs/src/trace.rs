@@ -3,10 +3,10 @@
 //! A [`SpanGuard`] is a scoped RAII span: creation records the start,
 //! drop records the end and appends one complete (`"ph":"X"`) Chrome
 //! trace event to the sink as a single JSON line. Spans form a
-//! parent/child tree: within a thread, nesting follows a thread-local
-//! stack; across threads the parent is linked explicitly with
-//! [`span_child_of`] using the parent guard's [`SpanGuard::id`].
-//! Timeline lanes (`tid`) are `khaos-par` worker lane ids (`1 + lane`)
+//! parent/child tree that follows a thread-local stack: a span's
+//! parent is the innermost span open on its own thread, and a span
+//! opened on a `khaos-par` worker with nothing open there is a root of
+//! its own. Timeline lanes (`tid`) are `khaos-par` worker lane ids (`1 + lane`)
 //! on pool threads and stable per-thread ids (`>= 1000`) elsewhere.
 //!
 //! ## Enabling
@@ -151,7 +151,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { data: None };
     }
-    enter(Cow::Borrowed(name), None)
+    enter(Cow::Borrowed(name))
 }
 
 /// [`span`] with a lazily built name: `make` runs only when tracing
@@ -162,25 +162,12 @@ pub fn span_with(make: impl FnOnce() -> String) -> SpanGuard {
     if !enabled() {
         return SpanGuard { data: None };
     }
-    enter(Cow::Owned(make()), None)
+    enter(Cow::Owned(make()))
 }
 
-/// [`span`] with an explicit parent span id — the cross-thread edge
-/// (pass the parent guard's [`SpanGuard::id`] through the work item).
-/// With `parent = None` this is exactly [`span`].
-#[inline]
-pub fn span_child_of(name: &'static str, parent: Option<u64>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { data: None };
-    }
-    enter(Cow::Borrowed(name), parent)
-}
-
-fn enter(name: Cow<'static, str>, explicit_parent: Option<u64>) -> SpanGuard {
+fn enter(name: Cow<'static, str>) -> SpanGuard {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = explicit_parent
-        .or_else(|| STACK.with(|s| s.borrow().last().copied()))
-        .unwrap_or(0);
+    let parent = STACK.with(|s| s.borrow().last().copied()).unwrap_or(0);
     STACK.with(|s| s.borrow_mut().push(id));
     let start_ns = u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX);
     SpanGuard {
@@ -204,15 +191,6 @@ struct SpanData {
 /// event. Inert (a `None` payload) when tracing is disabled.
 pub struct SpanGuard {
     data: Option<SpanData>,
-}
-
-impl SpanGuard {
-    /// The span's process-unique id, for explicit cross-thread
-    /// parent links ([`span_child_of`]); `None` when tracing is
-    /// disabled.
-    pub fn id(&self) -> Option<u64> {
-        self.data.as_ref().map(|d| d.id)
-    }
 }
 
 impl Drop for SpanGuard {
@@ -282,7 +260,7 @@ mod tests {
         let was = enabled();
         set_enabled(false);
         let s = span("inert");
-        assert_eq!(s.id(), None);
+        assert!(s.data.is_none());
         drop(s);
         set_enabled(was);
     }
@@ -297,22 +275,18 @@ mod tests {
         install(&path).expect("install trace sink");
 
         let root = span("root");
-        let root_id = root.id().expect("enabled span has an id");
         {
-            let child = span_with(|| format!("child-{}", 1));
-            assert_ne!(child.id(), Some(root_id));
-            let _grand = span_child_of("grand", child.id());
+            let _child = span_with(|| format!("child-{}", 1));
         }
         drop(root);
         set_enabled(was);
 
         let text = std::fs::read_to_string(&path).expect("trace file");
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "three spans → three events:\n{text}");
-        // Events are written at close: grand, child-1, root.
-        assert!(lines[0].contains("\"name\":\"grand\""));
-        assert!(lines[1].contains("\"name\":\"child-1\""));
-        assert!(lines[2].contains("\"name\":\"root\""));
+        assert_eq!(lines.len(), 2, "two spans → two events:\n{text}");
+        // Events are written at close: child-1, root.
+        assert!(lines[0].contains("\"name\":\"child-1\""));
+        assert!(lines[1].contains("\"name\":\"root\""));
         // Every line is a complete X event with our schema fields.
         for line in &lines {
             for needle in [
@@ -325,13 +299,18 @@ mod tests {
                 assert!(line.contains(needle), "`{needle}` missing in {line}");
             }
         }
-        // child-1's parent is root (thread-local stack), grand's is
-        // child-1 (explicit).
-        let child_line = lines[1];
+        // child-1's parent is root (thread-local stack); root has none.
+        let root_id = lines[1]
+            .split("\"id\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .expect("root id");
         assert!(
-            child_line.contains(&format!("\"parent\":{root_id}")),
-            "{child_line}"
+            lines[0].contains(&format!("\"parent\":{root_id}")),
+            "{}",
+            lines[0]
         );
+        assert!(lines[1].contains("\"parent\":0"), "{}", lines[1]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -102,7 +102,6 @@ fn snapshot_is_exact_after_concurrent_writers() {
 /// One parsed trace event (just the fields the tree checks need).
 #[derive(Debug)]
 struct Ev {
-    name: String,
     id: u64,
     parent: u64,
     ts: f64,
@@ -138,10 +137,7 @@ fn parse_events(text: &str) -> Vec<Ev> {
                 line.contains("\"ph\":\"X\""),
                 "not a complete event: {line}"
             );
-            let name_at = line.find("\"name\":\"").expect("name") + 8;
-            let name_end = line[name_at..].find('"').expect("name close") + name_at;
             Ev {
-                name: line[name_at..name_end].to_string(),
                 id: field_u64(line, "id"),
                 parent: field_u64(line, "parent"),
                 ts: field_f64(line, "ts"),
@@ -186,8 +182,8 @@ proptest! {
 
     /// Fuzzed nesting programs always export a well-formed span tree:
     /// unique non-zero ids, every parent resolves, child intervals
-    /// nest inside their parents. Programs mix plain nesting, lazily
-    /// named spans, and explicit `span_child_of` edges.
+    /// nest inside their parents. Programs mix plain nesting and lazily
+    /// named spans.
     #[test]
     fn fuzzed_span_programs_export_well_formed_trees(seed in any::<u64>(), steps in 1u64..60) {
         let _g = TRACE_LOCK.lock().unwrap();
@@ -203,19 +199,10 @@ proptest! {
         let mut created = 0u64;
         for i in 0..steps {
             let r = mix(seed, i);
-            match r % 4 {
-                // Push: three flavors of span creation.
+            match r % 3 {
+                // Push: two flavors of span creation.
                 0 => open.push(khaos_obs::span("fixed")),
                 1 => open.push(khaos_obs::span_with(|| format!("dyn-{i}"))),
-                2 => {
-                    // Explicit parent: any currently open span.
-                    let parent = if open.is_empty() {
-                        None
-                    } else {
-                        open[(r / 7) as usize % open.len()].id()
-                    };
-                    open.push(khaos_obs::span_child_of("linked", parent));
-                }
                 // Pop innermost (LIFO — the natural scoping).
                 _ => {
                     open.pop();
@@ -234,35 +221,4 @@ proptest! {
         assert_well_formed(&events);
         let _ = std::fs::remove_file(&path);
     }
-}
-
-/// Spans created on `khaos-par` workers link to a parent on the
-/// spawning thread via explicit ids, land on worker timeline lanes,
-/// and still form a contained tree.
-#[test]
-fn worker_spans_parent_across_threads() {
-    let _g = TRACE_LOCK.lock().unwrap();
-    let was = trace::enabled();
-    let path = std::env::temp_dir().join(format!("khaos-obs-workers-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    trace::install(&path).expect("install trace sink");
-
-    let root = khaos_obs::span("batch");
-    let parent = root.id();
-    khaos_par::par_map(64, |i| {
-        let _s = khaos_obs::span_child_of("item", parent);
-        std::hint::black_box(i * 2)
-    });
-    drop(root);
-    trace::set_enabled(was);
-
-    let text = std::fs::read_to_string(&path).expect("trace file");
-    let events = parse_events(&text);
-    assert_eq!(events.len(), 65, "64 items + 1 root:\n{text}");
-    assert_well_formed(&events);
-    let root_ev = events.iter().find(|e| e.name == "batch").expect("root");
-    for e in events.iter().filter(|e| e.name == "item") {
-        assert_eq!(e.parent, root_ev.id, "explicit cross-thread edge");
-    }
-    let _ = std::fs::remove_file(&path);
 }

@@ -4,11 +4,11 @@
 //! path to 1e-12 for every differ, and the metric wrappers must agree
 //! with their from-scratch definitions.
 
+use khaos::diff::engine::rank_of_first_match_in_row;
 use khaos::diff::{
-    binary_similarity, dot_blocked, escape_at_k, escape_profile, escape_profile_streaming,
-    escape_profile_with, origins_match, precision_at_1, rank_of_true_match,
-    rank_of_true_match_streaming, ranks_of_true_match_streaming, Asm2Vec, BinDiff, DataFlowDiff,
-    Differ, EmbeddingCache, Safe, StreamingTopK, VulSeeker,
+    binary_similarity, dot_blocked, escape_profile, escape_profile_streaming, escape_profile_with,
+    origins_match, par_stream_ranks, precision_at_1, Asm2Vec, BinDiff, DataFlowDiff, Differ,
+    EmbeddingCache, RowScore, Safe, SimilarityMatrix, StreamingTopK, VulSeeker,
 };
 use khaos::obfuscate::{KhaosContext, KhaosMode};
 use khaos::opt::{optimize, OptOptions};
@@ -31,6 +31,31 @@ fn obfuscated_pair(seed: u64, mode: KhaosMode) -> (Binary, Binary) {
     mode.apply(&mut obf, &mut ctx).expect("obfuscation");
     optimize(&mut obf, &OptOptions::baseline());
     (lower_module(&base), lower_module(&obf))
+}
+
+/// 1-based rank of each query's first true match in `scorer`'s rows,
+/// through the one rank driver every escape metric runs on.
+fn true_match_ranks(
+    scorer: &dyn RowScore,
+    base: &Binary,
+    obf: &Binary,
+    queries: &[usize],
+) -> Vec<Option<usize>> {
+    par_stream_ranks(scorer, queries, |qi, j| {
+        origins_match(&base.functions[qi].provenance, &obf.functions[j].provenance)
+    })
+}
+
+/// The seed's ranked order over one finite row — a full sort,
+/// descending score, ties by lower index — cut to `k`.
+fn sorted_top_k(row: &[f64], k: usize) -> Vec<(usize, f64)> {
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap().then(a.cmp(&b)));
+    order.into_iter().take(k).map(|j| (j, row[j])).collect()
+}
+
+fn matrix_bits(m: &SimilarityMatrix) -> Vec<u64> {
+    m.as_flat().iter().map(|x| x.to_bits()).collect()
 }
 
 fn five_tools() -> Vec<Box<dyn Differ>> {
@@ -95,6 +120,7 @@ fn cached_and_uncached_batched_matrices_agree() {
 // The frozen seed semantics live in `khaos_diff::reference`, shared
 // with `benches/bench_similarity.rs` so the equivalence suite and the
 // speedup bench pin the same reference.
+use khaos::diff::reference::reference_escape_at_k as seed_escape;
 use khaos::diff::reference::reference_rank_of_true_match as seed_rank;
 
 #[test]
@@ -103,49 +129,54 @@ fn metric_wrappers_match_seed_semantics() {
     for f in base_bin.functions.iter_mut().step_by(3) {
         f.provenance.annotations.push("vulnerable".into());
     }
+    let all: Vec<usize> = (0..base_bin.functions.len()).collect();
+    let ks = [1usize, 5, 10, 50];
     for tool in five_tools() {
-        // Ranks for every query function.
-        for qi in 0..base_bin.functions.len() {
-            assert_eq!(
-                rank_of_true_match(tool.as_ref(), &base_bin, &obf_bin, qi),
-                seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi),
-                "{} rank qi={qi}",
-                tool.name()
-            );
-        }
-        // escape@k from the single-matrix path vs the per-query seed
-        // definition, across thresholds.
-        let vulnerable: Vec<usize> = base_bin
-            .functions
+        let cache = EmbeddingCache::new(16);
+        // Ranks for every query function, through the tool's scorer and
+        // through its materialized matrix.
+        let want: Vec<Option<usize>> = all
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.provenance.annotations.iter().any(|a| a == "vulnerable"))
-            .map(|(i, _)| i)
+            .map(|&qi| seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi))
             .collect();
-        assert!(!vulnerable.is_empty());
-        let ks = [1usize, 5, 10, 50];
-        let profile = escape_profile(tool.as_ref(), &base_bin, &obf_bin, &ks);
-        for (k, got) in ks.iter().zip(&profile) {
-            let escaped = vulnerable
-                .iter()
-                .filter(
-                    |&&qi| match seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi) {
-                        Some(r) => r > *k,
-                        None => true,
-                    },
-                )
-                .count();
-            let want = escaped as f64 / vulnerable.len() as f64;
-            assert!(
-                (got - want).abs() <= 1e-12,
-                "{} escape@{k}: {got} vs {want}",
-                tool.name()
-            );
-            assert!(
-                (escape_at_k(tool.as_ref(), &base_bin, &obf_bin, *k) - want).abs() <= 1e-12,
-                "{} escape_at_k@{k}",
-                tool.name()
-            );
+        let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
+        assert_eq!(
+            true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &all),
+            want,
+            "{} scorer ranks",
+            tool.name()
+        );
+        // escape@k from every entry point vs the per-query seed
+        // definition, across thresholds: streamed on an unseen pair,
+        // forced streaming, and ranked in a resident matrix.
+        let want: Vec<f64> = ks
+            .iter()
+            .map(|&k| seed_escape(tool.as_ref(), &base_bin, &obf_bin, k))
+            .collect();
+        let streamed = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        let forced = escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        let matrix = cache.matrix_for(tool.as_ref(), &base_bin, &obf_bin);
+        assert_eq!(
+            true_match_ranks(matrix.as_ref(), &base_bin, &obf_bin, &all),
+            true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &all),
+            "{} matrix ranks",
+            tool.name()
+        );
+        let resident = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        let global = escape_profile(tool.as_ref(), &base_bin, &obf_bin, &ks);
+        for (what, profile) in [
+            ("streamed", streamed),
+            ("forced streaming", forced),
+            ("resident matrix", resident),
+            ("global cache", global),
+        ] {
+            for ((k, got), want) in ks.iter().zip(&profile).zip(&want) {
+                assert!(
+                    (got - want).abs() <= 1e-12,
+                    "{} {what} escape@{k}: {got} vs {want}",
+                    tool.name()
+                );
+            }
         }
         // Precision@1 against a hand argmax over the legacy matrix.
         let legacy = tool.similarity_matrix(&base_bin, &obf_bin);
@@ -189,7 +220,6 @@ fn binary_similarity_is_stable_across_repeat_calls() {
 // ---------------------------------------------------------------------
 
 use khaos::diff::engine::{dot_scalar, stream_top_k};
-use khaos::diff::reference::reference_escape_at_k as seed_escape;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random f64 in [-1, 1) from a seed-indexed
@@ -245,8 +275,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Streaming rank/top-k over random embedding sets agree with the
-    /// materialized `SimilarityMatrix` built from the same rows.
+    /// The scorer's cells and rows, and top-k over it, agree with the
+    /// `SimilarityMatrix` built from the same rows and with a full
+    /// sort of each matrix row.
     #[test]
     fn streaming_agrees_with_matrix_on_random_embeddings(
         seed in any::<u64>(),
@@ -254,8 +285,7 @@ proptest! {
         t in 1usize..24,
         dim in 1usize..40,
     ) {
-        use khaos::diff::engine::{EmbedScorer, FunctionEmbeddings, RowScore};
-        use khaos::diff::SimilarityMatrix;
+        use khaos::diff::engine::{EmbedScorer, FunctionEmbeddings};
         use std::sync::Arc;
         let qe = Arc::new(FunctionEmbeddings::from_rows(
             (0..q).map(|i| rand_vec(seed ^ (i as u64) << 8, dim)).collect(),
@@ -265,13 +295,17 @@ proptest! {
         ));
         let matrix = SimilarityMatrix::from_embeddings(&qe, &te);
         let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
+        let mut row = vec![0.0; t];
         for qi in 0..q {
-            for j in 0..t {
-                prop_assert_eq!(scorer.score(qi, j), matrix.get(qi, j));
+            scorer.fill_row(qi, &mut row);
+            for (j, cell) in row.iter().enumerate() {
+                prop_assert_eq!(scorer.score(qi, j).to_bits(), matrix.get(qi, j).to_bits());
+                prop_assert_eq!(cell.to_bits(), matrix.get(qi, j).to_bits());
             }
             let k = 1 + (seed as usize % t);
             let got = stream_top_k(&scorer, qi, k);
-            prop_assert_eq!(got, matrix.top_k(qi, k));
+            prop_assert_eq!(&got, &stream_top_k(&matrix, qi, k));
+            prop_assert_eq!(got, sorted_top_k(matrix.row(qi), k));
         }
     }
 }
@@ -296,25 +330,27 @@ fn streaming_metrics_match_seed_semantics_for_all_tools() {
             );
         }
         // Streaming ranks against the seed full-sort ranks.
-        for qi in 0..base_bin.functions.len() {
-            assert_eq!(
-                rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, qi, &cache),
-                seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi),
-                "{} rank qi={qi}",
-                tool.name()
-            );
-        }
-        // Streaming top-k against the matrix's partial selection,
-        // including the k > T overhang.
+        let all: Vec<usize> = (0..base_bin.functions.len()).collect();
         let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
+        let want: Vec<Option<usize>> = all
+            .iter()
+            .map(|&qi| seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi))
+            .collect();
+        assert_eq!(
+            true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &all),
+            want,
+            "{} ranks",
+            tool.name()
+        );
+        // Streaming top-k against a full sort of the matrix row,
+        // including the k > T overhang.
         let matrix = tool.batched_similarity(&base_bin, &obf_bin, &cache);
         for qi in (0..base_bin.functions.len()).step_by(5) {
             for k in [1, 4, obf_bin.functions.len() + 7] {
-                assert_eq!(
-                    stream_top_k(scorer.as_ref(), qi, k),
-                    matrix.top_k(qi, k),
-                    "{} top_k qi={qi} k={k}",
-                    tool.name()
+                assert_ranked_bits_equal(
+                    &[stream_top_k(scorer.as_ref(), qi, k)],
+                    &[sorted_top_k(matrix.row(qi), k)],
+                    &format!("{} top_k qi={qi} k={k}", tool.name()),
                 );
             }
         }
@@ -332,7 +368,8 @@ fn rank_only_queries_never_build_a_matrix() {
         let cache = EmbeddingCache::new(16);
         let _ = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &[1, 10, 50], &cache);
         let _ = escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &[1, 10], &cache);
-        let _ = rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, 0, &cache);
+        let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
+        let _ = true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &[0]);
         assert_eq!(
             cache.stats().matrix_entries,
             0,
@@ -421,8 +458,13 @@ fn escape_profile_edge_cases() {
     }];
     let cache = EmbeddingCache::new(4);
     assert_eq!(
-        rank_of_true_match_streaming(&tool, &solo, &tied, 0, &cache),
-        Some(3),
+        true_match_ranks(
+            tool.row_scorer(&solo, &tied, &cache).as_ref(),
+            &solo,
+            &tied,
+            &[0]
+        ),
+        vec![Some(3)],
         "two identical decoys at lower indices rank ahead deterministically"
     );
     assert_eq!(
@@ -450,13 +492,12 @@ fn small_solo_binary(name: &str) -> Binary {
 }
 
 // ---------------------------------------------------------------------
-// Parallel streaming rank path: at any KHAOS_THREADS the row-parallel
-// drivers must produce bit-identical ranked output — indices AND score
-// bits — to the sequential scan, for real tool scorers and for
-// synthetic rows engineered with ties and NaNs.
+// Parallel rows: at any KHAOS_THREADS the matrix build (rows filled in
+// parallel from the scorer) and the rank driver must produce
+// bit-identical output — cell bits, ranks, escape bits — to the
+// sequential scan, for real tool scorers and for synthetic rows
+// engineered with ties and NaNs.
 // ---------------------------------------------------------------------
-
-use khaos::diff::{par_stream_ranks, par_stream_top_k_rows, stream_top_k_blocks};
 
 /// Runs `f` under each `KHAOS_THREADS` value and returns the results,
 /// restoring the variable's prior value afterwards (so an outer
@@ -495,9 +536,10 @@ fn assert_ranked_bits_equal(a: &[Vec<(usize, f64)>], b: &[Vec<(usize, f64)>], wh
     }
 }
 
-/// Satellite: parallel-vs-sequential streaming rank equivalence for all
-/// five differs — ranked indices, score bits, per-query ranks and
-/// escape profiles identical under KHAOS_THREADS ∈ {1, 2, 7}.
+/// Parallel-vs-sequential equivalence for all five differs: matrix
+/// cell bits, per-query ranks and escape profiles identical under
+/// KHAOS_THREADS ∈ {1, 7}, and the ranks equal to ranking each scorer
+/// row on its own.
 #[test]
 fn parallel_streaming_matches_sequential_for_all_five_differs() {
     let (mut base_bin, obf_bin) = obfuscated_pair(67, KhaosMode::FuFiAll);
@@ -508,35 +550,41 @@ fn parallel_streaming_matches_sequential_for_all_five_differs() {
     let ks = [1usize, 10, 50];
     for tool in five_tools() {
         let cache = EmbeddingCache::new(16);
-        let runs = at_thread_counts(&["1", "2", "7"], || {
+        let runs = at_thread_counts(&["1", "7"], || {
             let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
             (
-                par_stream_top_k_rows(scorer.as_ref(), &queries, 7),
-                ranks_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, &queries, &cache),
+                matrix_bits(&SimilarityMatrix::from_scorer(scorer.as_ref())),
+                true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &queries),
                 escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache),
             )
         });
-        let (ref_topk, ref_ranks, ref_escape) = &runs[0];
-        // The KHAOS_THREADS=1 leg equals the per-query sequential calls.
+        let (ref_bits, ref_ranks, ref_escape) = &runs[0];
+        // The KHAOS_THREADS=1 leg equals ranking each row on its own.
+        let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
+        let mut row = vec![0.0; scorer.cols()];
         for (qi, want) in ref_ranks.iter().enumerate() {
-            assert_eq!(
-                rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, qi, &cache),
-                *want,
-                "{} qi={qi}: batch ranks must equal per-query calls",
-                tool.name()
-            );
+            scorer.fill_row(qi, &mut row);
+            let got = rank_of_first_match_in_row(&row, |j| {
+                origins_match(
+                    &base_bin.functions[qi].provenance,
+                    &obf_bin.functions[j].provenance,
+                )
+            });
+            assert_eq!(got, *want, "{} qi={qi}", tool.name());
         }
-        for (threads, (topk, ranks, escape)) in ["1", "2", "7"].iter().zip(&runs).skip(1) {
-            assert_ranked_bits_equal(
-                ref_topk,
-                topk,
-                &format!("{} KHAOS_THREADS={threads} top-k", tool.name()),
-            );
-            assert_eq!(ranks, ref_ranks, "{} KHAOS_THREADS={threads}", tool.name());
+        assert_eq!(
+            *ref_bits,
+            matrix_bits(&cache.matrix_for(tool.as_ref(), &base_bin, &obf_bin)),
+            "{}: the scorer's matrix is the cached matrix",
+            tool.name()
+        );
+        for (bits, ranks, escape) in &runs[1..] {
+            assert_eq!(bits, ref_bits, "{} KHAOS_THREADS=7 matrix", tool.name());
+            assert_eq!(ranks, ref_ranks, "{} KHAOS_THREADS=7 ranks", tool.name());
             assert_eq!(
                 escape.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ref_escape.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{} KHAOS_THREADS={threads} escape bits",
+                "{} KHAOS_THREADS=7 escape bits",
                 tool.name()
             );
         }
@@ -566,9 +614,11 @@ impl khaos::diff::RowScore for FlatScorer {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Parallel row/block drivers are bit-identical to the sequential
-    /// scan under KHAOS_THREADS ∈ {1, 2, 7} on synthetic score grids
-    /// with engineered ties (quantization), signed zeros and NaNs.
+    /// The parallel matrix build and rank driver are bit-identical to
+    /// the sequential scan under KHAOS_THREADS ∈ {1, 7} on synthetic
+    /// score grids with engineered ties (quantization), signed zeros
+    /// and NaNs; top-k over the scorer and over its matrix equal
+    /// sequential `StreamingTopK` offers.
     #[test]
     fn parallel_streaming_is_deterministic_on_ties_and_nans(
         seed in any::<u64>(),
@@ -594,32 +644,40 @@ proptest! {
         let scorer = FlatScorer { q, t, data };
         let queries: Vec<usize> = (0..q).collect();
         let is_match = |qi: usize, j: usize| (j + qi).is_multiple_of(3);
-        let runs = at_thread_counts(&["1", "2", "7"], || {
-            let topk = par_stream_top_k_rows(&scorer, &queries, k);
-            let blocked: Vec<_> = (0..q)
-                .map(|qi| stream_top_k_blocks(&scorer, qi, k, 5))
-                .collect();
-            let ranks = par_stream_ranks(&scorer, &queries, is_match);
-            (topk, blocked, ranks)
+        let runs = at_thread_counts(&["1", "7"], || {
+            let matrix = SimilarityMatrix::from_scorer(&scorer);
+            (
+                matrix_bits(&matrix),
+                par_stream_ranks(&scorer, &queries, is_match),
+                par_stream_ranks(&matrix, &queries, is_match),
+            )
         });
-        let (ref_topk, ref_blocked, ref_ranks) = &runs[0];
-        // The sequential reference: StreamingTopK offered row-by-row.
-        // (Compared by bits — `==` would reject NaN ties that are in
-        // fact identical.)
-        let seq: Vec<Vec<(usize, f64)>> = (0..q)
-            .map(|qi| {
-                let mut sel = StreamingTopK::new(k);
-                for j in 0..t {
-                    sel.offer(j, scorer.data[qi * t + j]);
-                }
-                sel.into_ranked()
-            })
+        let (ref_bits, ref_ranks, ref_matrix_ranks) = &runs[0];
+        // The sequential references: the scorer's own cells, each row
+        // ranked on its own.
+        let want_bits: Vec<u64> = scorer.data.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(ref_bits, &want_bits);
+        let seq_ranks: Vec<Option<usize>> = (0..q)
+            .map(|qi| rank_of_first_match_in_row(&scorer.data[qi * t..(qi + 1) * t], |j| is_match(qi, j)))
             .collect();
-        assert_ranked_bits_equal(ref_topk, &seq, "proptest vs sequential");
-        for (topk, blocked, ranks) in &runs[1..] {
-            assert_ranked_bits_equal(ref_topk, topk, "proptest top-k");
-            assert_ranked_bits_equal(ref_blocked, blocked, "proptest blocked top-k");
+        prop_assert_eq!(ref_ranks, &seq_ranks);
+        prop_assert_eq!(ref_matrix_ranks, &seq_ranks);
+        for (bits, ranks, matrix_ranks) in &runs[1..] {
+            prop_assert_eq!(bits, ref_bits);
             prop_assert_eq!(ranks, ref_ranks);
+            prop_assert_eq!(matrix_ranks, ref_ranks);
+        }
+        // Top-k: StreamingTopK offered row by row. (Compared by bits —
+        // `==` would reject NaN ties that are in fact identical.)
+        let matrix = SimilarityMatrix::from_scorer(&scorer);
+        for qi in 0..q {
+            let mut sel = StreamingTopK::new(k);
+            for j in 0..t {
+                sel.offer(j, scorer.data[qi * t + j]);
+            }
+            let seq = [sel.into_ranked()];
+            assert_ranked_bits_equal(&[stream_top_k(&scorer, qi, k)], &seq, "scorer top-k");
+            assert_ranked_bits_equal(&[stream_top_k(&matrix, qi, k)], &seq, "matrix top-k");
         }
     }
 }
@@ -627,14 +685,13 @@ proptest! {
 // ---------------------------------------------------------------------
 // Runtime-dispatched kernels: forcing each available kernel (scalar,
 // AVX2, AVX-512 where the host has them) must leave every artifact —
-// similarity matrices and ranked streaming output — bit-identical.
+// similarity matrices, ranks and ranked top-k — bit-identical.
 // The dispatch decision is a pure speed knob, never an accuracy knob.
 // ---------------------------------------------------------------------
 
-use khaos::diff::engine::{EmbedScorer, FunctionEmbeddings};
+use khaos::diff::engine::FunctionEmbeddings;
 use khaos::diff::kernels::{self, KernelKind};
-use khaos::diff::{stream_top_k_quantized, QuantizedEmbeddings, QUANT_SHORTLIST_FACTOR};
-use std::sync::Arc;
+use khaos::diff::QuantizedEmbeddings;
 
 /// Runs `f` once under each available kernel and returns the results,
 /// restoring auto dispatch afterwards. A process-wide lock serializes
@@ -655,8 +712,8 @@ fn at_each_kernel<T>(f: impl Fn(KernelKind) -> T) -> Vec<(KernelKind, T)> {
     out
 }
 
-/// Satellite: every forced kernel reproduces the scalar kernel's
-/// matrices and ranked top-k bit-for-bit for all five differs on a
+/// Every forced kernel reproduces the scalar kernel's matrices, ranks
+/// and ranked top-k bit-for-bit for all five differs on a
 /// real obfuscated pair. Fresh caches per kernel, so nothing is served
 /// from a matrix computed under a different dispatch choice.
 #[test]
@@ -669,12 +726,17 @@ fn forced_kernels_are_bit_identical_for_all_five_differs() {
             let matrix = tool.batched_similarity(&base_bin, &obf_bin, &cache);
             let bits: Vec<u64> = matrix.as_flat().iter().map(|x| x.to_bits()).collect();
             let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
-            let ranked = par_stream_top_k_rows(scorer.as_ref(), &queries, 10);
-            (bits, ranked)
+            let ranked: Vec<_> = queries
+                .iter()
+                .map(|&qi| stream_top_k(scorer.as_ref(), qi, 10))
+                .collect();
+            let ranks = true_match_ranks(scorer.as_ref(), &base_bin, &obf_bin, &queries);
+            (bits, ranked, ranks)
         });
-        let (ref_kind, (ref_bits, ref_ranked)) = &runs[0];
+        let (ref_kind, (ref_bits, ref_ranked, ref_ranks)) = &runs[0];
         assert_eq!(*ref_kind, KernelKind::Scalar, "scalar is always available");
-        for (kind, (bits, ranked)) in &runs[1..] {
+        for (kind, (bits, ranked, ranks)) in &runs[1..] {
+            assert_eq!(ranks, ref_ranks, "{} under {}", tool.name(), kind.name());
             assert_eq!(
                 bits,
                 ref_bits,
@@ -691,72 +753,11 @@ fn forced_kernels_are_bit_identical_for_all_five_differs() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Quantized shortlist: int8 candidate scan + exact re-rank must hand
-// back the exact path's ranked output bit-for-bit, with recall 1.0 at
-// every fig10 threshold, for all five differs.
-// ---------------------------------------------------------------------
-
-/// Satellite: on the fig10-style workload, `stream_top_k_quantized`
-/// with the default shortlist factor reproduces the exact
-/// `stream_top_k` output — indices AND score bits — at k ∈ {1, 10, 50}
-/// for every query of every differ, which pins recall@{1,10,50} = 1.0
-/// after re-ranking.
-#[test]
-fn quantized_shortlist_reranks_to_exact_top_k_for_all_five_differs() {
-    let (base_bin, obf_bin) = obfuscated_pair(79, KhaosMode::FuFiAll);
-    for tool in five_tools() {
-        let qe = Arc::new(FunctionEmbeddings::from_rows(tool.embed(&base_bin)));
-        let te = Arc::new(FunctionEmbeddings::from_rows(tool.embed(&obf_bin)));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        // The quantized rows cost dim + 16 bytes against 8·dim exact —
-        // a real saving for any row wider than two f64s.
-        assert_eq!(qq.bytes_per_function(), qe.dim() + 16, "{}", tool.name());
-        if qe.dim() > 2 {
-            assert!(
-                qq.bytes_per_function() < qe.dim() * 8,
-                "{}: quantized rows must be smaller than f64 rows",
-                tool.name()
-            );
-        }
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        for qi in 0..qe.len() {
-            for k in [1usize, 10, 50] {
-                let exact = stream_top_k(&scorer, qi, k);
-                let approx =
-                    stream_top_k_quantized(&qq, &tq, &scorer, qi, k, QUANT_SHORTLIST_FACTOR, true);
-                // recall@k over the exact top-k index set…
-                let exact_set: std::collections::HashSet<usize> =
-                    exact.iter().map(|&(j, _)| j).collect();
-                let hit = approx.iter().filter(|(j, _)| exact_set.contains(j)).count();
-                assert_eq!(
-                    hit,
-                    exact_set.len(),
-                    "{} qi={qi} k={k}: recall after re-rank must be 1.0",
-                    tool.name()
-                );
-                // …and the stronger pin: bit-identical ranked output.
-                assert_eq!(approx.len(), exact.len(), "{} qi={qi} k={k}", tool.name());
-                for ((ja, sa), (jb, sb)) in approx.iter().zip(&exact) {
-                    assert_eq!(ja, jb, "{} qi={qi} k={k}: index order", tool.name());
-                    assert_eq!(
-                        sa.to_bits(),
-                        sb.to_bits(),
-                        "{} qi={qi} k={k}: score bits",
-                        tool.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Satellite: int8 quantization reconstructs every coordinate to
-    /// within half a quantization step of its row scale.
+    /// int8 quantization reconstructs every coordinate to within half a
+    /// quantization step of its row scale, at `dim + 16` bytes a row.
     #[test]
     fn quantization_round_trip_error_is_within_half_scale(
         seed in any::<u64>(),
@@ -768,6 +769,7 @@ proptest! {
             .collect();
         let e = FunctionEmbeddings::from_rows(rows);
         let q = QuantizedEmbeddings::from_embeddings(&e);
+        prop_assert_eq!(q.bytes_per_function(), dim + 16);
         for i in 0..e.len() {
             let back = q.decode_row(i);
             let bound = q.scales()[i] * 0.5 * (1.0 + 1e-9) + 1e-15;
@@ -776,39 +778,6 @@ proptest! {
                     (x - y).abs() <= bound,
                     "row {}: |{} - {}| > scale/2 = {}", i, x, y, bound
                 );
-            }
-        }
-    }
-
-    /// Exact re-rank over a full-coverage shortlist is bit-identical to
-    /// `stream_top_k` on random embeddings — ties, k > T and
-    /// single-candidate shapes included.
-    #[test]
-    fn quantized_full_shortlist_is_bit_identical_to_exact(
-        seed in any::<u64>(),
-        q in 1usize..6,
-        t in 1usize..24,
-        dim in 1usize..32,
-        k in 0usize..30,
-    ) {
-        let qe = Arc::new(FunctionEmbeddings::from_rows(
-            (0..q).map(|i| rand_vec(seed ^ (i as u64) << 9, dim)).collect(),
-        ));
-        let te = Arc::new(FunctionEmbeddings::from_rows(
-            (0..t).map(|j| rand_vec(seed ^ 0xF00 ^ (j as u64) << 21, dim)).collect(),
-        ));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        // factor ≥ cols/k ⇒ the shortlist is the whole candidate set,
-        // so the re-rank must equal the exact path exactly.
-        for qi in 0..q {
-            let exact = stream_top_k(&scorer, qi, k);
-            let approx = stream_top_k_quantized(&qq, &tq, &scorer, qi, k, t.max(1), true);
-            prop_assert_eq!(approx.len(), exact.len());
-            for ((ja, sa), (jb, sb)) in approx.iter().zip(&exact) {
-                prop_assert_eq!(ja, jb);
-                prop_assert_eq!(sa.to_bits(), sb.to_bits());
             }
         }
     }
@@ -824,7 +793,7 @@ fn embedding_cache_shares_across_metrics() {
     let tool = Safe::default();
     let before = EmbeddingCache::global().stats();
     let _ = precision_at_1(&tool, &base_bin, &obf_bin);
-    let _ = escape_at_k(&tool, &base_bin, &obf_bin, 10);
+    let _ = escape_profile(&tool, &base_bin, &obf_bin, &[10]);
     let _ = binary_similarity(&tool, &base_bin, &obf_bin);
     let after = EmbeddingCache::global().stats();
     // Three metric calls over the same pair: at most one matrix build +

@@ -4,8 +4,8 @@
 
 use khaos::binary::lower_module;
 use khaos::diff::{
-    binary_similarity, deepbindiff_precision_at_1, escape_at_k, precision_at_1, Asm2Vec, BinDiff,
-    DeepBinDiff, Differ, Safe, VulSeeker,
+    binary_similarity, deepbindiff_precision_at_1, escape_profile, precision_at_1, Asm2Vec,
+    BinDiff, DeepBinDiff, Differ, Safe, VulSeeker,
 };
 use khaos::obfuscate::{KhaosContext, KhaosMode};
 use khaos::ollvm::OllvmMode;
@@ -114,8 +114,8 @@ fn escape_ratio_increases_with_khaos_vs_sub() {
     let fufi_bin = lower_module(&khaos_build(&base, KhaosMode::FuFiAll));
     let sub_bin = lower_module(&ollvm_build(&base, OllvmMode::Sub(1.0)));
     let tool = VulSeeker::default();
-    let khaos_escape = escape_at_k(&tool, &base_bin, &fufi_bin, 10);
-    let sub_escape = escape_at_k(&tool, &base_bin, &sub_bin, 10);
+    let khaos_escape = escape_profile(&tool, &base_bin, &fufi_bin, &[10])[0];
+    let sub_escape = escape_profile(&tool, &base_bin, &sub_bin, &[10])[0];
     assert!(
         khaos_escape >= sub_escape,
         "FuFi.all escape@10 ({khaos_escape:.2}) must be >= Sub ({sub_escape:.2})"
